@@ -203,23 +203,27 @@ inline harness::ExperimentConfig largeScaleSetup(harness::Scheme scheme,
   return cfg;
 }
 
-/// Poisson workload at `load` for the large-scale tests. Load is defined
-/// against the fabric bisection (leaf uplink aggregate), the binding
-/// resource in an oversubscribed fabric.
+/// Poisson workload at `load` for the large-scale tests, with load
+/// defined against the fabric bisection (workload::poissonConfigFor) and
+/// the benches' own seeding.
 inline void addPoissonWorkload(harness::ExperimentConfig& cfg, double load,
                                const workload::FlowSizeDistribution& dist,
                                int flowCount) {
-  workload::PoissonConfig pcfg;
-  pcfg.load = load;
-  pcfg.flowCount = flowCount;
-  pcfg.numHosts = cfg.topo.numHosts();
-  pcfg.hostsPerLeaf = cfg.topo.hostsPerLeaf;
-  pcfg.hostRate = cfg.topo.hostLinkRate;
-  pcfg.offeredCapacityBps = static_cast<double>(cfg.topo.numLeaves) *
-                            static_cast<double>(cfg.topo.numSpines) *
-                            cfg.topo.fabricLinkRate.bytesPerSecond();
   Rng rng(cfg.seed * 9176 + 11);
-  cfg.flows = poissonWorkload(pcfg, dist, rng);
+  cfg.flows = workload::poissonWorkload(
+      workload::poissonConfigFor(cfg.topo, load, flowCount), dist, rng);
 }
+
+/// The granularity study of Section 2.2 (Figs. 3 and 4): one scheme per
+/// fixed switching granularity, under the label the figures use.
+struct Granularity {
+  const char* label;
+  harness::Scheme scheme;
+};
+inline constexpr Granularity kGranularities[] = {
+    {"Flow-level", harness::Scheme::kFlowLevel},
+    {"Flowlet-level", harness::Scheme::kLetFlow},
+    {"Packet-level", harness::Scheme::kRps},
+};
 
 }  // namespace tlbsim::bench

@@ -26,10 +26,6 @@ int main(int argc, char** argv) {
   std::printf("Figure 3: impact of switching granularity on short flows\n");
   std::printf("(flow-level / flowlet-level / packet-level, basic setup)\n");
 
-  const harness::Scheme granularities[] = {harness::Scheme::kFlowLevel,
-                                           harness::Scheme::kFlowletLevel,
-                                           harness::Scheme::kPacketLevel};
-
   stats::Table cdfQ({"percentile", "flow-level qlen (pkts)",
                      "flowlet qlen (pkts)", "packet qlen (pkts)"});
   stats::Table dup({"scheme", "dup-ACK ratio (short flows)"});
@@ -37,13 +33,12 @@ int main(int argc, char** argv) {
                      "packet FCT (ms)"});
 
   std::vector<harness::ExperimentResult> results;
-  for (const auto scheme : granularities) {
-    auto cfg = bench::basicSetup(scheme);
+  for (const auto& g : bench::kGranularities) {
+    auto cfg = bench::basicSetup(g.scheme);
     bench::addBasicMix(cfg, numShort, numLong);
     // tlbsim-lint: allow(bench-direct-experiment)
     results.push_back(harness::runExperiment(cfg));
-    dup.addRow(harness::schemeName(scheme),
-               {results.back().shortDupAckRatioTotal()}, 4);
+    dup.addRow(g.label, {results.back().shortDupAckRatioTotal()}, 4);
   }
 
   for (const double p : {25.0, 50.0, 75.0, 90.0, 99.0, 99.9}) {

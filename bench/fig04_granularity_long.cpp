@@ -19,10 +19,6 @@ int main(int argc, char** argv) {
 
   std::printf("Figure 4: impact of switching granularity on long flows\n");
 
-  const harness::Scheme granularities[] = {harness::Scheme::kFlowLevel,
-                                           harness::Scheme::kFlowletLevel,
-                                           harness::Scheme::kPacketLevel};
-
   stats::Table util({"time (ms)", "flow-level util", "flowlet util",
                      "packet util"});
   stats::Table ooo({"scheme", "long-flow out-of-order ratio"});
@@ -33,11 +29,11 @@ int main(int argc, char** argv) {
   // the flow-level pathology) is represented, not a single draw.
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
   std::vector<harness::ExperimentResult> results;
-  for (const auto scheme : granularities) {
+  for (const auto& g : bench::kGranularities) {
     double oooSum = 0.0;
     double tputSum = 0.0;
     for (const std::uint64_t seed : seeds) {
-      auto cfg = bench::basicSetup(scheme, 256, seed);
+      auto cfg = bench::basicSetup(g.scheme, 256, seed);
       bench::addBasicMix(cfg);
       if (seed == seeds.front()) {
         cfg.sampleInterval = milliseconds(1);
@@ -53,9 +49,8 @@ int main(int argc, char** argv) {
       }
     }
     const double n = static_cast<double>(seeds.size());
-    ooo.addRow(harness::schemeName(scheme), {oooSum / n}, 4);
-    tput.addRow(harness::schemeName(scheme),
-                {tputSum / n * 1e3, tputSum / n}, 3);
+    ooo.addRow(g.label, {oooSum / n}, 4);
+    tput.addRow(g.label, {tputSum / n * 1e3, tputSum / n}, 3);
   }
 
   // Utilization series, downsampled to a common grid.

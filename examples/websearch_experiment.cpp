@@ -4,11 +4,12 @@
 //   $ ./websearch_experiment [scheme] [load] [flows] [seed]
 //   $ ./websearch_experiment tlb 0.6 300 7
 //
-// Schemes: ecmp, rps, drill, presto, letflow, tlb.
+// Schemes: any name `tlbsim_cli --list-schemes` prints (ecmp, rps, drill,
+// presto, letflow, tlb, ...).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 
 #include "harness/experiment.hpp"
 #include "stats/report.hpp"
@@ -16,27 +17,15 @@
 
 using namespace tlbsim;
 
-namespace {
-
-harness::Scheme parseScheme(const char* s) {
-  const std::string name(s);
-  if (name == "ecmp") return harness::Scheme::kEcmp;
-  if (name == "rps") return harness::Scheme::kRps;
-  if (name == "drill") return harness::Scheme::kDrill;
-  if (name == "presto") return harness::Scheme::kPresto;
-  if (name == "letflow") return harness::Scheme::kLetFlow;
-  if (name == "sq") return harness::Scheme::kShortestQueue;
-  if (name == "flow") return harness::Scheme::kFlowLevel;
-  if (name == "tlb") return harness::Scheme::kTlb;
-  std::fprintf(stderr, "unknown scheme '%s', using tlb\n", s);
-  return harness::Scheme::kTlb;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const harness::Scheme scheme =
-      argc > 1 ? parseScheme(argv[1]) : harness::Scheme::kTlb;
+  const char* schemeArg = argc > 1 ? argv[1] : "tlb";
+  const auto parsed = harness::parseScheme(schemeArg);
+  if (!parsed.has_value()) {
+    std::fprintf(stderr, "unknown scheme '%s' (tlbsim_cli --list-schemes)\n",
+                 schemeArg);
+    return 1;
+  }
+  const harness::Scheme scheme = *parsed;
   const double load = argc > 2 ? std::atof(argv[2]) : 0.6;
   const int flowCount = argc > 3 ? std::atoi(argv[3]) : 300;
   const std::uint64_t seed =
@@ -57,21 +46,16 @@ int main(int argc, char** argv) {
   cfg.scheme.scheme = scheme;
   cfg.seed = seed;
   cfg.maxDuration = seconds(60);
-  if (std::getenv("TLBSIM_CLASSIC_TCP") != nullptr) {
-    cfg.tcp.holeRetransmitGuard = false;  // NS2-era reordering fragility
-  }
 
-  workload::PoissonConfig pcfg;
-  pcfg.load = load;
-  pcfg.flowCount = flowCount;
-  pcfg.numHosts = cfg.topo.numHosts();
-  pcfg.hostsPerLeaf = cfg.topo.hostsPerLeaf;
-  pcfg.offeredCapacityBps = static_cast<double>(cfg.topo.numLeaves) *
-                            static_cast<double>(cfg.topo.numSpines) *
-                            cfg.topo.fabricLinkRate.bytesPerSecond();
   Rng rng(cfg.seed);
-  cfg.flows = workload::poissonWorkload(
-      pcfg, workload::FlowSizeDistribution::webSearch(30 * kMB), rng);
+  std::string err;
+  auto flows = workload::namedWorkload("websearch", cfg.topo, load, flowCount,
+                                       rng, &err);
+  if (!flows.has_value()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    return 1;
+  }
+  cfg.flows = std::move(*flows);
 
   const auto res = harness::runExperiment(cfg);
 

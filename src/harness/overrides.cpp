@@ -1,7 +1,9 @@
 #include "harness/overrides.hpp"
 
+#include <climits>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 
 #include "fault/plan.hpp"
@@ -11,192 +13,181 @@ namespace tlbsim::harness {
 
 namespace {
 
+using Config = ExperimentConfig;
+
+/// Parses `value` into the config, or returns false and leaves the config
+/// untouched: every row parses, checks its range rule, and only then
+/// assigns. `why` (never null) may receive the rule the value broke.
+using Apply =
+    std::function<bool(Config&, const std::string& value, std::string* why)>;
+
+/// How a key's flag reads: `--leaves 4`, or a bare switch standing for
+/// `true` (`--fault-drain`) or for `false` (`--classic-tcp`).
+enum class Sugar { kValue, kSwitch, kNegatedSwitch };
+
 struct Key {
   const char* name;
+  const char* flag;  ///< CLI flag (sans "--") that is sugar for the key
   const char* help;
-  /// Parses `value` (pre-wrapped in a one-entry KeyValueConfig for the
-  /// strict accessors) into cfg; false on parse failure.
-  std::function<bool(ExperimentConfig&, const KeyValueConfig&,
-                     const std::string&, const std::string&)>
-      apply;
+  Apply apply;
+  Sugar sugar = Sugar::kValue;
 };
 
-bool setInt(const KeyValueConfig& kv, const std::string& key, int* out) {
-  const auto v = kv.getIntStrict(key);
-  if (!v.has_value()) return false;
-  *out = static_cast<int>(*v);
-  return true;
+/// The one-entry KeyValueConfig whose strict accessors parse `value`.
+KeyValueConfig one(const std::string& value) {
+  return KeyValueConfig::fromString("v=" + value);
 }
 
-bool setBytes(const KeyValueConfig& kv, const std::string& key, ByteCount* out) {
-  const auto v = kv.getIntStrict(key);
-  if (!v.has_value()) return false;
-  *out = ByteCount::fromBytes(*v);
-  return true;
+/// An integer in [lo, hi], handed to `set`.
+Apply integer(std::int64_t lo, std::function<void(Config&, std::int64_t)> set,
+              std::int64_t hi = INT_MAX) {
+  return [lo, hi, set = std::move(set)](Config& c, const std::string& value,
+                                        std::string* why) {
+    const auto v = one(value).getIntStrict("v");
+    if (!v.has_value() || *v > hi) return false;
+    if (*v < lo) {
+      *why = "must be >= " + std::to_string(lo);
+      return false;
+    }
+    set(c, *v);
+    return true;
+  };
 }
 
-bool setU64(const KeyValueConfig& kv, const std::string& key,
-            std::uint64_t* out) {
-  const auto v = kv.getIntStrict(key);
-  if (!v.has_value()) return false;
-  *out = static_cast<std::uint64_t>(*v);
-  return true;
+/// A real number that must be > 0 (`positive`) or >= 0, handed to `set`.
+Apply number(bool positive, std::function<void(Config&, double)> set) {
+  return [positive, set = std::move(set)](Config& c, const std::string& value,
+                                          std::string* why) {
+    const auto v = one(value).getDoubleStrict("v");
+    if (!v.has_value()) return false;
+    if (positive ? !(*v > 0.0) : !(*v >= 0.0)) {
+      *why = positive ? "must be > 0" : "must be >= 0";
+      return false;
+    }
+    set(c, *v);
+    return true;
+  };
+}
+Apply positive(std::function<void(Config&, double)> set) {
+  return number(true, std::move(set));
+}
+Apply nonNegative(std::function<void(Config&, double)> set) {
+  return number(false, std::move(set));
 }
 
-bool setMicros(const KeyValueConfig& kv, const std::string& key,
-               SimTime* out) {
-  const auto v = kv.getDoubleStrict(key);
-  if (!v.has_value()) return false;
-  *out = microseconds(*v);
-  return true;
-}
-
-bool setBool(const KeyValueConfig& kv, const std::string& key, bool* out) {
-  const auto v = kv.getBoolStrict(key);
-  if (!v.has_value()) return false;
-  *out = *v;
-  return true;
+Apply boolean(std::function<void(Config&, bool)> set) {
+  return [set = std::move(set)](Config& c, const std::string& value,
+                                std::string*) {
+    const auto v = one(value).getBoolStrict("v");
+    if (!v.has_value()) return false;
+    set(c, *v);
+    return true;
+  };
 }
 
 const std::vector<Key>& keyTable() {
   static const std::vector<Key> table = {
-      {"scheme", "load-balancing scheme (parseScheme names)",
-       [](ExperimentConfig& c, const KeyValueConfig&, const std::string&,
-          const std::string& value) {
+      {"scheme", "scheme", "load-balancing scheme (parseScheme names)",
+       [](Config& c, const std::string& value, std::string*) {
          const auto s = parseScheme(value);
          if (!s.has_value()) return false;
          c.scheme.scheme = *s;
          return true;
        }},
-      {"topo.leaves", "number of leaf switches",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setInt(kv, k, &c.topo.numLeaves);
-       }},
-      {"topo.spines", "number of spine switches (equal-cost paths)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setInt(kv, k, &c.topo.numSpines);
-       }},
-      {"topo.hosts-per-leaf", "hosts under each leaf",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setInt(kv, k, &c.topo.hostsPerLeaf);
-       }},
-      {"topo.buffer", "per-port buffer depth, packets",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setInt(kv, k, &c.topo.bufferPackets);
-       }},
-      {"topo.ecn-k", "DCTCP marking threshold, packets (0 = off)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         if (!setInt(kv, k, &c.topo.ecnThresholdPackets)) return false;
-         c.tcp.enableEcn = c.topo.ecnThresholdPackets > 0;
-         return true;
-       }},
-      {"topo.rate-gbps", "host and fabric link rate, Gbps",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         const auto v = kv.getDoubleStrict(k);
-         if (!v.has_value() || !(*v > 0.0)) return false;
-         c.topo.hostLinkRate = gbps(*v);
-         c.topo.fabricLinkRate = gbps(*v);
-         return true;
-       }},
-      {"topo.rtt-us", "base RTT, microseconds (sets per-link delay)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         const auto v = kv.getDoubleStrict(k);
-         if (!v.has_value() || !(*v > 0.0)) return false;
-         c.topo.linkDelay = microseconds(*v / 8.0);
-         return true;
-       }},
-      {"tcp.hole-guard",
+      {"topo.leaves", "leaves", "number of leaf switches",
+       integer(1, [](Config& c, std::int64_t v) {
+         c.topo.numLeaves = static_cast<int>(v);
+       })},
+      {"topo.spines", "spines", "number of spine switches (equal-cost paths)",
+       integer(1, [](Config& c, std::int64_t v) {
+         c.topo.numSpines = static_cast<int>(v);
+       })},
+      {"topo.hosts-per-leaf", "hosts-per-leaf", "hosts under each leaf",
+       integer(1, [](Config& c, std::int64_t v) {
+         c.topo.hostsPerLeaf = static_cast<int>(v);
+       })},
+      {"topo.buffer", "buffer", "per-port buffer depth, packets",
+       integer(1, [](Config& c, std::int64_t v) {
+         c.topo.bufferPackets = static_cast<int>(v);
+       })},
+      {"topo.ecn-k", "ecn-k", "DCTCP marking threshold, packets (0 = off)",
+       integer(0,
+               [](Config& c, std::int64_t v) {
+                 c.topo.ecnThresholdPackets = static_cast<int>(v);
+                 c.tcp.enableEcn = v > 0;
+               })},
+      {"topo.rate-gbps", "rate-gbps", "host and fabric link rate, Gbps",
+       positive([](Config& c, double v) {
+         c.topo.hostLinkRate = gbps(v);
+         c.topo.fabricLinkRate = gbps(v);
+       })},
+      {"topo.rtt-us", "rtt-us", "base RTT, microseconds (sets per-link delay)",
+       positive([](Config& c, double v) {
+         c.topo.linkDelay = microseconds(v / 8.0);
+       })},
+      {"tcp.hole-guard", "classic-tcp",
        "reordering-tolerant retransmit guard (false = classic NS2-era TCP)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setBool(kv, k, &c.tcp.holeRetransmitGuard);
-       }},
-      {"tcp.min-rto-us", "minimum retransmission timeout, microseconds",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setMicros(kv, k, &c.tcp.minRto);
-       }},
-      {"tlb.update-interval-us", "TLB control-loop interval t",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setMicros(kv, k, &c.scheme.tlb.updateInterval);
-       }},
-      {"tlb.idle-timeout-us", "TLB flow-entry idle purge timeout",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setMicros(kv, k, &c.scheme.tlb.idleTimeout);
-       }},
-      {"tlb.short-threshold-bytes",
+       boolean([](Config& c, bool v) { c.tcp.holeRetransmitGuard = v; }),
+       Sugar::kNegatedSwitch},
+      {"tcp.min-rto-us", nullptr,
+       "minimum retransmission timeout, microseconds",
+       nonNegative([](Config& c, double v) {
+         c.tcp.minRto = microseconds(v);
+       })},
+      {"tlb.update-interval-us", nullptr, "TLB control-loop interval t",
+       positive([](Config& c, double v) {
+         c.scheme.tlb.updateInterval = microseconds(v);
+       })},
+      {"tlb.idle-timeout-us", nullptr, "TLB flow-entry idle purge timeout",
+       nonNegative([](Config& c, double v) {
+         c.scheme.tlb.idleTimeout = microseconds(v);
+       })},
+      {"tlb.short-threshold-bytes", nullptr,
        "bytes before TLB reclassifies a flow as long",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setBytes(kv, k, &c.scheme.tlb.shortFlowThreshold);
-       }},
-      {"tlb.spray-stickiness-bytes",
+       integer(0, [](Config& c, std::int64_t v) {
+         c.scheme.tlb.shortFlowThreshold = ByteCount::fromBytes(v);
+       })},
+      {"tlb.spray-stickiness-bytes", nullptr,
        "minimum queue-length gain before a short flow switches uplinks",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setBytes(kv, k, &c.scheme.tlb.sprayStickiness);
-       }},
-      {"tlb.deadline-ms", "short-flow deadline D, milliseconds",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         const auto v = kv.getDoubleStrict(k);
-         if (!v.has_value() || !(*v > 0.0)) return false;
-         c.scheme.tlb.deadline = milliseconds(*v);
-         return true;
-       }},
-      {"scheme.flowlet-timeout-us", "LetFlow/CONGA flowlet gap",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setMicros(kv, k, &c.scheme.flowletTimeout);
-       }},
-      {"scheme.presto-cell-bytes", "Presto flowcell size",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setBytes(kv, k, &c.scheme.prestoCellBytes);
-       }},
-      {"scheme.fixed-k", "FixedGranularity switching period, packets",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setU64(kv, k, &c.scheme.fixedK);
-       }},
-      {"max-duration-ms", "hard stop, simulated milliseconds",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         const auto v = kv.getDoubleStrict(k);
-         if (!v.has_value() || !(*v > 0.0)) return false;
-         c.maxDuration = milliseconds(*v);
-         return true;
-       }},
-      {"sample-interval-us", "time-series sampling period (0 = off)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setMicros(kv, k, &c.sampleInterval);
-       }},
-      {"app.queries", "partition-aggregate queries to run (0 = app off)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setInt(kv, k, &c.app.queries);
-       }},
-      {"app.fan-out", "worker request flows per query",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         int fanOut = 0;
-         if (!setInt(kv, k, &fanOut) || fanOut <= 0) return false;
-         c.app.fanOut = fanOut;
-         return true;
-       }},
-      {"app.arrival", "query arrival process: poisson | closed",
-       [](ExperimentConfig& c, const KeyValueConfig&, const std::string&,
-          const std::string& value) {
+       integer(0, [](Config& c, std::int64_t v) {
+         c.scheme.tlb.sprayStickiness = ByteCount::fromBytes(v);
+       })},
+      {"tlb.deadline-ms", nullptr, "short-flow deadline D, milliseconds",
+       positive([](Config& c, double v) {
+         c.scheme.tlb.deadline = milliseconds(v);
+       })},
+      {"scheme.flowlet-timeout-us", nullptr, "LetFlow/CONGA flowlet gap",
+       nonNegative([](Config& c, double v) {
+         c.scheme.flowletTimeout = microseconds(v);
+       })},
+      {"scheme.presto-cell-bytes", nullptr, "Presto flowcell size",
+       integer(1, [](Config& c, std::int64_t v) {
+         c.scheme.prestoCellBytes = ByteCount::fromBytes(v);
+       })},
+      {"scheme.fixed-k", nullptr, "FixedGranularity switching period, packets",
+       integer(
+           0,
+           [](Config& c, std::int64_t v) {
+             c.scheme.fixedK = static_cast<std::uint64_t>(v);
+           },
+           INT64_MAX)},
+      {"max-duration-ms", nullptr, "hard stop, simulated milliseconds",
+       positive([](Config& c, double v) { c.maxDuration = milliseconds(v); })},
+      {"sample-interval-us", nullptr, "time-series sampling period (0 = off)",
+       nonNegative([](Config& c, double v) {
+         c.sampleInterval = microseconds(v);
+       })},
+      {"app.queries", nullptr,
+       "partition-aggregate queries to run (0 = app off)",
+       integer(0, [](Config& c, std::int64_t v) {
+         c.app.queries = static_cast<int>(v);
+       })},
+      {"app.fan-out", nullptr, "worker request flows per query",
+       integer(1, [](Config& c, std::int64_t v) {
+         c.app.fanOut = static_cast<int>(v);
+       })},
+      {"app.arrival", nullptr, "query arrival process: poisson | closed",
+       [](Config& c, const std::string& value, std::string*) {
          if (value == "poisson") {
            c.app.arrival = app::Arrival::kPoisson;
          } else if (value == "closed") {
@@ -206,33 +197,24 @@ const std::vector<Key>& keyTable() {
          }
          return true;
        }},
-      {"app.qps", "Poisson query arrival rate, queries/second",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         const auto v = kv.getDoubleStrict(k);
-         if (!v.has_value() || !(*v > 0.0)) return false;
-         c.app.qps = *v;
-         return true;
-       }},
-      {"app.concurrency", "closed-loop outstanding queries",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setInt(kv, k, &c.app.concurrency);
-       }},
-      {"app.think-time-us", "closed-loop mean think time after completion",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setMicros(kv, k, &c.app.thinkTime);
-       }},
-      {"app.request-bytes", "request flow size, aggregator to worker",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setBytes(kv, k, &c.app.requestBytes);
-       }},
-      {"app.response-dist",
+      {"app.qps", nullptr, "Poisson query arrival rate, queries/second",
+       positive([](Config& c, double v) { c.app.qps = v; })},
+      {"app.concurrency", nullptr, "closed-loop outstanding queries",
+       integer(0, [](Config& c, std::int64_t v) {
+         c.app.concurrency = static_cast<int>(v);
+       })},
+      {"app.think-time-us", nullptr,
+       "closed-loop mean think time after completion",
+       nonNegative([](Config& c, double v) {
+         c.app.thinkTime = microseconds(v);
+       })},
+      {"app.request-bytes", nullptr, "request flow size, aggregator to worker",
+       integer(0, [](Config& c, std::int64_t v) {
+         c.app.requestBytes = ByteCount::fromBytes(v);
+       })},
+      {"app.response-dist", nullptr,
        "response-size draw: fixed | websearch | datamining",
-       [](ExperimentConfig& c, const KeyValueConfig&, const std::string&,
-          const std::string& value) {
+       [](Config& c, const std::string& value, std::string*) {
          if (value == "fixed") {
            c.app.responseDist = app::ResponseDist::kFixed;
          } else if (value == "websearch") {
@@ -244,47 +226,33 @@ const std::vector<Key>& keyTable() {
          }
          return true;
        }},
-      {"app.response-bytes",
+      {"app.response-bytes", nullptr,
        "response size (fixed) or cap (websearch/datamining)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setBytes(kv, k, &c.app.responseBytes);
-       }},
-      {"app.service-time-us", "mean worker service time (0 = instant)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setMicros(kv, k, &c.app.serviceTime);
-       }},
-      {"app.slo-ms", "query completion SLO, milliseconds (0 = none)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         const auto v = kv.getDoubleStrict(k);
-         if (!v.has_value() || *v < 0.0) return false;
-         c.app.slo = milliseconds(*v);
-         return true;
-       }},
-      {"app.timeout-ms", "per-query retry timeout, milliseconds (0 = off)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         const auto v = kv.getDoubleStrict(k);
-         if (!v.has_value() || *v < 0.0) return false;
-         c.app.timeout = milliseconds(*v);
-         return true;
-       }},
-      {"app.max-retries", "retry budget per query",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setInt(kv, k, &c.app.maxRetries);
-       }},
-      {"app.duplicate-threshold-bytes",
+       integer(0, [](Config& c, std::int64_t v) {
+         c.app.responseBytes = ByteCount::fromBytes(v);
+       })},
+      {"app.service-time-us", nullptr, "mean worker service time (0 = instant)",
+       nonNegative([](Config& c, double v) {
+         c.app.serviceTime = microseconds(v);
+       })},
+      {"app.slo-ms", nullptr, "query completion SLO, milliseconds (0 = none)",
+       nonNegative([](Config& c, double v) { c.app.slo = milliseconds(v); })},
+      {"app.timeout-ms", nullptr,
+       "per-query retry timeout, milliseconds (0 = off)",
+       nonNegative([](Config& c, double v) {
+         c.app.timeout = milliseconds(v);
+       })},
+      {"app.max-retries", nullptr, "retry budget per query",
+       integer(0, [](Config& c, std::int64_t v) {
+         c.app.maxRetries = static_cast<int>(v);
+       })},
+      {"app.duplicate-threshold-bytes", nullptr,
        "duplicate requests whose response is below this (0 = off)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setBytes(kv, k, &c.app.duplicateThreshold);
-       }},
-      {"app.placement", "worker placement: random | spread",
-       [](ExperimentConfig& c, const KeyValueConfig&, const std::string&,
-          const std::string& value) {
+       integer(0, [](Config& c, std::int64_t v) {
+         c.app.duplicateThreshold = ByteCount::fromBytes(v);
+       })},
+      {"app.placement", nullptr, "worker placement: random | spread",
+       [](Config& c, const std::string& value, std::string*) {
          if (value == "random") {
            c.app.placement = app::Placement::kRandom;
          } else if (value == "spread") {
@@ -294,43 +262,58 @@ const std::vector<Key>& keyTable() {
          }
          return true;
        }},
-      {"app.aggregator", "pin the aggregator host (-1 = rotate per query)",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setInt(kv, k, &c.app.aggregator);
-       }},
-      {"fault.link",
+      {"app.aggregator", nullptr,
+       "pin the aggregator host (-1 = rotate per query)",
+       integer(-1, [](Config& c, std::int64_t v) {
+         c.app.aggregator = static_cast<int>(v);
+       })},
+      {"fault.link", "fault",
        "append link-fault events: leafL-spineS,down@T,up@T,rate=F@T,"
        "delay=F@T,drop=P@T with time suffix s/ms/us/ns (';' joins links)",
-       [](ExperimentConfig& c, const KeyValueConfig&, const std::string&,
-          const std::string& value) {
-         return fault::parseLinkFaults(value, &c.fault);
+       [](Config& c, const std::string& value, std::string* why) {
+         return fault::parseLinkFaults(value, &c.fault, why);
        }},
-      {"fault.drain",
+      {"fault.drain", "fault-drain",
        "drain in-flight packets on link-down instead of dropping them",
-       [](ExperimentConfig& c, const KeyValueConfig& kv,
-          const std::string& k, const std::string&) {
-         return setBool(kv, k, &c.fault.drainOnDown);
-       }},
+       boolean([](Config& c, bool v) { c.fault.drainOnDown = v; }),
+       Sugar::kSwitch},
   };
   return table;
+}
+
+const Key* findKey(const std::string& name) {
+  for (const Key& k : keyTable()) {
+    if (name == k.name) return &k;
+  }
+  return nullptr;
+}
+
+/// The key `flag` is sugar for: its own key, or the key whose flag it is.
+const Key* findFlag(const std::string& flag) {
+  if (const Key* k = findKey(flag)) return k;
+  for (const Key& k : keyTable()) {
+    if (k.flag != nullptr && flag == k.flag) return &k;
+  }
+  return nullptr;
+}
+
+bool explain(std::string* error, std::string what) {
+  if (error != nullptr) *error = std::move(what);
+  return false;
 }
 
 }  // namespace
 
 bool applyOverride(ExperimentConfig& cfg, const std::string& key,
                    const std::string& value, std::string* error) {
-  for (const auto& entry : keyTable()) {
-    if (key != entry.name) continue;
-    const KeyValueConfig kv = KeyValueConfig::fromString(key + "=" + value);
-    if (entry.apply(cfg, kv, key, value)) return true;
-    if (error != nullptr) {
-      *error = "bad value '" + value + "' for override '" + key + "'";
-    }
-    return false;
+  const Key* entry = findKey(key);
+  if (entry == nullptr) {
+    return explain(error, "unknown override key '" + key + "'");
   }
-  if (error != nullptr) *error = "unknown override key '" + key + "'";
-  return false;
+  std::string why;
+  if (entry->apply(cfg, value, &why)) return true;
+  return explain(error, "bad value '" + value + "' for override '" + key +
+                            "'" + (why.empty() ? "" : ": " + why));
 }
 
 bool applyOverrides(ExperimentConfig& cfg,
@@ -339,10 +322,8 @@ bool applyOverrides(ExperimentConfig& cfg,
   for (const auto& kvStr : keyValues) {
     const auto eq = kvStr.find('=');
     if (eq == std::string::npos || eq == 0) {
-      if (error != nullptr) {
-        *error = "override '" + kvStr + "' is not of the form key=value";
-      }
-      return false;
+      return explain(error,
+                     "override '" + kvStr + "' is not of the form key=value");
     }
     if (!applyOverride(cfg, kvStr.substr(0, eq), kvStr.substr(eq + 1),
                        error)) {
@@ -352,11 +333,81 @@ bool applyOverrides(ExperimentConfig& cfg,
   return true;
 }
 
+bool checkConfig(const ExperimentConfig& cfg, std::string* error) {
+  const net::LeafSpineConfig& topo = cfg.topo;
+  if (topo.ecnThresholdPackets > topo.bufferPackets) {
+    return explain(error, "topo.ecn-k (" +
+                              std::to_string(topo.ecnThresholdPackets) +
+                              ") cannot exceed topo.buffer (" +
+                              std::to_string(topo.bufferPackets) + ")");
+  }
+  for (const fault::FaultEvent& ev : cfg.fault.events) {
+    if (ev.leaf < 0 || ev.leaf >= topo.numLeaves || ev.spine < 0 ||
+        ev.spine >= topo.numSpines) {
+      return explain(error, "fault.link leaf" + std::to_string(ev.leaf) +
+                                "-spine" + std::to_string(ev.spine) +
+                                " is outside the " +
+                                std::to_string(topo.numLeaves) + "x" +
+                                std::to_string(topo.numSpines) + " fabric");
+    }
+  }
+  return true;
+}
+
+FlagArity flagArity(const std::string& flag) {
+  if (flag == "app") return FlagArity::kValue;
+  const Key* k = findFlag(flag);
+  if (k == nullptr) return FlagArity::kUnknown;
+  const bool isSwitch =
+      k->sugar != Sugar::kValue && k->flag != nullptr && flag == k->flag;
+  return isSwitch ? FlagArity::kSwitch : FlagArity::kValue;
+}
+
+bool flagOverrides(const std::string& flag, const std::string& value,
+                   std::vector<std::string>* out, std::string* error) {
+  if (flag == "app") {
+    // The one list flag: each comma-joined item is an app.* override
+    // without its prefix.
+    std::size_t start = 0;
+    while (start <= value.size()) {
+      const std::size_t comma = value.find(',', start);
+      const std::size_t end = comma == std::string::npos ? value.size() : comma;
+      if (end > start) {
+        out->push_back("app." + value.substr(start, end - start));
+      }
+      if (comma == std::string::npos) break;
+      start = comma + 1;
+    }
+    return true;
+  }
+  const Key* k = findFlag(flag);
+  if (k == nullptr) return explain(error, "unknown flag '--" + flag + "'");
+  if (flagArity(flag) == FlagArity::kValue) {
+    out->push_back(std::string(k->name) + "=" + value);
+    return true;
+  }
+  const std::optional<bool> on =
+      value.empty() ? std::optional<bool>(true) : one(value).getBoolStrict("v");
+  if (!on.has_value()) {
+    return explain(error, "bad value '" + value + "' for --" + flag);
+  }
+  const bool keyValue = *on != (k->sugar == Sugar::kNegatedSwitch);
+  out->push_back(std::string(k->name) + (keyValue ? "=true" : "=false"));
+  return true;
+}
+
 std::vector<std::string> overrideHelp() {
   std::vector<std::string> out;
   out.reserve(keyTable().size());
-  for (const auto& entry : keyTable()) {
-    out.push_back(std::string(entry.name) + "  " + entry.help);
+  for (const Key& k : keyTable()) {
+    std::string line = std::string(k.name) + "  " + k.help;
+    if (k.flag != nullptr) {
+      line += std::string(" [--") + k.flag;
+      if (k.sugar == Sugar::kSwitch) line += " sets true";
+      if (k.sugar == Sugar::kNegatedSwitch) line += " sets false";
+      line += "]";
+    }
+    out.push_back(std::move(line));
   }
   return out;
 }

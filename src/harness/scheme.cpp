@@ -46,8 +46,6 @@ const char* schemeName(Scheme s) {
     case Scheme::kPresto: return "Presto";
     case Scheme::kLetFlow: return "LetFlow";
     case Scheme::kFlowLevel: return "Flow-level";
-    case Scheme::kFlowletLevel: return "Flowlet-level";
-    case Scheme::kPacketLevel: return "Packet-level";
     case Scheme::kShortestQueue: return "ShortestQueue";
     case Scheme::kFixedGranularity: return "FixedGranularity";
     case Scheme::kTlb: return "TLB";
@@ -69,8 +67,6 @@ const char* schemeCliName(Scheme s) {
     case Scheme::kPresto: return "presto";
     case Scheme::kLetFlow: return "letflow";
     case Scheme::kFlowLevel: return "flow-level";
-    case Scheme::kFlowletLevel: return "flowlet-level";
-    case Scheme::kPacketLevel: return "packet-level";
     case Scheme::kShortestQueue: return "shortest-queue";
     case Scheme::kFixedGranularity: return "fixed-granularity";
     case Scheme::kTlb: return "tlb";
@@ -87,7 +83,6 @@ const std::vector<Scheme>& allSchemes() {
       Scheme::kPresto,        Scheme::kLetFlow,
       Scheme::kConga,         Scheme::kHermes,
       Scheme::kRoundRobin,    Scheme::kFlowLevel,
-      Scheme::kFlowletLevel,  Scheme::kPacketLevel,
       Scheme::kShortestQueue, Scheme::kFixedGranularity,
       Scheme::kTlb,
   };
@@ -126,14 +121,12 @@ std::unique_ptr<net::UplinkSelector> makeSelector(const SchemeConfig& cfg,
     case Scheme::kRoundRobin:
       return std::make_unique<lb::RoundRobin>();
     case Scheme::kRps:
-    case Scheme::kPacketLevel:
       return std::make_unique<lb::Rps>(seed);
     case Scheme::kDrill:
       return std::make_unique<lb::Drill>(seed);
     case Scheme::kPresto:
       return std::make_unique<lb::Presto>(salt, cfg.prestoCellBytes);
     case Scheme::kLetFlow:
-    case Scheme::kFlowletLevel:
       return std::make_unique<lb::LetFlow>(seed, cfg.flowletTimeout);
     case Scheme::kFlowLevel:
       return std::make_unique<lb::FixedGranularity>(

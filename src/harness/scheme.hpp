@@ -33,9 +33,9 @@ enum class Scheme {
   kHermes,         ///< cautious condition-based rerouting (local approx.)
   kRoundRobin,     ///< per-packet deterministic round robin
   kFlowLevel,      ///< granularity study: never switch (random initial path)
-  kFlowletLevel,   ///< granularity study: alias of LetFlow
-  kPacketLevel,    ///< granularity study: alias of RPS
-  kShortestQueue,  ///< per-packet global shortest queue (ablation)
+  // 10 and 11 are retired; the schemes after them keep their values, which
+  // value-parameterized tests print in their names.
+  kShortestQueue = 12,  ///< per-packet global shortest queue (ablation)
   kFixedGranularity,  ///< switch every K packets (ablation)
   kTlb,            ///< the paper's scheme
 };

@@ -50,6 +50,20 @@ std::vector<transport::FlowSpec> poissonWorkload(
   return flows;
 }
 
+PoissonConfig poissonConfigFor(const net::LeafSpineConfig& topo, double load,
+                               int flowCount) {
+  PoissonConfig pcfg;
+  pcfg.load = load;
+  pcfg.flowCount = flowCount;
+  pcfg.numHosts = topo.numHosts();
+  pcfg.hostsPerLeaf = topo.hostsPerLeaf;
+  pcfg.hostRate = topo.hostLinkRate;
+  pcfg.offeredCapacityBps = static_cast<double>(topo.numLeaves) *
+                            static_cast<double>(topo.numSpines) *
+                            topo.fabricLinkRate.bytesPerSecond();
+  return pcfg;
+}
+
 std::vector<transport::FlowSpec> basicMixWorkload(const BasicMixConfig& cfg,
                                                   Rng& rng, FlowId firstId) {
   // Long senders wrap around the leaf when numLong > hostsPerLeaf (several
@@ -123,6 +137,39 @@ std::vector<transport::FlowSpec> incastWorkload(const IncastConfig& cfg,
     sender = (sender + 1) % cfg.numHosts;
   }
   return flows;
+}
+
+std::optional<std::vector<transport::FlowSpec>> namedWorkload(
+    const std::string& name, const net::LeafSpineConfig& topo, double load,
+    int flowCount, Rng& rng, std::string* error) {
+  const auto reject = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
+    return std::nullopt;
+  };
+  const std::string leaves = std::to_string(topo.numLeaves);
+  if (name == "none") return std::vector<transport::FlowSpec>{};
+  if (name == "basicmix") {
+    if (topo.numLeaves != 2) {
+      return reject("basicmix needs exactly 2 leaves (this fabric has " +
+                    leaves + ")");
+    }
+    BasicMixConfig mix;
+    mix.numHosts = topo.numHosts();
+    mix.hostsPerLeaf = topo.hostsPerLeaf;
+    return basicMixWorkload(mix, rng);
+  }
+  if (name != "websearch" && name != "datamining") {
+    return reject("unknown workload '" + name +
+                  "' (websearch | datamining | basicmix | none)");
+  }
+  if (topo.numLeaves < 2) {
+    return reject(name + " flows cross leaves, so it needs at least 2 "
+                  "leaves (this fabric has " + leaves + ")");
+  }
+  const auto dist = name == "datamining"
+                        ? FlowSizeDistribution::dataMining(35 * kMB)
+                        : FlowSizeDistribution::webSearch(30 * kMB);
+  return poissonWorkload(poissonConfigFor(topo, load, flowCount), dist, rng);
 }
 
 }  // namespace tlbsim::workload

@@ -3,8 +3,11 @@
 // §6.1, §7).
 #pragma once
 
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "net/leaf_spine.hpp"
 #include "transport/tcp_params.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -37,6 +40,13 @@ struct PoissonConfig {
 std::vector<transport::FlowSpec> poissonWorkload(
     const PoissonConfig& cfg, const FlowSizeDistribution& dist, Rng& rng,
     FlowId firstId = 1);
+
+/// Poisson arrivals on a leaf-spine fabric: hosts and host rate come from
+/// `topo`, and load is defined against the leaf-uplink aggregate (leaves x
+/// spines x fabric rate), the binding resource of an oversubscribed
+/// fabric.
+PoissonConfig poissonConfigFor(const net::LeafSpineConfig& topo, double load,
+                               int flowCount);
 
 /// The paper's basic mix: `numLong` long flows (all starting at t=0 from
 /// distinct sender hosts) plus `numShort` short flows with Poisson
@@ -75,5 +85,17 @@ struct IncastConfig {
 
 std::vector<transport::FlowSpec> incastWorkload(const IncastConfig& cfg,
                                                 Rng& rng, FlowId firstId = 1);
+
+/// The workloads a command line names: "websearch" and "datamining"
+/// (Poisson arrivals at `load` via poissonConfigFor, sizes from the §6.2
+/// CDFs capped at 30 and 35 MB), "basicmix" (the default BasicMixConfig)
+/// and "none" (no flows, for app-only runs). Draws from `rng`, so each
+/// caller keeps its own seeding. nullopt, explained into *error, for an
+/// unknown name or a fabric the workload cannot run on: basic mix needs
+/// exactly 2 leaves, and the Poisson mixes (cross-leaf flows only) at
+/// least 2.
+std::optional<std::vector<transport::FlowSpec>> namedWorkload(
+    const std::string& name, const net::LeafSpineConfig& topo, double load,
+    int flowCount, Rng& rng, std::string* error = nullptr);
 
 }  // namespace tlbsim::workload

@@ -8,7 +8,6 @@
 
 #include "net/link.hpp"
 #include "net/switch.hpp"
-#include "net/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace tlbsim::net {
@@ -131,8 +130,10 @@ TEST(LinkFault, GrayFailureDropsAreDeterministicAndAccounted) {
     SinkNode sink(simr);
     Link link(simr, gbps(10), microseconds(1), {512, 0});
     link.connect(&sink, 0);
-    PacketTracer tracer;
-    tracer.attach(link, "gray");
+    std::size_t faultDropHooks = 0;
+    std::size_t dropHooks = 0;
+    link.addFaultDropHook([&](const Packet&) { ++faultDropHooks; });
+    link.addDropHook([&](const Packet&) { ++dropHooks; });
     link.faultSetDropProb(0.3, seed);
     const int n = 200;
     for (int i = 0; i < n; ++i) link.send(makePacket(1, 1000_B));
@@ -143,12 +144,11 @@ TEST(LinkFault, GrayFailureDropsAreDeterministicAndAccounted) {
               link.txPackets());
     EXPECT_GT(link.faultWireDrops(), 0u);
     EXPECT_LT(link.faultWireDrops(), static_cast<std::uint64_t>(n));
-    // The queue stays healthy-looking: no queue drops, and the tracer
-    // classifies every loss as a fault drop, not a DROP.
+    // The queue stays healthy-looking: no queue drops, and the hooks
+    // report every loss as a fault drop, not a queue drop.
     EXPECT_EQ(link.drops(), 0u);
-    EXPECT_EQ(tracer.countOf(PacketTracer::Kind::kFaultDrop),
-              static_cast<std::size_t>(link.faultWireDrops()));
-    EXPECT_EQ(tracer.countOf(PacketTracer::Kind::kDrop), 0u);
+    EXPECT_EQ(faultDropHooks, static_cast<std::size_t>(link.faultWireDrops()));
+    EXPECT_EQ(dropHooks, 0u);
     return link.faultWireDrops();
   };
   EXPECT_EQ(runOnce(42), runOnce(42)) << "same seed, same drop sequence";

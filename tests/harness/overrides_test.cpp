@@ -2,8 +2,49 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <utility>
+
 namespace tlbsim::harness {
 namespace {
+
+/// Every field an override can set, as one comparable string.
+std::string fingerprint(const ExperimentConfig& c) {
+  std::ostringstream s;
+  const auto& t = c.topo;
+  const auto& tlb = c.scheme.tlb;
+  const auto& a = c.app;
+  s << schemeCliName(c.scheme.scheme) << ' ' << t.numLeaves << ' '
+    << t.numSpines << ' ' << t.hostsPerLeaf << ' ' << t.bufferPackets << ' '
+    << t.ecnThresholdPackets << ' ' << t.hostLinkRate.bitsPerSecond() << ' '
+    << t.fabricLinkRate.bitsPerSecond() << ' ' << t.linkDelay.ns() << ' '
+    << c.tcp.enableEcn << c.tcp.holeRetransmitGuard << ' ' << c.tcp.minRto.ns()
+    << ' ' << tlb.updateInterval.ns() << ' ' << tlb.idleTimeout.ns() << ' '
+    << tlb.shortFlowThreshold.bytes() << ' ' << tlb.sprayStickiness.bytes()
+    << ' ' << tlb.deadline.ns() << ' ' << c.scheme.flowletTimeout.ns() << ' '
+    << c.scheme.prestoCellBytes.bytes() << ' ' << c.scheme.fixedK << ' '
+    << c.maxDuration.ns() << ' ' << c.sampleInterval.ns() << ' ' << a.queries
+    << ' ' << a.fanOut << ' ' << static_cast<int>(a.arrival) << ' ' << a.qps
+    << ' ' << a.concurrency << ' ' << a.thinkTime.ns() << ' '
+    << a.requestBytes.bytes() << ' ' << static_cast<int>(a.responseDist)
+    << ' ' << a.responseBytes.bytes() << ' ' << a.serviceTime.ns() << ' '
+    << a.slo.ns() << ' ' << a.timeout.ns() << ' ' << a.maxRetries << ' '
+    << a.duplicateThreshold.bytes() << ' ' << static_cast<int>(a.placement)
+    << ' ' << a.aggregator << ' ' << c.fault.toString() << ' '
+    << c.fault.drainOnDown;
+  return s.str();
+}
+
+/// The config `flag value` builds through its sugar.
+ExperimentConfig viaFlag(const std::string& flag, const std::string& value) {
+  std::vector<std::string> overrides;
+  std::string err;
+  EXPECT_TRUE(flagOverrides(flag, value, &overrides, &err)) << err;
+  ExperimentConfig cfg;
+  EXPECT_TRUE(applyOverrides(cfg, overrides, &err)) << err;
+  return cfg;
+}
 
 TEST(Overrides, AppliesTypedValues) {
   ExperimentConfig cfg;
@@ -55,6 +96,127 @@ TEST(Overrides, ListAppliesInOrderAndStopsAtFirstFailure) {
   EXPECT_FALSE(applyOverrides(cfg, {"topo.buffer=96", "nonsense"}, &err));
   EXPECT_EQ(cfg.topo.bufferPackets, 96) << "prefix before the failure applies";
   EXPECT_NE(err.find("key=value"), std::string::npos);
+}
+
+TEST(Overrides, FlagSpellingsMatchTheirKeys) {
+  const struct {
+    const char* flag;
+    const char* value;
+    std::vector<std::string> keys;
+  } cases[] = {
+      {"scheme", "letflow", {"scheme=letflow"}},
+      {"leaves", "3", {"topo.leaves=3"}},
+      {"spines", "5", {"topo.spines=5"}},
+      {"hosts-per-leaf", "6", {"topo.hosts-per-leaf=6"}},
+      {"buffer", "100", {"topo.buffer=100"}},
+      {"ecn-k", "0", {"topo.ecn-k=0"}},
+      {"rate-gbps", "10", {"topo.rate-gbps=10"}},
+      {"rtt-us", "80", {"topo.rtt-us=80"}},
+      {"classic-tcp", "", {"tcp.hole-guard=false"}},
+      {"fault", "leaf0-spine1,down@5ms", {"fault.link=leaf0-spine1,down@5ms"}},
+      {"fault-drain", "", {"fault.drain=true"}},
+      {"app", "queries=10,fan-out=4", {"app.queries=10", "app.fan-out=4"}},
+      {"topo.buffer", "64", {"topo.buffer=64"}},
+  };
+  for (const auto& c : cases) {
+    ExperimentConfig byKey;
+    ASSERT_TRUE(applyOverrides(byKey, c.keys)) << c.flag;
+    EXPECT_EQ(fingerprint(viaFlag(c.flag, c.value)), fingerprint(byKey))
+        << c.flag;
+    EXPECT_NE(fingerprint(byKey), fingerprint(ExperimentConfig{})) << c.flag;
+  }
+}
+
+TEST(Overrides, SwitchesReadBoolsFromConfigFiles) {
+  EXPECT_EQ(flagArity("classic-tcp"), FlagArity::kSwitch);
+  EXPECT_EQ(flagArity("fault-drain"), FlagArity::kSwitch);
+  EXPECT_EQ(flagArity("tcp.hole-guard"), FlagArity::kValue);
+  EXPECT_EQ(flagArity("leaves"), FlagArity::kValue);
+  EXPECT_EQ(flagArity("app"), FlagArity::kValue);
+  EXPECT_EQ(flagArity("no-such-flag"), FlagArity::kUnknown);
+
+  EXPECT_FALSE(viaFlag("classic-tcp", "true").tcp.holeRetransmitGuard);
+  EXPECT_TRUE(viaFlag("classic-tcp", "false").tcp.holeRetransmitGuard);
+  EXPECT_FALSE(viaFlag("fault-drain", "no").fault.drainOnDown);
+
+  std::vector<std::string> out;
+  std::string err;
+  EXPECT_FALSE(flagOverrides("classic-tcp", "maybe", &out, &err));
+  EXPECT_FALSE(flagOverrides("no-such-flag", "1", &out, &err));
+  EXPECT_NE(err.find("--no-such-flag"), std::string::npos);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(Overrides, EveryRangeRuleRejectsItsBadValueAndKeepsTheConfig) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"topo.leaves", "0"},
+      {"topo.spines", "0"},
+      {"topo.hosts-per-leaf", "0"},
+      {"topo.buffer", "0"},
+      {"topo.ecn-k", "-1"},
+      {"topo.rate-gbps", "0"},
+      {"topo.rtt-us", "0"},
+      {"tcp.min-rto-us", "-1"},
+      {"tlb.update-interval-us", "0"},
+      {"tlb.idle-timeout-us", "-1"},
+      {"tlb.short-threshold-bytes", "-1"},
+      {"tlb.spray-stickiness-bytes", "-1"},
+      {"tlb.deadline-ms", "0"},
+      {"scheme.flowlet-timeout-us", "-1"},
+      {"scheme.presto-cell-bytes", "0"},
+      {"scheme.fixed-k", "-1"},
+      {"max-duration-ms", "0"},
+      {"sample-interval-us", "-1"},
+      {"app.queries", "-1"},
+      {"app.fan-out", "0"},
+      {"app.qps", "0"},
+      {"app.concurrency", "-1"},
+      {"app.think-time-us", "-1"},
+      {"app.request-bytes", "-1"},
+      {"app.response-bytes", "-1"},
+      {"app.service-time-us", "-1"},
+      {"app.slo-ms", "-1"},
+      {"app.timeout-ms", "-1"},
+      {"app.max-retries", "-1"},
+      {"app.duplicate-threshold-bytes", "-1"},
+      {"app.aggregator", "-2"},
+  };
+  // Keys whose values are names, bools or fault specs: no range rule.
+  std::set<std::string> unranged = {"scheme",      "tcp.hole-guard",
+                                    "app.arrival", "app.response-dist",
+                                    "app.placement", "fault.link",
+                                    "fault.drain"};
+  ExperimentConfig cfg;
+  ASSERT_TRUE(applyOverride(cfg, "topo.buffer", "200"));
+  const std::string before = fingerprint(cfg);
+  for (const auto& [key, value] : bad) {
+    std::string err;
+    EXPECT_FALSE(applyOverride(cfg, key, value, &err)) << key;
+    EXPECT_NE(err.find("must be"), std::string::npos) << key << ": " << err;
+    EXPECT_EQ(fingerprint(cfg), before) << key;
+    unranged.insert(key);
+  }
+  for (const std::string& line : overrideHelp()) {
+    const std::string key = line.substr(0, line.find(' '));
+    EXPECT_EQ(unranged.count(key), 1u) << key << " has no range case here";
+  }
+}
+
+TEST(Overrides, CheckConfigRejectsCrossFieldContradictions) {
+  ExperimentConfig cfg;
+  ASSERT_TRUE(applyOverrides(cfg, {"topo.buffer=64", "topo.ecn-k=64"}));
+  std::string err;
+  EXPECT_TRUE(checkConfig(cfg, &err)) << err;
+  ASSERT_TRUE(applyOverride(cfg, "topo.ecn-k", "65"));
+  EXPECT_FALSE(checkConfig(cfg, &err));
+  EXPECT_NE(err.find("topo.ecn-k"), std::string::npos);
+
+  ExperimentConfig faulty;  // 2 leaves x 15 spines
+  ASSERT_TRUE(applyOverride(faulty, "fault.link", "leaf1-spine14,down@1ms"));
+  EXPECT_TRUE(checkConfig(faulty, &err)) << err;
+  ASSERT_TRUE(applyOverride(faulty, "fault.link", "leaf2-spine0,down@1ms"));
+  EXPECT_FALSE(checkConfig(faulty, &err));
+  EXPECT_NE(err.find("leaf2-spine0"), std::string::npos);
 }
 
 TEST(Overrides, HelpCoversEveryKey) {

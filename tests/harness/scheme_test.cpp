@@ -12,8 +12,8 @@ const Scheme kAllSchemes[] = {
     Scheme::kEcmp,          Scheme::kWcmp,        Scheme::kRps,
     Scheme::kDrill,         Scheme::kPresto,      Scheme::kLetFlow,
     Scheme::kConga,         Scheme::kHermes,      Scheme::kRoundRobin,
-    Scheme::kFlowLevel,     Scheme::kFlowletLevel, Scheme::kPacketLevel,
-    Scheme::kShortestQueue, Scheme::kFixedGranularity, Scheme::kTlb,
+    Scheme::kFlowLevel,     Scheme::kShortestQueue, Scheme::kFixedGranularity,
+    Scheme::kTlb,
 };
 
 TEST(SchemeRegistry, EverySchemeHasAName) {
@@ -25,8 +25,7 @@ TEST(SchemeRegistry, EverySchemeHasAName) {
 }
 
 TEST(SchemeRegistry, NamesAreUniqueUpToAliases) {
-  // FlowletLevel aliases LetFlow's implementation but keeps its own label;
-  // all labels in the enum order must be pairwise distinct.
+  // The registry holds no aliases: all labels are pairwise distinct.
   std::set<std::string> names;
   for (const Scheme s : kAllSchemes) names.insert(schemeName(s));
   EXPECT_EQ(names.size(), std::size(kAllSchemes));
@@ -49,16 +48,6 @@ TEST(SchemeRegistry, FactoryInstancesAreIndependent) {
   auto a = makeSelector(cfg, 1);
   auto b = makeSelector(cfg, 1);
   EXPECT_NE(a.get(), b.get());
-}
-
-TEST(SchemeRegistry, AliasesShareImplementations) {
-  SchemeConfig cfg;
-  cfg.scheme = Scheme::kPacketLevel;
-  auto packetLevel = makeSelector(cfg, 1);
-  EXPECT_STREQ(packetLevel->name(), "RPS");
-  cfg.scheme = Scheme::kFlowletLevel;
-  auto flowletLevel = makeSelector(cfg, 1);
-  EXPECT_STREQ(flowletLevel->name(), "LetFlow");
 }
 
 TEST(SchemeRegistry, TlbConfigPlumbsThrough) {

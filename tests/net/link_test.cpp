@@ -117,6 +117,55 @@ TEST(Link, DequeueHookReportsQueueDelay) {
   EXPECT_EQ(delays[1], microseconds(12));  // waited one serialization
 }
 
+TEST(Link, DropAndMarkHooksFireOncePerDropOrMark) {
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  // Two-packet buffer with marking from one queued packet onward.
+  Link link(simr, gbps(1), microseconds(1), {2, 1});
+  link.connect(&sink, 0);
+  std::vector<FlowId> drops;
+  std::vector<FlowId> marks;
+  link.addDropHook([&](const Packet& p) { drops.push_back(p.flow); });
+  link.addMarkHook([&](const Packet& p) {
+    EXPECT_TRUE(p.ce);
+    marks.push_back(p.flow);
+  });
+  for (FlowId f = 1; f <= 5; ++f) {
+    Packet p = makePacket(f, 1500_B);
+    p.ecnCapable = true;
+    link.send(p);
+  }
+  // p1 goes straight to the wire; p2 enqueues into an empty queue (no
+  // mark); p3 sees one queued packet and is marked; p4 and p5 overflow.
+  simr.run();
+  EXPECT_EQ(marks, std::vector<FlowId>{3});
+  EXPECT_EQ(drops, (std::vector<FlowId>{4, 5}));
+  EXPECT_EQ(link.drops(), 2u);
+  EXPECT_EQ(sink.arrivals.size(), 3u);
+}
+
+TEST(Link, SeveralHooksOnOneLinkCoexist) {
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  Link a(simr, gbps(1), microseconds(1), {64, 0});
+  Link b(simr, gbps(1), microseconds(1), {64, 0});
+  a.connect(&sink, 0);
+  b.connect(&sink, 0);
+  int first = 0;
+  int second = 0;
+  int onB = 0;
+  a.addDequeueHook([&](const Packet&, SimTime) { ++first; });
+  a.addDequeueHook([&](const Packet&, SimTime) { ++second; });
+  b.addDequeueHook([&](const Packet&, SimTime) { ++onB; });
+  a.send(makePacket(1, 1500_B));
+  a.send(makePacket(2, 1500_B));
+  b.send(makePacket(3, 1500_B));
+  simr.run();
+  EXPECT_EQ(first, 2);
+  EXPECT_EQ(second, 2);
+  EXPECT_EQ(onB, 1);
+}
+
 TEST(Link, QueueStateVisibleToObservers) {
   sim::Simulator simr;
   SinkNode sink(simr);

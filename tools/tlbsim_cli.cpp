@@ -1,5 +1,5 @@
-// tlbsim command-line runner: configure a leaf-spine experiment entirely
-// from flags and get a summary table (and optionally per-flow CSV).
+// tlbsim command-line runner: one leaf-spine experiment, or a parallel
+// sweep of them, configured entirely from flags and printed as a table.
 //
 //   $ tlbsim_cli --scheme tlb --load 0.6 --flows 300 --workload websearch
 //   $ tlbsim_cli --scheme letflow --leaves 4 --spines 8 --hosts-per-leaf 16
@@ -8,22 +8,28 @@
 //         --seeds 1,2,3 --jobs 4 --json sweep.json
 //   $ tlbsim_cli --list-schemes
 //
-// Exit code 0 on success, 1 on bad flags.
+// Experiment settings have one vocabulary, harness/overrides: every
+// experiment flag is sugar for an override key (--leaves 4 is
+// topo.leaves=4), and --set KEY=VALUE and --config lines speak it too.
+// Both subcommands parse with the same code and check the finished config
+// once, before any simulation starts.
+//
+// Exit code 0 on success, 1 on bad input.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/query_probe.hpp"
-#include "fault/plan.hpp"
 #include "harness/experiment.hpp"
 #include "harness/overrides.hpp"
 #include "obs/flow_probe.hpp"
 #include "obs/metrics.hpp"
-#include "obs/run_summary.hpp"
 #include "obs/trace.hpp"
 #include "runner/runner.hpp"
 #include "stats/csv.hpp"
@@ -36,78 +42,66 @@ using namespace tlbsim;
 
 namespace {
 
+/// What one invocation asks for. Experiment settings never live here:
+/// they are override strings, applied in order onto an ExperimentConfig —
+/// the subcommand's defaults first, then every experiment flag, --set and
+/// --config line where it appears on the command line.
 struct Options {
-  harness::Scheme scheme = harness::Scheme::kTlb;
+  bool sweep = false;
+  std::vector<std::string> overrides;
   std::string workload = "websearch";
-  double load = 0.5;
   int flows = 300;
-  int leaves = 4;
-  int spines = 4;
-  int hostsPerLeaf = 8;
-  double rateGbps = 1.0;
-  double rttUs = 100.0;
-  int buffer = 256;
-  int ecnK = 65;
+  bool audit = false;
+  std::string flowsJsonPath;
+  std::string queriesJsonPath;
+
+  // A single run.
+  double load = 0.5;
   std::uint64_t seed = 1;
   std::string csvPath;
   std::string metricsJsonPath;
   std::string traceJsonPath;
-  std::string flowsJsonPath;
-  std::string logLevel = "none";
-  bool classicTcp = false;
-  bool audit = false;
-  std::vector<std::string> faults;  // raw --fault specs, parsed later
-  bool faultDrain = false;
-  std::vector<std::string> appSpecs;  // raw --app specs, parsed later
-  std::string queriesJsonPath;
+  LogLevel logLevel = LogLevel::kNone;
+
+  // A sweep.
+  runner::SweepSpec spec;
+  int jobs = 0;  // 0 = all cores
+  std::string jsonPath;
+  bool collectMetrics = false;
+  bool collectFlows = false;
+  bool collectQueries = false;
 };
 
-/// Applies one --app SPEC (comma-joined app.* override items, sans the
-/// "app." prefix) onto the config, e.g. "queries=200,fan-out=16,slo-ms=10".
-bool applyAppSpec(harness::ExperimentConfig& cfg, const std::string& spec,
-                  std::string* err) {
+/// The defaults of a single run: the 2:1 oversubscribed 4x4x8 fabric the
+/// web-search runs use. A sweep keeps ExperimentConfig's 2x15x16 basic
+/// setup. Both stop at 120 simulated seconds.
+const std::vector<std::string> kRunDefaults = {
+    "topo.leaves=4", "topo.spines=4", "topo.hosts-per-leaf=8",
+    "max-duration-ms=120000"};
+const std::vector<std::string> kSweepDefaults = {"max-duration-ms=120000"};
+
+std::optional<std::int64_t> parseInt(const std::string& v) {
+  return KeyValueConfig::fromString("v=" + v).getIntStrict("v");
+}
+std::optional<double> parseDouble(const std::string& v) {
+  return KeyValueConfig::fromString("v=" + v).getDoubleStrict("v");
+}
+
+std::vector<std::string> splitCsv(const std::string& s) {
+  std::vector<std::string> out;
   std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::size_t end = comma == std::string::npos ? spec.size() : comma;
-    const std::string item = spec.substr(start, end - start);
-    if (!item.empty()) {
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        if (err != nullptr) *err = "'" + item + "' is not key=value";
-        return false;
-      }
-      if (!harness::applyOverride(cfg, "app." + item.substr(0, eq),
-                                  item.substr(eq + 1), err)) {
-        return false;
-      }
-    }
+  while (start <= s.size()) {
+    const std::size_t comma = s.find(',', start);
+    const std::size_t end = comma == std::string::npos ? s.size() : comma;
+    out.push_back(s.substr(start, end - start));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
-  return true;
+  return out;
 }
 
-/// Rejects out-of-range option values with a message; the vocabulary here
-/// is shared by flags and config-file keys.
-bool validate(const Options& opt) {
-  bool ok = true;
-  const auto reject = [&ok](const char* what) {
-    std::fprintf(stderr, "invalid value: %s\n", what);
-    ok = false;
-  };
-  if (!(opt.load > 0.0) || opt.load > 10.0) reject("--load must be in (0, 10]");
-  if (opt.flows < 1) reject("--flows must be >= 1");
-  if (opt.leaves < 1) reject("--leaves must be >= 1");
-  if (opt.spines < 1) reject("--spines must be >= 1");
-  if (opt.hostsPerLeaf < 1) reject("--hosts-per-leaf must be >= 1");
-  if (!(opt.rateGbps > 0.0)) reject("--rate-gbps must be > 0");
-  if (!(opt.rttUs > 0.0)) reject("--rtt-us must be > 0");
-  if (opt.buffer < 1) reject("--buffer must be >= 1");
-  if (opt.ecnK < 0) reject("--ecn-k must be >= 0");
-  if (opt.ecnK > opt.buffer) reject("--ecn-k cannot exceed --buffer");
-  return ok;
-}
+/// Offered load, in a run (--load) and on a sweep axis (--loads) alike.
+bool validLoad(double load) { return load > 0.0 && load <= 10.0; }
 
 /// Maps a --log-level name onto the Logger enum; nullopt for unknown names.
 std::optional<LogLevel> parseLogLevel(const std::string& name) {
@@ -119,150 +113,236 @@ std::optional<LogLevel> parseLogLevel(const std::string& name) {
   return std::nullopt;
 }
 
-/// Generate cfg.flows from the workload name, drawing randomness from
-/// cfg.seed against the (possibly overridden) topology. Shared by the
-/// single-run path and every sweep worker.
-bool buildFlows(harness::ExperimentConfig& cfg, const std::string& workload,
-                double load, int flows) {
-  Rng rng(cfg.seed);
-  if (workload == "none") {
-    // App-only runs: no static flow list, traffic comes from --app.
-    cfg.flows.clear();
-    return true;
-  }
-  if (workload == "basicmix") {
-    workload::BasicMixConfig mix;
-    mix.numHosts = cfg.topo.numHosts();
-    mix.hostsPerLeaf = cfg.topo.hostsPerLeaf;
-    cfg.flows = workload::basicMixWorkload(mix, rng);
-    return true;
-  }
-  if (workload != "websearch" && workload != "datamining") return false;
-  const auto dist =
-      workload == "datamining"
-          ? workload::FlowSizeDistribution::dataMining(35 * kMB)
-          : workload::FlowSizeDistribution::webSearch(30 * kMB);
-  workload::PoissonConfig pcfg;
-  pcfg.load = load;
-  pcfg.flowCount = flows;
-  pcfg.numHosts = cfg.topo.numHosts();
-  pcfg.hostsPerLeaf = cfg.topo.hostsPerLeaf;
-  pcfg.hostRate = cfg.topo.hostLinkRate;
-  pcfg.offeredCapacityBps = static_cast<double>(cfg.topo.numLeaves) *
-                            static_cast<double>(cfg.topo.numSpines) *
-                            cfg.topo.fabricLinkRate.bytesPerSecond();
-  cfg.flows = workload::poissonWorkload(pcfg, dist, rng);
-  return true;
-}
+bool loadConfigFile(Options* opt, const std::string& path);
 
-/// Apply one config-file key (same vocabulary as the flags, sans "--").
-bool applyKey(Options* opt, const std::string& key,
-              const std::string& value) {
-  if (key == "scheme") {
-    const auto s = harness::parseScheme(value);
-    if (!s.has_value()) return false;
-    opt->scheme = *s;
-    return true;
-  }
-  const KeyValueConfig one = KeyValueConfig::fromString(key + "=" + value);
-  const auto intVal = [&] { return one.getIntStrict(key); };
-  const auto dblVal = [&] { return one.getDoubleStrict(key); };
-  const auto setInt = [&](int* field) {
-    const auto v = intVal();
-    if (!v.has_value()) return false;
-    *field = static_cast<int>(*v);
+/// One tool-level option: how a run or sweep is driven and reported, as
+/// opposed to the experiment itself (those flags are harness sugar).
+struct CliOption {
+  const char* name;
+  enum Scope { kBoth, kRun, kSweep } scope;
+  bool isSwitch;  ///< bare on the command line, a bool in a config file
+  /// Parses the value into *opt; false when it is bad.
+  std::function<bool(Options*, const std::string&)> set;
+};
+
+template <typename T>
+std::function<bool(Options*, const std::string&)> integer(T Options::*field,
+                                                         std::int64_t lo) {
+  return [field, lo](Options* o, const std::string& v) {
+    const auto n = parseInt(v);
+    if (!n.has_value() || *n < lo) return false;
+    o->*field = static_cast<T>(*n);
     return true;
   };
-  const auto setDouble = [&](double* field) {
-    const auto v = dblVal();
-    if (!v.has_value()) return false;
-    *field = *v;
+}
+std::function<bool(Options*, const std::string&)> text(
+    std::string Options::*field) {
+  return [field](Options* o, const std::string& v) {
+    o->*field = v;
     return true;
   };
-  if (key == "workload") opt->workload = value;
-  else if (key == "load") { if (!setDouble(&opt->load)) return false; }
-  else if (key == "flows") { if (!setInt(&opt->flows)) return false; }
-  else if (key == "leaves") { if (!setInt(&opt->leaves)) return false; }
-  else if (key == "spines") { if (!setInt(&opt->spines)) return false; }
-  else if (key == "hosts-per-leaf") { if (!setInt(&opt->hostsPerLeaf)) return false; }
-  else if (key == "rate-gbps") { if (!setDouble(&opt->rateGbps)) return false; }
-  else if (key == "rtt-us") { if (!setDouble(&opt->rttUs)) return false; }
-  else if (key == "buffer") { if (!setInt(&opt->buffer)) return false; }
-  else if (key == "ecn-k") { if (!setInt(&opt->ecnK)) return false; }
-  else if (key == "seed") {
-    const auto v = intVal();
-    if (!v.has_value()) return false;
-    opt->seed = static_cast<std::uint64_t>(*v);
-  }
-  else if (key == "csv") opt->csvPath = value;
-  else if (key == "metrics-json") opt->metricsJsonPath = value;
-  else if (key == "trace-json") opt->traceJsonPath = value;
-  else if (key == "flows-json") opt->flowsJsonPath = value;
-  else if (key == "queries-json") opt->queriesJsonPath = value;
-  else if (key == "log-level") {
-    if (!parseLogLevel(value).has_value()) return false;
-    opt->logLevel = value;
-  }
-  else if (key == "classic-tcp") {
-    const auto v = one.getBoolStrict(key);
-    if (!v.has_value()) return false;
-    opt->classicTcp = *v;
-  }
-  else if (key == "audit") {
-    const auto v = one.getBoolStrict(key);
-    if (!v.has_value()) return false;
-    opt->audit = *v;
-  }
-  else return false;
-  return true;
+}
+std::function<bool(Options*, const std::string&)> flag(bool Options::*field) {
+  return [field](Options* o, const std::string& v) {
+    const KeyValueConfig one = KeyValueConfig::fromString("v=" + v);
+    const auto b = v.empty() ? std::optional<bool>(true) : one.getBoolStrict("v");
+    if (!b.has_value()) return false;
+    o->*field = *b;
+    return true;
+  };
 }
 
+const std::vector<CliOption>& cliOptions() {
+  static const std::vector<CliOption> table = {
+      {"config", CliOption::kBoth, false, loadConfigFile},
+      {"set", CliOption::kBoth, false,
+       [](Options* o, const std::string& v) {
+         o->overrides.push_back(v);
+         return true;
+       }},
+      {"workload", CliOption::kBoth, false, text(&Options::workload)},
+      {"flows", CliOption::kBoth, false, integer(&Options::flows, 1)},
+      {"audit", CliOption::kBoth, true, flag(&Options::audit)},
+      {"flows-json", CliOption::kBoth, false, text(&Options::flowsJsonPath)},
+      {"queries-json", CliOption::kBoth, false,
+       text(&Options::queriesJsonPath)},
+      {"load", CliOption::kRun, false,
+       [](Options* o, const std::string& v) {
+         const auto x = parseDouble(v);
+         if (!x.has_value() || !validLoad(*x)) return false;
+         o->load = *x;
+         return true;
+       }},
+      {"seed", CliOption::kRun, false, integer(&Options::seed, 0)},
+      {"csv", CliOption::kRun, false, text(&Options::csvPath)},
+      {"metrics-json", CliOption::kRun, false,
+       text(&Options::metricsJsonPath)},
+      {"trace-json", CliOption::kRun, false, text(&Options::traceJsonPath)},
+      {"log-level", CliOption::kRun, false,
+       [](Options* o, const std::string& v) {
+         const auto level = parseLogLevel(v);
+         if (!level.has_value()) return false;
+         o->logLevel = *level;
+         return true;
+       }},
+      {"schemes", CliOption::kSweep, false,
+       [](Options* o, const std::string& v) {
+         o->spec.schemes.clear();
+         for (const std::string& name : splitCsv(v)) {
+           const auto s = harness::parseScheme(name);
+           if (!s.has_value()) return false;
+           o->spec.schemes.push_back(*s);
+         }
+         return true;
+       }},
+      {"loads", CliOption::kSweep, false,
+       [](Options* o, const std::string& v) {
+         o->spec.loads.clear();
+         for (const std::string& item : splitCsv(v)) {
+           const auto x = parseDouble(item);
+           if (!x.has_value() || !validLoad(*x)) return false;
+           o->spec.loads.push_back(*x);
+         }
+         return true;
+       }},
+      {"seeds", CliOption::kSweep, false,
+       [](Options* o, const std::string& v) {
+         o->spec.seeds.clear();
+         for (const std::string& item : splitCsv(v)) {
+           const auto n = parseInt(item);
+           if (!n.has_value() || *n < 0) return false;
+           o->spec.seeds.push_back(static_cast<std::uint64_t>(*n));
+         }
+         return true;
+       }},
+      {"sweep-seed", CliOption::kSweep, false,
+       [](Options* o, const std::string& v) {
+         const auto n = parseInt(v);
+         if (!n.has_value() || *n < 0) return false;
+         o->spec.sweepSeed = static_cast<std::uint64_t>(*n);
+         return true;
+       }},
+      {"jobs", CliOption::kSweep, false, integer(&Options::jobs, 0)},
+      {"json", CliOption::kSweep, false, text(&Options::jsonPath)},
+      {"metrics", CliOption::kSweep, true, flag(&Options::collectMetrics)},
+      {"flow-stats", CliOption::kSweep, true, flag(&Options::collectFlows)},
+      {"query-stats", CliOption::kSweep, true,
+       flag(&Options::collectQueries)},
+  };
+  return table;
+}
+
+const CliOption* findCliOption(const std::string& name) {
+  for (const CliOption& o : cliOptions()) {
+    if (name == o.name) return &o;
+  }
+  return nullptr;
+}
+
+/// Whether `name` is a flag, and whether it takes a value.
+harness::FlagArity arityOf(const std::string& name) {
+  if (const CliOption* o = findCliOption(name)) {
+    return o->isSwitch ? harness::FlagArity::kSwitch
+                       : harness::FlagArity::kValue;
+  }
+  return harness::flagArity(name);
+}
+
+/// Applies one named option: a command-line flag without its "--", or a
+/// config-file line. Tool options first; every other name is an
+/// experiment flag or override key, expanded into overrides. Prints a
+/// named error and returns false on a bad name or value.
+bool applyOption(Options* opt, const std::string& name,
+                 const std::string& value) {
+  if (const CliOption* o = findCliOption(name)) {
+    const auto here = opt->sweep ? CliOption::kSweep : CliOption::kRun;
+    if (o->scope != CliOption::kBoth && o->scope != here) {
+      std::fprintf(stderr, "--%s is a %s flag\n", name.c_str(),
+                   o->scope == CliOption::kSweep ? "sweep" : "single-run");
+      return false;
+    }
+    if (o->set(opt, value)) return true;
+    // --config reports its own errors.
+    if (name != "config") {
+      std::fprintf(stderr, "bad value '%s' for --%s\n", value.c_str(),
+                   name.c_str());
+    }
+    return false;
+  }
+  std::string err;
+  if (harness::flagOverrides(name, value, &opt->overrides, &err)) return true;
+  std::fprintf(stderr, "%s\n", err.c_str());
+  return false;
+}
+
+/// A key=value file: every line is a flag name without "--" (switches
+/// take a bool) or an override key, applied where --config appears.
 bool loadConfigFile(Options* opt, const std::string& path) {
-  const auto cfg = KeyValueConfig::fromFile(path);
-  if (!cfg.has_value()) {
+  const auto file = KeyValueConfig::fromFile(path);
+  if (!file.has_value()) {
     std::fprintf(stderr, "cannot read config file '%s'\n", path.c_str());
     return false;
   }
-  for (const auto& err : cfg->errors()) {
+  bool ok = file->errors().empty();
+  for (const auto& err : file->errors()) {
     std::fprintf(stderr, "config %s: bad line %s\n", path.c_str(),
                  err.c_str());
   }
-  bool ok = true;
-  for (const auto& key : cfg->keys()) {
-    if (!applyKey(opt, key, cfg->get(key))) {
-      std::fprintf(stderr, "config %s: unknown key or value '%s = %s'\n",
-                   path.c_str(), key.c_str(), cfg->get(key).c_str());
+  for (const auto& key : file->keys()) {
+    if (key == "config") {
+      std::fprintf(stderr, "config %s: config files do not nest\n",
+                   path.c_str());
       ok = false;
+      continue;
     }
+    ok = applyOption(opt, key, file->get(key)) && ok;
   }
   return ok;
 }
 
-void usage() {
+void usage(bool sweep) {
+  if (sweep) {
+    std::printf(
+        "usage: tlbsim_cli sweep [options]\n"
+        "  --schemes A,B,C      scheme axis (default tlb; --list-schemes);\n"
+        "                       it owns the scheme, so no --scheme here\n"
+        "  --loads X,Y,Z        offered-load axis, each in (0, 10]\n"
+        "                       (default 0.5)\n"
+        "  --seeds N,M,...      seed axis, one repetition each (default 1)\n"
+        "  --sweep-seed N       re-randomizes every derived run seed\n"
+        "  --jobs N             worker threads (default: all cores)\n"
+        "  --json PATH          write the aggregated sweep report as JSON\n"
+        "  --workload NAME      websearch | datamining | basicmix | none\n"
+        "  --flows N            flows per run (default 300)\n"
+        "  --metrics            collect per-run obs counters into the report\n"
+        "  --flow-stats         fold per-run flow-telemetry summaries\n"
+        "                       (reorder rate, path churn, ...) into it\n"
+        "  --flows-json PATH    implies --flow-stats; also write every run's\n"
+        "                       per-flow records to one NDJSON file (point\n"
+        "                       index order; analyze with tlbsim_flows)\n"
+        "  --query-stats        fold per-run query-telemetry summaries into\n"
+        "                       the report\n"
+        "  --queries-json PATH  implies --query-stats; also write every\n"
+        "                       run's per-query records to one NDJSON file\n"
+        "  --audit              run the invariant audit in every run\n"
+        "Every experiment flag of a single run (tlbsim_cli --help) sets the\n"
+        "base config of all runs, as do --set KEY=VALUE and --config PATH.\n"
+        "The base fabric is 2x15x16 (the paper's basic setup).\n");
+    return;
+  }
   std::printf(
       "usage: tlbsim_cli [options]\n"
       "       tlbsim_cli sweep [sweep options]   (tlbsim_cli sweep --help)\n"
-      "  --config PATH        key=value file with the options below\n"
-      "                       (sans --; later flags override it)\n"
+      "Experiment flags, each sugar for an override key:\n"
       "  --scheme NAME        load balancer (--list-schemes)\n"
-      "  --workload NAME      websearch | datamining | basicmix | none\n"
-      "  --load X             offered load vs bisection (default 0.5)\n"
-      "  --flows N            flows to generate (default 300)\n"
-      "  --leaves N --spines N --hosts-per-leaf N   topology\n"
+      "  --leaves N --spines N --hosts-per-leaf N   topology (default\n"
+      "                       4x4x8, 2:1 oversubscribed at the leaf)\n"
       "  --rate-gbps X        link rate (default 1)\n"
       "  --rtt-us X           base RTT (default 100)\n"
       "  --buffer N           buffer per port, packets (default 256)\n"
-      "  --ecn-k N            DCTCP marking threshold, packets (0=off)\n"
-      "  --seed N             RNG seed (default 1)\n"
-      "  --csv PATH           write per-flow results as CSV\n"
-      "  --metrics-json PATH  write counters/gauges/histograms/series as JSON\n"
-      "  --trace-json PATH    write a Chrome trace-event JSON (open in\n"
-      "                       Perfetto / chrome://tracing)\n"
-      "  --flows-json PATH    write per-flow telemetry (FlowProbe records\n"
-      "                       and the path-utilization matrix) as NDJSON;\n"
-      "                       analyze with tlbsim_flows\n"
-      "  --log-level LEVEL    stderr logging: error|warn|info|debug\n"
-      "                       (default: none)\n"
+      "  --ecn-k N            DCTCP marking threshold, packets (0=off,\n"
+      "                       default 65, at most --buffer)\n"
+      "  --classic-tcp        disable reordering-tolerant retransmit guard\n"
       "  --fault SPEC         link-fault schedule, repeatable; SPEC is\n"
       "                       leafL-spineS,down@T,up@T,rate=F@T,delay=F@T,\n"
       "                       drop=P@T with time suffix s/ms/us/ns, e.g.\n"
@@ -271,310 +351,121 @@ void usage() {
       "  --fault-drain        drain in-flight packets on link-down instead\n"
       "                       of dropping them\n"
       "  --app SPEC           run a partition-aggregate RPC service; SPEC\n"
-      "                       is comma-joined app.* override items sans the\n"
-      "                       prefix, e.g. --app queries=200,fan-out=16,\n"
-      "                       slo-ms=10 (repeatable; --workload none for an\n"
-      "                       app-only run; keys via sweep --list-overrides)\n"
+      "                       is comma-joined app.* keys sans the prefix,\n"
+      "                       e.g. --app queries=200,fan-out=16,slo-ms=10\n"
+      "                       (repeatable; --workload none for app-only)\n"
+      "  --set KEY=VALUE      any override key, repeatable\n"
+      "  --list-overrides     print every key (with its flag) and exit\n"
+      "  --config PATH        key=value file of flags sans -- or override\n"
+      "                       keys, applied where --config appears\n"
+      "Run options:\n"
+      "  --workload NAME      websearch | datamining | basicmix (needs 2\n"
+      "                       leaves) | none\n"
+      "  --load X             offered load vs bisection, in (0, 10]\n"
+      "                       (default 0.5)\n"
+      "  --flows N            flows to generate (default 300)\n"
+      "  --seed N             RNG seed (default 1)\n"
+      "  --csv PATH           write per-flow results as CSV\n"
+      "  --metrics-json PATH  write counters/gauges/histograms/series as JSON\n"
+      "  --trace-json PATH    write a Chrome trace-event JSON (open in\n"
+      "                       Perfetto / chrome://tracing)\n"
+      "  --flows-json PATH    write per-flow telemetry (FlowProbe records\n"
+      "                       and the path-utilization matrix) as NDJSON;\n"
+      "                       analyze with tlbsim_flows\n"
       "  --queries-json PATH  write per-query telemetry (QueryProbe\n"
       "                       records: QCT, SLO hit/miss, retries, slowest\n"
       "                       worker) as NDJSON\n"
-      "  --classic-tcp        disable reordering-tolerant retransmit guard\n"
+      "  --log-level LEVEL    stderr logging: error|warn|info|debug\n"
+      "                       (default: none)\n"
       "  --audit              run the tlbsim::check invariant audit each\n"
       "                       control tick (on by default in Debug builds);\n"
       "                       violations abort the run\n"
       "  --list-schemes       print scheme names and exit\n");
 }
 
-bool parse(int argc, char** argv, Options* opt) {
+bool parseArgs(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
     if (arg == "--help" || arg == "-h") {
-      usage();
+      usage(opt->sweep);
       std::exit(0);
     } else if (arg == "--list-schemes") {
       for (const harness::Scheme s : harness::allSchemes()) {
         std::printf("%s\n", harness::schemeCliName(s));
       }
       std::exit(0);
-    } else if (arg == "--config") {
-      const char* v = next("--config");
-      if (v == nullptr || !loadConfigFile(opt, v)) return false;
-    } else if (arg == "--classic-tcp") {
-      opt->classicTcp = true;
-    } else if (arg == "--audit") {
-      opt->audit = true;
-    } else if (arg == "--fault") {
-      const char* v = next("--fault");
-      if (v == nullptr) return false;
-      opt->faults.push_back(v);
-    } else if (arg == "--fault-drain") {
-      opt->faultDrain = true;
-    } else if (arg == "--app") {
-      const char* v = next("--app");
-      if (v == nullptr) return false;
-      opt->appSpecs.push_back(v);
-    } else {
-      // Every remaining value-taking flag shares its name (sans "--") and
-      // its strict parsing with the config-file vocabulary.
-      static const char* const kValueFlags[] = {
-          "--scheme",  "--workload",       "--load",      "--flows",
-          "--leaves",  "--spines",         "--hosts-per-leaf",
-          "--rate-gbps", "--rtt-us",       "--buffer",    "--ecn-k",
-          "--seed",    "--csv",            "--metrics-json",
-          "--trace-json", "--flows-json",  "--queries-json", "--log-level"};
-      bool known = false;
-      for (const char* flag : kValueFlags) {
-        if (arg == flag) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-        usage();
-        return false;
-      }
-      const char* v = next(arg.c_str());
-      if (v == nullptr) return false;
-      if (!applyKey(opt, arg.substr(2), v)) {
-        std::fprintf(stderr, "bad value '%s' for %s\n", v, arg.c_str());
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-// --- sweep subcommand -----------------------------------------------------
-
-struct SweepOptions {
-  runner::SweepSpec spec;
-  std::string workload = "websearch";
-  int flows = 300;
-  int jobs = 0;  // 0 = all cores
-  std::string jsonPath;
-  std::vector<std::string> sets;  // base-config overrides
-  bool audit = false;
-  bool collectMetrics = false;
-  bool collectFlows = false;
-  std::string flowsJsonPath;
-  bool collectQueries = false;
-  std::string queriesJsonPath;
-};
-
-void sweepUsage() {
-  std::printf(
-      "usage: tlbsim_cli sweep [options]\n"
-      "  --schemes A,B,C      scheme axis (default tlb; --list-schemes)\n"
-      "  --loads X,Y,Z        offered-load axis (default 0.5)\n"
-      "  --seeds N,M,...      seed axis, one repetition each (default 1)\n"
-      "  --jobs N             worker threads (default: all cores)\n"
-      "  --json PATH          write the aggregated sweep report as JSON\n"
-      "  --set KEY=VALUE      base-config override, repeatable\n"
-      "                       (--list-overrides for the vocabulary)\n"
-      "  --workload NAME      websearch | datamining | basicmix\n"
-      "  --flows N            flows per run (default 300)\n"
-      "  --sweep-seed N       re-randomizes every derived run seed\n"
-      "  --metrics            collect per-run obs counters into the report\n"
-      "  --flow-stats         fold per-run flow-telemetry summaries\n"
-      "                       (reorder rate, path churn, ...) into the\n"
-      "                       report\n"
-      "  --flows-json PATH    implies --flow-stats; additionally write\n"
-      "                       run's per-flow records to one NDJSON file\n"
-      "                       (point index order; analyze with\n"
-      "                       tlbsim_flows)\n"
-      "  --app SPEC           run a partition-aggregate RPC service in\n"
-      "                       every run; SPEC is comma-joined app.*\n"
-      "                       override items sans the prefix (repeatable,\n"
-      "                       shorthand for --set app.KEY=VALUE per item)\n"
-      "  --query-stats        fold per-run query-telemetry summaries into\n"
-      "                       the report\n"
-      "  --queries-json PATH  implies --query-stats; additionally write\n"
-      "                       every run's per-query records to one NDJSON\n"
-      "                       file (point index order)\n"
-      "  --workload none      app-only runs (no static flow list)\n"
-      "  --audit              run the invariant audit in every run\n"
-      "  --list-overrides     print --set keys and exit\n");
-}
-
-bool parseSweepArgs(int argc, char** argv, SweepOptions* opt) {
-  const auto splitCsv = [](const std::string& s) {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-      const std::size_t comma = s.find(',', start);
-      const std::size_t end = comma == std::string::npos ? s.size() : comma;
-      out.push_back(s.substr(start, end - start));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    return out;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      sweepUsage();
-      std::exit(0);
     } else if (arg == "--list-overrides") {
       for (const std::string& line : harness::overrideHelp()) {
         std::printf("%s\n", line.c_str());
       }
       std::exit(0);
-    } else if (arg == "--metrics") {
-      opt->collectMetrics = true;
-    } else if (arg == "--flow-stats") {
-      opt->collectFlows = true;
-    } else if (arg == "--flows-json") {
-      const char* v = next("--flows-json");
-      if (v == nullptr) return false;
-      opt->flowsJsonPath = v;
-    } else if (arg == "--query-stats") {
-      opt->collectQueries = true;
-    } else if (arg == "--queries-json") {
-      const char* v = next("--queries-json");
-      if (v == nullptr) return false;
-      opt->queriesJsonPath = v;
-    } else if (arg == "--app") {
-      const char* v = next("--app");
-      if (v == nullptr) return false;
-      // Shorthand: each comma-joined item becomes one app.* override,
-      // validated with the rest of --set by the scratch pass below.
-      for (const std::string& item : splitCsv(v)) {
-        if (!item.empty()) opt->sets.push_back("app." + item);
-      }
-    } else if (arg == "--audit") {
-      opt->audit = true;
-    } else if (arg == "--schemes") {
-      const char* v = next("--schemes");
-      if (v == nullptr) return false;
-      opt->spec.schemes.clear();
-      for (const std::string& name : splitCsv(v)) {
-        const auto s = harness::parseScheme(name);
-        if (!s.has_value()) {
-          std::fprintf(stderr, "unknown scheme '%s' (--list-schemes)\n",
-                       name.c_str());
-          return false;
-        }
-        opt->spec.schemes.push_back(*s);
-      }
-    } else if (arg == "--loads" || arg == "--seeds" || arg == "--jobs" ||
-               arg == "--flows" || arg == "--sweep-seed") {
-      const char* v = next(arg.c_str());
-      if (v == nullptr) return false;
-      const KeyValueConfig one =
-          KeyValueConfig::fromString("v=" + std::string(v));
-      bool ok = true;
-      if (arg == "--loads") {
-        opt->spec.loads.clear();
-        for (const std::string& item : splitCsv(v)) {
-          const auto d = KeyValueConfig::fromString("v=" + item)
-                             .getDoubleStrict("v");
-          ok = ok && d.has_value() && *d > 0.0;
-          if (ok) opt->spec.loads.push_back(*d);
-        }
-      } else if (arg == "--seeds") {
-        opt->spec.seeds.clear();
-        for (const std::string& item : splitCsv(v)) {
-          const auto n =
-              KeyValueConfig::fromString("v=" + item).getIntStrict("v");
-          ok = ok && n.has_value() && *n >= 0;
-          if (ok) opt->spec.seeds.push_back(static_cast<std::uint64_t>(*n));
-        }
-      } else if (arg == "--jobs") {
-        const auto n = one.getIntStrict("v");
-        ok = n.has_value() && *n >= 0;
-        if (ok) opt->jobs = static_cast<int>(*n);
-      } else if (arg == "--flows") {
-        const auto n = one.getIntStrict("v");
-        ok = n.has_value() && *n >= 1;
-        if (ok) opt->flows = static_cast<int>(*n);
-      } else {  // --sweep-seed
-        const auto n = one.getIntStrict("v");
-        ok = n.has_value() && *n >= 0;
-        if (ok) opt->spec.sweepSeed = static_cast<std::uint64_t>(*n);
-      }
-      if (!ok) {
-        std::fprintf(stderr, "bad value '%s' for %s\n", v, arg.c_str());
-        return false;
-      }
-    } else if (arg == "--json") {
-      const char* v = next("--json");
-      if (v == nullptr) return false;
-      opt->jsonPath = v;
-    } else if (arg == "--workload") {
-      const char* v = next("--workload");
-      if (v == nullptr) return false;
-      opt->workload = v;
-    } else if (arg == "--set") {
-      const char* v = next("--set");
-      if (v == nullptr) return false;
-      opt->sets.push_back(v);
-    } else {
+    }
+    const std::string name = arg.rfind("--", 0) == 0 ? arg.substr(2) : "";
+    const harness::FlagArity arity = arityOf(name);
+    if (arity == harness::FlagArity::kUnknown) {
       std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      sweepUsage();
+      usage(opt->sweep);
       return false;
     }
+    std::string value;
+    if (arity == harness::FlagArity::kValue) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+        return false;
+      }
+      value = argv[++i];
+    }
+    if (!applyOption(opt, name, value)) return false;
   }
-  if (opt->spec.schemes.empty()) {
-    std::fprintf(stderr, "--schemes must name at least one scheme\n");
-    return false;
-  }
-  if (opt->spec.seeds.empty()) {
-    std::fprintf(stderr, "--seeds must name at least one seed\n");
-    return false;
-  }
-  if (opt->spec.loads.empty()) opt->spec.loads = {0.5};
   return true;
 }
 
-int sweepMain(int argc, char** argv) {
-  SweepOptions opt;
-  if (!parseSweepArgs(argc, argv, &opt)) return 1;
+/// The experiment the overrides describe, checked as a whole; nullopt
+/// after a named error.
+std::optional<harness::ExperimentConfig> buildConfig(const Options& opt) {
+  harness::ExperimentConfig cfg;
+  std::string err;
+  if (!harness::applyOverrides(cfg, opt.overrides, &err) ||
+      !harness::checkConfig(cfg, &err)) {
+    std::fprintf(stderr, "%s (--list-overrides)\n", err.c_str());
+    return std::nullopt;
+  }
+  if (opt.audit) cfg.audit = harness::ExperimentConfig::Audit::kOn;
+  return cfg;
+}
 
-  // Validate the base overrides once up front (on a scratch config) so a
-  // typo fails before any simulation starts rather than inside a worker.
-  {
-    harness::ExperimentConfig scratch;
-    std::string err;
-    if (!harness::applyOverrides(scratch, opt.sets, &err)) {
-      std::fprintf(stderr, "--set: %s (--list-overrides)\n", err.c_str());
+int sweepMain(const Options& opt) {
+  for (const std::string& o : opt.overrides) {
+    if (o.rfind("scheme=", 0) == 0) {
+      std::fprintf(stderr, "'%s': the --schemes axis sets the scheme\n",
+                   o.c_str());
       return 1;
     }
   }
-  if (opt.workload != "websearch" && opt.workload != "datamining" &&
-      opt.workload != "basicmix" && opt.workload != "none") {
-    std::fprintf(stderr, "unknown workload '%s'\n", opt.workload.c_str());
-    return 1;
+  const std::optional<harness::ExperimentConfig> built = buildConfig(opt);
+  if (!built.has_value()) return 1;
+  const harness::ExperimentConfig& base = *built;
+  // Generating once up front rejects a workload the fabric cannot carry
+  // before any worker starts.
+  {
+    Rng probe(1);
+    std::string err;
+    if (!workload::namedWorkload(opt.workload, base.topo,
+                                 opt.spec.loads.front(), opt.flows, probe,
+                                 &err)) {
+      std::fprintf(stderr, "--workload: %s\n", err.c_str());
+      return 1;
+    }
   }
 
   runner::SweepScenario scenario;
-  scenario.base = [&opt](const runner::SweepPoint&) {
-    harness::ExperimentConfig cfg;
-    cfg.maxDuration = seconds(120);
-    if (opt.audit) cfg.audit = harness::ExperimentConfig::Audit::kOn;
-    std::string err;
-    if (!harness::applyOverrides(cfg, opt.sets, &err)) {
-      throw std::runtime_error(err);
-    }
-    return cfg;
-  };
+  scenario.base = [&base](const runner::SweepPoint&) { return base; };
   scenario.workload = [&opt](harness::ExperimentConfig& cfg,
                              const runner::SweepPoint& pt) {
-    buildFlows(cfg, opt.workload, pt.load, opt.flows);
+    Rng rng(cfg.seed);
+    cfg.flows = workload::namedWorkload(opt.workload, cfg.topo, pt.load,
+                                        opt.flows, rng)
+                    .value();
   };
 
   runner::RunnerOptions ropt;
@@ -645,79 +536,33 @@ int sweepMain(int argc, char** argv) {
   return auditFailed ? 1 : 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "sweep") == 0) {
-    return sweepMain(argc - 1, argv + 1);
+int runMain(const Options& opt) {
+  Logger::setLevel(opt.logLevel);
+  std::optional<harness::ExperimentConfig> built = buildConfig(opt);
+  if (!built.has_value()) return 1;
+  harness::ExperimentConfig& cfg = *built;
+  cfg.seed = opt.seed;
+  Rng rng(cfg.seed);
+  std::string err;
+  auto flows = workload::namedWorkload(opt.workload, cfg.topo, opt.load,
+                                       opt.flows, rng, &err);
+  if (!flows.has_value()) {
+    std::fprintf(stderr, "--workload: %s\n", err.c_str());
+    return 1;
   }
-  Options opt;
-  if (!parse(argc, argv, &opt)) return 1;
-  if (!validate(opt)) return 1;
-  Logger::setLevel(*parseLogLevel(opt.logLevel));
+  cfg.flows = std::move(*flows);
 
   // Observability is pay-for-what-you-ask: the registry, trace, and flow
   // probe only exist (and the hot paths only record) when an output path
   // was given.
   obs::MetricsRegistry metrics;
   obs::EventTrace trace;
-  obs::FlowProbe flows;
+  obs::FlowProbe flowProbe;
   app::QueryProbe queries;
-
-  harness::ExperimentConfig cfg;
   if (!opt.metricsJsonPath.empty()) cfg.sinks.metrics = &metrics;
   if (!opt.traceJsonPath.empty()) cfg.sinks.trace = &trace;
-  if (!opt.flowsJsonPath.empty()) cfg.sinks.flows = &flows;
+  if (!opt.flowsJsonPath.empty()) cfg.sinks.flows = &flowProbe;
   if (!opt.queriesJsonPath.empty()) cfg.queryProbe = &queries;
-  cfg.topo.numLeaves = opt.leaves;
-  cfg.topo.numSpines = opt.spines;
-  cfg.topo.hostsPerLeaf = opt.hostsPerLeaf;
-  cfg.topo.hostLinkRate = gbps(opt.rateGbps);
-  cfg.topo.fabricLinkRate = gbps(opt.rateGbps);
-  cfg.topo.linkDelay = microseconds(opt.rttUs / 8.0);
-  cfg.topo.bufferPackets = opt.buffer;
-  cfg.topo.ecnThresholdPackets = opt.ecnK;
-  cfg.scheme.scheme = opt.scheme;
-  cfg.tcp.enableEcn = opt.ecnK > 0;
-  cfg.tcp.holeRetransmitGuard = !opt.classicTcp;
-  cfg.seed = opt.seed;
-  cfg.maxDuration = seconds(120);
-  if (opt.audit) cfg.audit = harness::ExperimentConfig::Audit::kOn;
-
-  cfg.fault.drainOnDown = opt.faultDrain;
-  for (const std::string& spec : opt.faults) {
-    std::string err;
-    if (!fault::parseLinkFaults(spec, &cfg.fault, &err)) {
-      std::fprintf(stderr, "--fault %s: %s\n", spec.c_str(), err.c_str());
-      return 1;
-    }
-  }
-  // Range-check the plan against the (possibly flag-overridden) topology
-  // here, where a typo exits gracefully instead of tripping the injector's
-  // install-time assertion mid-run.
-  for (const auto& ev : cfg.fault.events) {
-    if (ev.leaf < 0 || ev.leaf >= cfg.topo.numLeaves || ev.spine < 0 ||
-        ev.spine >= cfg.topo.numSpines) {
-      std::fprintf(stderr,
-                   "--fault leaf%d-spine%d is outside the %dx%d topology\n",
-                   ev.leaf, ev.spine, cfg.topo.numLeaves,
-                   cfg.topo.numSpines);
-      return 1;
-    }
-  }
-
-  for (const std::string& spec : opt.appSpecs) {
-    std::string err;
-    if (!applyAppSpec(cfg, spec, &err)) {
-      std::fprintf(stderr, "--app %s: %s\n", spec.c_str(), err.c_str());
-      return 1;
-    }
-  }
-
-  if (!buildFlows(cfg, opt.workload, opt.load, opt.flows)) {
-    std::fprintf(stderr, "unknown workload '%s'\n", opt.workload.c_str());
-    return 1;
-  }
 
   const auto res = harness::runExperiment(cfg);
 
@@ -763,10 +608,14 @@ int main(int argc, char** argv) {
              0);
   }
   std::printf("scheme=%s workload=%s load=%.2f seed=%llu\n",
-              harness::schemeName(opt.scheme), opt.workload.c_str(), opt.load,
-              static_cast<unsigned long long>(opt.seed));
+              harness::schemeName(cfg.scheme.scheme), opt.workload.c_str(),
+              opt.load, static_cast<unsigned long long>(opt.seed));
   t.print("tlbsim_cli results");
 
+  const std::vector<std::pair<std::string, std::string>> meta = {
+      {"scheme", harness::schemeCliName(cfg.scheme.scheme)},
+      {"workload", opt.workload},
+      {"seed", std::to_string(opt.seed)}};
   if (!opt.csvPath.empty()) {
     stats::writeFlowsCsv(opt.csvPath, res.ledger);
     std::printf("per-flow CSV written to %s\n", opt.csvPath.c_str());
@@ -793,28 +642,20 @@ int main(int argc, char** argv) {
     }
   }
   if (!opt.flowsJsonPath.empty()) {
-    if (!flows.writeNdjsonFile(
-            opt.flowsJsonPath,
-            {{"scheme", harness::schemeCliName(opt.scheme)},
-             {"workload", opt.workload},
-             {"seed", std::to_string(opt.seed)}})) {
+    if (!flowProbe.writeNdjsonFile(opt.flowsJsonPath, meta)) {
       std::fprintf(stderr, "cannot write flows NDJSON '%s'\n",
                    opt.flowsJsonPath.c_str());
       return 1;
     }
     std::printf("flows NDJSON written to %s (%zu flows)\n",
-                opt.flowsJsonPath.c_str(), flows.flowCount());
-    if (flows.flowsNotTracked() > 0) {
+                opt.flowsJsonPath.c_str(), flowProbe.flowCount());
+    if (flowProbe.flowsNotTracked() > 0) {
       std::printf("  note: %zu further flows hit the probe cap\n",
-                  flows.flowsNotTracked());
+                  flowProbe.flowsNotTracked());
     }
   }
   if (!opt.queriesJsonPath.empty()) {
-    if (!queries.writeNdjsonFile(
-            opt.queriesJsonPath,
-            {{"scheme", harness::schemeCliName(opt.scheme)},
-             {"workload", opt.workload},
-             {"seed", std::to_string(opt.seed)}})) {
+    if (!queries.writeNdjsonFile(opt.queriesJsonPath, meta)) {
       std::fprintf(stderr, "cannot write queries NDJSON '%s'\n",
                    opt.queriesJsonPath.c_str());
       return 1;
@@ -833,4 +674,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  opt.sweep = argc > 1 && std::strcmp(argv[1], "sweep") == 0;
+  opt.overrides = opt.sweep ? kSweepDefaults : kRunDefaults;
+  if (opt.sweep) {
+    --argc;
+    ++argv;
+  }
+  if (!parseArgs(argc, argv, &opt)) return 1;
+  if (opt.spec.loads.empty()) opt.spec.loads = {0.5};
+  return opt.sweep ? sweepMain(opt) : runMain(opt);
 }
