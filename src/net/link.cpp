@@ -128,8 +128,10 @@ void Link::startTransmission() {
                      traceTid_);
   }
   // The packet being serialized lives in txPacket_, so the event captures
-  // one pointer and stays inline in the scheduler's slot.
-  sim_.post(txTime, [this] { onTransmitComplete(); });
+  // one pointer: inline in the scheduler's slot, moved by plain copies.
+  const auto done = [this] { onTransmitComplete(); };
+  static_assert(sim::EventFn::relocatesByCopy<decltype(done)>());
+  sim_.post(txTime, done);
 }
 
 std::uint32_t Link::wireAlloc(const Packet& pkt, std::uint64_t epoch) {
@@ -167,7 +169,9 @@ void Link::onTransmitComplete() {
     // delivery is valid only for the wire epoch it departed under; the
     // packet parks in the wire pool so the event captures 16 bytes.
     const std::uint32_t slot = wireAlloc(pkt, wireEpoch_);
-    sim_.post(effectiveDelay(), [this, slot] { deliver(slot); });
+    const auto arrive = [this, slot] { deliver(slot); };
+    static_assert(sim::EventFn::relocatesByCopy<decltype(arrive)>());
+    sim_.post(effectiveDelay(), arrive);
   }
   transmitting_ = false;
   if (up_ && !queue_.empty()) startTransmission();

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace tlbsim::sim {
@@ -7,8 +8,7 @@ namespace tlbsim::sim {
 std::uint32_t Scheduler::allocSlot() {
   if (freeHead_ != kNoPos) {
     const std::uint32_t idx = freeHead_;
-    freeHead_ = slots_[idx].nextFree;
-    slots_[idx].nextFree = kNoPos;
+    freeHead_ = slots_[idx].heapPos;
     return idx;
   }
   slots_.emplace_back();
@@ -18,63 +18,82 @@ std::uint32_t Scheduler::allocSlot() {
 void Scheduler::freeSlot(std::uint32_t idx) {
   Slot& s = slots_[idx];
   s.fn = nullptr;  // destroy the closure now, not at slot reuse
-  s.heapPos = kNoPos;
-  ++s.gen;  // every handle minted for this occupancy goes stale
-  s.nextFree = freeHead_;
+  ++s.gen;         // every handle minted for this occupancy goes stale
+  s.heapPos = freeHead_;
   freeHead_ = idx;
 }
 
-std::uint32_t Scheduler::insert(SimTime when, EventFn fn) {
+std::uint32_t Scheduler::insert(SimTime when, std::uint64_t seq, EventFn fn) {
   if (when < now_) when = now_;  // Release clamp; Debug DCHECKed upstream
   const std::uint32_t idx = allocSlot();
-  Slot& s = slots_[idx];
-  s.time = when;
-  s.seq = nextSeq_++;
-  s.fn = std::move(fn);
-  const std::size_t pos = heap_.size();
-  heap_.push_back(idx);
-  s.heapPos = static_cast<std::uint32_t>(pos);
-  siftUp(pos);
+  slots_[idx].fn = std::move(fn);
+  heap_.push_back(Entry{when, seq, idx});
+  siftUp(heap_.size() - 1);
   return idx;
 }
 
+std::size_t Scheduler::minChild(std::size_t first, std::size_t n) const {
+  std::size_t best = first;
+  const std::size_t last = std::min(first + kArity, n);
+  for (std::size_t c = first + 1; c < last; ++c) {
+    if (before(heap_[c], heap_[best])) best = c;
+  }
+  return best;
+}
+
 void Scheduler::siftUp(std::size_t pos) {
-  const std::uint32_t idx = heap_[pos];
+  const Entry e = heap_[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / kArity;
-    if (!before(idx, heap_[parent])) break;
+    if (!before(e, heap_[parent])) break;
     place(pos, heap_[parent]);
     pos = parent;
   }
-  place(pos, idx);
+  place(pos, e);
 }
 
 void Scheduler::siftDown(std::size_t pos) {
-  const std::uint32_t idx = heap_[pos];
+  const Entry e = heap_[pos];
   const std::size_t n = heap_.size();
   for (;;) {
     const std::size_t first = pos * kArity + 1;
     if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + kArity, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    if (!before(heap_[best], idx)) break;
+    const std::size_t best = minChild(first, n);
+    if (!before(heap_[best], e)) break;
     place(pos, heap_[best]);
     pos = best;
   }
-  place(pos, idx);
+  place(pos, e);
+}
+
+void Scheduler::popTop() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  // Bottom-up: move the smaller child into the hole all the way to a leaf
+  // without comparing against `last` — it came from the bottom, so it
+  // almost always belongs near there — then sift it up from the leaf.
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = hole * kArity + 1;
+    if (first >= n) break;
+    const std::size_t best = minChild(first, n);
+    place(hole, heap_[best]);
+    hole = best;
+  }
+  heap_[hole] = last;
+  siftUp(hole);
 }
 
 void Scheduler::removeFromHeap(std::size_t pos) {
-  const std::uint32_t last = heap_.back();
+  const Entry last = heap_.back();
   heap_.pop_back();
   if (pos < heap_.size()) {
     place(pos, last);
     // The replacement may violate the heap property in either direction.
     siftUp(pos);
-    siftDown(slots_[last].heapPos);
+    siftDown(slots_[last.slot].heapPos);
   }
 }
 
@@ -87,24 +106,23 @@ bool Scheduler::cancelSlot(std::uint32_t slot, std::uint32_t gen) {
 
 bool Scheduler::step(SimTime limit) {
   if (!heap_.empty()) {
-    const std::uint32_t top = heap_[0];
-    Slot& s = slots_[top];
-    if (s.time > limit) {
+    const Entry top = heap_[0];
+    if (top.time > limit) {
       // Do not advance past the limit; leave the event pending.
       if (limit != kMaxTime && limit > now_) now_ = limit;
       return false;
     }
-    TLBSIM_DCHECK(s.time >= now_,
+    TLBSIM_DCHECK(top.time >= now_,
                   "event time regressed: %lld < now %lld (heap corruption?)",
-                  static_cast<long long>(s.time.ns()),
+                  static_cast<long long>(top.time.ns()),
                   static_cast<long long>(now_.ns()));
-    now_ = s.time;
+    now_ = top.time;
     // Move the callback out and retire the slot *before* invoking, so the
     // event counts as fired inside its own callback: a handle to it is
     // inert, and the slot is immediately reusable.
-    EventFn fn = std::move(s.fn);
-    removeFromHeap(0);
-    freeSlot(top);
+    EventFn fn = std::move(slots_[top.slot].fn);
+    popTop();
+    freeSlot(top.slot);
     ++executed_;
     fn();
     return true;
@@ -145,10 +163,12 @@ void Scheduler::armPeriodic(std::size_t idx) {
     return;
   }
   t.armed = true;
-  insert(t.nextDue, [this, idx] { firePeriodic(idx); });
+  insert(t.nextDue, nextSeq_++, [this, idx] { firePeriodic(idx); });
 }
 
 void Scheduler::firePeriodic(std::size_t idx) {
+  // periodics_ is a deque: `t` and the closure it runs stay put even if
+  // the tick registers more timers.
   Periodic& t = periodics_[idx];
   if (tickHook_) tickHook_(t.name, now_);
   t.fn();

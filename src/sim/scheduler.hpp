@@ -1,26 +1,36 @@
 // Discrete-event scheduler: the heart of the simulator.
 //
-// The event core is an *indexed* 4-ary min-heap over stable slots:
+// The event core is an *indexed* 4-ary min-heap whose entries carry their
+// own keys:
 //
-//   slots_  stable storage for pending events — (time, seq, callback)
-//           plus the slot's current position in the heap. Freed slots go
-//           on an intrusive free list and are reused, so the steady-state
-//           schedule/fire/cancel path performs zero heap allocations once
-//           the vectors reach their high-water capacity.
-//   heap_   the 4-ary heap itself, holding slot indices only. Sift
-//           operations swap 4-byte indices (updating each slot's stored
-//           position), never the callbacks.
+//   heap_   the 4-ary heap of (time, seq, slot) entries, 24 bytes each.
+//           Sifts compare keys stored contiguously in the array and never
+//           touch a callback.
+//   slots_  stable storage for pending callbacks plus each slot's current
+//           heap position (the back-pointer in-place cancel needs) and a
+//           generation counter. Freed slots go on an intrusive free list
+//           and are reused, so the steady-state schedule/fire/cancel path
+//           performs zero heap allocations once the vectors reach their
+//           high-water capacity.
 //
 // Events are ordered by (time, seq); seq is a monotonically increasing
 // sequence number assigned at schedule time, so events with equal
 // timestamps fire in scheduling order and runs are deterministic. That
 // total order is strict, which makes the firing order independent of the
-// heap's arity — the invariant the byte-identical-output tests lean on.
+// heap's arity and of how an entry is removed — the invariant the
+// byte-identical-output tests lean on. step() pops bottom-up: the hole at
+// the root walks down to a leaf along the smaller children (one compare
+// per child, none against the displaced last entry), the last entry drops
+// into it and sifts up, usually not at all.
 //
 // Cancellation is *in-place*: an EventHandle names its slot (plus a
 // generation counter that invalidates stale handles), and cancel()
 // removes the slot's heap entry with an O(log n) sift. No tombstones, no
 // live-id hash set, no dead entries for pop() to skip.
+//
+// A seq can be reserved now and used later (reserveSeq() +
+// scheduleReserved()): sim::DeadlineTimer re-arms lazily under the key an
+// eager schedule() would have given it.
 //
 // Callbacks are sim::EventFn — a small-buffer-optimized move-only
 // callable (util::InlineFunction). Closures capturing up to
@@ -29,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "util/check.hpp"
@@ -45,6 +56,7 @@ inline constexpr std::size_t kEventInlineBytes = 48;
 
 using EventFn = util::InlineFunction<void(), kEventInlineBytes>;
 
+class DeadlineTimer;
 class Scheduler;
 
 /// Move-only owner of one pending event. Destroying or re-assigning the
@@ -88,6 +100,7 @@ class EventHandle {
   explicit operator bool() const { return pending(); }
 
  private:
+  friend class DeadlineTimer;
   friend class Scheduler;
   EventHandle(Scheduler* sched, std::uint32_t slot, std::uint32_t gen)
       : sched_(sched), slot_(slot), gen_(gen) {}
@@ -121,7 +134,7 @@ class Scheduler {
   /// (std::max(when, now())) — that states the intent and passes Debug.
   [[nodiscard]] EventHandle scheduleAt(SimTime when, EventFn fn) {
     checkPast(when);
-    const std::uint32_t slot = insert(when, std::move(fn));
+    const std::uint32_t slot = insert(when, nextSeq_++, std::move(fn));
     return EventHandle(this, slot, slots_[slot].gen);
   }
 
@@ -133,7 +146,26 @@ class Scheduler {
   }
   void postAt(SimTime when, EventFn fn) {
     checkPast(when);
-    insert(when, std::move(fn));
+    insert(when, nextSeq_++, std::move(fn));
+  }
+
+  /// Take the sequence number the next schedule()/post() would have
+  /// used, for a scheduleReserved() later. Reserving advances the counter
+  /// exactly as scheduling does, so every other event keeps its seq.
+  std::uint64_t reserveSeq() { return nextSeq_++; }
+
+  /// Schedule `fn` under the key (when, seq), where `seq` came from
+  /// reserveSeq() and is not pending. The event fires where one scheduled
+  /// at reservation time for `when` would have: the key must still lie
+  /// ahead of the event now firing, which holds whenever `when` is after
+  /// now(), or equal to it with a seq reserved after the current event's.
+  [[nodiscard]] EventHandle scheduleReserved(SimTime when, std::uint64_t seq,
+                                             EventFn fn) {
+    checkPast(when);
+    TLBSIM_DCHECK(seq < nextSeq_, "seq %llu was never reserved",
+                  static_cast<unsigned long long>(seq));
+    const std::uint32_t slot = insert(when, seq, std::move(fn));
+    return EventHandle(this, slot, slots_[slot].gen);
   }
 
   /// Register `fn` to fire every `period` starting at `start`. Ticks whose
@@ -168,18 +200,26 @@ class Scheduler {
   static constexpr SimTime kMaxTime = SimTime::max();
 
  private:
+  friend class DeadlineTimer;
   friend class EventHandle;
 
   static constexpr std::uint32_t kArity = 4;
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
 
-  struct Slot {
+  /// One heap element: the event's full key beside its slot, so sifts
+  /// never load a slot to compare.
+  struct Entry {
     SimTime time;
-    std::uint64_t seq = 0;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+
+  struct Slot {
     EventFn fn;
-    std::uint32_t heapPos = kNoPos;  ///< kNoPos while free / firing
-    std::uint32_t gen = 0;           ///< bumped on every free
-    std::uint32_t nextFree = kNoPos; ///< free-list link while free
+    /// Heap position while pending; the next free slot (or kNoPos) while
+    /// free. Only the generation tells the two states apart.
+    std::uint32_t heapPos = kNoPos;
+    std::uint32_t gen = 0;  ///< bumped on every free
   };
 
   struct Periodic {
@@ -203,36 +243,43 @@ class Scheduler {
                   static_cast<long long>(now_.ns()));
   }
 
-  bool before(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.time != sb.time) return sa.time < sb.time;
-    return sa.seq < sb.seq;  // seq is unique -> strict total order
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;  // seq is unique -> strict total order
   }
 
   std::uint32_t allocSlot();
   void freeSlot(std::uint32_t idx);
-  std::uint32_t insert(SimTime when, EventFn fn);
-  void place(std::size_t pos, std::uint32_t idx) {
-    heap_[pos] = idx;
-    slots_[idx].heapPos = static_cast<std::uint32_t>(pos);
+  std::uint32_t insert(SimTime when, std::uint64_t seq, EventFn fn);
+  void place(std::size_t pos, const Entry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].heapPos = static_cast<std::uint32_t>(pos);
   }
+  std::size_t minChild(std::size_t first, std::size_t n) const;
   void siftUp(std::size_t pos);
   void siftDown(std::size_t pos);
+  void popTop();
   void removeFromHeap(std::size_t pos);
   bool cancelSlot(std::uint32_t slot, std::uint32_t gen);
+  /// A free slot's generation has moved past every handle minted for it,
+  /// so a matching generation means the slot is in the heap.
   bool slotPending(std::uint32_t slot, std::uint32_t gen) const {
-    return slot < slots_.size() && slots_[slot].gen == gen &&
-           slots_[slot].heapPos != kNoPos;
+    return slot < slots_.size() && slots_[slot].gen == gen;
+  }
+  /// Firing time of a pending slot.
+  SimTime slotTime(std::uint32_t slot) const {
+    return heap_[slots_[slot].heapPos].time;
   }
 
   void armPeriodic(std::size_t idx);
   void firePeriodic(std::size_t idx);
 
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> heap_;
+  std::vector<Entry> heap_;
   std::uint32_t freeHead_ = kNoPos;
-  std::vector<Periodic> periodics_;
+  /// A deque, so a tick that registers another timer (growing the
+  /// container) leaves the running timer's record and closure in place.
+  std::deque<Periodic> periodics_;
   PeriodicTickHook tickHook_;
   SimTime now_;
   SimTime runLimit_ = kMaxTime;

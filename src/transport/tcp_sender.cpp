@@ -14,6 +14,12 @@ namespace {
 constexpr int kMaxSynRetries = 8;
 }
 
+// One sender per flow stays resident for the whole run; the deadline
+// timer's extra 16 bytes are paid for by the packed flags and counters.
+#if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
+static_assert(sizeof(TcpSender) <= 456, "TcpSender outgrew its 456 bytes");
+#endif
+
 void TcpSender::installObs(obs::MetricsRegistry* metrics,
                            obs::EventTrace* trace) {
   if (metrics != nullptr) {
@@ -34,7 +40,8 @@ TcpSender::TcpSender(sim::Simulator& simr, net::Host& localHost,
       host_(localHost),
       flow_(flow),
       params_(params),
-      onComplete_(std::move(onComplete)) {
+      onComplete_(std::move(onComplete)),
+      timer_(simr.scheduler()) {
   cwnd_ = static_cast<double>(params_.initialCwndSegments * params_.mss.bytes());
   ssthresh_ = static_cast<double>(params_.receiverWindow.bytes());
   host_.bind(flow_.id, this);
@@ -60,15 +67,13 @@ void TcpSender::sendSyn() {
   // SYN loss protection: retry with exponential backoff until established.
   const SimTime synRto = params_.minRto * (1 << std::min(synRetries_, 6));
   ++synRetries_;
-  if (synRetries_ <= kMaxSynRetries) {
-    rtoEvent_ = sim_.schedule(synRto, [this] { sendSyn(); });
-  }
+  if (synRetries_ <= kMaxSynRetries) armTimer(synRto);
 }
 
 void TcpSender::establish(const net::Packet& synAck) {
   if (established_) return;
   established_ = true;
-  rtoEvent_.cancel();
+  timer_.cancel();
   if (synAck.echoTs >= 0_ns) updateRtt(sim_.now() - synAck.echoTs);
   if (flow_.size == 0_B) {
     complete();
@@ -229,7 +234,7 @@ void TcpSender::trySend() {
     sendSegment(sndNxt_, /*isRetransmit=*/false);
     sndNxt_ = std::min(size, sndNxt_ + static_cast<std::uint64_t>(params_.mss.bytes()));
   }
-  if (inFlight() > 0_B && !rtoEvent_.pending()) armRto();
+  if (inFlight() > 0_B && !timer_.pending()) armRto();
 }
 
 void TcpSender::sendSegment(std::uint64_t seq, bool isRetransmit) {
@@ -279,18 +284,34 @@ void TcpSender::updateRtt(SimTime sample) {
   }
 }
 
+void TcpSender::armTimer(SimTime delay) {
+  const auto fire = [this] { onTimer(); };
+  static_assert(sim::EventFn::relocatesByCopy<decltype(fire)>(),
+                "the timer closure must stay on the copy-only path");
+  timer_.arm(delay, fire);
+}
+
+void TcpSender::onTimer() {
+  // establish() disarms the SYN retry, so a fire after it is the RTO.
+  if (established_) {
+    onRto();
+  } else {
+    sendSyn();
+  }
+}
+
 void TcpSender::armRto() {
-  // Move-assignment below cancels any still-pending timer (RAII handle).
+  // Re-arming replaces any still-pending deadline.
   SimTime rto = haveRttSample_ ? srtt_ + 4 * rttvar_ : params_.minRto;
   rto = std::clamp(rto, params_.minRto, params_.maxRto);
   // Exponential backoff, re-clamped after the multiply: maxRto bounds the
   // armed timer itself (RFC 6298 §5.5), not just the pre-backoff estimate.
   rto = std::min(rto * rtoBackoff_, params_.maxRto);
-  rtoEvent_ = sim_.schedule(rto, [this] { onRto(); });
+  armTimer(rto);
 }
 
 void TcpSender::onRto() {
-  // rtoEvent_ is already inert here: a fired event's handle is stale.
+  // timer_ is no longer pending here, so trySend() below re-arms it.
   if (completed_ || inFlight() <= 0_B) return;
   ++timeouts_;
   if (cTimeouts_ != nullptr) cTimeouts_->inc();
@@ -313,7 +334,7 @@ void TcpSender::onRto() {
 void TcpSender::complete() {
   completed_ = true;
   completionTime_ = sim_.now();
-  rtoEvent_.cancel();
+  timer_.cancel();
   // FIN lets switches retire the flow from their tables (paper §5). It is
   // fire-and-forget: a lost FIN is covered by the switches' idle purge.
   net::Packet fin;

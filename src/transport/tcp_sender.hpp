@@ -18,6 +18,7 @@
 
 #include "net/host.hpp"
 #include "net/packet.hpp"
+#include "sim/deadline_timer.hpp"
 #include "sim/simulator.hpp"
 #include "transport/tcp_params.hpp"
 
@@ -92,6 +93,8 @@ class TcpSender : public net::PacketHandler {
   void trySend();
   void sendSegment(std::uint64_t seq, bool isRetransmit);
   void retransmitHead();
+  void armTimer(SimTime delay);
+  void onTimer();
   void armRto();
   void onRto();
   void updateRtt(SimTime sample);
@@ -108,9 +111,17 @@ class TcpSender : public net::PacketHandler {
   TcpParams params_;
   CompletionCallback onComplete_;
 
-  // --- connection state --------------------------------------------------
+  // Flags and small counters, packed into 16 bytes (incast runs keep tens
+  // of thousands of senders alive at once).
   bool established_ = false;
   bool completed_ = false;
+  bool inRecovery_ = false;    ///< NewReno fast recovery
+  bool haveRttSample_ = false;
+  int dupAckCount_ = 0;
+  int rtoBackoff_ = 1;
+  int synRetries_ = 0;
+
+  // --- connection state --------------------------------------------------
   SimTime completionTime_;
 
   std::uint64_t sndUna_ = 0;  ///< lowest unacked byte
@@ -121,8 +132,6 @@ class TcpSender : public net::PacketHandler {
   double ssthresh_ = 0.0;  ///< slow-start threshold (bytes)
 
   // --- fast recovery ------------------------------------------------------
-  int dupAckCount_ = 0;
-  bool inRecovery_ = false;
   std::uint64_t recoverPoint_ = 0;  ///< sndNxt at loss detection
   /// Last time the recovery hole was retransmitted. Genuine NewReno
   /// partial acks arrive one per round trip; rate-limiting hole
@@ -132,12 +141,11 @@ class TcpSender : public net::PacketHandler {
   SimTime lastHoleRetransmit_ = -1_ns;
 
   // --- RTO ------------------------------------------------------------------
-  sim::EventHandle rtoEvent_;  ///< pending RTO (inert once fired)
+  /// The SYN retry before establishment, the RTO after it. Lazily
+  /// re-armed: an ACK that pushes the deadline back costs no heap work.
+  sim::DeadlineTimer timer_;
   SimTime srtt_;
   SimTime rttvar_;
-  bool haveRttSample_ = false;
-  int rtoBackoff_ = 1;
-  int synRetries_ = 0;
 
   // --- DCTCP ------------------------------------------------------------
   double alpha_ = 0.0;

@@ -10,6 +10,11 @@
 // the alloc-counting test in tests/sim pins the hot-path closures to the
 // inline side.
 //
+// An inline closure that is also trivially copyable (a lambda capturing
+// pointers and integers) has no manager at all: moving it copies the
+// buffer and destroying it does nothing, so the scheduler's hand-offs
+// cost a few stores instead of an indirect call each.
+//
 // Differences from std::function, all deliberate:
 //   * move-only (closures holding move-only state are fine; accidental
 //     per-copy allocations are not),
@@ -18,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -50,7 +56,14 @@ class InlineFunction<R(Args...), InlineSize> {
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (fitsInline<Fn>()) {
+    if constexpr (relocatesByCopy<Fn>()) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      // Moves copy the whole buffer; define the bytes past the closure.
+      if constexpr (sizeof(Fn) < InlineSize) {
+        std::memset(storage_ + sizeof(Fn), 0, InlineSize - sizeof(Fn));
+      }
+      invoke_ = &inlineInvoke<Fn>;
+    } else if constexpr (fitsInline<Fn>()) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       invoke_ = &inlineInvoke<Fn>;
       manage_ = &inlineManage<Fn>;
@@ -100,13 +113,22 @@ class InlineFunction<R(Args...), InlineSize> {
            std::is_nothrow_move_constructible_v<F>;
   }
 
+  /// True when a closure of type F is stored inline without a manager:
+  /// moves copy the buffer, destruction is a no-op. Hot call sites
+  /// static_assert this for their closures.
+  template <typename F>
+  static constexpr bool relocatesByCopy() {
+    return fitsInline<F>() && std::is_trivially_copyable_v<F>;
+  }
+
   static constexpr std::size_t inlineSize() { return InlineSize; }
 
  private:
   using Invoke = R (*)(void*, Args&&...);
   /// dst == nullptr: destroy the stored callable. dst != nullptr:
   /// relocate it into dst (move-construct + destroy source, or for heap
-  /// storage just hand over the pointer).
+  /// storage just hand over the pointer). Null for empty functions and
+  /// for relocatesByCopy() closures.
   using Manage = void (*)(void* self, void* dst);
 
   template <typename Fn>
@@ -142,7 +164,11 @@ class InlineFunction<R(Args...), InlineSize> {
   }
 
   void moveFrom(InlineFunction& other) noexcept {
-    if (other.manage_ != nullptr) other.manage_(other.storage_, storage_);
+    if (other.manage_ != nullptr) {
+      other.manage_(other.storage_, storage_);
+    } else if (other.invoke_ != nullptr) {
+      std::memcpy(storage_, other.storage_, InlineSize);
+    }
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     other.invoke_ = nullptr;

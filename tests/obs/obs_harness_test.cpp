@@ -199,7 +199,9 @@ TEST(ObsHarness, FlowProbeRecordsMatchTheLedger) {
     const obs::FlowRecord* rec = flows.find(lf.spec.id);
     ASSERT_NE(rec, nullptr) << "flow " << lf.spec.id;
     EXPECT_EQ(rec->completed, lf.completed);
-    if (lf.completed) EXPECT_EQ(rec->fct, lf.fct);
+    if (lf.completed) {
+      EXPECT_EQ(rec->fct, lf.fct);
+    }
     EXPECT_EQ(rec->size, lf.spec.size);
     EXPECT_EQ(rec->isShort, lf.spec.size < cfg.shortThreshold);
   }

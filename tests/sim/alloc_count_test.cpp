@@ -1,8 +1,8 @@
 // Counts global operator new/delete to prove the event core's claim:
 // once warm, the schedule / fire / cancel path — including periodic
-// timer re-arms — performs zero heap allocations. Runs under the ASan
-// CI jobs too, where the replacement operators still interpose above
-// the sanitizer's malloc.
+// timer re-arms and deadline-timer re-arms — performs zero heap
+// allocations. Runs under the ASan CI jobs too, where the replacement
+// operators still interpose above the sanitizer's malloc.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <new>
 #include <vector>
 
+#include "sim/deadline_timer.hpp"
 #include "sim/scheduler.hpp"
 
 namespace {
@@ -73,7 +74,11 @@ TEST(AllocCount, SteadyStateEventPathIsAllocationFree) {
   s.run(s.now() + 2000_ns);
 
   // Measured phase: schedule / cancel / fire churn, with periodic ticks
-  // interleaved, entirely within the warmed capacity.
+  // and a deadline timer interleaved, entirely within the warmed
+  // capacity. The timer is pushed back (early wakes re-post), pulled in
+  // (the wake is replaced) and left alone long enough to fire.
+  DeadlineTimer timer(s);
+  std::uint64_t timerFires = 0;
   const auto before = newCalls();
   EventHandle rto;
   for (int round = 0; round < 2000; ++round) {
@@ -82,14 +87,20 @@ TEST(AllocCount, SteadyStateEventPathIsAllocationFree) {
     rto = s.schedule(40_ns, [&fired] { ++fired; });  // re-assign cancels
     EventHandle cancelled = s.schedule(11_ns, [&fired] { ++fired; });
     cancelled.cancel();
+    if (round % 5 != 4) {
+      timer.arm(round % 3 == 0 ? 10_ns : 40_ns,
+                [&timerFires] { ++timerFires; });
+    }
     s.run(s.now() + 25_ns);
   }
   rto.cancel();
+  timer.cancel();
   s.run(s.now() + 100_ns);
   const auto after = newCalls();
   EXPECT_EQ(after, before) << (after - before)
                            << " allocations on the steady-state path";
   EXPECT_GT(fired, 0u);
+  EXPECT_GT(timerFires, 0u);
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 // util::InlineFunction — the small-buffer callable behind sim::EventFn.
-// These tests pin the inline/heap boundary, the move/destroy protocol,
-// and the compile-time fitsInline() predicate that hot call sites and
-// the alloc-counting test rely on.
+// These tests pin the inline/heap boundary, the move/destroy protocol
+// (manager calls for closures that own resources, plain buffer copies for
+// trivially copyable ones), and the compile-time fitsInline() /
+// relocatesByCopy() predicates that hot call sites and the alloc-counting
+// test rely on.
 #include "util/inline_function.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/scheduler.hpp"
 
@@ -139,6 +144,60 @@ TEST(InlineFunction, ArgumentsAndReturnValuesForward) {
   int v = 0;
   bump(v);
   EXPECT_EQ(v, 1);
+}
+
+TEST(InlineFunction, RelocatesByCopyOnlyForTriviallyCopyableInline) {
+  int x = 0;
+  const auto ptrs = [&x, y = std::uint32_t{7}] { return x + 1; };
+  static_assert(Fn::relocatesByCopy<decltype(ptrs)>());
+  static_assert(Fn::relocatesByCopy<AtBudget>());
+  static_assert(!Fn::relocatesByCopy<OverBudget>());  // heap cell
+  const auto owning = [p = std::make_shared<int>(1)] { return *p; };
+  static_assert(Fn::fitsInline<decltype(owning)>());
+  static_assert(!Fn::relocatesByCopy<decltype(owning)>());
+}
+
+TEST(InlineFunction, TriviallyCopyableClosureSurvivesAChainOfMoves) {
+  int hits = 0;
+  const std::uint64_t tag = 0x5eed'0000'0042;
+  InlineFunction<std::uint64_t()> f([&hits, tag, pad = std::uint32_t{3}] {
+    hits += static_cast<int>(pad);
+    return tag;
+  });
+  // Constructor, move-assignment and vector relocation, several times.
+  std::vector<InlineFunction<std::uint64_t()>> hops;
+  hops.push_back(std::move(f));
+  for (int i = 0; i < 40; ++i) hops.push_back(std::move(hops.back()));
+  InlineFunction<std::uint64_t()> last;
+  last = std::move(hops.back());
+  InlineFunction<std::uint64_t()> out(std::move(last));
+  for (const auto& h : hops) EXPECT_FALSE(static_cast<bool>(h));
+  EXPECT_FALSE(static_cast<bool>(last));  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(static_cast<bool>(out));
+  EXPECT_EQ(out(), tag);
+  EXPECT_EQ(hits, 3);
+}
+
+TEST(InlineFunction, OwningClosuresStillMoveAndDieExactlyOnce) {
+  auto counter = std::make_shared<int>(0);
+  const std::string text(40, 'x');  // past any small-string buffer
+  {
+    InlineFunction<std::size_t()> a([counter, text] {
+      ++*counter;
+      return text.size();
+    });
+    EXPECT_EQ(counter.use_count(), 2);
+    std::vector<InlineFunction<std::size_t()>> hops;
+    hops.push_back(std::move(a));
+    for (int i = 0; i < 20; ++i) hops.push_back(std::move(hops.back()));
+    InlineFunction<std::size_t()> b;
+    b = std::move(hops.back());
+    // Moves went through the manager: still one owner besides `counter`.
+    EXPECT_EQ(counter.use_count(), 2);
+    EXPECT_EQ(b(), 40u);
+    EXPECT_EQ(*counter, 1);
+  }
+  EXPECT_EQ(counter.use_count(), 1);  // destroyed once, not leaked
 }
 
 TEST(InlineFunction, SelfMoveAssignIsSafe) {

@@ -5,7 +5,9 @@
 // second checks *firing order* against an executable reference model: a
 // flat list of (time, seq) records fired by a sort — the semantics the
 // indexed heap must reproduce exactly for runs to be deterministic and
-// byte-identical across heap layouts.
+// byte-identical across heap layouts. Its schedule stream mixes in keys
+// reserved earlier and posted later (reserveSeq + scheduleReserved, the
+// deadline timer's primitive).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,6 +81,13 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
   std::vector<int> actual;
   std::uint64_t order = 0;
   int nextToken = 0;
+  // Keys reserved but not yet posted: the scheduler's seq beside the
+  // model's order position taken at reservation time.
+  struct Reservation {
+    std::uint64_t seq;
+    std::uint64_t order;
+  };
+  std::vector<Reservation> reserved;
 
   // Fire every non-cancelled model record with time <= t, in (time,
   // order) order, and append its token to `expected`.
@@ -100,13 +109,29 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
 
   for (int op = 0; op < 4000; ++op) {
     const double action = rng.uniform();
-    if (action < 0.55) {
+    if (action < 0.45) {
       const SimTime delay = SimTime::fromNs(rng.uniformInt(0, 500));
       const int token = nextToken++;
       model.push_back(Ref{sched.now() + delay, order++, token});
       liveRef.push_back(model.size() - 1);
       live.push_back(
           sched.schedule(delay, [&actual, token] { actual.push_back(token); }));
+    } else if (action < 0.55) {
+      if (reserved.empty() || rng.uniform() < 0.5) {
+        reserved.push_back(Reservation{sched.reserveSeq(), order++});
+      } else {
+        // Post under an old key: it sorts by its reservation, not by now.
+        const std::size_t k = rng.uniformInt(reserved.size());
+        const Reservation r = reserved[k];
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(k));
+        const SimTime when =
+            sched.now() + SimTime::fromNs(rng.uniformInt(0, 500));
+        const int token = nextToken++;
+        model.push_back(Ref{when, r.order, token});
+        liveRef.push_back(model.size() - 1);
+        live.push_back(sched.scheduleReserved(
+            when, r.seq, [&actual, token] { actual.push_back(token); }));
+      }
     } else if (action < 0.75 && !live.empty()) {
       const std::size_t idx = rng.uniformInt(live.size());
       const bool was = live[idx].cancel();

@@ -298,6 +298,46 @@ TEST(Scheduler, PeriodicTickHookSeesName) {
   EXPECT_STREQ(seen, "ctrl");
 }
 
+TEST(Scheduler, PeriodicTickMayRegisterMoreTimers) {
+  // The tick grows the timer table while its own closure runs; the
+  // closure's captures and the timer's record must not move (ASan reports
+  // a heap-use-after-free on the reads after every() if they do).
+  Scheduler s;
+  int spawned = 0;
+  int childTicks = 0;
+  s.every(
+      100_ns,
+      [&s, &spawned, &childTicks] {
+        for (int i = 0; i < 16; ++i) {
+          s.every(1000_ns, [&childTicks] { ++childTicks; },
+                  /*start=*/s.now() + 1000_ns);
+        }
+        ++spawned;
+      },
+      /*start=*/100_ns);
+  s.run(300_ns);
+  EXPECT_EQ(spawned, 3);
+  EXPECT_EQ(childTicks, 0);
+  s.run(1100_ns);
+  EXPECT_EQ(spawned, 11);
+  EXPECT_EQ(childTicks, 16);  // the first tick's children, once each
+}
+
+TEST(Scheduler, ReservedSeqKeepsItsPlaceInTheOrder) {
+  // A key reserved before another post fires before it at the same time,
+  // even though it was posted later; reserving shifts no other seq.
+  Scheduler s;
+  std::vector<int> order;
+  const std::uint64_t early = s.reserveSeq();
+  s.post(10_ns, [&] { order.push_back(2); });
+  EventHandle h =
+      s.scheduleReserved(10_ns, early, [&] { order.push_back(1); });
+  s.post(10_ns, [&] { order.push_back(3); });
+  EXPECT_TRUE(h.pending());
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(Simulator, PeriodicTimerFiresRepeatedly) {
   Simulator sim;
   int ticks = 0;
