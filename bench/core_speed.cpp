@@ -1,10 +1,10 @@
-// Event-core speed: the indexed 4-ary heap + InlineFunction scheduler
-// against the seed design it replaced (binary priority_queue of
-// std::function entries with a live-id hash set and tombstone
-// cancellation — embedded below verbatim, so the comparison is
+// Event-core speed: the indexed 4-ary heap with constant-delay lanes +
+// InlineFunction scheduler against the seed design it replaced (binary
+// priority_queue of std::function entries with a live-id hash set and
+// tombstone cancellation — embedded below verbatim, so the comparison is
 // self-contained and reruns on any machine).
 //
-// Three measurements land in BENCH_core_speed.json:
+// Four measurements land in BENCH_core_speed.json:
 //
 //   micro  both cores drive the identical churn workload — bursts of
 //          fire-once events plus RTO-style timers that are re-armed
@@ -18,18 +18,27 @@
 //          re-arms its flow's RTO — cancel + reschedule on the seed core,
 //          sim::DeadlineTimer on the new one, as in TcpSender. Reported
 //          as packet events/sec; both cores do identical work.
+//   link   the heap churn with a link's delays: each packet alternates
+//          between serialization on a 1 Gbps link (12 us for a 1500 B
+//          data segment, 320 ns for a 40 B ACK) and 12.5 us propagation,
+//          so the new core's posts reuse its lanes as Link's do. The
+//          micro and heap churns draw uniform delays that almost never
+//          repeat and measure the lane bypass instead. Both report the
+//          share of the new core's posts that used a lane.
 //   macro  a fig10-style web-search sweep through runner::runSweep with
 //          the real simulator (new core only): the end-to-end wall-clock
 //          a scheduler change actually buys.
 //
-// Default: 2M micro and heap events and a 1-scheme macro point (seconds);
-// --full raises the event counts to 10M and runs the fig10 default grid.
+// Default: 2M micro, heap and link events and a 1-scheme macro point
+// (seconds); --full raises the event counts to 10M and runs the fig10
+// default grid.
 #include <chrono>
 #include <cstdio>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -132,9 +141,17 @@ struct NewCore {
   sim::Scheduler s;
   sim::EventHandle timers[4];
   std::deque<sim::DeadlineTimer> rtos;
+  std::uint64_t posts = 0;
   template <typename F>
   void post(SimTime d, F&& f) {
+    ++posts;
     s.post(d, std::forward<F>(f));
+  }
+  /// Share of post() calls that went to a lane rather than the heap.
+  double laneShare() const {
+    return posts == 0 ? 0.0
+                      : static_cast<double>(s.lanePosts()) /
+                            static_cast<double>(posts);
   }
   template <typename F>
   void armTimer(std::size_t i, SimTime d, F&& f) {
@@ -177,11 +194,13 @@ struct LegacyCore {
   SimTime now() const { return s.now(); }
   std::uint64_t executed() const { return s.executedEvents(); }
   std::size_t heapSize() const { return s.heapSize(); }
+  double laneShare() const { return 0.0; }  // no lanes
 };
 
 struct MicroResult {
   std::uint64_t events = 0;
   double wallSec = 0.0;
+  double laneShare = 0.0;  ///< share of posts that used a lane
   double eventsPerSec() const { return static_cast<double>(events) / wallSec; }
 };
 
@@ -210,38 +229,70 @@ MicroResult runChurn(std::uint64_t targetEvents, std::uint64_t seed) {
   MicroResult r;
   r.events = core.executed();
   r.wallSec = std::chrono::duration<double>(t1 - t0).count();
+  r.laneShare = core.laneShare();
   return r;
 }
 
 struct HeapResult {
   MicroResult r;
-  double heapDepthMean = 0.0;  ///< heap entries per packet event
+  /// Pending events (heap and lanes) per packet event; the seed core's
+  /// count includes its tombstones.
+  double heapDepthMean = 0.0;
+};
+
+/// Packet-event delays of the heap churn: uniform, so they almost never
+/// repeat and the new core's posts bypass its lanes.
+struct UniformDelays {
+  SimTime next(Rng& rng, std::uint32_t) const {
+    return SimTime::fromNs(rng.uniformInt(50, 500));
+  }
+};
+
+/// Packet-event delays of the link churn: a packet's events alternate
+/// between serialization on a 1 Gbps link — 12 us for a 1500 B data
+/// segment, 320 ns for a 40 B ACK, drawn half and half — and 12.5 us of
+/// propagation.
+struct LinkDelays {
+  SimTime next(Rng& rng, std::uint32_t hop) const {
+    if (hop % 2 == 1) return 12'500_ns;
+    return rng.uniform() < 0.5 ? 12'000_ns : 320_ns;
+  }
 };
 
 /// The heap-shaped churn: kFlows flows each hold an RTO timer a
-/// millisecond out (~3600 packet gaps), and kInFlight packet events
-/// circulate. Each packet event re-arms one flow's RTO (almost always
-/// pushing it later, as an ACK does) and sends that flow's next packet.
-template <typename Core>
+/// millisecond out, and kInFlight packet events circulate. Each packet
+/// event re-arms one flow's RTO (almost always pushing it later, as an
+/// ACK does) and sends that flow's next packet after a delay from
+/// `Delays`: about 3600 packet gaps per RTO with UniformDelays, about 80
+/// with LinkDelays.
+template <typename Core, typename Delays>
 HeapResult runHeapChurn(std::uint64_t targetPackets, std::uint64_t seed) {
   constexpr std::size_t kFlows = 300;
   constexpr int kInFlight = 32;
   struct Ctx {
     Core core;
     Rng rng;
+    Delays delays;
     std::uint64_t packets = 0;
     std::uint64_t rtoFires = 0;
     double depthSum = 0.0;
     void armRto(std::size_t flow, SimTime rto) {
       core.armRto(flow, rto, [this] { ++rtoFires; });
     }
-    void packet(std::size_t flow) {
+    // 16 bytes of capture: inline in std::function too, so the seed
+    // core pays no allocation the indexed one does not.
+    void send(std::uint32_t flow, std::uint32_t hop) {
+      core.post(delays.next(rng, hop),
+                [this, flow, hop] { packet(flow, hop + 1); });
+    }
+    void packet(std::uint32_t flow, std::uint32_t hop) {
       ++packets;
       depthSum += static_cast<double>(core.heapSize());
       armRto(flow, SimTime::fromNs(1'000'000 + rng.uniformInt(0, 2000)));
-      const std::size_t next = rng.uniformInt(kFlows);
-      core.post(SimTime::fromNs(rng.uniformInt(50, 500)),
-                [this, next] { packet(next); });
+      send(pickFlow(), hop);
+    }
+    std::uint32_t pickFlow() {
+      return static_cast<std::uint32_t>(rng.uniformInt(kFlows));
     }
   };
   auto ctx = std::make_unique<Ctx>();
@@ -249,11 +300,7 @@ HeapResult runHeapChurn(std::uint64_t targetPackets, std::uint64_t seed) {
   ctx->core.addRtos(kFlows);
   Ctx* c = ctx.get();
   for (std::size_t f = 0; f < kFlows; ++f) c->armRto(f, 1_ms);
-  for (int i = 0; i < kInFlight; ++i) {
-    const std::size_t flow = c->rng.uniformInt(kFlows);
-    c->core.post(SimTime::fromNs(c->rng.uniformInt(50, 500)),
-                 [c, flow] { c->packet(flow); });
-  }
+  for (int i = 0; i < kInFlight; ++i) c->send(c->pickFlow(), 0);
   const auto t0 = std::chrono::steady_clock::now();
   while (c->packets < targetPackets) {
     c->core.runTo(c->core.now() + SimTime::fromNs(10'000));
@@ -262,6 +309,7 @@ HeapResult runHeapChurn(std::uint64_t targetPackets, std::uint64_t seed) {
   HeapResult h;
   h.r.events = c->packets;
   h.r.wallSec = std::chrono::duration<double>(t1 - t0).count();
+  h.r.laneShare = c->core.laneShare();
   h.heapDepthMean = c->depthSum / static_cast<double>(c->packets);
   return h;
 }
@@ -311,7 +359,8 @@ using namespace tlbsim;
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
   const std::uint64_t microEvents = args.full ? 10'000'000 : 2'000'000;
-  std::printf("Event-core speed: indexed 4-ary heap vs seed scheduler\n");
+  std::printf("Event-core speed: indexed 4-ary heap with lanes vs seed "
+              "scheduler\n");
   std::printf("Micro churn (<= ~20 pending events):\n");
 
   // Interleave warm-up/measure per core so neither benefits from running
@@ -333,23 +382,51 @@ int main(int argc, char** argv) {
               indexed.wallSec);
   std::printf("  speedup: %.2fx (target >= 1.5x)\n", speedup);
 
-  (void)bench::runHeapChurn<bench::LegacyCore>(microEvents / 10, args.seed);
+  using bench::LinkDelays;
+  using bench::UniformDelays;
+  (void)bench::runHeapChurn<bench::LegacyCore, UniformDelays>(
+      microEvents / 10, args.seed);
   const bench::HeapResult heapLegacy =
-      bench::runHeapChurn<bench::LegacyCore>(microEvents, args.seed);
-  (void)bench::runHeapChurn<bench::NewCore>(microEvents / 10, args.seed);
+      bench::runHeapChurn<bench::LegacyCore, UniformDelays>(microEvents,
+                                                            args.seed);
+  (void)bench::runHeapChurn<bench::NewCore, UniformDelays>(microEvents / 10,
+                                                           args.seed);
   const bench::HeapResult heapNew =
-      bench::runHeapChurn<bench::NewCore>(microEvents, args.seed);
+      bench::runHeapChurn<bench::NewCore, UniformDelays>(microEvents,
+                                                         args.seed);
   const double heapSpeedup =
       heapNew.r.eventsPerSec() / heapLegacy.r.eventsPerSec();
-  std::printf("Heap-shaped churn (300 standing RTO timers, packet events "
-              "re-arm them):\n");
-  for (const auto& [name, h] :
-       {std::pair{bench::LegacyCore::kName, &heapLegacy},
-        std::pair{bench::NewCore::kName, &heapNew}}) {
-    std::printf("  %-22s %12.0f packet events/s (%.2f s, mean heap %.0f)\n",
-                name, h->r.eventsPerSec(), h->r.wallSec, h->heapDepthMean);
+
+  (void)bench::runHeapChurn<bench::LegacyCore, LinkDelays>(microEvents / 10,
+                                                           args.seed);
+  const bench::HeapResult linkLegacy =
+      bench::runHeapChurn<bench::LegacyCore, LinkDelays>(microEvents,
+                                                         args.seed);
+  (void)bench::runHeapChurn<bench::NewCore, LinkDelays>(microEvents / 10,
+                                                        args.seed);
+  const bench::HeapResult linkNew =
+      bench::runHeapChurn<bench::NewCore, LinkDelays>(microEvents, args.seed);
+  const double linkSpeedup =
+      linkNew.r.eventsPerSec() / linkLegacy.r.eventsPerSec();
+
+  for (const auto& [title, legacyRes, newRes, ratio] :
+       {std::tuple{"Heap-shaped churn (300 standing RTO timers, packet "
+                   "events re-arm them):",
+                   &heapLegacy, &heapNew, heapSpeedup},
+        std::tuple{"Link-shaped churn (the same at a 1 Gbps link's "
+                   "12 us / 320 ns / 12.5 us delays):",
+                   &linkLegacy, &linkNew, linkSpeedup}}) {
+    std::printf("%s\n", title);
+    for (const auto& [name, h] :
+         {std::pair{bench::LegacyCore::kName, legacyRes},
+          std::pair{bench::NewCore::kName, newRes}}) {
+      std::printf("  %-22s %12.0f packet events/s (%.2f s, mean pending "
+                  "%.0f, %.1f%% of posts in lanes)\n",
+                  name, h->r.eventsPerSec(), h->r.wallSec, h->heapDepthMean,
+                  100.0 * h->r.laneShare);
+    }
+    std::printf("  speedup: %.2fx\n", ratio);
   }
-  std::printf("  heap speedup: %.2fx\n", heapSpeedup);
 
   int macroRuns = 0;
   const double macroWall = bench::runMacro(args, &macroRuns);
@@ -372,7 +449,8 @@ int main(int argc, char** argv) {
                "    \"seed_priority_queue\": {\"events\": %llu, "
                "\"wall_s\": %.4f, \"events_per_sec\": %.0f},\n"
                "    \"indexed_heap\": {\"events\": %llu, "
-               "\"wall_s\": %.4f, \"events_per_sec\": %.0f},\n"
+               "\"wall_s\": %.4f, \"events_per_sec\": %.0f, "
+               "\"lane_share\": %.4f},\n"
                "    \"speedup\": %.3f,\n"
                "    \"target_speedup\": 1.5\n"
                "  },\n"
@@ -384,7 +462,20 @@ int main(int argc, char** argv) {
                "\"heap_depth_mean\": %.1f},\n"
                "    \"indexed_heap\": {\"packet_events\": %llu, "
                "\"wall_s\": %.4f, \"events_per_sec\": %.0f, "
+               "\"heap_depth_mean\": %.1f, \"lane_share\": %.4f},\n"
+               "    \"speedup\": %.3f\n"
+               "  },\n"
+               "  \"link\": {\n"
+               "    \"flows\": 300, \"packets_in_flight\": 32, "
+               "\"rto_us\": 1000,\n"
+               "    \"delays_ns\": {\"data_tx\": 12000, \"ack_tx\": 320, "
+               "\"propagation\": 12500},\n"
+               "    \"seed_priority_queue\": {\"packet_events\": %llu, "
+               "\"wall_s\": %.4f, \"events_per_sec\": %.0f, "
                "\"heap_depth_mean\": %.1f},\n"
+               "    \"indexed_heap\": {\"packet_events\": %llu, "
+               "\"wall_s\": %.4f, \"events_per_sec\": %.0f, "
+               "\"heap_depth_mean\": %.1f, \"lane_share\": %.4f},\n"
                "    \"speedup\": %.3f\n"
                "  },\n"
                "  \"macro\": {\"scenario\": \"fig10_websearch %s\", "
@@ -396,13 +487,20 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(legacy.events), legacy.wallSec,
                legacy.eventsPerSec(),
                static_cast<unsigned long long>(indexed.events),
-               indexed.wallSec, indexed.eventsPerSec(), speedup,
+               indexed.wallSec, indexed.eventsPerSec(), indexed.laneShare,
+               speedup,
                static_cast<unsigned long long>(heapLegacy.r.events),
                heapLegacy.r.wallSec, heapLegacy.r.eventsPerSec(),
                heapLegacy.heapDepthMean,
                static_cast<unsigned long long>(heapNew.r.events),
                heapNew.r.wallSec, heapNew.r.eventsPerSec(),
-               heapNew.heapDepthMean, heapSpeedup,
+               heapNew.heapDepthMean, heapNew.r.laneShare, heapSpeedup,
+               static_cast<unsigned long long>(linkLegacy.r.events),
+               linkLegacy.r.wallSec, linkLegacy.r.eventsPerSec(),
+               linkLegacy.heapDepthMean,
+               static_cast<unsigned long long>(linkNew.r.events),
+               linkNew.r.wallSec, linkNew.r.eventsPerSec(),
+               linkNew.heapDepthMean, linkNew.r.laneShare, linkSpeedup,
                args.full ? "default grid" : "tlb @ load 0.8",
                macroRuns, args.jobs != 0 ? args.jobs : 1, macroWall);
   std::fclose(f);

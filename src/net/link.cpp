@@ -1,5 +1,7 @@
 #include "net/link.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -168,10 +170,14 @@ void Link::onTransmitComplete() {
     // the transmitter immediately starts on the next queued packet. The
     // delivery is valid only for the wire epoch it departed under; the
     // packet parks in the wire pool so the event captures 16 bytes.
+    // A cable is FIFO: once a delay fault is lifted, a packet must not
+    // overtake one still on the wire, so it arrives no earlier than the
+    // previous delivery.
     const std::uint32_t slot = wireAlloc(pkt, wireEpoch_);
     const auto arrive = [this, slot] { deliver(slot); };
     static_assert(sim::EventFn::relocatesByCopy<decltype(arrive)>());
-    sim_.post(effectiveDelay(), arrive);
+    lastArrival_ = std::max(sim_.now() + effectiveDelay(), lastArrival_);
+    sim_.post(lastArrival_ - sim_.now(), arrive);
   }
   transmitting_ = false;
   if (up_ && !queue_.empty()) startTransmission();

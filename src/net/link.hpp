@@ -172,6 +172,9 @@ class Link {
   };
   std::vector<WireSlot> wire_;
   std::uint32_t wireFreeHead_ = kNoWireSlot;
+  /// Arrival time of the latest packet put on the wire; later packets
+  /// arrive no earlier (the cable stays FIFO across delay faults).
+  SimTime lastArrival_;
 
   // Fault state. wireEpoch_ is bumped by every drop-mode faultDown; each
   // scheduled delivery carries the epoch it departed under and is discarded

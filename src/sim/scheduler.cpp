@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace tlbsim::sim {
@@ -104,31 +105,65 @@ bool Scheduler::cancelSlot(std::uint32_t slot, std::uint32_t gen) {
   return true;
 }
 
-bool Scheduler::step(SimTime limit) {
-  if (!heap_.empty()) {
-    const Entry top = heap_[0];
-    if (top.time > limit) {
-      // Do not advance past the limit; leave the event pending.
-      if (limit != kMaxTime && limit > now_) now_ = limit;
-      return false;
-    }
-    TLBSIM_DCHECK(top.time >= now_,
-                  "event time regressed: %lld < now %lld (heap corruption?)",
-                  static_cast<long long>(top.time.ns()),
-                  static_cast<long long>(now_.ns()));
-    now_ = top.time;
-    // Move the callback out and retire the slot *before* invoking, so the
-    // event counts as fired inside its own callback: a handle to it is
-    // inert, and the slot is immediately reusable.
-    EventFn fn = std::move(slots_[top.slot].fn);
-    popTop();
-    freeSlot(top.slot);
-    ++executed_;
-    fn();
-    return true;
+void Scheduler::growLane(Lane& lane) {
+  const std::size_t cap = lane.ring.size();
+  std::vector<LaneEntry> bigger(cap == 0 ? kLaneInitialCapacity : 2 * cap);
+  for (std::uint32_t i = 0; i < lane.size; ++i) {
+    bigger[i] = std::move(lane.ring[(lane.head + i) & (cap - 1)]);
   }
-  if (limit != kMaxTime && limit > now_) now_ = limit;
-  return false;
+  lane.ring = std::move(bigger);
+  lane.head = 0;
+}
+
+bool Scheduler::step(SimTime limit) {
+  // The earliest pending key: the heap top or a lane head.
+  Lane* from = nullptr;
+  SimTime time = kMaxTime;
+  std::uint64_t seq = std::numeric_limits<std::uint64_t>::max();
+  if (!heap_.empty()) {
+    time = heap_[0].time;
+    seq = heap_[0].seq;
+  }
+  for (Lane& lane : lanes_) {
+    if (lane.size == 0) continue;
+    const LaneEntry& head = lane.ring[lane.head];
+    if (before(head.time, head.seq, time, seq)) {
+      time = head.time;
+      seq = head.seq;
+      from = &lane;
+    }
+  }
+  if ((from == nullptr && heap_.empty()) || time > limit) {
+    // Do not advance past the limit; leave the event pending.
+    if (limit != kMaxTime && limit > now_) now_ = limit;
+    return false;
+  }
+  TLBSIM_DCHECK(time >= now_,
+                "event time regressed: %lld < now %lld (%s corruption?)",
+                static_cast<long long>(time.ns()),
+                static_cast<long long>(now_.ns()),
+                from != nullptr ? "lane" : "heap");
+  now_ = time;
+  // Move the callback out and retire its entry *before* invoking, so the
+  // event counts as fired inside its own callback: a handle to it is
+  // inert, its slot is immediately reusable, and a callback may post into
+  // the lane it fired from (even growing it).
+  EventFn fn;
+  if (from != nullptr) {
+    fn = std::move(from->ring[from->head].fn);
+    from->head = static_cast<std::uint32_t>((from->head + 1) &
+                                            (from->ring.size() - 1));
+    --from->size;
+    --laneEvents_;
+  } else {
+    const std::uint32_t slot = heap_[0].slot;
+    fn = std::move(slots_[slot].fn);
+    popTop();
+    freeSlot(slot);
+  }
+  ++executed_;
+  fn();
+  return true;
 }
 
 std::uint64_t Scheduler::run(SimTime limit) {

@@ -32,6 +32,17 @@
 // scheduleReserved()): sim::DeadlineTimer re-arms lazily under the key an
 // eager schedule() would have given it.
 //
+// Constant-delay lanes: post(delay, fn) skips the heap when `delay`
+// matches one of kLanes FIFO lanes, or when a lane is empty and can be
+// re-keyed to it. now() never decreases and seq only grows, so the
+// entries of a lane, all posted at now() + the same delay, are already in
+// (time, seq) order: a lane is a ring buffer with O(1) push and pop, and
+// step() fires the smallest key among the heap top and the lane heads.
+// Nearly every event a run makes is a link's serialization-done or
+// delivery post, drawn from a handful of repeated delays, so most events
+// never touch the heap. The firing order is the same (time, seq) order
+// either way.
+//
 // Callbacks are sim::EventFn — a small-buffer-optimized move-only
 // callable (util::InlineFunction). Closures capturing up to
 // kEventInlineBytes stay inline; every closure the per-packet path
@@ -140,8 +151,17 @@ class Scheduler {
 
   /// Fire-and-forget variants: no handle, for events that are never
   /// cancelled (packet serialization/propagation, one-shot arming).
+  /// post() appends to the lane keyed by `delay`, else claims an empty
+  /// lane for it, else falls back to the heap; postAt() always uses the
+  /// heap. A negative delay (Release) takes the heap's clamp to now().
   void post(SimTime delay, EventFn fn) {
     checkDelay(delay);
+    if (delay >= 0_ns) {
+      if (Lane* lane = laneFor(delay)) {
+        pushLane(*lane, std::move(fn));
+        return;
+      }
+    }
     postAt(now_ + delay, std::move(fn));
   }
   void postAt(SimTime when, EventFn fn) {
@@ -193,9 +213,12 @@ class Scheduler {
   /// Run a single event; returns false if none pending (or past `limit`).
   bool step(SimTime limit = kMaxTime);
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t pendingEvents() const { return heap_.size(); }
+  /// Both count heap and lane entries alike, in O(1).
+  bool empty() const { return heap_.empty() && laneEvents_ == 0; }
+  std::size_t pendingEvents() const { return heap_.size() + laneEvents_; }
   std::uint64_t executedEvents() const { return executed_; }
+  /// Posts that went to a lane rather than the heap, since construction.
+  std::uint64_t lanePosts() const { return lanePosts_; }
 
   static constexpr SimTime kMaxTime = SimTime::max();
 
@@ -205,6 +228,10 @@ class Scheduler {
 
   static constexpr std::uint32_t kArity = 4;
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
+  /// Four lanes cover a link's serialization times (data segment, ACK)
+  /// and its propagation delay, with one to spare; eight were no faster.
+  static constexpr std::size_t kLanes = 4;
+  static constexpr std::uint32_t kLaneInitialCapacity = 16;
 
   /// One heap element: the event's full key beside its slot, so sifts
   /// never load a slot to compare.
@@ -220,6 +247,23 @@ class Scheduler {
     /// free. Only the generation tells the two states apart.
     std::uint32_t heapPos = kNoPos;
     std::uint32_t gen = 0;  ///< bumped on every free
+  };
+
+  /// A posted event waiting in a lane: its key beside its callback.
+  struct LaneEntry {
+    SimTime time;
+    std::uint64_t seq;
+    EventFn fn;
+  };
+
+  /// FIFO of events posted with one delay: a ring buffer whose capacity
+  /// is a power of two and only grows. Re-keyed only while empty, so its
+  /// entries are always in (time, seq) order.
+  struct Lane {
+    SimTime delay = -1_ns;  ///< matches no post until claimed
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+    std::vector<LaneEntry> ring;
   };
 
   struct Periodic {
@@ -243,10 +287,38 @@ class Scheduler {
                   static_cast<long long>(now_.ns()));
   }
 
-  static bool before(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;  // seq is unique -> strict total order
+  static bool before(SimTime aTime, std::uint64_t aSeq, SimTime bTime,
+                     std::uint64_t bSeq) {
+    if (aTime != bTime) return aTime < bTime;
+    return aSeq < bSeq;  // seq is unique -> strict total order
   }
+  static bool before(const Entry& a, const Entry& b) {
+    return before(a.time, a.seq, b.time, b.seq);
+  }
+
+  /// The lane keyed by `delay`, else an empty lane re-keyed to it, else
+  /// nullptr. No two lanes ever share a key.
+  Lane* laneFor(SimTime delay) {
+    Lane* free = nullptr;
+    for (Lane& lane : lanes_) {
+      if (lane.delay == delay) return &lane;
+      if (free == nullptr && lane.size == 0) free = &lane;
+    }
+    if (free != nullptr) free->delay = delay;
+    return free;
+  }
+  void pushLane(Lane& lane, EventFn&& fn) {
+    if (lane.size == lane.ring.size()) growLane(lane);
+    const std::size_t mask = lane.ring.size() - 1;
+    LaneEntry& e = lane.ring[(lane.head + lane.size) & mask];
+    e.time = now_ + lane.delay;
+    e.seq = nextSeq_++;
+    e.fn = std::move(fn);
+    ++lane.size;
+    ++laneEvents_;
+    ++lanePosts_;
+  }
+  void growLane(Lane& lane);
 
   std::uint32_t allocSlot();
   void freeSlot(std::uint32_t idx);
@@ -277,6 +349,8 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::vector<Entry> heap_;
   std::uint32_t freeHead_ = kNoPos;
+  Lane lanes_[kLanes];
+  std::size_t laneEvents_ = 0;  ///< entries across all lanes
   /// A deque, so a tick that registers another timer (growing the
   /// container) leaves the running timer's record and closure in place.
   std::deque<Periodic> periodics_;
@@ -285,6 +359,7 @@ class Scheduler {
   SimTime runLimit_ = kMaxTime;
   std::uint64_t nextSeq_ = 1;
   std::uint64_t executed_ = 0;
+  std::uint64_t lanePosts_ = 0;
 };
 
 inline bool EventHandle::pending() const {

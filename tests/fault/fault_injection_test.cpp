@@ -183,6 +183,27 @@ TEST(LinkFault, DelayFactorInflatesPropagation) {
   EXPECT_EQ(sink.arrivals[0].at, microseconds(12) + microseconds(30));
 }
 
+TEST(LinkFault, DelayRestoreKeepsTheCableFifo) {
+  // Packet 0 leaves at 12 us under a 3x delay and lands at 42 us. The
+  // restore at 20 us would land packet 1 (serialized by 24 us) at 34 us,
+  // ahead of packet 0 still on the wire; it is held to 42 us instead.
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  link.connect(&sink, 0);
+  link.faultSetDelayFactor(3.0);
+  for (FlowId f = 0; f < 4; ++f) link.send(makePacket(f, 1500_B));
+  simr.post(microseconds(20), [&] { link.faultSetDelayFactor(1.0); });
+  simr.run();
+  ASSERT_EQ(sink.arrivals.size(), 4u);
+  const SimTime expected[] = {microseconds(42), microseconds(42),
+                              microseconds(46), microseconds(58)};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(sink.arrivals[i].pkt.flow, i) << "arrival " << i;
+    EXPECT_EQ(sink.arrivals[i].at, expected[i]) << "arrival " << i;
+  }
+}
+
 // --- switch-facing behavior ------------------------------------------------
 
 struct SwitchRig {

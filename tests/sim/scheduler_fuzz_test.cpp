@@ -7,10 +7,14 @@
 // indexed heap must reproduce exactly for runs to be deterministic and
 // byte-identical across heap layouts. Its schedule stream mixes in keys
 // reserved earlier and posted later (reserveSeq + scheduleReserved, the
-// deadline timer's primitive).
+// deadline timer's primitive), and post()s that ride the constant-delay
+// lanes: repeated delays that outnumber the lanes, one-off delays,
+// re-posts from inside firing callbacks, and heap entries that tie with
+// lane entries on the timestamp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -107,16 +111,51 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
     }
   };
 
+  // Six repeated delays outnumber the four lanes, so lanes are claimed,
+  // drained and re-keyed, and some posts fall back to the heap; so does
+  // the occasional one-off delay.
+  const std::int64_t kRepeated[] = {0, 7, 12, 40, 125, 320};
+  const auto repeatedDelay = [&] {
+    return SimTime::fromNs(kRepeated[rng.uniformInt(std::size(kRepeated))]);
+  };
+  const auto postDelay = [&] {
+    return rng.uniform() < 0.9 ? repeatedDelay()
+                               : SimTime::fromNs(rng.uniformInt(0, 500));
+  };
+  // A posted event may post again when it fires, so a lane grows while
+  // it drains. Handle-less events are never cancelled.
+  std::uint64_t posts = 0;
+  std::function<void(SimTime, int)> post = [&](SimTime delay, int depth) {
+    ++posts;
+    const int token = nextToken++;
+    model.push_back(Ref{sched.now() + delay, order++, token});
+    sched.post(delay, [&, token, depth] {
+      actual.push_back(token);
+      if (depth < 3 && rng.uniform() < 0.4) post(postDelay(), depth + 1);
+    });
+  };
+
   for (int op = 0; op < 4000; ++op) {
     const double action = rng.uniform();
-    if (action < 0.45) {
-      const SimTime delay = SimTime::fromNs(rng.uniformInt(0, 500));
+    if (action < 0.25) {
+      post(postDelay(), 0);
+    } else if (action < 0.3) {
+      // A heap entry at a lane's delay: equal timestamps with lane
+      // entries posted now, ordered by seq alone.
+      const SimTime when = sched.now() + repeatedDelay();
+      const int token = nextToken++;
+      model.push_back(Ref{when, order++, token});
+      sched.postAt(when, [&actual, token] { actual.push_back(token); });
+    } else if (action < 0.55) {
+      const SimTime delay = rng.uniform() < 0.3
+                                ? repeatedDelay()
+                                : SimTime::fromNs(rng.uniformInt(0, 500));
       const int token = nextToken++;
       model.push_back(Ref{sched.now() + delay, order++, token});
       liveRef.push_back(model.size() - 1);
       live.push_back(
           sched.schedule(delay, [&actual, token] { actual.push_back(token); }));
-    } else if (action < 0.55) {
+    } else if (action < 0.63) {
       if (reserved.empty() || rng.uniform() < 0.5) {
         reserved.push_back(Reservation{sched.reserveSeq(), order++});
       } else {
@@ -132,7 +171,7 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
         live.push_back(sched.scheduleReserved(
             when, r.seq, [&actual, token] { actual.push_back(token); }));
       }
-    } else if (action < 0.75 && !live.empty()) {
+    } else if (action < 0.8 && !live.empty()) {
       const std::size_t idx = rng.uniformInt(live.size());
       const bool was = live[idx].cancel();
       Ref& r = model[liveRef[idx]];
@@ -147,6 +186,10 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
       modelRunTo(until);
       ASSERT_EQ(actual, expected) << "divergence after run(" << until.ns()
                                   << " ns), op " << op;
+      const auto pending = std::count_if(
+          model.begin(), model.end(),
+          [](const Ref& r) { return !r.cancelled && !r.fired; });
+      ASSERT_EQ(sched.pendingEvents(), static_cast<std::size_t>(pending));
       // Drop handles for fired events so RAII destruction later cannot
       // cancel anything the model considers fired.
       for (std::size_t i = live.size(); i-- > 0;) {
@@ -163,6 +206,10 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
   modelRunTo(Scheduler::kMaxTime);
   EXPECT_EQ(actual, expected);
   EXPECT_EQ(sched.executedEvents(), expected.size());
+  EXPECT_TRUE(sched.empty());
+  // Both paths were exercised: most posts used a lane, some did not.
+  EXPECT_GT(sched.lanePosts(), posts / 2);
+  EXPECT_LT(sched.lanePosts(), posts);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerOrderFuzz,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -336,6 +337,62 @@ TEST(Scheduler, ReservedSeqKeepsItsPlaceInTheOrder) {
   EXPECT_TRUE(h.pending());
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SchedulerLanes, PendingCountsLaneEntries) {
+  Scheduler s;
+  EXPECT_TRUE(s.empty());
+  s.post(10_ns, [] {});
+  s.post(10_ns, [] {});
+  s.post(20_ns, [] {});
+  ASSERT_EQ(s.lanePosts(), 3u);  // nothing is in the heap
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.pendingEvents(), 3u);
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(s.pendingEvents(), 2u);
+  s.run();
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.pendingEvents(), 0u);
+  EXPECT_EQ(s.executedEvents(), 3u);
+}
+
+TEST(SchedulerLanes, StepStopsAtALaneHeadPastTheLimit) {
+  Scheduler s;
+  std::vector<int> order;
+  s.post(100_ns, [&] { order.push_back(2); });
+  s.post(30_ns, [&] { order.push_back(1); });
+  ASSERT_EQ(s.lanePosts(), 2u);
+  EXPECT_TRUE(s.step(50_ns));  // the 30 ns lane head is within the limit
+  EXPECT_FALSE(s.step(50_ns));  // the 100 ns one is not
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(s.now(), 50_ns);  // the clock stops at the limit
+  EXPECT_EQ(s.pendingEvents(), 1u);
+  EXPECT_TRUE(s.step(100_ns));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(s.now(), 100_ns);
+}
+
+TEST(SchedulerLanes, DestructionReleasesPendingLaneClosuresOnce) {
+  int released = 0;
+  auto owner = std::shared_ptr<int>(new int(0), [&released](const int* p) {
+    ++released;
+    delete p;
+  });
+  const std::weak_ptr<int> watch = owner;
+  {
+    Scheduler s;
+    // Fire a few first so the ring's head has moved, then post enough to
+    // wrap it and grow it: pending closures are relocated on the way.
+    for (int i = 0; i < 10; ++i) s.post(10_ns, [owner] {});
+    s.run();
+    for (int i = 0; i < 40; ++i) s.post(10_ns, [owner] {});
+    ASSERT_EQ(s.lanePosts(), 50u);
+    EXPECT_EQ(watch.use_count(), 41);
+    owner.reset();
+    EXPECT_EQ(released, 0);
+  }
+  EXPECT_EQ(released, 1);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(Simulator, PeriodicTimerFiresRepeatedly) {
