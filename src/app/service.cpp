@@ -37,6 +37,7 @@ Service::Service(sim::Simulator& simr, net::LeafSpineTopology& topo,
       tcp_(tcp),
       // Decorrelated from the harness's per-leaf selector salts.
       rng_(splitmix64(seed ^ 0x61707073ULL)),
+      firstFlowId_(firstFlowId),
       factory_(firstFlowId),
       responseDist_(makeResponseDist(cfg)) {
   TLBSIM_ASSERT(cfg_.fanOut > 0, "app.fan-out must be positive");
@@ -44,6 +45,16 @@ Service::Service(sim::Simulator& simr, net::LeafSpineTopology& topo,
 }
 
 Service::~Service() = default;
+
+const transport::FlowSpec* Service::rpcFlow(FlowId id) const {
+  if (id < firstFlowId_ || id - firstFlowId_ >= senders_.size()) {
+    return nullptr;
+  }
+  const transport::FlowSpec& spec = senders_[id - firstFlowId_]->flow();
+  TLBSIM_DCHECK(spec.id == id, "app flow %llu launched out of mint order",
+                static_cast<unsigned long long>(id));
+  return &spec;
+}
 
 void Service::installObs(obs::MetricsRegistry* metrics,
                          obs::EventTrace* trace) {

@@ -102,6 +102,10 @@ class Service {
   std::uint64_t retriesIssued() const { return retries_; }
   std::uint64_t duplicatesIssued() const { return duplicates_; }
   std::uint64_t flowsCreated() const { return factory_.flowsMinted(); }
+  /// The spec of an RPC flow this service launched, or null for any other
+  /// flow id. O(1): the factory mints ids in launch order and every sender
+  /// lives for the rest of the run.
+  const transport::FlowSpec* rpcFlow(FlowId id) const;
   /// QCT of every completed query, seconds, in completion order.
   const SampleSet& qctSeconds() const { return qctSeconds_; }
 
@@ -153,6 +157,7 @@ class Service {
   AppConfig cfg_;
   transport::TcpParams tcp_;
   Rng rng_;
+  FlowId firstFlowId_;
   FlowFactory factory_;
   workload::FlowSizeDistribution responseDist_;
 

@@ -221,12 +221,23 @@ ExperimentResult Experiment::run() const {
   // recovery. Both must outlive the run loop below.
   std::unique_ptr<fault::FaultMonitor> faultMon;
   std::unique_ptr<fault::FaultInjector> faultInj;
+  // The app service (created further down) mints its RPC flows at run
+  // time, so the static short-flow set cannot classify them.
+  const app::Service* appFlows = nullptr;
   if (!cfg.fault.empty()) {
     fault::FaultMonitor::Config mcfg;
     if (cfg.obsSampleInterval > 0_ns) mcfg.sampleInterval = cfg.obsSampleInterval;
     faultMon = std::make_unique<fault::FaultMonitor>(
         topo, simr,
-        [&shortFlows](FlowId id) { return !shortFlows.contains(id); }, mcfg);
+        [&shortFlows, &appFlows, &cfg](FlowId id) {
+          if (appFlows != nullptr) {
+            if (const auto* spec = appFlows->rpcFlow(id)) {
+              return spec->size >= cfg.shortThreshold;
+            }
+          }
+          return !shortFlows.contains(id);
+        },
+        mcfg);
     faultInj = std::make_unique<fault::FaultInjector>(cfg.fault, topo, simr,
                                                       cfg.seed);
     faultInj->setMonitor(faultMon.get());
@@ -292,6 +303,7 @@ ExperimentResult Experiment::run() const {
     }
     service = std::make_unique<app::Service>(simr, topo, cfg.app, cfg.tcp,
                                              cfg.seed, firstAppFlowId);
+    appFlows = service.get();
     service->setQueryProbe(cfg.queryProbe);
     if (sinks.any()) service->installObs(sinks.metrics, sinks.trace);
     if (auditor != nullptr) {

@@ -16,9 +16,11 @@
 #include "fault/plan.hpp"
 #include "harness/scheme.hpp"
 #include "net/leaf_spine.hpp"
+#include "obs/metrics.hpp"
 #include "obs/run_summary.hpp"
 #include "obs/sinks.hpp"
 #include "stats/flow_ledger.hpp"
+#include "stats/queue_monitor.hpp"
 #include "stats/time_series.hpp"
 #include "transport/tcp_params.hpp"
 #include "util/summary_stats.hpp"
@@ -102,10 +104,11 @@ struct ExperimentResult {
   stats::TimeSeries fabricUtilization;  ///< Fig. 4(a)
   stats::TimeSeries tlbQthPackets;      ///< TLB threshold trace
 
-  // Queue-delay distributions at the sender-leaf fabric queues.
+  // Queue-delay distributions at the sender-leaf fabric queues. Short-flow
+  // samples are exact; long-flow ones are bucketed (no figure plots them).
   SampleSet shortQueueLenPkts;  ///< Fig. 3(a)
-  SampleSet shortDelayUsAll;
-  SampleSet longQueueLenPkts;
+  SampleSet shortDelayUsAll;    ///< Fig. 8 (mean)
+  obs::Histogram longQueueLenPkts{stats::queueSampleBounds()};
 
   std::uint64_t totalDrops = 0;
   std::uint64_t totalEcnMarks = 0;

@@ -75,7 +75,7 @@ void Link::faultSetDropProb(double prob, std::uint64_t seed) {
   faultRng_.reseed(seed);
 }
 
-void Link::send(Packet pkt) {
+void Link::send(const Packet& pkt) {
   if (!up_) {  // dead port: the packet vanishes, accounted as a fault loss
     ++faultRejectedPackets_;
     noteFaultDrop(pkt);
@@ -97,8 +97,6 @@ void Link::send(Packet pkt) {
   ++enqueuedPackets_;
   enqueuedBytes_ += pkt.size;
   if (queue_.ecnMarks() != marksBefore) {
-    // Observers see the packet as stored: with its CE mark.
-    pkt.ce = true;
     if (obsMarks_ != nullptr) obsMarks_->inc();
     if (trace_ != nullptr) {
       trace_->instant("net", "ecn_mark", sim_.now(),
@@ -106,7 +104,12 @@ void Link::send(Packet pkt) {
                        {"queue_pkts", static_cast<double>(queue_.packets())}},
                       traceTid_);
     }
-    for (const auto& hook : markHooks_) hook(pkt);
+    if (!markHooks_.empty()) {
+      // Observers see the packet as stored: with its CE mark.
+      Packet marked = pkt;
+      marked.ce = true;
+      for (const auto& hook : markHooks_) hook(marked);
+    }
   }
   if (!transmitting_) startTransmission();
 }
@@ -151,7 +154,9 @@ std::uint32_t Link::wireAlloc(const Packet& pkt, std::uint64_t epoch) {
 }
 
 void Link::onTransmitComplete() {
-  const Packet pkt = txPacket_;  // startTransmission below re-fills it
+  // Read in place: txPacket_ is only re-filled by the startTransmission
+  // call at the very end.
+  const Packet& pkt = txPacket_;
   ++txPackets_;
   txBytes_ += pkt.size;
   if (obsTx_ != nullptr) obsTx_->inc();
@@ -184,6 +189,8 @@ void Link::onTransmitComplete() {
 }
 
 void Link::deliver(std::uint32_t wireSlot) {
+  // A copy, not a reference: the slot goes back on the free list before
+  // the peer runs, and the peer may put the next packet on this wire.
   const Packet pkt = wire_[wireSlot].pkt;
   const std::uint64_t epoch = wire_[wireSlot].epoch;
   wire_[wireSlot].nextFree = wireFreeHead_;

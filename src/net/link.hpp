@@ -51,8 +51,8 @@ class Link {
     peerPort_ = peerPort;
   }
 
-  /// Enqueue a packet for transmission (drop-tail on overflow).
-  void send(Packet pkt);
+  /// Enqueue a copy of `pkt` for transmission (drop-tail on overflow).
+  void send(const Packet& pkt);
 
   // --- queue state (what a load balancer sees) -------------------------
   int queuePackets() const { return queue_.packets(); }

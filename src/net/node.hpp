@@ -11,8 +11,9 @@ class Node {
  public:
   virtual ~Node() = default;
 
-  /// Deliver `pkt`, which arrived on the node's port `inPort`.
-  virtual void receive(Packet pkt, int inPort) = 0;
+  /// Deliver `pkt`, which arrived on the node's port `inPort`. The
+  /// reference is only valid for the duration of the call.
+  virtual void receive(const Packet& pkt, int inPort) = 0;
 
   virtual std::string name() const = 0;
 };

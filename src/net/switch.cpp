@@ -37,23 +37,22 @@ void Switch::setSelector(std::unique_ptr<UplinkSelector> selector) {
   if (selector_) selector_->attach(*this, sim_);
 }
 
-UplinkView Switch::uplinkView() const {
-  UplinkView view;
-  view.reserve(uplinks_.size());
+const UplinkView& Switch::uplinkView() {
+  view_.clear();
   for (int p : uplinks_) {
     const Link& link = *ports_[static_cast<std::size_t>(p)];
     // Downed ports are masked out: selectors never see them, so every
     // scheme stops choosing a dead uplink on its next selection. Rate and
     // delay reflect active degradation faults.
     if (!link.up()) continue;
-    view.push_back(PortView{p, link.queuePackets(), link.queueBytes(),
-                            link.effectiveRate().bitsPerSecond(),
-                            toSeconds(link.effectiveDelay())});
+    view_.push_back(PortView{p, link.queuePackets(), link.queueBytes(),
+                             link.effectiveRate().bitsPerSecond(),
+                             toSeconds(link.effectiveDelay())});
   }
-  return view;
+  return view_;
 }
 
-void Switch::receive(Packet pkt, int inPort) {
+void Switch::receive(const Packet& pkt, int inPort) {
   (void)inPort;
   int out = routeFor(pkt.dst);
   if (out == kViaUplinks) {
@@ -63,7 +62,7 @@ void Switch::receive(Packet pkt, int inPort) {
     if (uplinks_.size() == 1) {
       out = uplinks_.front();
     } else {
-      const UplinkView view = uplinkView();
+      const UplinkView& view = uplinkView();
       if (view.empty()) {
         // Every uplink is down. Forward to the first one anyway: the dead
         // link rejects the packet as a fault drop, which keeps the

@@ -39,7 +39,7 @@ class Switch : public Node {
   void setSelector(std::unique_ptr<UplinkSelector> selector);
   UplinkSelector* selector() const { return selector_.get(); }
 
-  void receive(Packet pkt, int inPort) override;
+  void receive(const Packet& pkt, int inPort) override;
 
   std::string name() const override { return name_; }
 
@@ -49,8 +49,12 @@ class Switch : public Node {
 
   sim::Simulator& simulator() { return sim_; }
 
-  /// Materialize queue views for the current uplink group.
-  UplinkView uplinkView() const;
+  /// Refresh the switch-owned queue views of the current uplink group
+  /// (downed ports masked out) and return them. The buffer is reused, so
+  /// this makes no allocation once warm; the reference stays valid until
+  /// this switch's next uplinkView() call. receive() hands this buffer to
+  /// selectUplink, so a selector must not call it from inside a decision.
+  const UplinkView& uplinkView();
 
   std::uint64_t forwardedPackets() const { return forwarded_; }
   std::uint64_t unroutablePackets() const { return unroutable_; }
@@ -82,6 +86,7 @@ class Switch : public Node {
   std::vector<std::unique_ptr<Link>> ports_;
   std::vector<int> routes_;  // dst host -> port | kViaUplinks | kNoRoute
   std::vector<int> uplinks_;
+  UplinkView view_;  ///< refreshed in place by uplinkView()
   std::unique_ptr<UplinkSelector> selector_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t unroutable_ = 0;

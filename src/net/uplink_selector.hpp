@@ -40,16 +40,18 @@ struct PortView {
   double linkDelaySec = 0.0; ///< one-way propagation of this cable
 };
 
-/// The candidate uplinks for a routing decision. Views are materialized
-/// fresh for every decision so schemes always see current queue state.
+/// The candidate uplinks for a routing decision. The switch refreshes one
+/// buffer it owns before every decision (Switch::uplinkView), so schemes
+/// always see current queue state without a per-packet allocation.
 using UplinkView = std::vector<PortView>;
 
 class UplinkSelector {
  public:
   virtual ~UplinkSelector() = default;
 
-  /// Pick an uplink (index *into uplinks*, not a port number is NOT used --
-  /// implementations must return one of `uplinks[i].port`).
+  /// Pick the uplink for `pkt`. Returns a port number, one of
+  /// `uplinks[i].port`, not an index into `uplinks`. `uplinks` is the
+  /// switch's view buffer: read it during the call, do not keep it.
   virtual int selectUplink(const Packet& pkt, const UplinkView& uplinks) = 0;
 
   /// Called once when installed into a switch. Schemes with control loops

@@ -4,11 +4,19 @@
 // delay to its flow class (short/long). Feeds Fig. 3(a) (queue length
 // experienced by short-flow packets) and Fig. 8(b) (short-flow queueing
 // delay over time).
+//
+// Memory stays bounded by the run's short-flow traffic: short-flow samples
+// are kept exactly (the figures read their percentiles and mean), while
+// the far more numerous long-flow samples, which no figure plots, only
+// fill two fixed-size histograms.
 #pragma once
 
+#include <cmath>
 #include <functional>
+#include <vector>
 
 #include "net/link.hpp"
+#include "obs/metrics.hpp"
 #include "stats/time_series.hpp"
 #include "util/flow_key.hpp"
 #include "util/summary_stats.hpp"
@@ -16,13 +24,33 @@
 
 namespace tlbsim::stats {
 
+/// Bucket bounds of the long-flow histograms, shared by delay (µs) and
+/// queue length (packets): an exact-zero bucket, then 20 log-spaced
+/// buckets per decade from 1e-3 to 1e6, then the overflow bucket.
+inline const std::vector<double>& queueSampleBounds() {
+  static const std::vector<double> bounds = [] {
+    constexpr int kPerDecade = 20;
+    constexpr int kLowestDecade = -3;
+    constexpr int kHighestDecade = 6;
+    std::vector<double> b = {0.0};
+    for (int i = kLowestDecade * kPerDecade; i <= kHighestDecade * kPerDecade;
+         ++i) {
+      b.push_back(std::pow(10.0, static_cast<double>(i) / kPerDecade));
+    }
+    return b;
+  }();
+  return bounds;
+}
+
 class QueueDelayMonitor {
  public:
   /// `isShort` classifies flows by id (the harness knows the spec sizes).
   using Classifier = std::function<bool(FlowId)>;
 
   explicit QueueDelayMonitor(Classifier isShort)
-      : isShort_(std::move(isShort)) {}
+      : isShort_(std::move(isShort)),
+        longDelayUs_(queueSampleBounds()),
+        longQueueLenPkts_(queueSampleBounds()) {}
 
   /// Install the dequeue hook on `link`. The monitor must outlive the link's
   /// use. Queue length experienced is reconstructed from the queueing delay
@@ -45,8 +73,8 @@ class QueueDelayMonitor {
       intervalShortDelaySum_ += delayUs;
       ++intervalShortCount_;
     } else {
-      longDelayUs_.add(delayUs);
-      longQueueLenPkts_.add(lenPkts);
+      longDelayUs_.observe(delayUs);
+      longQueueLenPkts_.observe(lenPkts);
     }
   }
 
@@ -63,17 +91,17 @@ class QueueDelayMonitor {
   }
 
   const SampleSet& shortDelayUs() const { return shortDelayUs_; }
-  const SampleSet& longDelayUs() const { return longDelayUs_; }
+  const obs::Histogram& longDelayUs() const { return longDelayUs_; }
   const SampleSet& shortQueueLenPkts() const { return shortQueueLenPkts_; }
-  const SampleSet& longQueueLenPkts() const { return longQueueLenPkts_; }
+  const obs::Histogram& longQueueLenPkts() const { return longQueueLenPkts_; }
   const TimeSeries& shortDelaySeries() const { return shortDelaySeries_; }
 
  private:
   Classifier isShort_;
   SampleSet shortDelayUs_;
-  SampleSet longDelayUs_;
+  obs::Histogram longDelayUs_;
   SampleSet shortQueueLenPkts_;
-  SampleSet longQueueLenPkts_;
+  obs::Histogram longQueueLenPkts_;
   TimeSeries shortDelaySeries_;
   double intervalShortDelaySum_ = 0.0;
   std::uint64_t intervalShortCount_ = 0;

@@ -107,5 +107,31 @@ TEST(AppFault, NoQueryHangsPastMaxDuration) {
   EXPECT_EQ(res.auditViolations, 0u);
 }
 
+TEST(AppFault, RpcFlowsAreClassifiedBySize) {
+  // App-only traffic through a link that goes down and comes back. Every
+  // RPC flow (the default 2 KB requests and 32 KB responses) is below
+  // shortThreshold, so none of them may count as an affected long flow:
+  // the fault monitor classifies service-minted flows by their spec size,
+  // not by absence from the (empty) static short-flow set.
+  ExperimentConfig cfg;
+  cfg.topo.numLeaves = 4;
+  cfg.topo.numSpines = 4;
+  cfg.topo.hostsPerLeaf = 8;
+  cfg.scheme.scheme = Scheme::kTlb;
+  cfg.seed = 1;
+  cfg.app.queries = 200;
+  cfg.app.fanOut = 8;
+  ASSERT_LT(cfg.app.responseBytes, cfg.shortThreshold);
+  ASSERT_TRUE(
+      fault::parseLinkFaults("leaf0-spine1,down@5ms,up@50ms", &cfg.fault));
+  const auto res = harness::runExperiment(cfg);
+
+  ASSERT_EQ(res.appQueriesCompleted, 200);
+  EXPECT_EQ(res.faultEventsApplied, 2u);
+  EXPECT_GT(res.faultDrops, 0u);  // the fault did hit RPC traffic
+  EXPECT_EQ(res.faultAffectedLongFlows, 0);
+  EXPECT_EQ(res.faultReroutedLongFlows, 0);
+}
+
 }  // namespace
 }  // namespace tlbsim::app

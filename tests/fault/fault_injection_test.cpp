@@ -16,7 +16,7 @@ namespace {
 class SinkNode : public Node {
  public:
   explicit SinkNode(sim::Simulator& simr) : sim_(simr) {}
-  void receive(Packet pkt, int) override {
+  void receive(const Packet& pkt, int) override {
     arrivals.push_back({pkt, sim_.now()});
   }
   std::string name() const override { return "sink"; }

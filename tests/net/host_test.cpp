@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/simulator.hpp"
 
 namespace tlbsim::net {
@@ -16,7 +18,7 @@ class RecordingHandler : public PacketHandler {
 class LoopbackNode : public Node {
  public:
   explicit LoopbackNode(Host& target) : target_(target) {}
-  void receive(Packet pkt, int) override { target_.receive(pkt, 0); }
+  void receive(const Packet& pkt, int) override { target_.receive(pkt, 0); }
   std::string name() const override { return "loopback"; }
 
  private:
@@ -78,6 +80,101 @@ TEST(Host, SendGoesOutTheUplink) {
   simr.run();
   ASSERT_EQ(h.received.size(), 1u);
   EXPECT_EQ(h.received[0].flow, 7u);
+}
+
+// --- flow demux table: open addressing with linear probing -------------
+
+/// The first `n` flow ids at or after `from` whose probe runs start at
+/// the same slot of a `slots`-sized table.
+std::vector<FlowId> collidingFlows(std::size_t slots, std::size_t n,
+                                   FlowId from = 1) {
+  const std::size_t home = Host::homeSlot(from, slots);
+  std::vector<FlowId> out;
+  for (FlowId f = from; out.size() < n; ++f) {
+    if (Host::homeSlot(f, slots) == home) out.push_back(f);
+  }
+  return out;
+}
+
+TEST(Host, CollidingHomeSlotsAllResolve) {
+  Host host(0, "h0");
+  RecordingHandler sizing;
+  RecordingHandler h[3];
+  host.bind(1000, &sizing);  // sizes the table
+  ASSERT_EQ(host.demuxSlots(), 8u);
+  const auto flows = collidingFlows(host.demuxSlots(), 3);
+  for (std::size_t i = 0; i < flows.size(); ++i) host.bind(flows[i], &h[i]);
+  ASSERT_EQ(host.demuxSlots(), 8u);  // still one table: one probe run
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(host.handlerFor(flows[i]), &h[i]);
+    host.receive(packetFor(flows[i]), 0);
+    EXPECT_EQ(h[i].received.size(), 1u);
+  }
+  EXPECT_TRUE(sizing.received.empty());
+  // An unbound id with the same home walks the whole run and misses.
+  const FlowId absent = collidingFlows(host.demuxSlots(), 4).back();
+  EXPECT_EQ(host.handlerFor(absent), nullptr);
+}
+
+TEST(Host, UnbindFromTheMiddleOfAProbeRun) {
+  Host host(0, "h0");
+  RecordingHandler a, b, c;
+  host.bind(1000, &a);
+  const auto flows = collidingFlows(host.demuxSlots(), 3);
+  ASSERT_EQ(host.demuxSlots(), 8u);
+  host.bind(flows[0], &a);
+  host.bind(flows[1], &b);
+  host.bind(flows[2], &c);
+  host.unbind(flows[1]);
+  // The entry behind the hole must have shifted back, still reachable;
+  // the removed one is gone; unbinding it again is a no-op.
+  EXPECT_EQ(host.handlerFor(flows[0]), &a);
+  EXPECT_EQ(host.handlerFor(flows[1]), nullptr);
+  EXPECT_EQ(host.handlerFor(flows[2]), &c);
+  EXPECT_EQ(host.handlerFor(1000), &a);
+  host.unbind(flows[1]);
+  EXPECT_EQ(host.boundFlows(), 3u);
+  host.receive(packetFor(flows[1]), 0);
+  host.receive(packetFor(flows[2]), 0);
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(c.received.size(), 1u);
+}
+
+TEST(Host, UnbindKeepsEveryOtherFlowReachable) {
+  // Dense and strided ids, bound and unbound in a scrambled order: after
+  // every unbind, each still-bound flow resolves to its own handler.
+  Host host(0, "h0");
+  std::vector<RecordingHandler> handlers(200);
+  std::vector<FlowId> ids;
+  for (FlowId i = 0; i < 100; ++i) ids.push_back(i);
+  for (FlowId i = 0; i < 100; ++i) ids.push_back(1'000 + 64 * i);
+  for (std::size_t i = 0; i < ids.size(); ++i) host.bind(ids[i], &handlers[i]);
+  std::vector<bool> bound(ids.size(), true);
+  for (std::size_t k = 0; k < ids.size(); k += 3) {
+    host.unbind(ids[k]);
+    bound[k] = false;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_EQ(host.handlerFor(ids[i]), bound[i] ? &handlers[i] : nullptr)
+          << "flow " << ids[i] << " after unbinding " << ids[k];
+    }
+  }
+  EXPECT_EQ(host.boundFlows(), 133u);
+}
+
+TEST(Host, RebindAfterGrowthReplacesHandler) {
+  Host host(0, "h0");
+  RecordingHandler first, second, other;
+  host.bind(7, &first);
+  const std::size_t before = host.demuxSlots();
+  for (FlowId f = 100; f < 200; ++f) host.bind(f, &other);
+  ASSERT_GT(host.demuxSlots(), before);
+  EXPECT_LE(2 * host.boundFlows(), host.demuxSlots());  // load <= 1/2
+  EXPECT_EQ(host.handlerFor(7), &first);
+  host.bind(7, &second);
+  EXPECT_EQ(host.boundFlows(), 101u);
+  host.receive(packetFor(7), 0);
+  EXPECT_TRUE(first.received.empty());
+  EXPECT_EQ(second.received.size(), 1u);
 }
 
 TEST(Host, IdentityAccessors) {

@@ -13,7 +13,7 @@ namespace {
 
 class CountingSink : public Node {
  public:
-  void receive(Packet pkt, int) override {
+  void receive(const Packet& pkt, int) override {
     bytes += pkt.size;
     ++packets;
     seqs.push_back(pkt.seq);

@@ -13,7 +13,7 @@ namespace {
 class SinkNode : public Node {
  public:
   explicit SinkNode(sim::Simulator& simr) : sim_(simr) {}
-  void receive(Packet pkt, int inPort) override {
+  void receive(const Packet& pkt, int inPort) override {
     arrivals.push_back({pkt, sim_.now(), inPort});
   }
   std::string name() const override { return "sink"; }

@@ -12,7 +12,7 @@ namespace {
 
 class SinkNode : public Node {
  public:
-  void receive(Packet pkt, int) override { packets.push_back(pkt); }
+  void receive(const Packet& pkt, int) override { packets.push_back(pkt); }
   std::string name() const override { return "sink"; }
   std::vector<Packet> packets;
 };

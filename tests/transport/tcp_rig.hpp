@@ -26,7 +26,8 @@ class FilterNode : public net::Node {
   void setOutput(net::Link* out) { out_ = out; }
   void setHook(Hook hook) { hook_ = std::move(hook); }
 
-  void receive(net::Packet pkt, int) override {
+  void receive(const net::Packet& in, int) override {
+    net::Packet pkt = in;  // the hook may mutate its copy
     int copies = 1;
     if (hook_) copies = hook_(pkt);
     if (copies <= 0) {

@@ -70,14 +70,16 @@ flowprobe-mutation
     tlbsim_flows analyzer then reports as a real decision.
 
 flowid-map
-    No std::unordered_map / std::map keyed by FlowId in src/lb or
-    src/core: per-flow state on the packet decision path lives in
+    No std::unordered_map / std::map keyed by FlowId in src/lb, src/core
+    or src/net: per-flow state on the packet decision path lives in
     lb::FlowStateTable (src/lb/flow_state_table.hpp), which is bounded
     (maxFlows + LRU eviction), idle-purged in O(purged), and allocation-
-    free in steady state. A FlowId-keyed node map reintroduces unbounded
-    growth and a heap allocation per new flow. Maps keyed by other types
-    (ports, paths) are fine. Genuinely cold FlowId maps carry an explicit
-    allow() stating why boundedness does not matter there.
+    free in steady state; a host's flow demux is its open-addressing
+    table (src/net/host.*). A FlowId-keyed node map reintroduces
+    unbounded growth, a heap allocation per new flow and a pointer chase
+    per packet. Maps keyed by other types (ports, paths) are fine.
+    Genuinely cold FlowId maps carry an explicit allow() stating why
+    boundedness does not matter there.
 
 app-flowspec-factory
     The app layer mints every RPC flow through app::FlowFactory
@@ -163,9 +165,9 @@ APP_FLOWSPEC_AUTHORITY_FILES = (
 # A FlowId-keyed standard map: per-flow state outside lb::FlowStateTable.
 FLOWID_MAP_RE = re.compile(
     r"\b(?:std\s*::\s*)?(?:unordered_)?map\s*<\s*"
-    r"(?:(?:tlbsim\s*::\s*)?util\s*::\s*)?FlowId\s*,")
+    r"(?:tlbsim\s*::\s*)?(?:util\s*::\s*)?FlowId\s*,")
 # The directories holding packet-path per-flow state (the rule's scope).
-FLOWID_MAP_DIRS = (("src", "lb"), ("src", "core"))
+FLOWID_MAP_DIRS = (("src", "lb"), ("src", "core"), ("src", "net"))
 
 DIRECT_EXPERIMENT_RE = re.compile(
     r"\b(runExperiment|summarizeExperiment)\s*\("
@@ -359,10 +361,11 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
             if m and not allowed(raw, "flowid-map", prev_raw):
                 findings.append(Finding(
                     rel, lineno, "flowid-map",
-                    "FlowId-keyed std map in src/lb / src/core; per-flow "
-                    "state belongs in lb::FlowStateTable (bounded, "
-                    "idle-purged, zero steady-state allocation), or "
-                    "allow() with a cold-path justification"))
+                    "FlowId-keyed std map in src/lb / src/core / src/net; "
+                    "per-flow state belongs in lb::FlowStateTable "
+                    "(bounded, idle-purged, zero steady-state allocation) "
+                    "or a flat table like Host's demux, or allow() with a "
+                    "cold-path justification"))
 
         # --- std-function-hot-path ------------------------------------
         if rel.parts[:2] in HOT_PATH_DIRS:
@@ -495,8 +498,10 @@ SELF_TEST_CASES = [
     (None, "src/lb/x.hpp", "FlowStateTable<State> flows_;\n"),
     (None, "src/fault/monitor.hpp",
      "std::unordered_map<FlowId, Pending> pending_;\n"),
-    (None, "src/net/host.hpp",
+    ("flowid-map", "src/net/host.hpp",
      "std::unordered_map<FlowId, PacketHandler*> handlers_;\n"),
+    ("flowid-map", "src/net/x.cpp",
+     "std::map<tlbsim::FlowId, int> lastPort;\n"),
     (None, "src/lb/x.hpp",
      "// debug-only snapshot. tlbsim-lint: allow(flowid-map)\n"
      "std::unordered_map<FlowId, State> snapshot_;\n"),
