@@ -2,16 +2,16 @@
 
 namespace tlbsim::app {
 
-transport::FlowSpec FlowFactory::makeRpcFlow(net::HostId src, net::HostId dst,
-                                             ByteCount size, SimTime start) {
+transport::FlowSpec FlowFactory::rpcFlow(FlowId id, net::HostId src,
+                                         net::HostId dst, ByteCount size,
+                                         SimTime start) {
   transport::FlowSpec spec;
-  spec.id = nextId_++;
+  spec.id = id;
   spec.src = src;
   spec.dst = dst;
   spec.size = size;
   spec.start = start;
   spec.deadline = 0_ns;
-  ++minted_;
   return spec;
 }
 

@@ -17,10 +17,19 @@ class FlowFactory {
  public:
   explicit FlowFactory(FlowId firstId) : nextId_(firstId) {}
 
-  /// Mint one RPC flow starting now. Deadline is left unset: the SLO is a
-  /// query-level property tracked by the service, not a per-flow one.
-  transport::FlowSpec makeRpcFlow(net::HostId src, net::HostId dst,
-                                  ByteCount size, SimTime start);
+  /// Mint the id of one RPC flow. The service mints in launch order, when
+  /// it decides to launch; the flow starts (rpcFlow) in a later event.
+  FlowId mint() {
+    ++minted_;
+    return nextId_++;
+  }
+
+  /// The spec of the minted flow `id`, starting at `start`. Deadline is
+  /// left unset: the SLO is a query-level property tracked by the service,
+  /// not a per-flow one.
+  static transport::FlowSpec rpcFlow(FlowId id, net::HostId src,
+                                     net::HostId dst, ByteCount size,
+                                     SimTime start);
 
   FlowId nextId() const { return nextId_; }
   std::uint64_t flowsMinted() const { return minted_; }

@@ -6,8 +6,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "app/query_probe.hpp"
-#include "transport/tcp_receiver.hpp"
-#include "transport/tcp_sender.hpp"
 #include "util/check.hpp"
 
 namespace tlbsim::app {
@@ -34,26 +32,33 @@ Service::Service(sim::Simulator& simr, net::LeafSpineTopology& topo,
     : sim_(simr),
       topo_(topo),
       cfg_(cfg),
-      tcp_(tcp),
       // Decorrelated from the harness's per-leaf selector salts.
       rng_(splitmix64(seed ^ 0x61707073ULL)),
       firstFlowId_(firstFlowId),
       factory_(firstFlowId),
-      responseDist_(makeResponseDist(cfg)) {
+      responseDist_(makeResponseDist(cfg)),
+      pool_(simr, topo, tcp) {
   TLBSIM_ASSERT(cfg_.fanOut > 0, "app.fan-out must be positive");
   TLBSIM_ASSERT(topo_.numHosts() > 1, "app layer needs at least two hosts");
+  pool_.setLaunchHook([this](transport::TcpSender& snd,
+                             transport::TcpReceiver& rcv, std::uint64_t) {
+    if (metrics_ != nullptr || trace_ != nullptr) {
+      snd.installObs(metrics_, trace_);
+    }
+    if (endpointHook_) endpointHook_(snd, rcv);
+  });
+  pool_.setRetireHook([this](transport::TcpSender& snd,
+                             transport::TcpReceiver& rcv, std::uint64_t) {
+    if (retireHook_) retireHook_(snd, rcv);
+  });
 }
 
 Service::~Service() = default;
 
 const transport::FlowSpec* Service::rpcFlow(FlowId id) const {
-  if (id < firstFlowId_ || id - firstFlowId_ >= senders_.size()) {
-    return nullptr;
-  }
-  const transport::FlowSpec& spec = senders_[id - firstFlowId_]->flow();
-  TLBSIM_DCHECK(spec.id == id, "app flow %llu launched out of mint order",
-                static_cast<unsigned long long>(id));
-  return &spec;
+  if (id < firstFlowId_) return nullptr;
+  const transport::TcpSender* sender = pool_.find(id);
+  return sender != nullptr ? &sender->flow() : nullptr;
 }
 
 void Service::installObs(obs::MetricsRegistry* metrics,
@@ -171,40 +176,45 @@ void Service::launchAttempt(std::size_t qi, std::size_t si) {
   Query& q = queries_[qi];
   ++q.liveAttempts;
   ++q.flowsLaunched;
-  const transport::FlowSpec spec = factory_.makeRpcFlow(
-      q.aggregator, q.slots[si].worker, cfg_.requestBytes, sim_.now());
-  launchFlow(spec, [this, qi, si] {
-    // Request delivered: the worker computes, then replies.
-    const SimTime delay =
-        cfg_.serviceTime > 0_ns
-            ? microseconds(
-                  rng_.exponential(toMicroseconds(cfg_.serviceTime)))
-            : SimTime{};
-    sim_.post(delay, [this, qi, si] { launchResponse(qi, si); });
-  });
+  launchFlow(qi, si, /*response=*/false);
+}
+
+void Service::onRequestDone(std::size_t qi, std::size_t si) {
+  // Request delivered: the worker computes, then replies.
+  const SimTime delay =
+      cfg_.serviceTime > 0_ns
+          ? microseconds(rng_.exponential(toMicroseconds(cfg_.serviceTime)))
+          : SimTime{};
+  sim_.post(delay, [this, qi, si] { launchResponse(qi, si); });
 }
 
 void Service::launchResponse(std::size_t qi, std::size_t si) {
-  Query& q = queries_[qi];
-  ++q.flowsLaunched;
-  const transport::FlowSpec spec = factory_.makeRpcFlow(
-      q.slots[si].worker, q.aggregator, q.slots[si].responseBytes, sim_.now());
-  launchFlow(spec, [this, qi, si] { onResponseDone(qi, si); });
+  ++queries_[qi].flowsLaunched;
+  launchFlow(qi, si, /*response=*/true);
 }
 
 void Service::onResponseDone(std::size_t qi, std::size_t si) {
   Query& q = queries_[qi];
   --q.liveAttempts;
+  // Stale: a superseded attempt or duplicate landed after the whole query
+  // (or, below, its slot) was already served. Ignore — the bytes were the
+  // cost.
+  if (q.finished) {
+    releaseSlots(q);
+    return;
+  }
   Slot& slot = q.slots[si];
-  // Stale: a superseded attempt or duplicate landed after the slot (or the
-  // whole query) was already served. Ignore — the bytes were the cost.
-  if (q.finished || slot.done) return;
+  if (slot.done) return;
   slot.done = true;
   --q.remaining;
   if (probe_ != nullptr) {
     probe_->onWorkerDone(q.id, slot.worker, sim_.now() - q.start);
   }
   if (q.remaining == 0) completeQuery(qi);
+}
+
+void Service::releaseSlots(Query& q) {
+  if (q.liveAttempts == 0) std::vector<Slot>().swap(q.slots);
 }
 
 void Service::onRetryTimer(std::size_t qi) {
@@ -234,6 +244,7 @@ void Service::completeQuery(std::size_t qi) {
     probe_->finishQuery(q.id, true, qct, miss, q.retries, q.duplicates,
                         q.flowsLaunched);
   }
+  releaseSlots(q);
   if (cfg_.arrival == Arrival::kClosedLoop && launched_ < cfg_.queries) {
     const SimTime think =
         cfg_.thinkTime > 0_ns
@@ -243,20 +254,35 @@ void Service::completeQuery(std::size_t qi) {
   }
 }
 
-void Service::launchFlow(const transport::FlowSpec& spec,
-                         // tlbsim-lint: allow(std-function-hot-path)
-                         std::function<void()> onComplete) {
-  receivers_.push_back(std::make_unique<transport::TcpReceiver>(
-      sim_, topo_.host(static_cast<int>(spec.dst)), spec, tcp_));
-  senders_.push_back(std::make_unique<transport::TcpSender>(
-      sim_, topo_.host(static_cast<int>(spec.src)), spec, tcp_,
-      [cb = std::move(onComplete)](transport::TcpSender&) { cb(); }));
-  transport::TcpSender& sender = *senders_.back();
-  if (metrics_ != nullptr || trace_ != nullptr) {
-    sender.installObs(metrics_, trace_);
+void Service::launchFlow(std::size_t qi, std::size_t si, bool response) {
+  // The id is minted now, in launch order; the endpoints are built in the
+  // start event posted here, where TcpSender::start() would post the SYN.
+  const FlowId id = factory_.mint();
+  const auto start = [this, id, qi, si, response] {
+    startFlow(id, qi, si, response);
+  };
+  static_assert(sim::EventFn::relocatesByCopy<decltype(start)>(),
+                "the start event must stay inline");
+  sim_.postAt(sim_.now(), start);
+}
+
+void Service::startFlow(FlowId id, std::size_t qi, std::size_t si,
+                        bool response) {
+  // The attempt is live, so even a finished query still holds the slot.
+  const Query& q = queries_[qi];
+  TLBSIM_ASSERT(si < q.slots.size(),
+                "query %d: flow %llu starts after the query freed its slots",
+                q.id, static_cast<unsigned long long>(id));
+  const Slot& slot = q.slots[si];
+  if (response) {
+    pool_.launch(FlowFactory::rpcFlow(id, slot.worker, q.aggregator,
+                                      slot.responseBytes, sim_.now()),
+                 /*tag=*/0, [this, qi, si] { onResponseDone(qi, si); });
+  } else {
+    pool_.launch(FlowFactory::rpcFlow(id, q.aggregator, slot.worker,
+                                      cfg_.requestBytes, sim_.now()),
+                 /*tag=*/0, [this, qi, si] { onRequestDone(qi, si); });
   }
-  if (endpointHook_) endpointHook_(sender, *receivers_.back());
-  sender.start();
 }
 
 void Service::finalize(SimTime now) {

@@ -17,6 +17,11 @@
 // aborted — their packets stay on the wire, exactly like a real network —
 // a late response for an already-done slot is simply ignored.
 //
+// Memory: endpoints live in a transport::EndpointPool, which reuses a
+// finished flow's pair once the flow has drained, and a finished query
+// frees its slots once its last attempt has ended. What a run holds grows
+// with the queries and flows in flight, not with how many it has made.
+//
 // Determinism: all randomness flows through one service-owned Rng seeded
 // from the experiment seed; flows are minted by a single FlowFactory with
 // monotonically increasing ids; event order is the scheduler's strict
@@ -26,7 +31,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,6 +38,7 @@
 #include "app/flow_factory.hpp"
 #include "net/leaf_spine.hpp"
 #include "sim/simulator.hpp"
+#include "transport/endpoint_pool.hpp"
 #include "transport/tcp_params.hpp"
 #include "util/rng.hpp"
 #include "util/summary_stats.hpp"
@@ -44,21 +49,16 @@ class EventTrace;
 class MetricsRegistry;
 }  // namespace tlbsim::obs
 
-namespace tlbsim::transport {
-class TcpReceiver;
-class TcpSender;
-}  // namespace tlbsim::transport
-
 namespace tlbsim::app {
 
 class QueryProbe;
 
 class Service {
  public:
-  /// Called for every sender/receiver pair the service creates, before the
-  /// flow starts. The harness uses this to register app flows with the
-  /// InvariantAuditor (src/check may depend on src/app, not vice versa).
-  /// Cold path: one call per RPC flow creation.
+  /// Called for every sender/receiver pair the service builds, inside the
+  /// flow's start event, before its SYN. The harness uses this to register
+  /// app flows with the InvariantAuditor (src/check may depend on src/app,
+  /// not vice versa). Cold path: one call per RPC flow.
   // tlbsim-lint: allow(std-function-hot-path)
   using EndpointHook = std::function<void(const transport::TcpSender&,
                                           const transport::TcpReceiver&)>;
@@ -77,6 +77,12 @@ class Service {
   /// Per-sender transport counters/trace events (either may be null).
   void installObs(obs::MetricsRegistry* metrics, obs::EventTrace* trace);
   void setEndpointHook(EndpointHook hook) { endpointHook_ = std::move(hook); }
+  /// Called for a finished pair just before the endpoint pool reuses its
+  /// storage for a later flow (the flow has drained; its endpoints are
+  /// destroyed right after). The harness stops auditing the flow here.
+  void setRetireHook(EndpointHook hook) { retireHook_ = std::move(hook); }
+  /// The pool holding this service's endpoints.
+  transport::EndpointPool& endpoints() { return pool_; }
 
   /// Arm the arrival process; queries start issuing at the current time.
   void start();
@@ -102,9 +108,9 @@ class Service {
   std::uint64_t retriesIssued() const { return retries_; }
   std::uint64_t duplicatesIssued() const { return duplicates_; }
   std::uint64_t flowsCreated() const { return factory_.flowsMinted(); }
-  /// The spec of an RPC flow this service launched, or null for any other
-  /// flow id. O(1): the factory mints ids in launch order and every sender
-  /// lives for the rest of the run.
+  /// The spec of an RPC flow this service started whose endpoints have not
+  /// been reused yet (it is live or draining), or null for any other flow
+  /// id. O(1): a lookup in the endpoint pool's live-flow index.
   const transport::FlowSpec* rpcFlow(FlowId id) const;
   /// QCT of every completed query, seconds, in completion order.
   const SampleSet& qctSeconds() const { return qctSeconds_; }
@@ -126,6 +132,7 @@ class Service {
     int id = -1;
     net::HostId aggregator = -1;
     SimTime start;
+    /// Freed once the query is finished and its last attempt has ended.
     std::vector<Slot> slots;
     int remaining = 0;     ///< slots still missing a response
     int retries = 0;
@@ -143,19 +150,22 @@ class Service {
   /// Launch one request attempt for a slot (fresh flow ids each call).
   void launchAttempt(std::size_t qi, std::size_t si);
   void launchResponse(std::size_t qi, std::size_t si);
+  void onRequestDone(std::size_t qi, std::size_t si);
   void onResponseDone(std::size_t qi, std::size_t si);
   void onRetryTimer(std::size_t qi);
   void completeQuery(std::size_t qi);
-  /// Register + start a flow's endpoints; returns nothing, the service
-  /// owns both for the rest of the run (stable addresses).
-  void launchFlow(const transport::FlowSpec& spec,
-                  // tlbsim-lint: allow(std-function-hot-path)
-                  std::function<void()> onComplete);
+  /// Frees a finished query's slots once no attempt of it is live: a
+  /// late request still reads its slot to launch the response.
+  void releaseSlots(Query& q);
+  /// Mint slot `si`'s request (aggregator to worker) or response flow now
+  /// and post its start event, the one TcpSender::start() would post.
+  void launchFlow(std::size_t qi, std::size_t si, bool response);
+  /// The start event: the pool builds the pair and sends the SYN.
+  void startFlow(FlowId id, std::size_t qi, std::size_t si, bool response);
 
   sim::Simulator& sim_;
   net::LeafSpineTopology& topo_;
   AppConfig cfg_;
-  transport::TcpParams tcp_;
   Rng rng_;
   FlowId firstFlowId_;
   FlowFactory factory_;
@@ -165,12 +175,12 @@ class Service {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::EventTrace* trace_ = nullptr;
   EndpointHook endpointHook_;
+  EndpointHook retireHook_;
 
   std::vector<Query> queries_;
-  /// Append-only: endpoints live to the end of the run so in-flight
-  /// packets of superseded attempts always find their handler.
-  std::vector<std::unique_ptr<transport::TcpSender>> senders_;
-  std::vector<std::unique_ptr<transport::TcpReceiver>> receivers_;
+  /// A pair is reused only once its flow has drained, so in-flight packets
+  /// of superseded attempts always find their handler.
+  transport::EndpointPool pool_;
 
   int launched_ = 0;
   int completed_ = 0;

@@ -1,10 +1,12 @@
 #include "check/invariant_audit.hpp"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 
 #include "app/service.hpp"
 #include "core/tlb.hpp"
+#include "net/host.hpp"
 #include "net/leaf_spine.hpp"
 #include "net/link.hpp"
 #include "net/switch.hpp"
@@ -35,10 +37,22 @@ void InvariantAuditor::watchFlow(const transport::TcpSender& sender,
                                  const transport::TcpReceiver& receiver,
                                  ByteCount mss) {
   flows_.push_back(WatchedFlow{&sender, &receiver, mss});
+  flowsWatched_ = true;
+}
+
+void InvariantAuditor::unwatchFlow(const transport::TcpSender& sender) {
+  const auto it = std::find_if(
+      flows_.begin(), flows_.end(),
+      [&sender](const WatchedFlow& w) { return w.sender == &sender; });
+  if (it == flows_.end()) return;
+  retiredDataSent_ += sender.dataPacketsSent();
+  retiredDataReceived_ += it->receiver->dataPacketsReceived();
+  flows_.erase(it);
 }
 
 void InvariantAuditor::watchTopology(net::LeafSpineTopology& topo) {
   for (int h = 0; h < topo.numHosts(); ++h) {
+    hosts_.push_back(&topo.host(h));
     watchLink(topo.host(h).uplink(), "host" + std::to_string(h) + "->leaf");
     watchLink(topo.leafDownlink(static_cast<net::HostId>(h)),
               "leaf->host" + std::to_string(h));
@@ -104,6 +118,7 @@ void InvariantAuditor::auditNow(SimTime now) {
   auditSwitches(now);
   auditTlbs(now);
   auditFlows(now);
+  auditHosts(now);
   auditConservation(now);
   auditServices(now);
 }
@@ -238,14 +253,30 @@ void InvariantAuditor::auditFlows(SimTime now) {
   }
 }
 
+void InvariantAuditor::auditHosts(SimTime now) {
+  if (hosts_.empty()) return;
+  ++checksRun_;
+  std::uint64_t orphans = 0;
+  for (const net::Host* host : hosts_) orphans += host->orphanPackets();
+  // Reported once per increase, not on every later tick.
+  if (orphans > orphanPackets_) {
+    report(now,
+           "%llu packets arrived for unbound flows (%llu new): endpoints "
+           "were reused before their flow drained",
+           static_cast<unsigned long long>(orphans),
+           static_cast<unsigned long long>(orphans - orphanPackets_));
+  }
+  orphanPackets_ = orphans;
+}
+
 void InvariantAuditor::auditConservation(SimTime now) {
   // End-to-end packet conservation needs every link watched; partial
   // coverage would mis-attribute packets queued on unwatched links.
-  if (!topologyComplete_ || flows_.empty()) return;
+  if (!topologyComplete_ || !flowsWatched_) return;
   ++checksRun_;
 
-  std::uint64_t dataSent = 0;
-  std::uint64_t dataReceived = 0;
+  std::uint64_t dataSent = retiredDataSent_;
+  std::uint64_t dataReceived = retiredDataReceived_;
   for (const auto& w : flows_) {
     dataSent += w.sender->dataPacketsSent();
     dataReceived += w.receiver->dataPacketsReceived();

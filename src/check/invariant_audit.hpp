@@ -22,7 +22,15 @@
 //     queue can never reach means the control loop is dead),
 //   * TCP sequence sanity per flow: snd_una <= snd_nxt <= flow size,
 //     snd_una <= receiver's cumulative ack <= flow size, cwnd within
-//     [1 MSS, +inf) and finite, completion implies full acknowledgment.
+//     [1 MSS, +inf) and finite, completion implies full acknowledgment,
+//   * no orphan packets: no packet arrived at a host for a flow with no
+//     bound endpoint. Endpoints are reused once their flow has drained
+//     (transport::EndpointPool), so an orphan means a packet outlived the
+//     drain bound and a result may have changed.
+//
+// A flow is audited while its endpoints are live; when the pool reuses
+// them the flow is unwatched and its packet counts move into retired
+// totals, so the end-to-end conservation sums still cover every flow.
 //
 // Violations are recorded (bounded) and, by default, also routed through
 // TLBSIM_ASSERT so a Debug test run dies at the offending tick. The
@@ -40,6 +48,7 @@ namespace tlbsim::app {
 class Service;
 }
 namespace tlbsim::net {
+class Host;
 class Link;
 class Switch;
 class LeafSpineTopology;
@@ -90,8 +99,12 @@ class InvariantAuditor {
   /// sum stays closed.
   void watchFlow(const transport::TcpSender& sender,
                  const transport::TcpReceiver& receiver, ByteCount mss);
-  /// Every host access link, fabric link, and switch of a leaf-spine
-  /// topology in one call.
+  /// Stop auditing a flow whose endpoints are about to be reused: its
+  /// final packet counts join the retired conservation totals. A no-op for
+  /// a sender not watched.
+  void unwatchFlow(const transport::TcpSender& sender);
+  /// Every host (for orphan packets), host access link, fabric link, and
+  /// switch of a leaf-spine topology in one call.
   void watchTopology(net::LeafSpineTopology& topo);
   /// Application-layer open-query accounting: each tick re-checks query
   /// conservation (launched == completed + open) and that every open
@@ -111,6 +124,9 @@ class InvariantAuditor {
   std::uint64_t ticks() const { return ticks_; }
   std::uint64_t checksRun() const { return checksRun_; }
   std::uint64_t violationCount() const { return violationCount_; }
+  /// Packets the watched hosts received for unbound flows, as of the last
+  /// audit.
+  std::uint64_t orphanPackets() const { return orphanPackets_; }
   const std::vector<AuditViolation>& violations() const {
     return violations_;
   }
@@ -139,6 +155,7 @@ class InvariantAuditor {
   void auditSwitches(SimTime now);
   void auditTlbs(SimTime now);
   void auditFlows(SimTime now);
+  void auditHosts(SimTime now);
   void auditConservation(SimTime now);
   void auditServices(SimTime now);
 
@@ -147,7 +164,14 @@ class InvariantAuditor {
   std::vector<const net::Switch*> switches_;
   std::vector<WatchedTlb> tlbs_;
   std::vector<WatchedFlow> flows_;
+  std::vector<const net::Host*> hosts_;
   std::vector<const app::Service*> services_;
+  /// Set by the first watchFlow: conservation is checked from then on.
+  bool flowsWatched_ = false;
+  /// Final data-packet counts of the flows unwatched so far.
+  std::uint64_t retiredDataSent_ = 0;
+  std::uint64_t retiredDataReceived_ = 0;
+  std::uint64_t orphanPackets_ = 0;
 
   sim::Simulator* sim_ = nullptr;
   /// True once watchTopology covered every link a packet can traverse;

@@ -11,7 +11,12 @@ namespace tlbsim::fault {
 FaultMonitor::FaultMonitor(net::LeafSpineTopology& topo,
                            sim::Simulator& simr,
                            std::function<bool(FlowId)> isLong, Config cfg)
-    : topo_(topo), sim_(simr), isLong_(std::move(isLong)), cfg_(cfg) {
+    : topo_(topo),
+      sim_(simr),
+      isLong_(std::move(isLong)),
+      cfg_(cfg),
+      forgottenOn_(static_cast<std::size_t>(topo.numLeaves() *
+                                            topo.numSpines())) {
   for (int l = 0; l < topo_.numLeaves(); ++l) {
     for (int s = 0; s < topo_.numSpines(); ++s) {
       topo_.leafUplink(l, s).addDequeueHook(
@@ -59,6 +64,24 @@ void FaultMonitor::onFault(const FaultEvent& ev) {
     pending_[flow] = Pending{now, ev.leaf, ev.spine};
     ++affected_;
   }
+  // Forgotten flows that last sent here: affected, and never to reroute.
+  int& forgotten = forgottenOn_[static_cast<std::size_t>(
+      ev.leaf * topo_.numSpines() + ev.spine)];
+  affected_ += forgotten;
+  forgotten = 0;
+}
+
+void FaultMonitor::forgetFlow(FlowId flow) {
+  const auto it = currentUplink_.find(flow);
+  if (it == currentUplink_.end()) return;  // never seen as a long flow
+  // A pending flow is already counted and stays pending for good: no
+  // packet of it will leave any uplink again.
+  if (pending_.erase(flow) == 0) {
+    const auto [leaf, spine] = it->second;
+    ++forgottenOn_[static_cast<std::size_t>(leaf * topo_.numSpines() +
+                                            spine)];
+  }
+  currentUplink_.erase(it);
 }
 
 double FaultMonitor::meanRerouteSec() const {

@@ -72,6 +72,18 @@ class FaultMonitor {
   /// Called by the injector just before each plan event is applied.
   void onFault(const FaultEvent& ev);
 
+  /// Drop a flow whose endpoints are being reused (it has drained: no
+  /// packet of it is left to dequeue), so the maps hold only flows still
+  /// live or draining. The results do not move: a dropped flow that was
+  /// not awaiting a reroute still counts as affected by the next
+  /// disruptive fault on its last uplink, as it would have if kept.
+  void forgetFlow(FlowId flow);
+  /// Flows with a recorded last uplink (every flow the monitor holds).
+  std::size_t trackedFlows() const { return currentUplink_.size(); }
+  bool tracks(FlowId flow) const {
+    return currentUplink_.contains(flow) || pending_.contains(flow);
+  }
+
   // --- results ----------------------------------------------------------
   SimTime firstDisruptiveAt() const { return firstDisruptiveAt_; }
   /// Long flows whose current uplink was hit by a disruptive fault.
@@ -109,6 +121,10 @@ class FaultMonitor {
   std::unordered_map<FlowId, std::pair<int, int>> currentUplink_;
   /// Flows awaiting their first post-fault dequeue on another uplink.
   std::unordered_map<FlowId, Pending> pending_;
+  /// Per leaf uplink (leaf * spines + spine): forgotten flows that last
+  /// sent there and were not awaiting a reroute. The next disruptive
+  /// fault there counts them as affected, then they are spent.
+  std::vector<int> forgottenOn_;
   std::vector<double> rerouteTimes_;  ///< seconds, in reroute order
   int affected_ = 0;
   SimTime firstDisruptiveAt_ = -1_ns;

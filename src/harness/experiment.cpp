@@ -18,8 +18,7 @@
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "stats/queue_monitor.hpp"
-#include "transport/tcp_receiver.hpp"
-#include "transport/tcp_sender.hpp"
+#include "transport/endpoint_pool.hpp"
 #include "util/logging.hpp"
 
 namespace tlbsim::harness {
@@ -266,29 +265,94 @@ ExperimentResult Experiment::run() const {
     auditor->install(simr);
   }
 
-  // Transport endpoints.
-  std::vector<std::unique_ptr<transport::TcpReceiver>> receivers;
-  std::vector<std::unique_ptr<transport::TcpSender>> senders;
-  receivers.reserve(cfg.flows.size());
-  senders.reserve(cfg.flows.size());
-  std::size_t completed = 0;
+  // Transport endpoints: a pool builds each flow's pair in the flow's start
+  // event and reuses a finished pair once its flow has drained. There is
+  // one start event per flow, posted here in flow order at the time
+  // TcpSender::start() would post the SYN, so every event keeps its seq.
+  // Per-flow results go into the ledger at the flow's index when its pair
+  // is reused or at run end; the per-flow totals the samplers read are the
+  // pool's pairs plus the retired flows'.
+  transport::EndpointPool endpoints(simr, topo, cfg.tcp);
   for (const auto& f : cfg.flows) {
-    receivers.push_back(std::make_unique<transport::TcpReceiver>(
-        simr, topo.host(f.dst), f, cfg.tcp));
-    senders.push_back(std::make_unique<transport::TcpSender>(
-        simr, topo.host(f.src), f, cfg.tcp,
-        [&completed](transport::TcpSender&) { ++completed; }));
+    stats::FlowResult r;
+    r.spec = f;
+    r.spec.start = std::max(f.start, simr.now());
+    res.ledger.add(std::move(r));
+  }
+  std::vector<bool> harvested(cfg.flows.size());
+  const auto harvest = [&](const transport::TcpSender& snd,
+                           const transport::TcpReceiver& rcv,
+                           std::uint64_t i) {
+    stats::FlowResult& r = res.ledger.at(i);
+    r.spec = snd.flow();
+    r.completed = snd.completed();
+    r.fct = r.completed ? snd.fct() : 0_ns;
+    r.dupAcks = snd.dupAcksReceived();
+    r.acks = snd.acksReceived();
+    r.fastRetransmits = snd.fastRetransmits();
+    r.timeouts = snd.timeouts();
+    r.outOfOrderPackets = rcv.outOfOrderPackets();
+    r.dataPackets = rcv.dataPacketsReceived();
+    if (sinks.flows != nullptr) {
+      sinks.flows->finishFlow(r.spec.id, r.completed, r.fct,
+                              snd.missedDeadline(), snd.bytesAcked(),
+                              snd.dataPacketsSent(), snd.fastRetransmits(),
+                              snd.timeouts());
+    }
+    harvested[i] = true;
+  };
+  const auto addTotals = [&cfg](Totals& t, const transport::TcpSender& snd,
+                                const transport::TcpReceiver& rcv) {
+    if (snd.flow().size < cfg.shortThreshold) {
+      t.shortDup += snd.dupAcksReceived();
+      t.shortAcks += snd.acksReceived();
+    } else {
+      t.longOoo += rcv.outOfOrderPackets();
+      t.longData += rcv.dataPacketsReceived();
+      t.longAcked += snd.bytesAcked();
+    }
+  };
+  Totals retired;
+  // Totals over every static flow: the retired ones plus the pool's.
+  const auto flowTotals = [&] {
+    Totals t = retired;
+    endpoints.forEach([&](const transport::TcpSender& snd,
+                          const transport::TcpReceiver& rcv,
+                          std::uint64_t) { addTotals(t, snd, rcv); });
+    return t;
+  };
+  // A reused pair's flow leaves the auditor and the fault monitor too
+  // (static and app flows alike).
+  const auto forgetFlow = [&](const transport::TcpSender& snd) {
+    if (auditor != nullptr) auditor->unwatchFlow(snd);
+    if (faultMon != nullptr) faultMon->forgetFlow(snd.flow().id);
+  };
+  endpoints.setLaunchHook([&](transport::TcpSender& snd,
+                              transport::TcpReceiver& rcv, std::uint64_t) {
     if (sinks.any()) {
-      senders.back()->installObs(sinks.metrics, sinks.trace);
+      snd.installObs(sinks.metrics, sinks.trace);
       if (sinks.flows != nullptr) {
-        senders.back()->setFlowProbe(sinks.flows);
-        receivers.back()->setFlowProbe(sinks.flows);
+        snd.setFlowProbe(sinks.flows);
+        rcv.setFlowProbe(sinks.flows);
       }
     }
-    if (auditor != nullptr) {
-      auditor->watchFlow(*senders.back(), *receivers.back(), cfg.tcp.mss);
-    }
-    senders.back()->start();
+    if (auditor != nullptr) auditor->watchFlow(snd, rcv, cfg.tcp.mss);
+  });
+  endpoints.setRetireHook([&](transport::TcpSender& snd,
+                              transport::TcpReceiver& rcv, std::uint64_t i) {
+    harvest(snd, rcv, i);
+    addTotals(retired, snd, rcv);
+    forgetFlow(snd);
+  });
+  std::size_t completed = 0;
+  const auto launch = [&](std::size_t i) {
+    transport::FlowSpec spec = cfg.flows[i];
+    spec.start = simr.now();
+    endpoints.launch(spec, i, [&completed] { ++completed; });
+  };
+  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
+    simr.postAt(std::max(cfg.flows[i].start, simr.now()),
+                [&launch, i] { launch(i); });
   }
 
   // Application layer: a partition-aggregate service generating RPC flows
@@ -314,41 +378,28 @@ ExperimentResult Experiment::run() const {
             a->watchFlow(snd, rcv, cfg.tcp.mss);
           });
     }
+    if (auditor != nullptr || faultMon != nullptr) {
+      service->setRetireHook(
+          [&forgetFlow](const transport::TcpSender& snd,
+                        const transport::TcpReceiver&) { forgetFlow(snd); });
+    }
     service->start();
   }
 
   const std::size_t numLong = cfg.flows.size() - shortFlows.size();
 
   if (faultMon != nullptr) {
-    // Goodput = acked bytes summed over the long-flow senders, in flow
-    // order (a fixed iteration order keeps the sum byte-stable).
-    faultMon->setGoodputProbe([&cfg, &senders, &shortFlows] {
-      ByteCount acked;
-      for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-        if (!shortFlows.contains(cfg.flows[i].id)) {
-          acked += senders[i]->bytesAcked();
-        }
-      }
-      return acked;
-    });
+    // Goodput = acked bytes summed over the long-flow senders, retired
+    // ones included (integer bytes: the sum is exact in any order).
+    faultMon->setGoodputProbe(
+        [&flowTotals] { return flowTotals().longAcked; });
   }
 
   // Periodic sampling for the time-series figures.
   Totals prev;
   if (cfg.sampleInterval > 0_ns) {
     simr.every(cfg.sampleInterval, [&] {
-      Totals now;
-      for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-        const bool isShort = shortFlows.contains(cfg.flows[i].id);
-        if (isShort) {
-          now.shortDup += senders[i]->dupAcksReceived();
-          now.shortAcks += senders[i]->acksReceived();
-        } else {
-          now.longOoo += receivers[i]->outOfOrderPackets();
-          now.longData += receivers[i]->dataPacketsReceived();
-          now.longAcked += senders[i]->bytesAcked();
-        }
-      }
+      Totals now = flowTotals();
       const SimTime t = simr.now();
       const double dt = toSeconds(cfg.sampleInterval);
 
@@ -432,27 +483,16 @@ ExperimentResult Experiment::run() const {
                   static_cast<unsigned long long>(
                       simr.scheduler().executedEvents()));
 
-  // Harvest per-flow results.
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    stats::FlowResult r;
-    r.spec = senders[i]->flow();
-    r.completed = senders[i]->completed();
-    r.fct = r.completed ? senders[i]->fct() : 0_ns;
-    r.dupAcks = senders[i]->dupAcksReceived();
-    r.acks = senders[i]->acksReceived();
-    r.fastRetransmits = senders[i]->fastRetransmits();
-    r.timeouts = senders[i]->timeouts();
-    r.outOfOrderPackets = receivers[i]->outOfOrderPackets();
-    r.dataPackets = receivers[i]->dataPacketsReceived();
-    if (sinks.flows != nullptr) {
-      sinks.flows->finishFlow(r.spec.id, r.completed, r.fct,
-                              senders[i]->missedDeadline(),
-                              senders[i]->bytesAcked(),
-                              senders[i]->dataPacketsSent(),
-                              senders[i]->fastRetransmits(),
-                              senders[i]->timeouts());
+  // Harvest the per-flow results not taken at a reuse. A flow that never
+  // started keeps its record as filled in at set-up.
+  endpoints.forEach(harvest);
+  if (sinks.flows != nullptr) {
+    for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
+      if (harvested[i]) continue;
+      const stats::FlowResult& r = res.ledger.flows()[i];
+      sinks.flows->finishFlow(r.spec.id, false, 0_ns, r.missedDeadline(),
+                              0_B, 0, 0, 0);
     }
-    res.ledger.add(std::move(r));
   }
 
   // Queue distributions + aggregate link counters.

@@ -2,14 +2,14 @@
 // transport endpoints registered per flow.
 #pragma once
 
-#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/link.hpp"
 #include "net/node.hpp"
+#include "util/flow_index.hpp"
 #include "util/flow_key.hpp"
 
 namespace tlbsim::net {
@@ -39,62 +39,51 @@ class Host : public Node {
   /// Register the local endpoint of a flow. One handler per (host, flow):
   /// the sender registers at the source host, the receiver at the
   /// destination host. Binding a flow that is already bound replaces its
-  /// handler (decorators rebind endpoints this way).
+  /// handler (decorators rebind endpoints this way) and never resizes the
+  /// demux table.
   void bind(FlowId flow, PacketHandler* handler);
   /// Forget a flow's handler; a no-op when the flow is not bound.
-  void unbind(FlowId flow);
+  void unbind(FlowId flow) { demux_.erase(flow); }
 
   /// The handler bound to `flow`, or null.
   PacketHandler* handlerFor(FlowId flow) const {
-    return demux_.empty() ? nullptr : demux_[probe(flow)].handler;
+    PacketHandler* const* handler = demux_.find(flow);
+    return handler != nullptr ? *handler : nullptr;
   }
 
+  /// Hands the packet to its flow's handler. A packet of an unbound flow
+  /// is dropped and counted: once endpoints are reused after their flow
+  /// drains, a nonzero count means a packet outlived the drain bound.
   void receive(const Packet& pkt, int inPort) override {
     (void)inPort;
-    if (PacketHandler* handler = handlerFor(pkt.flow)) handler->onPacket(pkt);
+    if (PacketHandler* handler = handlerFor(pkt.flow)) {
+      handler->onPacket(pkt);
+    } else {
+      ++orphanPackets_;
+    }
   }
 
+  /// Packets that arrived for a flow with no bound handler.
+  std::uint64_t orphanPackets() const { return orphanPackets_; }
+
   // --- demux table shape (what the tests probe) -------------------------
-  std::size_t boundFlows() const { return used_; }
+  std::size_t boundFlows() const { return demux_.size(); }
   /// Table size: 0 before the first bind, then a power of two at least
   /// twice boundFlows().
-  std::size_t demuxSlots() const { return demux_.size(); }
+  std::size_t demuxSlots() const { return demux_.slots(); }
   /// Where `flow`'s probe run starts in a table of `slots` (a power of
-  /// two, at least 2): Fibonacci hashing, so strided flow ids still
-  /// spread out.
+  /// two, at least 2).
   static std::size_t homeSlot(FlowId flow, std::size_t slots) {
-    return static_cast<std::size_t>((flow * 0x9e3779b97f4a7c15ULL) >>
-                                    (64 - std::countr_zero(slots)));
+    return util::FlowIndex<PacketHandler*>::homeSlot(flow, slots);
   }
 
  private:
-  /// Flow demux: open addressing with linear probing over a power-of-two
-  /// table kept at most half full, so a lookup is one multiply and a short
-  /// scan of adjacent slots. unbind() shifts the rest of a probe run back
-  /// instead of leaving tombstones. An empty slot has flow == kInvalidFlow.
-  struct DemuxSlot {
-    FlowId flow = kInvalidFlow;
-    PacketHandler* handler = nullptr;
-  };
-  static constexpr std::size_t kMinDemuxSlots = 8;
-
-  /// Index of `flow`'s slot, or of the empty slot that ends its probe run
-  /// (the table always has one: it is at most half full).
-  std::size_t probe(FlowId flow) const {
-    const std::size_t mask = demux_.size() - 1;
-    std::size_t i = homeSlot(flow, demux_.size());
-    while (demux_[i].flow != flow && demux_[i].flow != kInvalidFlow) {
-      i = (i + 1) & mask;
-    }
-    return i;
-  }
-  void growDemux();
-
   HostId id_;
   std::string name_;
   std::unique_ptr<Link> uplink_;
-  std::vector<DemuxSlot> demux_;
-  std::size_t used_ = 0;
+  /// Flow demux: the open-addressing table of util/flow_index.hpp.
+  util::FlowIndex<PacketHandler*> demux_;
+  std::uint64_t orphanPackets_ = 0;
 };
 
 }  // namespace tlbsim::net

@@ -1,5 +1,6 @@
 #include "net/leaf_spine.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "util/check.hpp"
@@ -140,6 +141,22 @@ void LeafSpineTopology::forEachFabricLink(
       fn(spineDownlink(s, l));
     }
   }
+}
+
+SimTime LeafSpineTopology::worstCaseOneWay(ByteCount maxPacket) {
+  SimTime access, up, down, deliver;
+  for (int h = 0; h < numHosts(); ++h) {
+    access = std::max(access, host(h).uplink().worstCaseTransit(maxPacket));
+    deliver = std::max(deliver, leafDownlink(static_cast<HostId>(h))
+                                    .worstCaseTransit(maxPacket));
+  }
+  for (int l = 0; l < numLeaves(); ++l) {
+    for (int s = 0; s < numSpines(); ++s) {
+      up = std::max(up, leafUplink(l, s).worstCaseTransit(maxPacket));
+      down = std::max(down, spineDownlink(s, l).worstCaseTransit(maxPacket));
+    }
+  }
+  return access + up + down + deliver;
 }
 
 }  // namespace tlbsim::net

@@ -77,6 +77,13 @@ class LeafSpineTopology {
   /// when the fabric is not the bottleneck).
   Link& leafDownlink(HostId host);
 
+  /// Upper bound on the one-way time of a packet of at most `maxPacket`
+  /// bytes between any two hosts: the worst Link::worstCaseTransit() of
+  /// each tier, summed over the four hops of a cross-leaf path. It covers
+  /// every factor an installed fault plan declared on the links
+  /// (Link::faultPlanFactors), including faults that have not fired yet.
+  SimTime worstCaseOneWay(ByteCount maxPacket);
+
   /// Visit every fabric link (both directions); used to install stats
   /// hooks at setup time (cold path).
   // tlbsim-lint: allow(std-function-hot-path)

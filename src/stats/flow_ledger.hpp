@@ -39,6 +39,8 @@ class FlowLedger {
   using Predicate = std::function<bool(const FlowResult&)>;
 
   void add(FlowResult r) { flows_.push_back(std::move(r)); }
+  /// The record of the i-th flow added, to fill in place.
+  FlowResult& at(std::size_t i) { return flows_[i]; }
 
   std::size_t size() const { return flows_.size(); }
   const std::vector<FlowResult>& flows() const { return flows_; }

@@ -1,6 +1,6 @@
 #include "transport/tcp_receiver.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "obs/flow_probe.hpp"
 
@@ -8,7 +8,17 @@ namespace tlbsim::transport {
 
 TcpReceiver::TcpReceiver(sim::Simulator& simr, net::Host& localHost,
                          const FlowSpec& flow, const TcpParams& params)
-    : sim_(simr), host_(localHost), flow_(flow), params_(params) {
+    : TcpReceiver(simr, localHost, flow, params, ReorderBuffer{}) {}
+
+TcpReceiver::TcpReceiver(sim::Simulator& simr, net::Host& localHost,
+                         const FlowSpec& flow, const TcpParams& params,
+                         ReorderBuffer spare)
+    : sim_(simr),
+      host_(localHost),
+      flow_(flow),
+      params_(params),
+      reorder_(std::move(spare)) {
+  reorder_.clear();
   host_.bind(flow_.id, this);
 }
 
@@ -52,37 +62,22 @@ void TcpReceiver::acceptData(const net::Packet& pkt) {
   bool inOrder = false;
 
   if (start > cumAck_) {
-    // Hole before this segment: buffer it (merge overlapping ranges).
+    // Hole before this segment: buffer it.
     ++outOfOrder_;
     if (flowProbe_ != nullptr) flowProbe_->onOutOfOrder(flow_.id, sim_.now());
-    auto [it, inserted] = segments_.try_emplace(start, end);
-    if (!inserted) {
-      it->second = std::max(it->second, end);
-    } else {
-      // Merge with predecessor/successor ranges if they overlap.
-      if (it != segments_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second >= it->first) {
-          prev->second = std::max(prev->second, it->second);
-          it = segments_.erase(it);
-          it = prev;
-        }
-      }
-      auto next = std::next(it);
-      while (next != segments_.end() && next->first <= it->second) {
-        it->second = std::max(it->second, next->second);
-        next = segments_.erase(next);
-      }
+    if (reorder_.capacity() == 0) {
+      // The first reordering this storage sees sizes it for the whole
+      // window, so it never grows again, here or in a successor.
+      const std::int64_t mss = params_.mss.bytes();
+      const auto segments = static_cast<std::size_t>(
+          (params_.receiverWindow.bytes() + mss - 1) / mss);
+      reorder_.reserve(segments / 2 + 1);
     }
+    reorder_.insert(start, end);
   } else if (end > cumAck_) {
     inOrder = true;
-    cumAck_ = end;
-    // Drain any buffered segments now contiguous.
-    auto it = segments_.begin();
-    while (it != segments_.end() && it->first <= cumAck_) {
-      cumAck_ = std::max(cumAck_, it->second);
-      it = segments_.erase(it);
-    }
+    // Drain any buffered ranges now contiguous.
+    cumAck_ = reorder_.drain(end);
   }
   // else: fully duplicate segment (spurious retransmit); still ACK it.
 

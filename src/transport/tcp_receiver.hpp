@@ -6,12 +6,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <utility>
 
 #include "net/host.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "transport/reorder_buffer.hpp"
 #include "transport/tcp_params.hpp"
 
 namespace tlbsim::obs {
@@ -24,6 +24,14 @@ class TcpReceiver : public net::PacketHandler {
  public:
   TcpReceiver(sim::Simulator& simr, net::Host& localHost, const FlowSpec& flow,
               const TcpParams& params);
+  /// Same, with `spare`'s storage (emptied) as the reorder buffer: a
+  /// receiver built in a reused endpoint's place takes its predecessor's
+  /// buffer over (see releaseReorderBuffer) and allocates nothing.
+  TcpReceiver(sim::Simulator& simr, net::Host& localHost, const FlowSpec& flow,
+              const TcpParams& params, ReorderBuffer spare);
+
+  /// Hand the reorder buffer's storage to a successor.
+  ReorderBuffer releaseReorderBuffer() { return std::move(reorder_); }
 
   void onPacket(const net::Packet& pkt) override;
 
@@ -60,8 +68,8 @@ class TcpReceiver : public net::PacketHandler {
   TcpParams params_;
 
   std::uint64_t cumAck_ = 0;  ///< next byte expected
-  /// Out-of-order segments beyond cumAck_: start -> end (exclusive).
-  std::map<std::uint64_t, std::uint64_t> segments_;
+  /// Out-of-order byte ranges beyond cumAck_.
+  ReorderBuffer reorder_;
 
   std::uint64_t dataPackets_ = 0;
   std::uint64_t outOfOrder_ = 0;

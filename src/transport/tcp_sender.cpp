@@ -14,8 +14,8 @@ namespace {
 constexpr int kMaxSynRetries = 8;
 }
 
-// One sender per flow stays resident for the whole run; the deadline
-// timer's extra 16 bytes are paid for by the packed flags and counters.
+// Every pooled endpoint pair holds one sender; the deadline timer's extra
+// 16 bytes are paid for by the packed flags and counters.
 #if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
 static_assert(sizeof(TcpSender) <= 456, "TcpSender outgrew its 456 bytes");
 #endif

@@ -44,6 +44,9 @@ class TcpSender : public net::PacketHandler {
 
   /// Arm the flow: the SYN goes out at flow.start (or now if in the past).
   void start();
+  /// Send the SYN now. For a pair built inside the flow's own start event
+  /// (EndpointPool::launch), where start() would post a second one.
+  void startNow() { sendSyn(); }
 
   void onPacket(const net::Packet& pkt) override;
 
@@ -111,8 +114,8 @@ class TcpSender : public net::PacketHandler {
   TcpParams params_;
   CompletionCallback onComplete_;
 
-  // Flags and small counters, packed into 16 bytes (incast runs keep tens
-  // of thousands of senders alive at once).
+  // Flags and small counters, packed into 16 bytes (an incast run keeps
+  // hundreds of senders live or draining at once).
   bool established_ = false;
   bool completed_ = false;
   bool inRecovery_ = false;    ///< NewReno fast recovery

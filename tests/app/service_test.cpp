@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "app/query_probe.hpp"
+#include "app/service.hpp"
 #include "harness/experiment.hpp"
+#include "lb/ecmp.hpp"
+#include "net/leaf_spine.hpp"
+#include "sim/simulator.hpp"
 
 namespace tlbsim::app {
 namespace {
@@ -174,6 +179,76 @@ TEST(Service, CoexistsWithStaticFlowWorkload) {
   EXPECT_EQ(res.appQueriesCompleted, 8);
   EXPECT_EQ(res.ledger.size(), 6u);  // static flows tracked separately
   EXPECT_EQ(res.auditViolations, 0u);
+}
+
+/// What an app-only run assembled by hand (the harness's wiring, minus
+/// the harness, so the test can reach the service's endpoint pool) leaves.
+struct AssembledRun {
+  std::string queriesNdjson;
+  std::uint64_t flowsMinted = 0;
+  /// Flows each query had launched when it finished, summed.
+  std::uint64_t flowsAtFinish = 0;
+  std::uint64_t reuses = 0;
+  std::size_t pairs = 0;
+  std::uint64_t events = 0;
+  std::uint64_t orphans = 0;
+};
+
+/// `drain` overrides the pool's drain time when non-negative.
+AssembledRun runAssembled(const ExperimentConfig& cfg, SimTime drain) {
+  sim::Simulator simr;
+  net::LeafSpineTopology topo(simr, cfg.topo, [](net::Switch&, int leaf) {
+    return std::make_unique<lb::Ecmp>(static_cast<std::uint64_t>(leaf) + 1);
+  });
+  Service service(simr, topo, cfg.app, cfg.tcp, cfg.seed, /*firstFlowId=*/1);
+  QueryProbe probe;
+  service.setQueryProbe(&probe);
+  if (drain >= 0_ns) service.endpoints().setDrainTime(drain);
+  service.start();
+  auto& sched = simr.scheduler();
+  while (!service.done() && !sched.empty()) {
+    if (!sched.step(cfg.maxDuration)) break;
+  }
+  service.finalize(simr.now());
+
+  AssembledRun run;
+  run.queriesNdjson = probe.toNdjson({});
+  run.flowsMinted = service.flowsCreated();
+  for (const QueryRecord* r : probe.sortedRecords()) {
+    run.flowsAtFinish += static_cast<std::uint64_t>(r->flowsLaunched);
+  }
+  run.reuses = service.endpoints().reuses();
+  run.pairs = service.endpoints().pairs();
+  run.events = sched.executedEvents();
+  for (int h = 0; h < topo.numHosts(); ++h) {
+    run.orphans += topo.host(h).orphanPackets();
+  }
+  return run;
+}
+
+TEST(Service, ReusedEndpointsLeaveTheQueryLedgerByteIdentical) {
+  // Duplicates for every slot, retries every 300 us and a 200 us mean
+  // service time: losing attempts land after their query has finished,
+  // and their responses launch from the finished query's slots.
+  auto cfg = appConfig(40, /*seed=*/5);
+  cfg.app.duplicateThreshold = 64 * kKB;
+  cfg.app.timeout = microseconds(300);
+  cfg.app.maxRetries = 2;
+  cfg.app.serviceTime = microseconds(200);
+
+  const AssembledRun pooled = runAssembled(cfg, -1_ns);
+  const AssembledRun kept = runAssembled(cfg, seconds(1000));  // no reuse
+
+  EXPECT_GT(pooled.flowsMinted, pooled.flowsAtFinish);  // late launches
+  EXPECT_GT(pooled.reuses, 0u);
+  EXPECT_LT(pooled.pairs, kept.pairs);
+  EXPECT_EQ(kept.reuses, 0u);
+  EXPECT_EQ(kept.pairs, kept.flowsMinted);
+  EXPECT_EQ(pooled.queriesNdjson, kept.queriesNdjson);
+  EXPECT_EQ(pooled.flowsMinted, kept.flowsMinted);
+  EXPECT_EQ(pooled.events, kept.events);
+  EXPECT_EQ(pooled.orphans, 0u);
+  EXPECT_EQ(kept.orphans, 0u);
 }
 
 TEST(Service, SummaryKeysOnlyWhenAppEnabled) {

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "../transport/pool_rig.hpp"
 #include "harness/experiment.hpp"
 #include "net/link.hpp"
 #include "sim/simulator.hpp"
@@ -115,6 +116,52 @@ TEST(InvariantAuditor, FullEcmpExperimentAuditsClean) {
       harness::runExperiment(auditedConfig(harness::Scheme::kEcmp));
   EXPECT_GT(res.auditTicks, 0u);
   EXPECT_EQ(res.auditViolations, 0u);
+}
+
+/// Back-to-back 20 KB flows through an endpoint pool whose drain time is
+/// `drain` (negative: the derived, safe one), audited every 100 us with
+/// the pool's flows watched while their endpoints live.
+InvariantAuditor auditedPoolRun(SimTime drain) {
+  transport::testing::PoolRig rig;
+  if (drain >= 0_ns) rig.pool.setDrainTime(drain);
+  InvariantAuditor::Config acfg = lenient();
+  acfg.interval = microseconds(100);
+  InvariantAuditor auditor(acfg);
+  auditor.watchTopology(rig.topo);
+  auditor.install(rig.simr);
+  rig.pool.setLaunchHook([&auditor](transport::TcpSender& snd,
+                                    transport::TcpReceiver& rcv,
+                                    std::uint64_t) {
+    auditor.watchFlow(snd, rcv, transport::TcpParams{}.mss);
+  });
+  rig.pool.setRetireHook([&auditor](transport::TcpSender& snd,
+                                    transport::TcpReceiver&,
+                                    std::uint64_t) {
+    auditor.unwatchFlow(snd);
+  });
+  using transport::testing::crossLeafFlows;
+  using transport::testing::smallFabric;
+  rig.post(crossLeafFlows(smallFabric(), 80, 20 * kKB, microseconds(40)));
+  EXPECT_TRUE(rig.runUntilDone(seconds(1)));
+  EXPECT_GT(rig.pool.reuses(), 0u);
+  auditor.auditNow(rig.simr.now());
+  return auditor;
+}
+
+TEST(InvariantAuditor, PoolWithTheDerivedDrainTimeHasNoOrphans) {
+  const InvariantAuditor auditor = auditedPoolRun(-1_ns);
+  EXPECT_EQ(auditor.orphanPackets(), 0u);
+  EXPECT_EQ(auditor.violationCount(), 0u);
+}
+
+TEST(InvariantAuditor, FlagsOrphansOfAPoolWithATooShortDrainTime) {
+  // Pairs reused 1 ns after completion: the FIN-ACK (and late data) of
+  // the old flow arrive with no endpoint bound.
+  const InvariantAuditor auditor = auditedPoolRun(1_ns);
+  EXPECT_GT(auditor.orphanPackets(), 0u);
+  ASSERT_GT(auditor.violationCount(), 0u);
+  EXPECT_NE(auditor.violations()[0].what.find("unbound flows"),
+            std::string::npos);
 }
 
 TEST(InvariantAuditor, AuditOffRunsNoChecks) {

@@ -3,8 +3,10 @@
 // packet's whole trip — host uplink, the leaf's TLB decision over the
 // switch-owned uplink view, the uplink and downlink queues, the spine, the
 // host's flow demux — and TLB's control ticks perform zero heap
-// allocations. Raw packets stand in for TCP, whose receiver still keeps a
-// reorder map. Its own binary: it replaces the global operators.
+// allocations. The second test runs short TCP flows through an endpoint
+// pool on the same fabric: once warm, starting a flow (reusing a drained
+// pair), its whole transfer and its completion allocate nothing either.
+// Its own binary: it replaces the global operators.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <new>
 #include <vector>
 
+#include "../transport/pool_rig.hpp"
 #include "core/tlb.hpp"
 #include "net/host.hpp"
 #include "net/leaf_spine.hpp"
@@ -54,11 +57,9 @@ TEST(NetAllocCount, CounterSeesVectorGrowth) {
   EXPECT_GT(newCalls(), before);
 }
 
-TEST(NetAllocCount, SteadyStatePacketPathIsAllocationFree) {
-  // 2 leaves x 4 spines x 4 hosts. Fabric links run at half the host rate
-  // and buffers are small, so every leaf uplink and (under the rotating
-  // incast below) every leaf downlink fills to its buffer during warm-up:
-  // each ring then sits at its final size.
+/// 2 leaves x 4 spines x 4 hosts. Fabric links run at half the host rate
+/// and buffers are small, so queues fill to their buffers during warm-up.
+LeafSpineConfig smallTlbFabric() {
   LeafSpineConfig cfg;
   cfg.numLeaves = 2;
   cfg.numSpines = 4;
@@ -67,18 +68,28 @@ TEST(NetAllocCount, SteadyStatePacketPathIsAllocationFree) {
   cfg.fabricLinkRate = mbps(500);
   cfg.bufferPackets = 16;
   cfg.ecnThresholdPackets = 4;
+  return cfg;
+}
 
+SelectorFactory tlbLeaves(const LeafSpineConfig& cfg) {
   core::TlbConfig tlbCfg;
   tlbCfg.rtt = cfg.baseRtt();
   tlbCfg.linkCapacity = cfg.fabricLinkRate;
   tlbCfg.bufferPackets = cfg.bufferPackets;
   tlbCfg.qthCapPackets = cfg.ecnThresholdPackets;
-
-  sim::Simulator simr;
-  LeafSpineTopology topo(simr, cfg, [&](Switch&, int leaf) {
-    return std::make_unique<core::Tlb>(tlbCfg, cfg.numSpines,
+  return [tlbCfg, spines = cfg.numSpines](Switch&, int leaf) {
+    return std::make_unique<core::Tlb>(tlbCfg, spines,
                                        static_cast<std::uint64_t>(leaf) + 1);
-  });
+  };
+}
+
+TEST(NetAllocCount, SteadyStatePacketPathIsAllocationFree) {
+  // Every leaf uplink and (under the rotating incast below) every leaf
+  // downlink fills to its buffer during warm-up: each ring then sits at
+  // its final size.
+  const LeafSpineConfig cfg = smallTlbFabric();
+  sim::Simulator simr;
+  LeafSpineTopology topo(simr, cfg, tlbLeaves(cfg));
 
   // One flow per cross-leaf (src, dst) pair, bound at its destination.
   const int hosts = cfg.numHosts();
@@ -162,6 +173,52 @@ TEST(NetAllocCount, SteadyStatePacketPathIsAllocationFree) {
   // The incast receiver's 1 Gbps downlink is the bottleneck per leaf.
   EXPECT_GE(delivered() - deliveredBefore, 5'000u);
   EXPECT_GE(controlTicks - ticksBefore, 100u);  // both leaves' TLB loops
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST(NetAllocCount, SteadyStateTcpFlowsThroughThePoolAreAllocationFree) {
+  // 24 KB TCP flows across the leaves, each pair built in its flow's start
+  // event as Experiment::run does. The first 1,500 start every 60 us, 80 %
+  // of the cross-leaf capacity: queues fill to their buffers and more
+  // flows overlap than ever after. The rest start every 120 us. By then
+  // the pool,
+  // the host demux tables, the wire pools and queue rings, TLB's flow
+  // table and the event core are at their high-water marks, and every
+  // receiver storage that saw reordering holds a window's worth of ranges:
+  // a flow's launch into a reused pair, its transfer and its completion
+  // allocate nothing.
+  const LeafSpineConfig cfg = smallTlbFabric();
+  transport::testing::PoolRig rig(cfg, transport::TcpParams{}, tlbLeaves(cfg));
+  constexpr int kDense = 1500;
+  constexpr int kFlows = 4500;
+  auto flows = transport::testing::crossLeafFlows(cfg, kFlows, 24 * kKB,
+                                                  microseconds(60));
+  const int perLeaf = cfg.hostsPerLeaf;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const int n = static_cast<int>(i);
+    if (n >= kDense) {
+      flows[i].start =
+          kDense * microseconds(60) + (n - kDense) * microseconds(120);
+    }
+    // Rotate destinations too, so every cross-leaf host pair is used.
+    const int src = static_cast<int>(flows[i].src);
+    const int otherLeaf = 1 - src / perLeaf;
+    flows[i].dst =
+        static_cast<HostId>(otherLeaf * perLeaf + (n / 8 + src) % perLeaf);
+  }
+  rig.post(flows);
+
+  rig.simr.run(flows[kDense + 200].start);  // warm-up, then settle
+  const auto completedBefore = rig.completed;
+  const auto reusesBefore = rig.pool.reuses();
+  const auto before = newCalls();
+  rig.simr.run(flows[kFlows - 300].start);
+  const auto allocations = newCalls() - before;
+
+  EXPECT_GE(rig.pool.reuses() - reusesBefore, 2'000u);
+  EXPECT_GE(rig.completed - completedBefore, 2'000u);
+  EXPECT_LT(rig.pool.pairs(), 300u);
+  EXPECT_EQ(rig.orphanPackets(), 0u);
   EXPECT_EQ(allocations, 0u);
 }
 

@@ -54,6 +54,20 @@ TEST(Host, UnboundFlowsAreDroppedSilently) {
   EXPECT_TRUE(a.received.empty());
 }
 
+TEST(Host, CountsPacketsOfUnboundFlowsAsOrphans) {
+  Host host(0, "h0");
+  EXPECT_EQ(host.orphanPackets(), 0u);
+  host.receive(packetFor(99), 0);  // empty table
+  RecordingHandler a;
+  host.bind(1, &a);
+  host.receive(packetFor(1), 0);  // bound: delivered, not counted
+  host.receive(packetFor(2), 0);
+  host.unbind(1);
+  host.receive(packetFor(1), 0);
+  EXPECT_EQ(a.received.size(), 1u);
+  EXPECT_EQ(host.orphanPackets(), 3u);
+}
+
 TEST(Host, RebindReplacesHandler) {
   Host host(0, "h0");
   RecordingHandler a, b;
@@ -175,6 +189,26 @@ TEST(Host, RebindAfterGrowthReplacesHandler) {
   host.receive(packetFor(7), 0);
   EXPECT_TRUE(first.received.empty());
   EXPECT_EQ(second.received.size(), 1u);
+}
+
+TEST(Host, RebindAtTheLoadLimitKeepsTheTable) {
+  // Fill the table to its load limit (half full), then rebind every flow
+  // the way tracing decorators do: only a new flow may grow the table.
+  Host host(0, "h0");
+  std::vector<RecordingHandler> handlers(2);
+  host.bind(1, &handlers[0]);
+  FlowId next = 2;
+  while (2 * (host.boundFlows() + 1) <= host.demuxSlots()) {
+    host.bind(next++, &handlers[0]);
+  }
+  const std::size_t slots = host.demuxSlots();
+  ASSERT_EQ(2 * host.boundFlows(), slots);
+  for (FlowId f = 1; f < next; ++f) host.bind(f, &handlers[1]);
+  EXPECT_EQ(host.demuxSlots(), slots);
+  EXPECT_EQ(host.boundFlows(), slots / 2);
+  EXPECT_EQ(host.handlerFor(1), &handlers[1]);
+  host.bind(next, &handlers[0]);  // a new flow past the limit grows it
+  EXPECT_EQ(host.demuxSlots(), 2 * slots);
 }
 
 TEST(Host, IdentityAccessors) {

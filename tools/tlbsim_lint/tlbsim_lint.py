@@ -54,7 +54,8 @@ bench-direct-experiment
 fault-mutation
     Link fault state may only be mutated by the fault subsystem: calls to
     faultDown()/faultUp()/faultSetRateFactor()/faultSetDelayFactor()/
-    faultSetDropProb() outside src/fault/ (and the Link definition itself)
+    faultSetDropProb()/faultPlanFactors() outside src/fault/ (and the Link
+    definition itself)
     bypass the FaultInjector, so the mutation is invisible to the
     FaultMonitor's recovery metrics, the fault trace track, and the
     declarative (seed-deterministic) FaultPlan. Route faults through an
@@ -88,8 +89,8 @@ app-flowspec-factory
     construction anywhere else in src/app can reuse an id already owned
     by a static workload flow or a concurrent query, silently corrupting
     the ledger, the probes, and the conservation audit. Copies of a
-    factory-minted spec (`const transport::FlowSpec spec =
-    factory_.makeRpcFlow(...)`) and reference/pointer parameters are
+    factory-built spec (`const transport::FlowSpec spec =
+    FlowFactory::rpcFlow(...)`) and reference/pointer parameters are
     fine; default or brace construction is not.
 
 Suppression: append `// tlbsim-lint: allow(<rule>)` to the offending line,
@@ -132,7 +133,8 @@ STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 HOT_PATH_DIRS = (("src", "sim"), ("src", "net"), ("src", "transport"))
 
 FAULT_MUTATION_RE = re.compile(
-    r"\bfault(Down|Up|SetRateFactor|SetDelayFactor|SetDropProb)\s*\(")
+    r"\bfault(Down|Up|SetRateFactor|SetDelayFactor|SetDropProb"
+    r"|PlanFactors)\s*\(")
 
 FLOWPROBE_MUTATION_RE = re.compile(
     r"\b(declareFlow|finishFlow|onUplinkForward|onRetransmit"
@@ -485,6 +487,12 @@ SELF_TEST_CASES = [
      "std::function<void(const Packet&)> filter_;\n"),
     (None, "src/net/x.hpp", "util::InlineFunction<void()> hook_;\n"),
     (None, "src/sim/x.cpp", "// std::function is banned here\n"),
+    # fault-mutation: link fault state changes only through src/fault.
+    ("fault-mutation", "src/harness/x.cpp", "link.faultDown(false);\n"),
+    ("fault-mutation", "src/app/x.cpp",
+     "link.faultPlanFactors(0.5, 1.0);\n"),
+    (None, "src/fault/injector.cpp", "up.faultPlanFactors(rate, delay);\n"),
+    (None, "src/net/link.cpp", "void Link::faultPlanFactors(double r,\n"),
     # flowid-map: per-flow state in lb/core lives in FlowStateTable.
     ("flowid-map", "src/lb/x.hpp",
      "std::unordered_map<FlowId, State> flows_;\n"),
@@ -514,7 +522,8 @@ SELF_TEST_CASES = [
      "transport::FlowSpec raw = {7, 0, 1};\n"),
     (None, "src/app/flow_factory.cpp", "transport::FlowSpec spec;\n"),
     (None, "src/app/x.cpp",
-     "const transport::FlowSpec spec = factory_.makeRpcFlow(s, d, n, t);\n"),
+     "const transport::FlowSpec spec = FlowFactory::rpcFlow(i, s, d, n, t);"
+     "\n"),
     (None, "src/app/x.hpp",
      "void launchFlow(const transport::FlowSpec& spec);\n"),
     (None, "src/app/x.cpp",
