@@ -1,21 +1,16 @@
 // Domain example: TLB on a 3-tier k=4 fat-tree.
 //
-// The harness's one-call runner targets leaf-spine; this example shows the
-// lower-level API directly — build a FatTreeTopology, attach transport
-// endpoints, and let every edge/aggregation switch run its own selector
-// (two stacked load-balancing tiers).
+// Setting ExperimentConfig::fatTree runs the harness the paper's
+// leaf-spine figures use on a fat-tree instead: every edge and aggregation
+// switch runs its own selector (two stacked load-balancing tiers), and
+// TLB's physical inputs (path width, rate, RTT, buffer) come from the
+// fat-tree config.
 //
 //   $ ./fattree_demo
 #include <cstdio>
-#include <memory>
-#include <vector>
 
-#include "core/tlb.hpp"
-#include "harness/scheme.hpp"
-#include "net/fat_tree.hpp"
+#include "harness/experiment.hpp"
 #include "stats/report.hpp"
-#include "transport/tcp_receiver.hpp"
-#include "transport/tcp_sender.hpp"
 #include "util/rng.hpp"
 #include "workload/flow_size_dist.hpp"
 
@@ -23,47 +18,28 @@ using namespace tlbsim;
 
 namespace {
 
-struct RunResult {
-  double shortAfctMs = 0.0;
-  double longGoodputMbps = 0.0;
-  std::size_t completed = 0;
-  std::size_t total = 0;
-};
-
-RunResult run(harness::Scheme scheme, std::uint64_t seed) {
-  sim::Simulator simr;
-  net::FatTreeConfig cfg;
-  cfg.k = 4;  // 16 hosts, 4 pods, 4 cores
-
-  harness::SchemeConfig scfg;
-  scfg.scheme = scheme;
-  scfg.numPaths = cfg.k / 2;  // group width at each decision tier
-  scfg.tlb.rtt = 12 * cfg.linkDelay;  // 6 links each way on pod-to-pod paths
-  scfg.tlb.linkCapacity = cfg.linkRate;
-  scfg.tlb.bufferPackets = cfg.bufferPackets;
-  scfg.tlb.qthCapPackets = cfg.ecnThresholdPackets;
-
-  net::FatTreeTopology topo(simr, cfg, [&](net::Switch&, int idx) {
-    return harness::makeSelector(scfg,
-                                 seed * 2654435761ULL +
-                                     static_cast<std::uint64_t>(idx));
-  });
+harness::ExperimentConfig makeConfig(harness::Scheme scheme,
+                                     std::uint64_t seed) {
+  harness::ExperimentConfig cfg;
+  net::FatTreeConfig& topo = cfg.fatTree.emplace();
+  topo.k = 4;  // 16 hosts, 4 pods, 4 cores
+  cfg.scheme.scheme = scheme;
+  cfg.seed = seed;
 
   // Workload: 40 short (<100 KB) + 4 long (5 MB) flows between random
   // cross-pod host pairs.
+  const int hostsPerPod = topo.k * topo.k / 4;
   Rng rng(seed);
   workload::FlowSizeDistribution shortDist =
       workload::FlowSizeDistribution::uniform(20 * kKB, 90 * kKB);
-  std::vector<transport::FlowSpec> flows;
   FlowId id = 1;
   for (int i = 0; i < 4; ++i) {
     transport::FlowSpec f;
     f.id = id++;
-    f.src = static_cast<net::HostId>(i);            // pod 0
-    f.dst = static_cast<net::HostId>(8 + i);        // pod 2
+    f.src = static_cast<net::HostId>(i);      // pod 0
+    f.dst = static_cast<net::HostId>(8 + i);  // pod 2
     f.size = 5 * kMB;
-    f.start = 0_ns;
-    flows.push_back(f);
+    cfg.flows.push_back(f);
   }
   SimTime t;
   for (int i = 0; i < 40; ++i) {
@@ -73,51 +49,12 @@ RunResult run(harness::Scheme scheme, std::uint64_t seed) {
     f.src = static_cast<net::HostId>(rng.uniformInt(16));
     do {
       f.dst = static_cast<net::HostId>(rng.uniformInt(16));
-    } while (topo.podOf(f.dst) == topo.podOf(f.src));
+    } while (f.dst / hostsPerPod == f.src / hostsPerPod);
     f.size = shortDist.sample(rng);
     f.start = t;
-    flows.push_back(f);
+    cfg.flows.push_back(f);
   }
-
-  std::vector<std::unique_ptr<transport::TcpReceiver>> receivers;
-  std::vector<std::unique_ptr<transport::TcpSender>> senders;
-  transport::TcpParams params;
-  std::size_t completed = 0;
-  for (const auto& f : flows) {
-    receivers.push_back(std::make_unique<transport::TcpReceiver>(
-        simr, topo.host(f.dst), f, params));
-    senders.push_back(std::make_unique<transport::TcpSender>(
-        simr, topo.host(f.src), f, params,
-        [&completed](transport::TcpSender&) { ++completed; }));
-    senders.back()->start();
-  }
-
-  auto& sched = simr.scheduler();
-  while (completed < flows.size() && !sched.empty()) {
-    if (!sched.step(seconds(10))) break;
-  }
-
-  RunResult out;
-  out.total = flows.size();
-  out.completed = completed;
-  double shortSum = 0.0;
-  int shortN = 0;
-  double longSum = 0.0;
-  int longN = 0;
-  for (const auto& s : senders) {
-    if (!s->completed()) continue;
-    if (s->flow().size < 100 * kKB) {
-      shortSum += toMilliseconds(s->fct());
-      ++shortN;
-    } else {
-      longSum += static_cast<double>(s->flow().size.bytes()) * 8.0 /
-                 toSeconds(s->fct()) / 1e6;
-      ++longN;
-    }
-  }
-  out.shortAfctMs = shortN > 0 ? shortSum / shortN : 0.0;
-  out.longGoodputMbps = longN > 0 ? longSum / longN : 0.0;
-  return out;
+  return cfg;
 }
 
 }  // namespace
@@ -132,13 +69,12 @@ int main() {
         harness::Scheme::kLetFlow, harness::Scheme::kConga,
         harness::Scheme::kTlb}) {
     double afct = 0.0, tput = 0.0;
-    std::size_t done = 0, total = 0;
+    std::size_t done = 0;
     for (std::uint64_t seed : {1, 2, 3}) {
-      const auto r = run(scheme, seed);
-      afct += r.shortAfctMs;
-      tput += r.longGoodputMbps;
-      done += r.completed;
-      total += r.total;
+      const auto res = harness::runExperiment(makeConfig(scheme, seed));
+      afct += res.shortAfctSec() * 1e3;
+      tput += res.longGoodputGbps() * 1e3;
+      done += res.ledger.completedCount([](const auto&) { return true; });
     }
     t.addRow(harness::schemeName(scheme),
              {static_cast<double>(done), afct / 3.0, tput / 3.0}, 2);

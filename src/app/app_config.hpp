@@ -26,7 +26,8 @@ enum class Arrival : std::uint8_t {
 /// How the workers of one query are drawn.
 enum class Placement : std::uint8_t {
   kRandom = 0,  ///< fanOut distinct hosts, uniform, excluding the aggregator
-  kSpread = 1,  ///< round-robin across leaves first (maximally cross-fabric)
+  kSpread = 1,  ///< round-robin across access switches (leaves) first,
+                ///< so the fan-out crosses the fabric as widely as it can
 };
 
 /// Worker response-size model.

@@ -26,7 +26,7 @@ workload::FlowSizeDistribution makeResponseDist(const AppConfig& cfg) {
 
 }  // namespace
 
-Service::Service(sim::Simulator& simr, net::LeafSpineTopology& topo,
+Service::Service(sim::Simulator& simr, net::Fabric& topo,
                  const AppConfig& cfg, const transport::TcpParams& tcp,
                  std::uint64_t seed, FlowId firstFlowId)
     : sim_(simr),
@@ -129,17 +129,24 @@ void Service::issueQuery() {
 void Service::pickWorkers(net::HostId aggregator, std::vector<Slot>& slots) {
   std::vector<net::HostId> candidates;
   if (cfg_.placement == Placement::kSpread) {
-    // Leaves other than the aggregator's first, interleaved across leaves,
-    // so the fan-out crosses the fabric as widely as possible; a rotating
-    // cursor spreads successive queries over different workers.
-    const int leaves = topo_.numLeaves();
-    const int perLeaf = topo_.config().hostsPerLeaf;
-    const int aggLeaf = topo_.leafOf(aggregator);
-    for (int h = 0; h < perLeaf; ++h) {
-      for (int off = 1; off <= leaves; ++off) {
-        const auto host = static_cast<net::HostId>(
-            ((aggLeaf + off) % leaves) * perLeaf + h);
-        if (host != aggregator) candidates.push_back(host);
+    // Access switches other than the aggregator's first, interleaved
+    // across access switches, so the fan-out crosses the fabric as widely
+    // as possible; a rotating cursor spreads successive queries over
+    // different workers.
+    const int groups = static_cast<int>(topo_.accessSwitches().size());
+    const int aggGroup = topo_.accessOf(aggregator);
+    int width = 0;
+    for (int g = 0; g < groups; ++g) {
+      width = std::max(width, topo_.hostsUnder(g).count);
+    }
+    for (int h = 0; h < width; ++h) {
+      for (int off = 1; off <= groups; ++off) {
+        const net::Fabric::HostRange under =
+            topo_.hostsUnder((aggGroup + off) % groups);
+        const auto host = static_cast<net::HostId>(under.first + h);
+        if (h < under.count && host != aggregator) {
+          candidates.push_back(host);
+        }
       }
     }
     const auto n = candidates.size();

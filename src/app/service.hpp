@@ -36,7 +36,7 @@
 
 #include "app/app_config.hpp"
 #include "app/flow_factory.hpp"
-#include "net/leaf_spine.hpp"
+#include "net/fabric.hpp"
 #include "sim/simulator.hpp"
 #include "transport/endpoint_pool.hpp"
 #include "transport/tcp_params.hpp"
@@ -65,7 +65,7 @@ class Service {
 
   /// `firstFlowId` must be past every statically-generated flow id so app
   /// flows never collide with a cfg.flows workload sharing the run.
-  Service(sim::Simulator& simr, net::LeafSpineTopology& topo,
+  Service(sim::Simulator& simr, net::Fabric& topo,
           const AppConfig& cfg, const transport::TcpParams& tcp,
           std::uint64_t seed, FlowId firstFlowId);
   ~Service();
@@ -164,7 +164,7 @@ class Service {
   void startFlow(FlowId id, std::size_t qi, std::size_t si, bool response);
 
   sim::Simulator& sim_;
-  net::LeafSpineTopology& topo_;
+  net::Fabric& topo_;
   AppConfig cfg_;
   Rng rng_;
   FlowId firstFlowId_;

@@ -6,8 +6,8 @@
 
 #include "app/service.hpp"
 #include "core/tlb.hpp"
+#include "net/fabric.hpp"
 #include "net/host.hpp"
-#include "net/leaf_spine.hpp"
 #include "net/link.hpp"
 #include "net/switch.hpp"
 #include "sim/simulator.hpp"
@@ -50,23 +50,11 @@ void InvariantAuditor::unwatchFlow(const transport::TcpSender& sender) {
   flows_.erase(it);
 }
 
-void InvariantAuditor::watchTopology(net::LeafSpineTopology& topo) {
-  for (int h = 0; h < topo.numHosts(); ++h) {
-    hosts_.push_back(&topo.host(h));
-    watchLink(topo.host(h).uplink(), "host" + std::to_string(h) + "->leaf");
-    watchLink(topo.leafDownlink(static_cast<net::HostId>(h)),
-              "leaf->host" + std::to_string(h));
-  }
-  for (int l = 0; l < topo.numLeaves(); ++l) {
-    watchSwitch(topo.leaf(l));
-    for (int s = 0; s < topo.numSpines(); ++s) {
-      watchLink(topo.leafUplink(l, s),
-                "leaf" + std::to_string(l) + "->spine" + std::to_string(s));
-      watchLink(topo.spineDownlink(s, l),
-                "spine" + std::to_string(s) + "->leaf" + std::to_string(l));
-    }
-  }
-  for (int s = 0; s < topo.numSpines(); ++s) watchSwitch(topo.spine(s));
+void InvariantAuditor::watchTopology(const net::Fabric& fabric) {
+  for (int h = 0; h < fabric.numHosts(); ++h) hosts_.push_back(&fabric.host(h));
+  fabric.forEachLink(
+      [this](const net::FabricLink& l) { watchLink(*l.link, l.label()); });
+  for (const auto& sw : fabric.switches()) watchSwitch(*sw);
   // Every link a packet can traverse is now watched, which closes the
   // end-to-end conservation sum.
   topologyComplete_ = true;

@@ -48,10 +48,10 @@ namespace tlbsim::app {
 class Service;
 }
 namespace tlbsim::net {
+class Fabric;
 class Host;
 class Link;
 class Switch;
-class LeafSpineTopology;
 }  // namespace tlbsim::net
 namespace tlbsim::core {
 class Tlb;
@@ -103,9 +103,9 @@ class InvariantAuditor {
   /// final packet counts join the retired conservation totals. A no-op for
   /// a sender not watched.
   void unwatchFlow(const transport::TcpSender& sender);
-  /// Every host (for orphan packets), host access link, fabric link, and
-  /// switch of a leaf-spine topology in one call.
-  void watchTopology(net::LeafSpineTopology& topo);
+  /// Every host (for orphan packets), link and switch of a topology in
+  /// one call; links are labelled "<from>-><to>" by node name.
+  void watchTopology(const net::Fabric& fabric);
   /// Application-layer open-query accounting: each tick re-checks query
   /// conservation (launched == completed + open) and that every open
   /// query can still make progress (armed retry timer or live attempt) —

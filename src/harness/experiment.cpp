@@ -1,9 +1,8 @@
 #include "harness/experiment.hpp"
 
-#include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "app/query_probe.hpp"
@@ -19,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "stats/queue_monitor.hpp"
 #include "transport/endpoint_pool.hpp"
+#include "util/check.hpp"
 #include "util/logging.hpp"
 
 namespace tlbsim::harness {
@@ -94,43 +94,61 @@ ExperimentResult Experiment::run() const {
   ExperimentConfig cfg = cfg_;  // local copy: we fill derived fields
   ExperimentResult res;
 
-  TLBSIM_LOG_INFO(
-      "experiment: scheme=%s leaves=%d spines=%d hosts/leaf=%d flows=%zu "
-      "seed=%llu",
-      schemeName(cfg.scheme.scheme), cfg.topo.numLeaves, cfg.topo.numSpines,
-      cfg.topo.hostsPerLeaf, cfg.flows.size(),
-      static_cast<unsigned long long>(cfg.seed));
+  TLBSIM_ASSERT(!cfg.fatTree || cfg.fault.empty(),
+                "fault plans name leaf-spine links; a fat-tree run takes "
+                "none");
 
   sim::Simulator simr;
 
-  // Derive TLB's physical model inputs from the topology.
-  cfg.scheme.numPaths = cfg.topo.numSpines;
+  // Derive TLB's physical model inputs from the topology: a decision
+  // switch's uplink-group width and rate, the base RTT across the fabric,
+  // and the buffer. DCTCP marking bounds the real queue length; a
+  // threshold above the marking point would never trigger.
+  struct Physical {
+    int paths;
+    LinkRate rate;
+    SimTime rtt;
+    int bufferPackets;
+    int ecnPackets;
+  };
+  const Physical phys =
+      cfg.fatTree ? Physical{cfg.fatTree->k / 2, cfg.fatTree->linkRate,
+                             cfg.fatTree->baseRtt(), cfg.fatTree->bufferPackets,
+                             cfg.fatTree->ecnThresholdPackets}
+                  : Physical{cfg.topo.numSpines, cfg.topo.fabricLinkRate,
+                             cfg.topo.baseRtt(), cfg.topo.bufferPackets,
+                             cfg.topo.ecnThresholdPackets};
+  cfg.scheme.numPaths = phys.paths;
   if (cfg.autoFillTlbFromTopology) {
-    cfg.scheme.tlb.rtt = cfg.topo.baseRtt();
-    cfg.scheme.tlb.linkCapacity = cfg.topo.fabricLinkRate;
-    cfg.scheme.tlb.bufferPackets = cfg.topo.bufferPackets;
+    cfg.scheme.tlb.rtt = phys.rtt;
+    cfg.scheme.tlb.linkCapacity = phys.rate;
+    cfg.scheme.tlb.bufferPackets = phys.bufferPackets;
     cfg.scheme.tlb.mss = cfg.tcp.mss;
     cfg.scheme.tlb.packetWireSize = cfg.tcp.maxSegmentWireSize();
     cfg.scheme.tlb.longFlowWindow = cfg.tcp.receiverWindow;
-    // DCTCP marking bounds the real queue length; a threshold above the
-    // marking point would never trigger.
-    cfg.scheme.tlb.qthCapPackets = cfg.topo.ecnThresholdPackets;
+    cfg.scheme.tlb.qthCapPackets = phys.ecnPackets;
   }
 
-  // Topology with one selector per leaf; remember TLB instances for the
-  // q_th trace.
+  // Topology with one selector per decision switch; remember TLB instances
+  // for the q_th trace.
   std::vector<core::Tlb*> tlbs;
-  net::LeafSpineTopology topo(
-      simr, cfg.topo, [&](net::Switch& sw, int leafIdx) {
-        (void)sw;
-        auto sel = makeSelector(cfg.scheme,
-                                cfg.seed * 1315423911ULL +
-                                    static_cast<std::uint64_t>(leafIdx));
-        if (auto* tlb = dynamic_cast<core::Tlb*>(sel.get())) {
-          tlbs.push_back(tlb);
-        }
-        return sel;
-      });
+  const net::SelectorFactory selectors = [&](net::Switch&, int index) {
+    auto sel = makeSelector(cfg.scheme, cfg.seed * 1315423911ULL +
+                                            static_cast<std::uint64_t>(index));
+    if (auto* tlb = dynamic_cast<core::Tlb*>(sel.get())) tlbs.push_back(tlb);
+    return sel;
+  };
+  std::optional<net::LeafSpineTopology> leafSpine;
+  std::optional<net::FatTreeTopology> fatTree;
+  net::Fabric& topo =
+      cfg.fatTree ? static_cast<net::Fabric&>(
+                        fatTree.emplace(simr, *cfg.fatTree, selectors))
+                  : leafSpine.emplace(simr, cfg.topo, selectors);
+  const std::vector<net::Switch*>& access = topo.accessSwitches();
+  TLBSIM_LOG_INFO(
+      "experiment: scheme=%s hosts=%d switches=%zu flows=%zu seed=%llu",
+      schemeName(cfg.scheme.scheme), topo.numHosts(), topo.switches().size(),
+      cfg.flows.size(), static_cast<unsigned long long>(cfg.seed));
 
   // Flow classification for stats hooks.
   std::unordered_set<FlowId> shortFlows;
@@ -139,11 +157,10 @@ ExperimentResult Experiment::run() const {
   }
   stats::QueueDelayMonitor qmon(
       [&shortFlows](FlowId id) { return shortFlows.contains(id); });
-  // Observe the sender-leaf fabric queues (where the LB decision applies).
-  for (int l = 0; l < topo.numLeaves(); ++l) {
-    for (int s = 0; s < topo.numSpines(); ++s) {
-      qmon.installOn(topo.leafUplink(l, s));
-    }
+  // Observe the access switches' uplink queues (where the first LB
+  // decision applies).
+  for (net::Switch* sw : access) {
+    for (int port : sw->uplinkGroup()) qmon.installOn(sw->port(port));
   }
 
   // Observability wiring: metrics registry, trace tracks, and a periodic
@@ -153,52 +170,45 @@ ExperimentResult Experiment::run() const {
   std::vector<std::pair<obs::Gauge*, net::Link*>> depthGauges;
   if (sinks.any()) {
     simr.installObs(sinks.metrics, sinks.trace);
-    for (int l = 0; l < topo.numLeaves(); ++l) {
-      for (int s = 0; s < topo.numSpines(); ++s) {
-        char label[48];
-        std::snprintf(label, sizeof(label), "leaf%d->spine%d", l, s);
-        net::Link& link = topo.leafUplink(l, s);
-        if (sinks.metrics != nullptr) {
+    if (sinks.metrics != nullptr) {
+      for (net::Switch* sw : access) {
+        for (int port : sw->uplinkGroup()) {
+          net::Link& link = sw->port(port);
+          const std::string label = net::linkLabel(*sw, link);
           link.installObs(*sinks.metrics, sinks.trace, label);
           depthGauges.emplace_back(
-              &sinks.metrics->gauge(std::string("port.") + label +
-                                    ".queue_pkts"),
-              &link);
+              &sinks.metrics->gauge("port." + label + ".queue_pkts"), &link);
+        }
+      }
+      for (const auto& sw : topo.switches()) sw->installObs(*sinks.metrics);
+      // Per-scheme flow-state accounting (tracked/purged/evicted flows,
+      // worst probe distance) for every selector that keeps a table.
+      for (net::Switch* sw : topo.decisionSwitches()) {
+        if (sw->selector() == nullptr) continue;
+        if (lb::FlowStateTableBase* fs = sw->selector()->flowState()) {
+          fs->installObs(*sinks.metrics, sw->name());
         }
       }
     }
-    if (sinks.metrics != nullptr) {
-      for (int l = 0; l < topo.numLeaves(); ++l) {
-        topo.leaf(l).installObs(*sinks.metrics);
-        // Per-scheme flow-state accounting (tracked/purged/evicted flows,
-        // worst probe distance) for every selector that keeps a table.
-        if (topo.leaf(l).selector() != nullptr) {
-          lb::FlowStateTableBase* fs = topo.leaf(l).selector()->flowState();
-          if (fs != nullptr) {
-            fs->installObs(*sinks.metrics, "leaf" + std::to_string(l));
-          }
-        }
-      }
-      for (int s = 0; s < topo.numSpines(); ++s) {
-        topo.spine(s).installObs(*sinks.metrics);
-      }
-    }
+    // Every decision switch runs the same scheme and the factory ran in
+    // decision-switch order, so tlbs[i] is decisionSwitches()[i]'s.
     for (std::size_t i = 0; i < tlbs.size(); ++i) {
       tlbs[i]->installObs(sinks.metrics, sinks.trace,
-                          "leaf" + std::to_string(i));
+                          topo.decisionSwitches()[i]->name());
     }
     if (sinks.flows != nullptr) {
       // Every workload flow is declared up front so each probe hook is a
-      // guaranteed record hit; leaf switches report uplink forwards and
-      // every selector reports its decisions.
+      // guaranteed record hit; access switches report uplink forwards and
+      // their selectors report decisions. Only the first tier reports: the
+      // probe keeps one path per flow.
       for (const auto& f : cfg.flows) {
         sinks.flows->declareFlow(f.id, f.src, f.dst, f.size, f.start,
                                  f.size < cfg.shortThreshold);
       }
-      for (int l = 0; l < topo.numLeaves(); ++l) {
-        topo.leaf(l).installFlowProbe(*sinks.flows, l);
-        if (topo.leaf(l).selector() != nullptr) {
-          topo.leaf(l).selector()->setFlowProbe(sinks.flows);
+      for (std::size_t a = 0; a < access.size(); ++a) {
+        access[a]->installFlowProbe(*sinks.flows, static_cast<int>(a));
+        if (access[a]->selector() != nullptr) {
+          access[a]->selector()->setFlowProbe(sinks.flows);
         }
       }
     }
@@ -227,7 +237,7 @@ ExperimentResult Experiment::run() const {
     fault::FaultMonitor::Config mcfg;
     if (cfg.obsSampleInterval > 0_ns) mcfg.sampleInterval = cfg.obsSampleInterval;
     faultMon = std::make_unique<fault::FaultMonitor>(
-        topo, simr,
+        *leafSpine, simr,
         [&shortFlows, &appFlows, &cfg](FlowId id) {
           if (appFlows != nullptr) {
             if (const auto* spec = appFlows->rpcFlow(id)) {
@@ -237,8 +247,8 @@ ExperimentResult Experiment::run() const {
           return !shortFlows.contains(id);
         },
         mcfg);
-    faultInj = std::make_unique<fault::FaultInjector>(cfg.fault, topo, simr,
-                                                      cfg.seed);
+    faultInj = std::make_unique<fault::FaultInjector>(cfg.fault, *leafSpine,
+                                                      simr, cfg.seed);
     faultInj->setMonitor(faultMon.get());
     if (sinks.flows != nullptr) faultMon->setFlowProbe(sinks.flows);
     if (sinks.any()) faultInj->installObs(sinks.metrics, sinks.trace);
@@ -419,19 +429,17 @@ ExperimentResult Experiment::run() const {
       }
       qmon.rollInterval(t);
 
-      // Fabric utilization: interval delta of the busiest leaf's uplink
-      // busy time, normalized by the group width (Fig. 4(a) proxy).
+      // Fabric utilization: interval delta of the busiest access switch's
+      // uplink busy time, normalized by the group width (Fig. 4(a) proxy).
       SimTime busyNow;
-      for (int l = 0; l < topo.numLeaves(); ++l) {
+      for (const net::Switch* sw : access) {
         SimTime busy;
-        for (int s = 0; s < topo.numSpines(); ++s) {
-          busy += topo.leafUplink(l, s).busyTime();
-        }
+        for (int port : sw->uplinkGroup()) busy += sw->port(port).busyTime();
         busyNow = std::max(busyNow, busy);
       }
       res.fabricUtilization.add(
           t, toSeconds(busyNow - prev.fabricBusy) / dt /
-                 static_cast<double>(topo.numSpines()));
+                 static_cast<double>(access.front()->uplinkGroup().size()));
       now.fabricBusy = busyNow;
 
       if (!tlbs.empty()) {

@@ -1,5 +1,8 @@
 // One experiment = topology + scheme + flow list, run to completion, with
-// the measurements the paper's figures need collected along the way.
+// the measurements the paper's figures need collected along the way. The
+// topology is the paper's leaf-spine, or a k-ary fat-tree when
+// ExperimentConfig::fatTree is set; either way the run is one net::Fabric
+// under the same obs, audit and app wiring.
 //
 // The Experiment class is the run-owning API: it copies its config at
 // construction, optionally owns private observability sinks, and run()
@@ -10,11 +13,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "app/app_config.hpp"
 #include "fault/plan.hpp"
 #include "harness/scheme.hpp"
+#include "net/fat_tree.hpp"
 #include "net/leaf_spine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_summary.hpp"
@@ -33,7 +38,12 @@ class QueryProbe;
 namespace tlbsim::harness {
 
 struct ExperimentConfig {
+  /// The leaf-spine fabric; ignored when `fatTree` is set.
   net::LeafSpineConfig topo;
+  /// Run on a k-ary fat-tree instead, with selectors at both the edge and
+  /// the aggregation tier. The fault plan must be empty: faults name
+  /// leaf-spine links.
+  std::optional<net::FatTreeConfig> fatTree;
   SchemeConfig scheme;
   transport::TcpParams tcp;
   std::vector<transport::FlowSpec> flows;
@@ -51,7 +61,7 @@ struct ExperimentConfig {
   std::uint64_t seed = 1;
 
   /// When true (default), TLB's physical parameters (RTT, capacity,
-  /// buffer) are derived from the topology config before the run.
+  /// buffer, ECN cap) are derived from the topology config before the run.
   bool autoFillTlbFromTopology = true;
 
   /// Observability sinks (both null = fully disabled). The struct is the
@@ -104,15 +114,17 @@ struct ExperimentResult {
   stats::TimeSeries fabricUtilization;  ///< Fig. 4(a)
   stats::TimeSeries tlbQthPackets;      ///< TLB threshold trace
 
-  // Queue-delay distributions at the sender-leaf fabric queues. Short-flow
-  // samples are exact; long-flow ones are bucketed (no figure plots them).
+  // Queue-delay distributions at the access switches' uplink queues (the
+  // sender leaf's on a leaf-spine). Short-flow samples are exact; long-flow
+  // ones are bucketed (no figure plots them).
   SampleSet shortQueueLenPkts;  ///< Fig. 3(a)
   SampleSet shortDelayUsAll;    ///< Fig. 8 (mean)
   obs::Histogram longQueueLenPkts{stats::queueSampleBounds()};
 
   std::uint64_t totalDrops = 0;
   std::uint64_t totalEcnMarks = 0;
-  std::uint64_t tlbLongSwitches = 0;  ///< sum over leaves (TLB runs only)
+  /// Sum over decision switches (TLB runs only).
+  std::uint64_t tlbLongSwitches = 0;
   SimTime endTime;
   double meanFabricUtilization = 0.0;
   std::uint64_t executedEvents = 0;  ///< discrete events the run processed

@@ -6,58 +6,38 @@
 
 namespace tlbsim::net {
 
-Switch& FatTreeTopology::edge(int pod, int i) {
-  return *edges_[static_cast<std::size_t>(pod * hostsPerEdge() + i)];
-}
-
-Switch& FatTreeTopology::agg(int pod, int i) {
-  return *aggs_[static_cast<std::size_t>(pod * hostsPerEdge() + i)];
-}
-
 FatTreeTopology::FatTreeTopology(sim::Simulator& simr,
                                  const FatTreeConfig& cfg,
                                  const SelectorFactory& makeSelector)
-    : sim_(simr), cfg_(cfg) {
+    : Fabric(simr), cfg_(cfg) {
   TLBSIM_ASSERT(cfg.k >= 2 && cfg.k % 2 == 0,
                 "fat-tree k must be even and >= 2 (got %d)", cfg.k);
   const int half = cfg.k / 2;
   const QueueConfig qcfg{cfg.bufferPackets, cfg.ecnThresholdPackets};
+  const int edges = cfg.k * half;
+  reserve(cfg.numHosts(), 2 * edges + cfg.numCores());
 
-  auto makeLink = [&]() {
-    return std::make_unique<Link>(simr, cfg.linkRate, cfg.linkDelay, qcfg);
-  };
-
-  // Instantiate switches.
   for (int p = 0; p < cfg.k; ++p) {
     for (int i = 0; i < half; ++i) {
-      edges_.push_back(std::make_unique<Switch>(
-          simr, "edge" + std::to_string(p) + "." + std::to_string(i)));
-      aggs_.push_back(std::make_unique<Switch>(
-          simr, "agg" + std::to_string(p) + "." + std::to_string(i)));
+      addSwitch("edge" + std::to_string(p) + "." + std::to_string(i),
+                /*tier=*/1);
+    }
+  }
+  for (int p = 0; p < cfg.k; ++p) {
+    for (int i = 0; i < half; ++i) {
+      addSwitch("agg" + std::to_string(p) + "." + std::to_string(i),
+                /*tier=*/2);
     }
   }
   for (int c = 0; c < cfg.numCores(); ++c) {
-    cores_.push_back(
-        std::make_unique<Switch>(simr, "core" + std::to_string(c)));
+    addSwitch("core" + std::to_string(c), /*tier=*/3);
   }
 
-  // Hosts + host<->edge links.
-  for (int p = 0; p < cfg.k; ++p) {
-    for (int e = 0; e < half; ++e) {
-      Switch& esw = edge(p, e);
-      for (int h = 0; h < half; ++h) {
-        const HostId id =
-            static_cast<HostId>(p * half * half + e * half + h);
-        auto host = std::make_unique<Host>(id, "h" + std::to_string(id));
-        auto up = makeLink();
-        up->connect(&esw, -1);
-        host->attachUplink(std::move(up));
-        auto down = makeLink();
-        down->connect(host.get(), 0);
-        const int port = esw.addPort(std::move(down));
-        esw.setRoute(id, port);
-        hosts_.push_back(std::move(host));
-      }
+  // Hosts + host<->edge links: edge switch e (pod-major) serves hosts
+  // e * half .. e * half + half - 1.
+  for (int e = 0; e < edges; ++e) {
+    for (int h = 0; h < half; ++h) {
+      addHost(e, cfg.linkRate, cfg.linkDelay, qcfg);
     }
   }
 
@@ -68,23 +48,16 @@ FatTreeTopology::FatTreeTopology(sim::Simulator& simr,
       std::vector<int> group;
       for (int a = 0; a < half; ++a) {
         Switch& asw = agg(p, a);
-        auto up = makeLink();
-        up->connect(&asw, -1);
-        const int upPort = esw.addPort(std::move(up));
-        group.push_back(upPort);
-        fabricPorts_.push_back({&esw, upPort});
-
-        auto down = makeLink();
-        down->connect(&esw, -1);
-        const int downPort = asw.addPort(std::move(down));
-        fabricPorts_.push_back({&asw, downPort});
+        const CablePorts ports =
+            connect(esw, asw, cfg.linkRate, cfg.linkDelay, qcfg);
+        group.push_back(ports.up);
         // Aggregation: hosts under edge(p, e) exit via this downlink.
         for (int h = 0; h < half; ++h) {
-          asw.setRoute(
-              static_cast<HostId>(p * half * half + e * half + h), downPort);
+          asw.setRoute(static_cast<HostId>(p * half * half + e * half + h),
+                       ports.down);
         }
       }
-      esw.setUplinkGroup(std::move(group));
+      setUplinks(esw, std::move(group));
       // Everything not directly attached goes via the uplinks.
       for (int id = 0; id < cfg.numHosts(); ++id) {
         const bool local =
@@ -100,48 +73,27 @@ FatTreeTopology::FatTreeTopology(sim::Simulator& simr,
       Switch& asw = agg(p, a);
       std::vector<int> group;
       for (int j = 0; j < half; ++j) {
-        Switch& csw = *cores_[static_cast<std::size_t>(a * half + j)];
-        auto up = makeLink();
-        up->connect(&csw, -1);
-        const int upPort = asw.addPort(std::move(up));
-        group.push_back(upPort);
-        fabricPorts_.push_back({&asw, upPort});
-
-        auto down = makeLink();
-        down->connect(&asw, -1);
-        const int downPort = csw.addPort(std::move(down));
-        fabricPorts_.push_back({&csw, downPort});
+        Switch& csw = core(a * half + j);
+        const CablePorts ports =
+            connect(asw, csw, cfg.linkRate, cfg.linkDelay, qcfg);
+        group.push_back(ports.up);
         // Core: every host of pod p exits via this downlink.
         for (int id = p * half * half; id < (p + 1) * half * half; ++id) {
-          csw.setRoute(static_cast<HostId>(id), downPort);
+          csw.setRoute(static_cast<HostId>(id), ports.down);
         }
       }
-      asw.setUplinkGroup(std::move(group));
+      setUplinks(asw, std::move(group));
       // Hosts outside this pod go via the core uplinks.
       for (int id = 0; id < cfg.numHosts(); ++id) {
-        if (id / (half * half) != p) asw.routeViaUplinks(static_cast<HostId>(id));
+        if (id / (half * half) != p) {
+          asw.routeViaUplinks(static_cast<HostId>(id));
+        }
       }
     }
   }
 
-  // Install selectors on both decision tiers.
-  if (makeSelector) {
-    int idx = 0;
-    for (auto& e : edges_) {
-      e->setSelector(makeSelector(*e, idx++));
-    }
-    for (auto& a : aggs_) {
-      a->setSelector(makeSelector(*a, idx++));
-    }
-  }
-}
-
-void FatTreeTopology::forEachFabricLink(
-    // setup-time iteration. tlbsim-lint: allow(std-function-hot-path)
-    const std::function<void(Link&)>& fn) {
-  for (const auto& [sw, port] : fabricPorts_) {
-    fn(sw->port(port));
-  }
+  // Selectors on both decision tiers: edges first, then aggs.
+  installSelectors(makeSelector);
 }
 
 }  // namespace tlbsim::net

@@ -12,13 +12,7 @@
 //   * k^3/4 hosts total; (k/2)^2 equal-cost paths between pods.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <vector>
-
-#include "net/host.hpp"
-#include "net/leaf_spine.hpp"  // SelectorFactory
-#include "net/switch.hpp"
+#include "net/fabric.hpp"
 #include "sim/simulator.hpp"
 #include "util/units.hpp"
 
@@ -35,9 +29,11 @@ struct FatTreeConfig {
   int numHosts() const { return k * k * k / 4; }
   int switchesPerTierPerPod() const { return k / 2; }
   int numCores() const { return (k / 2) * (k / 2); }
+  /// A pod-to-pod path crosses 6 links each way.
+  SimTime baseRtt() const { return 12 * linkDelay; }
 };
 
-class FatTreeTopology {
+class FatTreeTopology : public Fabric {
  public:
   /// `makeSelector` is invoked for every edge and aggregation switch with
   /// a unique switch index (edges first, then aggs).
@@ -46,42 +42,23 @@ class FatTreeTopology {
 
   const FatTreeConfig& config() const { return cfg_; }
 
-  int numHosts() const { return cfg_.numHosts(); }
-  Host& host(int i) { return *hosts_[static_cast<std::size_t>(i)]; }
-  Switch& edge(int pod, int i);
-  Switch& agg(int pod, int i);
-  Switch& core(int i) { return *cores_[static_cast<std::size_t>(i)]; }
-
-  int podOf(HostId h) const {
-    const int hostsPerPod = cfg_.k * cfg_.k / 4;
-    return static_cast<int>(h) / hostsPerPod;
+  Switch& edge(int pod, int i) { return switchAt(pod * half() + i); }
+  Switch& agg(int pod, int i) {
+    return switchAt(cfg_.k * half() + pod * half() + i);
   }
+  Switch& core(int i) { return switchAt(2 * cfg_.k * half() + i); }
+
+  int podOf(HostId h) const { return static_cast<int>(h) / (half() * half()); }
   int edgeOf(HostId h) const {
-    const int perEdge = cfg_.k / 2;
-    const int hostsPerPod = cfg_.k * cfg_.k / 4;
-    return (static_cast<int>(h) % hostsPerPod) / perEdge;
+    return (static_cast<int>(h) % (half() * half())) / half();
   }
-
-  /// Visit all switch-to-switch links (both directions) at setup time
-  /// (cold path).
-  // tlbsim-lint: allow(std-function-hot-path)
-  void forEachFabricLink(const std::function<void(Link&)>& fn);
 
  private:
-  int hostsPerEdge() const { return cfg_.k / 2; }
+  int half() const { return cfg_.k / 2; }
+  /// Switches are added edges, then aggs, then cores, each pod-major.
+  Switch& switchAt(int i) { return *switches()[static_cast<std::size_t>(i)]; }
 
-  sim::Simulator& sim_;
   FatTreeConfig cfg_;
-  std::vector<std::unique_ptr<Host>> hosts_;
-  std::vector<std::unique_ptr<Switch>> edges_;  // [pod * k/2 + i]
-  std::vector<std::unique_ptr<Switch>> aggs_;   // [pod * k/2 + i]
-  std::vector<std::unique_ptr<Switch>> cores_;  // [group * k/2 + j]
-  // Port bookkeeping for forEachFabricLink.
-  struct FabricPort {
-    Switch* sw;
-    int port;
-  };
-  std::vector<FabricPort> fabricPorts_;
 };
 
 }  // namespace tlbsim::net

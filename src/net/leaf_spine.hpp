@@ -6,12 +6,9 @@
 // Figs. 16/17 by scaling the delay/bandwidth of selected leaf-spine cables.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "net/host.hpp"
-#include "net/switch.hpp"
+#include "net/fabric.hpp"
 #include "sim/simulator.hpp"
 #include "util/units.hpp"
 
@@ -45,25 +42,19 @@ struct LeafSpineConfig {
   SimTime baseRtt() const { return 8 * linkDelay; }
 };
 
-/// Builds one UplinkSelector per leaf switch. `leafIndex` lets schemes
-/// derive per-switch salts/seeds.
-// Called once per switch at topology construction (cold path).
-// tlbsim-lint: allow(std-function-hot-path)
-using SelectorFactory =
-    // tlbsim-lint: allow(std-function-hot-path)
-    std::function<std::unique_ptr<UplinkSelector>(Switch& sw, int leafIndex)>;
-
-class LeafSpineTopology {
+class LeafSpineTopology : public Fabric {
  public:
+  /// `makeSelector` is invoked for every leaf, with the leaf's index.
   LeafSpineTopology(sim::Simulator& simr, const LeafSpineConfig& cfg,
                     const SelectorFactory& makeSelector);
 
   const LeafSpineConfig& config() const { return cfg_; }
 
-  int numHosts() const { return cfg_.numHosts(); }
-  Host& host(int i) { return *hosts_[static_cast<std::size_t>(i)]; }
-  Switch& leaf(int i) { return *leaves_[static_cast<std::size_t>(i)]; }
-  Switch& spine(int i) { return *spines_[static_cast<std::size_t>(i)]; }
+  Switch& leaf(int i) { return *accessSwitches()[static_cast<std::size_t>(i)]; }
+  /// Spines are added after the leaves.
+  Switch& spine(int i) {
+    return *switches()[static_cast<std::size_t>(cfg_.numLeaves + i)];
+  }
   int numLeaves() const { return cfg_.numLeaves; }
   int numSpines() const { return cfg_.numSpines; }
 
@@ -77,28 +68,8 @@ class LeafSpineTopology {
   /// when the fabric is not the bottleneck).
   Link& leafDownlink(HostId host);
 
-  /// Upper bound on the one-way time of a packet of at most `maxPacket`
-  /// bytes between any two hosts: the worst Link::worstCaseTransit() of
-  /// each tier, summed over the four hops of a cross-leaf path. It covers
-  /// every factor an installed fault plan declared on the links
-  /// (Link::faultPlanFactors), including faults that have not fired yet.
-  SimTime worstCaseOneWay(ByteCount maxPacket);
-
-  /// Visit every fabric link (both directions); used to install stats
-  /// hooks at setup time (cold path).
-  // tlbsim-lint: allow(std-function-hot-path)
-  void forEachFabricLink(const std::function<void(Link&)>& fn);
-
  private:
-  sim::Simulator& sim_;
   LeafSpineConfig cfg_;
-  std::vector<std::unique_ptr<Host>> hosts_;
-  std::vector<std::unique_ptr<Switch>> leaves_;
-  std::vector<std::unique_ptr<Switch>> spines_;
-  // Port bookkeeping: port indices into each switch, by peer.
-  std::vector<std::vector<int>> leafUplinkPort_;    // [leaf][spine]
-  std::vector<std::vector<int>> leafDownlinkPort_;  // [leaf][local host idx]
-  std::vector<std::vector<int>> spineDownlinkPort_;  // [spine][leaf]
 };
 
 }  // namespace tlbsim::net

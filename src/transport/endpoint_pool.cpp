@@ -6,7 +6,7 @@
 
 namespace tlbsim::transport {
 
-EndpointPool::EndpointPool(sim::Simulator& simr, net::LeafSpineTopology& topo,
+EndpointPool::EndpointPool(sim::Simulator& simr, net::Fabric& topo,
                            const TcpParams& params)
     : sim_(simr), topo_(topo), params_(params) {}
 
@@ -17,7 +17,7 @@ EndpointPool::~EndpointPool() {
   }
 }
 
-SimTime EndpointPool::safeDrainTime(net::LeafSpineTopology& topo,
+SimTime EndpointPool::safeDrainTime(const net::Fabric& topo,
                                     const TcpParams& params) {
   SimTime drain = 2 * topo.worstCaseOneWay(params.maxSegmentWireSize());
   if (params.delayedAckEvery > 1) drain += params.delayedAckTimeout;

@@ -24,7 +24,7 @@
 #include <new>
 #include <utility>
 
-#include "net/leaf_spine.hpp"
+#include "net/fabric.hpp"
 #include "sim/simulator.hpp"
 #include "transport/tcp_params.hpp"
 #include "transport/tcp_receiver.hpp"
@@ -44,7 +44,7 @@ class EndpointPool {
       util::InlineFunction<void(TcpSender&, TcpReceiver&, std::uint64_t)>;
 
   /// The topology and simulator must outlive the pool.
-  EndpointPool(sim::Simulator& simr, net::LeafSpineTopology& topo,
+  EndpointPool(sim::Simulator& simr, net::Fabric& topo,
                const TcpParams& params);
   ~EndpointPool();
 
@@ -92,7 +92,7 @@ class EndpointPool {
   /// most the delayed-ACK timeout. Hence twice the topology's worst-case
   /// one-way time for a full-size segment, plus that timeout when ACKs are
   /// delayed.
-  static SimTime safeDrainTime(net::LeafSpineTopology& topo,
+  static SimTime safeDrainTime(const net::Fabric& topo,
                                const TcpParams& params);
 
  private:
@@ -127,7 +127,7 @@ class EndpointPool {
   void onFinished(std::uint32_t index);
 
   sim::Simulator& sim_;
-  net::LeafSpineTopology& topo_;
+  net::Fabric& topo_;
   TcpParams params_;
   SimTime drain_ = -1_ns;
   /// Every pair ever built; a deque, so slot addresses never move.

@@ -201,5 +201,131 @@ TEST(Experiment, TlbShortFlowsBeatEcmpOnTheBasicMix) {
   EXPECT_LE(tlbSum, ecmpSum * 1.05);
 }
 
+// --- k=4 fat-tree: two stacked decision tiers through the same harness --
+
+/// Cross-pod flows on a k=4 fat-tree, audited: a few long, a burst of
+/// short.
+ExperimentConfig fatTreeConfig(Scheme scheme, std::uint64_t seed = 1) {
+  ExperimentConfig cfg;
+  cfg.fatTree.emplace().k = 4;
+  cfg.scheme.scheme = scheme;
+  cfg.seed = seed;
+  cfg.maxDuration = seconds(10);
+  cfg.audit = ExperimentConfig::Audit::kOn;
+
+  Rng rng(seed * 13 + 1);
+  FlowId id = 1;
+  for (int i = 0; i < 2; ++i) {
+    transport::FlowSpec f;
+    f.id = id++;
+    f.src = static_cast<net::HostId>(i);
+    f.dst = static_cast<net::HostId>(12 + i);
+    f.size = 1 * kMB;
+    cfg.flows.push_back(f);
+  }
+  for (int i = 0; i < 12; ++i) {
+    transport::FlowSpec f;
+    f.id = id++;
+    f.src = static_cast<net::HostId>(rng.uniformInt(8));       // pods 0-1
+    f.dst = static_cast<net::HostId>(8 + rng.uniformInt(8));   // pods 2-3
+    f.size = ByteCount::fromBytes(
+        rng.uniformInt((10 * kKB).bytes(), (90 * kKB).bytes()));
+    f.start = microseconds(rng.uniformInt(0, 2000));
+    f.deadline = milliseconds(20);
+    cfg.flows.push_back(f);
+  }
+  return cfg;
+}
+
+class FatTreeSchemeSweep
+    : public ::testing::TestWithParam<std::tuple<Scheme, std::uint64_t>> {};
+
+TEST_P(FatTreeSchemeSweep, AllFlowsComplete) {
+  const auto [scheme, seed] = GetParam();
+  const auto res = runExperiment(fatTreeConfig(scheme, seed));
+  EXPECT_EQ(res.ledger.completedCount([](const auto&) { return true; }),
+            res.ledger.size())
+      << schemeName(scheme) << " seed " << seed;
+  // The auditor watched every host, link and switch of both tiers; an
+  // orphan packet (a flow's packet outliving the six-hop drain) would be
+  // a violation.
+  EXPECT_GT(res.auditTicks, 0u);
+  EXPECT_EQ(res.auditViolations, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, FatTreeSchemeSweep,
+    ::testing::Combine(::testing::Values(Scheme::kEcmp, Scheme::kRps,
+                                         Scheme::kLetFlow, Scheme::kConga,
+                                         Scheme::kPresto, Scheme::kTlb),
+                       ::testing::Values(1, 2)));
+
+TEST(FatTreeExperiment, DeterministicForSameSeed) {
+  const auto a = runExperiment(fatTreeConfig(Scheme::kTlb, 5));
+  const auto b = runExperiment(fatTreeConfig(Scheme::kTlb, 5));
+  ASSERT_EQ(a.ledger.size(), b.ledger.size());
+  for (std::size_t i = 0; i < a.ledger.size(); ++i) {
+    EXPECT_EQ(a.ledger.flows()[i].fct, b.ledger.flows()[i].fct);
+  }
+  EXPECT_EQ(a.auditViolations, 0u);
+}
+
+TEST(FatTreeExperiment, TlbInstancesLiveAtBothTiers) {
+  // TLB runs on 8 edge + 8 aggregation switches, each labelled by its
+  // switch name.
+  Experiment exp(fatTreeConfig(Scheme::kTlb));
+  auto& metrics = exp.ownMetrics();
+  const auto res = exp.run();
+  EXPECT_EQ(res.ledger.size(), exp.config().flows.size());
+  EXPECT_EQ(res.auditViolations, 0u);
+  const auto ticks = [&](const std::string& sw) {
+    const obs::Counter* c = metrics.findCounter("tlb." + sw + ".control_ticks");
+    return c != nullptr ? c->value() : 0u;
+  };
+  EXPECT_GT(ticks("edge0.0"), 0u);
+  EXPECT_GT(ticks("agg3.1"), 0u);
+  EXPECT_EQ(metrics.findCounter("tlb.core0.control_ticks"), nullptr);
+  // Link obs stay at the first decision tier.
+  EXPECT_NE(metrics.findCounter("port.edge0.0->agg0.1.tx_packets"), nullptr);
+  EXPECT_EQ(metrics.findCounter("port.agg0.0->core0.tx_packets"), nullptr);
+}
+
+TEST(FatTreeExperiment, HardStopRespected) {
+  auto cfg = fatTreeConfig(Scheme::kEcmp);
+  cfg.maxDuration = microseconds(100);
+  const auto res = runExperiment(cfg);
+  EXPECT_LE(res.endTime, microseconds(100) + microseconds(1));
+  EXPECT_LT(res.ledger.completedCount([](const auto&) { return true; }),
+            res.ledger.size());
+  EXPECT_EQ(res.auditViolations, 0u);
+}
+
+TEST(FatTreeExperiment, AuditedAppRunLeavesNoOrphans) {
+  // Partition-aggregate queries spread over every edge switch, with
+  // duplicate requests: many short RPC flows reuse drained endpoints, so
+  // a drain bound shorter than the six-hop path would orphan packets. The
+  // audit counts an orphan as a violation, so zero violations means zero
+  // orphans.
+  ExperimentConfig cfg;
+  cfg.fatTree.emplace().k = 4;
+  cfg.scheme.scheme = Scheme::kTlb;
+  cfg.audit = ExperimentConfig::Audit::kOn;
+  cfg.app.queries = 60;
+  cfg.app.fanOut = 8;
+  cfg.app.placement = app::Placement::kSpread;
+  cfg.app.duplicateThreshold = 64 * kKB;
+  const auto res = runExperiment(cfg);
+  EXPECT_EQ(res.appQueriesCompleted, 60);
+  EXPECT_GT(res.appDuplicates, 0u);
+  EXPECT_GT(res.auditTicks, 0u);
+  EXPECT_EQ(res.auditViolations, 0u);
+}
+
+TEST(FatTreeExperimentDeathTest, RejectsAFaultPlan) {
+  auto cfg = fatTreeConfig(Scheme::kEcmp);
+  cfg.fault.events.push_back({});
+  EXPECT_DEATH(runExperiment(cfg), "fault plans name leaf-spine links");
+}
+
 }  // namespace
 }  // namespace tlbsim::harness

@@ -93,6 +93,16 @@ app-flowspec-factory
     FlowFactory::rpcFlow(...)`) and reference/pointer parameters are
     fine; default or brace construction is not.
 
+topology-shape
+    Nothing in src/ names LeafSpineTopology or FatTreeTopology except the
+    builders themselves (src/net/), the fault subsystem (src/fault/, whose
+    `leafL-spineS` grammar and one-uplink-per-flow monitor are leaf-spine
+    only) and src/harness/experiment.cpp, which picks the builder. Every
+    other consumer takes net::Fabric&, which answers by host, access
+    switch, decision switch and link label, so it runs on either topology
+    and a new one needs no port. Indexing a topology by leaf and spine
+    outside those places is how a second, unaudited harness grew before.
+
 Suppression: append `// tlbsim-lint: allow(<rule>)` to the offending line,
 or place it as a comment-only line directly above (for lines that would
 overflow the 80-column format limit otherwise).
@@ -170,6 +180,11 @@ FLOWID_MAP_RE = re.compile(
     r"(?:tlbsim\s*::\s*)?(?:util\s*::\s*)?FlowId\s*,")
 # The directories holding packet-path per-flow state (the rule's scope).
 FLOWID_MAP_DIRS = (("src", "lb"), ("src", "core"), ("src", "net"))
+
+TOPOLOGY_SHAPE_RE = re.compile(r"\b(LeafSpineTopology|FatTreeTopology)\b")
+# The code allowed to know a topology's shape by index.
+TOPOLOGY_SHAPE_DIRS = (("src", "net"), ("src", "fault"))
+TOPOLOGY_SHAPE_FILES = ("src/harness/experiment.cpp",)
 
 DIRECT_EXPERIMENT_RE = re.compile(
     r"\b(runExperiment|summarizeExperiment)\s*\("
@@ -380,6 +395,17 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     "captures, no per-call heap), or allow() with a "
                     "cold-path justification"))
 
+        # --- topology-shape -------------------------------------------
+        if in_src and rel.parts[:2] not in TOPOLOGY_SHAPE_DIRS and \
+                rel.as_posix() not in TOPOLOGY_SHAPE_FILES:
+            m = TOPOLOGY_SHAPE_RE.search(code)
+            if m and not allowed(raw, "topology-shape", prev_raw):
+                findings.append(Finding(
+                    rel, lineno, "topology-shape",
+                    f"{m.group(1)} outside src/net, src/fault and "
+                    "harness/experiment.cpp; take net::Fabric& so the "
+                    "code runs on every topology"))
+
         # --- bench-direct-experiment ----------------------------------
         if in_bench:
             m = DIRECT_EXPERIMENT_RE.search(code)
@@ -530,6 +556,24 @@ SELF_TEST_CASES = [
      "// tlbsim-lint: allow(app-flowspec-factory)\n"
      "transport::FlowSpec raw;\n"),
     (None, "src/workload/x.cpp", "transport::FlowSpec f;\n"),
+    # topology-shape: consumers take net::Fabric&, not a builder.
+    ("topology-shape", "src/app/service.hpp",
+     "Service(sim::Simulator& simr, net::LeafSpineTopology& topo);\n"),
+    ("topology-shape", "src/check/invariant_audit.cpp",
+     "void watchTopology(net::FatTreeTopology& topo) {\n"),
+    ("topology-shape", "src/transport/endpoint_pool.hpp",
+     "net::LeafSpineTopology& topo_;\n"),
+    ("topology-shape", "src/harness/scheme.cpp",
+     "std::optional<net::FatTreeTopology> tree;\n"),
+    (None, "src/net/fat_tree.hpp",
+     "class FatTreeTopology : public Fabric {\n"),
+    (None, "src/fault/injector.hpp", "net::LeafSpineTopology& topo_;\n"),
+    (None, "src/harness/experiment.cpp",
+     "std::optional<net::LeafSpineTopology> leafSpine;\n"),
+    (None, "src/app/service.hpp", "net::Fabric& topo_;\n"),
+    (None, "src/app/service.cpp",
+     "// built on a LeafSpineTopology or a FatTreeTopology\n"),
+    (None, "tools/x.cpp", "net::LeafSpineTopology topo(simr, cfg, f);\n"),
 ]
 
 
