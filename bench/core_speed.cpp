@@ -18,13 +18,15 @@
 //          re-arms its flow's RTO — cancel + reschedule on the seed core,
 //          sim::DeadlineTimer on the new one, as in TcpSender. Reported
 //          as packet events/sec; both cores do identical work.
-//   link   the heap churn with a link's delays: each packet alternates
-//          between serialization on a 1 Gbps link (12 us for a 1500 B
-//          data segment, 320 ns for a 40 B ACK) and 12.5 us propagation,
-//          so the new core's posts reuse its lanes as Link's do. The
-//          micro and heap churns draw uniform delays that almost never
-//          repeat and measure the lane bypass instead. Both report the
-//          share of the new core's posts that used a lane.
+//   link   the heap churn with a link's events, one per hop: a delivery
+//          at serialization on a 1 Gbps link (12 us for a 1500 B data
+//          segment, 320 ns for a 40 B ACK) plus 12.5 us propagation, or,
+//          for about a quarter of the events, a wake at the serialization
+//          time alone. Those four delays reuse the new core's lanes as
+//          Link's posts do. The micro and heap churns draw uniform delays
+//          that almost never repeat and measure the lane bypass instead.
+//          Both report the share of the new core's posts that used a
+//          lane.
 //   macro  a fig10-style web-search sweep through runner::runSweep with
 //          the real simulator (new core only): the end-to-end wall-clock
 //          a scheduler change actually buys.
@@ -243,19 +245,22 @@ struct HeapResult {
 /// Packet-event delays of the heap churn: uniform, so they almost never
 /// repeat and the new core's posts bypass its lanes.
 struct UniformDelays {
-  SimTime next(Rng& rng, std::uint32_t) const {
+  SimTime next(Rng& rng) const {
     return SimTime::fromNs(rng.uniformInt(50, 500));
   }
 };
 
-/// Packet-event delays of the link churn: a packet's events alternate
-/// between serialization on a 1 Gbps link — 12 us for a 1500 B data
-/// segment, 320 ns for a 40 B ACK, drawn half and half — and 12.5 us of
-/// propagation.
+/// Packet-event delays of the link churn, in net::Link's shape: the
+/// serialization time on a 1 Gbps link — 12 us for a 1500 B data
+/// segment, 320 ns for a 40 B ACK, drawn half and half — for a wake, and
+/// that plus 12.5 us of propagation for a delivery. One event in
+/// kWakeShare is a wake: websearch_tlb runs 0.38 wakes per delivery
+/// (DESIGN §6g).
 struct LinkDelays {
-  SimTime next(Rng& rng, std::uint32_t hop) const {
-    if (hop % 2 == 1) return 12'500_ns;
-    return rng.uniform() < 0.5 ? 12'000_ns : 320_ns;
+  static constexpr double kWakeShare = 0.38 / 1.38;
+  SimTime next(Rng& rng) const {
+    const SimTime tx = rng.uniform() < 0.5 ? 12'000_ns : 320_ns;
+    return rng.uniform() < kWakeShare ? tx : tx + 12'500_ns;
   }
 };
 
@@ -263,7 +268,7 @@ struct LinkDelays {
 /// millisecond out, and kInFlight packet events circulate. Each packet
 /// event re-arms one flow's RTO (almost always pushing it later, as an
 /// ACK does) and sends that flow's next packet after a delay from
-/// `Delays`: about 3600 packet gaps per RTO with UniformDelays, about 80
+/// `Delays`: about 3600 packet gaps per RTO with UniformDelays, about 70
 /// with LinkDelays.
 template <typename Core, typename Delays>
 HeapResult runHeapChurn(std::uint64_t targetPackets, std::uint64_t seed) {
@@ -281,15 +286,14 @@ HeapResult runHeapChurn(std::uint64_t targetPackets, std::uint64_t seed) {
     }
     // 16 bytes of capture: inline in std::function too, so the seed
     // core pays no allocation the indexed one does not.
-    void send(std::uint32_t flow, std::uint32_t hop) {
-      core.post(delays.next(rng, hop),
-                [this, flow, hop] { packet(flow, hop + 1); });
+    void send(std::uint32_t flow) {
+      core.post(delays.next(rng), [this, flow] { packet(flow); });
     }
-    void packet(std::uint32_t flow, std::uint32_t hop) {
+    void packet(std::uint32_t flow) {
       ++packets;
       depthSum += static_cast<double>(core.heapSize());
       armRto(flow, SimTime::fromNs(1'000'000 + rng.uniformInt(0, 2000)));
-      send(pickFlow(), hop);
+      send(pickFlow());
     }
     std::uint32_t pickFlow() {
       return static_cast<std::uint32_t>(rng.uniformInt(kFlows));
@@ -300,7 +304,7 @@ HeapResult runHeapChurn(std::uint64_t targetPackets, std::uint64_t seed) {
   ctx->core.addRtos(kFlows);
   Ctx* c = ctx.get();
   for (std::size_t f = 0; f < kFlows; ++f) c->armRto(f, 1_ms);
-  for (int i = 0; i < kInFlight; ++i) c->send(c->pickFlow(), 0);
+  for (int i = 0; i < kInFlight; ++i) c->send(c->pickFlow());
   const auto t0 = std::chrono::steady_clock::now();
   while (c->packets < targetPackets) {
     c->core.runTo(c->core.now() + SimTime::fromNs(10'000));
@@ -414,7 +418,7 @@ int main(int argc, char** argv) {
                    "events re-arm them):",
                    &heapLegacy, &heapNew, heapSpeedup},
         std::tuple{"Link-shaped churn (the same at a 1 Gbps link's "
-                   "12 us / 320 ns / 12.5 us delays):",
+                   "one-event-per-hop delays):",
                    &linkLegacy, &linkNew, linkSpeedup}}) {
     std::printf("%s\n", title);
     for (const auto& [name, h] :
@@ -469,7 +473,7 @@ int main(int argc, char** argv) {
                "    \"flows\": 300, \"packets_in_flight\": 32, "
                "\"rto_us\": 1000,\n"
                "    \"delays_ns\": {\"data_tx\": 12000, \"ack_tx\": 320, "
-               "\"propagation\": 12500},\n"
+               "\"propagation\": 12500}, \"wake_share\": %.3f,\n"
                "    \"seed_priority_queue\": {\"packet_events\": %llu, "
                "\"wall_s\": %.4f, \"events_per_sec\": %.0f, "
                "\"heap_depth_mean\": %.1f},\n"
@@ -495,6 +499,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(heapNew.r.events),
                heapNew.r.wallSec, heapNew.r.eventsPerSec(),
                heapNew.heapDepthMean, heapNew.r.laneShare, heapSpeedup,
+               bench::LinkDelays::kWakeShare,
                static_cast<unsigned long long>(linkLegacy.r.events),
                linkLegacy.r.wallSec, linkLegacy.r.eventsPerSec(),
                linkLegacy.heapDepthMean,

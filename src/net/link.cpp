@@ -38,8 +38,12 @@ void Link::faultDown(bool drainInFlight) {
   up_ = false;
   drainInFlight_ = drainInFlight;
   // In drop mode, everything already on the wire dies: deliveries carry
-  // the epoch they departed under and are discarded on mismatch.
-  if (!drainInFlight_) ++wireEpoch_;
+  // the epoch they departed under and are discarded on mismatch. The
+  // packet being serialized dies when its serialization ends.
+  if (!drainInFlight_) {
+    ++wireEpoch_;
+    redecide();
+  }
   // The queue behind a dead port empties — those packets are fault losses,
   // not queue-overflow drops, and observers that meter dequeues (stats,
   // load estimators) must not see them leave.
@@ -55,7 +59,8 @@ void Link::faultUp() {
   if (up_) return;
   up_ = true;
   drainInFlight_ = false;
-  if (!transmitting_ && !queue_.empty()) startTransmission();
+  redecide();  // a down lifted before serialization ends delivers the packet
+  if (!queue_.empty()) serve();
 }
 
 void Link::faultSetRateFactor(double factor) {
@@ -66,6 +71,7 @@ void Link::faultSetRateFactor(double factor) {
 void Link::faultSetDelayFactor(double factor) {
   TLBSIM_ASSERT(factor > 0.0, "delay factor must be positive, got %f", factor);
   delayFactor_ = factor;
+  redecide();  // the packet being serialized propagates at the new delay
 }
 
 void Link::faultPlanFactors(double rateFactor, double delayFactor) {
@@ -89,6 +95,11 @@ void Link::faultSetDropProb(double prob, std::uint64_t seed) {
                 "drop probability must be in [0, 1], got %f", prob);
   dropProb_ = prob;
   faultRng_.reseed(seed);
+  if (transmitting()) {
+    // The packet being serialized draws again, first from the new seed.
+    txGrayDrop_ = dropProb_ > 0.0 && faultRng_.uniform() < dropProb_;
+    redecide();
+  }
 }
 
 void Link::send(const Packet& pkt) {
@@ -127,18 +138,45 @@ void Link::send(const Packet& pkt) {
       for (const auto& hook : markHooks_) hook(marked);
     }
   }
-  if (!transmitting_) startTransmission();
+  serve();
+}
+
+void Link::serve() {
+  if (wakePending_) return;  // the wake starts the head packet
+  if (!transmitting()) {
+    startTransmission();
+    return;
+  }
+  // The first packet behind a busy transmitter: wake when it frees up.
+  // The remaining serialization time is arbitrary, so the wake goes to
+  // the heap rather than claiming a lane.
+  wakePending_ = true;
+  const auto wakeUp = [this] { wake(); };
+  static_assert(sim::EventFn::relocatesByCopy<decltype(wakeUp)>());
+  sim_.postAt(busyUntil_, wakeUp);
+}
+
+void Link::wake() {
+  wakePending_ = false;
+  if (up_ && !queue_.empty()) startTransmission();
 }
 
 void Link::startTransmission() {
   TLBSIM_DCHECK(!queue_.empty(), "transmission started on an empty queue");
+  TLBSIM_DCHECK(!transmitting() && !wakePending_,
+                "transmission started on a busy link");
+  // Dequeue straight into the wire slot the packet's event will read.
+  txSlot_ = wireAlloc();
   SimTime queueDelay;
-  txPacket_ = queue_.dequeue(sim_.now(), &queueDelay);
-  const Packet& pkt = txPacket_;
-  for (const auto& hook : dequeueHooks_) hook(pkt, queueDelay);
-  transmitting_ = true;
+  wire_[txSlot_].pkt = queue_.dequeue(sim_.now(), &queueDelay);
+  const Packet& pkt = wire_[txSlot_].pkt;
   const SimTime txTime = effectiveRate().transmissionTime(pkt.size);
+  busyUntil_ = sim_.now() + txTime;
   busyTime_ += txTime;
+  ++startedPackets_;
+  startedBytes_ += pkt.size;
+  if (obsTx_ != nullptr) obsTx_->inc();
+  for (const auto& hook : dequeueHooks_) hook(pkt, queueDelay);
   if (trace_ != nullptr) {
     // One span per serialization on this link's track; the packet type is
     // visible via the name, the identity via args.
@@ -148,76 +186,92 @@ void Link::startTransmission() {
                       {"qdelay_us", toMicroseconds(queueDelay)}},
                      traceTid_);
   }
-  // The packet being serialized lives in txPacket_, so the event captures
-  // one pointer: inline in the scheduler's slot, moved by plain copies.
-  const auto done = [this] { onTransmitComplete(); };
-  static_assert(sim::EventFn::relocatesByCopy<decltype(done)>());
-  sim_.post(txTime, done);
-}
-
-std::uint32_t Link::wireAlloc(const Packet& pkt, std::uint64_t epoch) {
-  std::uint32_t idx;
-  if (wireFreeHead_ != kNoWireSlot) {
-    idx = wireFreeHead_;
-    wireFreeHead_ = wire_[idx].nextFree;
-  } else {
-    wire_.emplace_back();
-    idx = static_cast<std::uint32_t>(wire_.size() - 1);
+  // One gray-drop draw per started packet, in start order (which is the
+  // order serializations end in).
+  txGrayDrop_ = dropProb_ > 0.0 && faultRng_.uniform() < dropProb_;
+  arrivalFloor_ = lastArrival_;
+  decide();
+  if (!queue_.empty()) {
+    // A backlog waits: wake when this serialization ends. The delay is a
+    // serialization time, which repeats, so the wake rides a lane.
+    wakePending_ = true;
+    const auto wakeUp = [this] { wake(); };
+    static_assert(sim::EventFn::relocatesByCopy<decltype(wakeUp)>());
+    sim_.post(txTime, wakeUp);
   }
-  wire_[idx].pkt = pkt;
-  wire_[idx].epoch = epoch;
-  return idx;
 }
 
-void Link::onTransmitComplete() {
-  // Read in place: txPacket_ is only re-filled by the startTransmission
-  // call at the very end.
-  const Packet& pkt = txPacket_;
-  ++txPackets_;
-  txBytes_ += pkt.size;
-  if (obsTx_ != nullptr) obsTx_->inc();
-  // A packet that finished serializing after a drop-mode faultDown dies
-  // here; a gray failure drops it silently with probability dropProb_.
-  const bool killSerialized = !up_ && !drainInFlight_;
-  const bool grayDrop =
-      dropProb_ > 0.0 && faultRng_.uniform() < dropProb_;
+void Link::decide() {
+  WireSlot& w = wire_[txSlot_];
+  SimTime at = busyUntil_;
+  lastArrival_ = arrivalFloor_;
   if (peer_ == nullptr) {
-    ++deliveredPackets_;  // sinkless link: nothing left in flight
-  } else if (killSerialized || grayDrop) {
-    ++faultWireDrops_;
-    noteFaultDrop(pkt);
+    w.fate = Fate::kSink;  // nothing left in flight
+  } else if ((!up_ && !drainInFlight_) || txGrayDrop_) {
+    // Finishing serialization after a drop-mode faultDown, or dropped
+    // silently by a gray failure.
+    w.fate = Fate::kLose;
   } else {
-    // Propagation is pipelined: delivery is scheduled independently while
-    // the transmitter immediately starts on the next queued packet. The
-    // delivery is valid only for the wire epoch it departed under; the
-    // packet parks in the wire pool so the event captures 16 bytes.
-    // A cable is FIFO: once a delay fault is lifted, a packet must not
-    // overtake one still on the wire, so it arrives no earlier than the
-    // previous delivery.
-    const std::uint32_t slot = wireAlloc(pkt, wireEpoch_);
-    const auto arrive = [this, slot] { deliver(slot); };
-    static_assert(sim::EventFn::relocatesByCopy<decltype(arrive)>());
-    lastArrival_ = std::max(sim_.now() + effectiveDelay(), lastArrival_);
-    sim_.post(lastArrival_ - sim_.now(), arrive);
+    // Propagation is pipelined: the delivery is posted now, while the
+    // transmitter moves on. It is valid only for the wire epoch it
+    // departed under. A cable is FIFO: once a delay fault is lifted, a
+    // packet must not overtake one still on the wire, so it arrives no
+    // earlier than the previous delivery.
+    w.fate = Fate::kDeliver;
+    w.epoch = wireEpoch_;
+    lastArrival_ = std::max(busyUntil_ + effectiveDelay(), arrivalFloor_);
+    at = lastArrival_;
   }
-  transmitting_ = false;
-  if (up_ && !queue_.empty()) startTransmission();
+  const auto arrive = [this, slot = txSlot_] { land(slot); };
+  static_assert(sim::EventFn::relocatesByCopy<decltype(arrive)>());
+  sim_.post(at - sim_.now(), arrive);
 }
 
-void Link::deliver(std::uint32_t wireSlot) {
+void Link::redecide() {
+  if (!transmitting()) return;
+  // The posted event frees the old slot; a copy carries the new outcome.
+  const std::uint32_t slot = wireAlloc();
+  wire_[slot].pkt = wire_[txSlot_].pkt;
+  wire_[txSlot_].fate = Fate::kVoid;
+  txSlot_ = slot;
+  decide();
+}
+
+std::uint32_t Link::wireAlloc() {
+  if (wireFreeHead_ != kNoWireSlot) {
+    const std::uint32_t idx = wireFreeHead_;
+    wireFreeHead_ = wire_[idx].nextFree;
+    return idx;
+  }
+  wire_.emplace_back();
+  return static_cast<std::uint32_t>(wire_.size() - 1);
+}
+
+void Link::land(std::uint32_t wireSlot) {
   // A copy, not a reference: the slot goes back on the free list before
   // the peer runs, and the peer may put the next packet on this wire.
   const Packet pkt = wire_[wireSlot].pkt;
-  const std::uint64_t epoch = wire_[wireSlot].epoch;
+  Fate fate = wire_[wireSlot].fate;
+  if (fate == Fate::kDeliver && wire_[wireSlot].epoch != wireEpoch_) {
+    fate = Fate::kLose;  // killed in flight by a drop-mode faultDown
+  }
   wire_[wireSlot].nextFree = wireFreeHead_;
   wireFreeHead_ = wireSlot;
-  if (epoch != wireEpoch_) {
-    ++faultWireDrops_;
-    noteFaultDrop(pkt);
-    return;
+  switch (fate) {
+    case Fate::kDeliver:
+      ++deliveredPackets_;
+      peer_->receive(pkt, peerPort_);
+      return;
+    case Fate::kLose:
+      ++faultWireDrops_;
+      noteFaultDrop(pkt);
+      return;
+    case Fate::kSink:
+      ++deliveredPackets_;
+      return;
+    case Fate::kVoid:
+      return;
   }
-  ++deliveredPackets_;
-  peer_->receive(pkt, peerPort_);
 }
 
 }  // namespace tlbsim::net

@@ -2,6 +2,12 @@
 // propagation pipe. This is the standard ns-2 output-queued link model:
 // at most one packet is being serialized at a time; any number can be in
 // flight across the propagation delay.
+//
+// A hop costs one event, as in ns-2's LinkDelay::recv: when a packet's
+// serialization starts, the link posts its outcome at once (the delivery
+// at serialization end plus propagation, or a loss at serialization end)
+// and, only if packets wait behind it, a wake for when the transmitter
+// frees up.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +76,11 @@ class Link {
   // fault-injection subsystem (src/fault) may call them — enforced by the
   // tlbsim_lint `fault-mutation` rule — so every mid-run topology change
   // flows through one declarative, seed-deterministic plan.
+  //
+  // The packet being serialized meets the fault state in force when its
+  // serialization ends: a down, up, delay or drop-probability change that
+  // lands mid-serialization re-decides that packet's outcome. A rate
+  // change acts from the next packet.
   bool up() const { return up_; }
   /// Serialization rate after degradation (== rate() while healthy).
   LinkRate effectiveRate() const { return rate_.scaled(rateFactor_); }
@@ -77,12 +88,13 @@ class Link {
   SimTime effectiveDelay() const { return delay_ * delayFactor_; }
   double faultRateFactor() const { return rateFactor_; }
   double faultDelayFactor() const { return delayFactor_; }
-  /// Gray-failure drop probability applied at transmit completion.
+  /// Gray-failure drop probability; each packet draws once as it starts.
   double faultDropProb() const { return dropProb_; }
 
   /// Take the link down. The queue is flushed (flushed packets count as
-  /// fault drops, not queue drops). In-flight packets are killed unless
-  /// `drainInFlight`; while down, send() rejects every packet.
+  /// fault drops, not queue drops). Unless `drainInFlight`, the packet
+  /// being serialized dies at serialization end and in-flight packets die
+  /// at their arrival times; while down, send() rejects every packet.
   void faultDown(bool drainInFlight);
   /// Restore the link; transmission resumes if packets are queued.
   void faultUp();
@@ -108,8 +120,14 @@ class Link {
   SimTime worstCaseTransit(ByteCount maxPacket) const;
 
   // --- statistics ---------------------------------------------------------
-  std::uint64_t txPackets() const { return txPackets_; }
-  ByteCount txBytes() const { return txBytes_; }
+  /// Packets (bytes) whose serialization has ended.
+  std::uint64_t txPackets() const {
+    return startedPackets_ - (transmitting() ? 1 : 0);
+  }
+  ByteCount txBytes() const {
+    return transmitting() ? startedBytes_ - wire_[txSlot_].pkt.size
+                          : startedBytes_;
+  }
   std::uint64_t drops() const { return queue_.drops(); }
   /// Packets accepted into the queue since construction (audit support:
   /// enqueued == tx + queued + serializing must hold at all times).
@@ -118,7 +136,9 @@ class Link {
   /// Packets handed to the peer after propagation; tx - delivered is the
   /// number currently in flight on the wire.
   std::uint64_t deliveredPackets() const { return deliveredPackets_; }
-  bool transmitting() const { return transmitting_; }
+  /// A packet is being serialized: now is before the latest
+  /// serialization's end.
+  bool transmitting() const { return sim_.now() < busyUntil_; }
   /// Cumulative time the transmitter has been busy; utilization over a
   /// window is the delta of this divided by the window.
   SimTime busyTime() const { return busyTime_; }
@@ -128,8 +148,9 @@ class Link {
   std::uint64_t faultRejectedPackets() const { return faultRejectedPackets_; }
   /// Packets flushed out of the queue by faultDown (were enqueued).
   std::uint64_t faultFlushedPackets() const { return faultFlushedPackets_; }
-  /// Packets lost after serialization: killed in flight by a drop-mode
-  /// faultDown, or gray-dropped (were enqueued and transmitted).
+  /// Packets lost after leaving the queue: killed while serializing or in
+  /// flight by a drop-mode faultDown, or gray-dropped (were enqueued and
+  /// started).
   std::uint64_t faultWireDrops() const { return faultWireDrops_; }
   /// All fault-induced losses on this link.
   std::uint64_t faultDrops() const {
@@ -155,10 +176,21 @@ class Link {
                   const std::string& label);
 
  private:
+  /// What a started packet's event does when it fires.
+  enum class Fate : std::uint8_t {
+    kDeliver,  ///< hand it to the peer, unless its wire epoch is stale
+    kLose,     ///< a fault loss at serialization end (gray drop, down)
+    kSink,     ///< sinkless link: count it delivered at serialization end
+    kVoid,     ///< superseded by a re-decision: only free the slot
+  };
+
+  void serve();
+  void wake();
   void startTransmission();
-  void onTransmitComplete();
-  void deliver(std::uint32_t wireSlot);
-  std::uint32_t wireAlloc(const Packet& pkt, std::uint64_t epoch);
+  void decide();
+  void redecide();
+  void land(std::uint32_t wireSlot);
+  std::uint32_t wireAlloc();
   void noteFaultDrop(const Packet& pkt);
 
   sim::Simulator& sim_;
@@ -167,26 +199,34 @@ class Link {
   DropTailQueue queue_;
   Node* peer_ = nullptr;
   int peerPort_ = -1;
-  bool transmitting_ = false;
-  /// The packet currently being serialized (valid while transmitting_).
-  /// Keeping it here lets the transmit-complete event capture only [this].
-  Packet txPacket_;
+  /// End of the latest serialization; the transmitter is busy before it.
+  SimTime busyUntil_;
+  /// A wake is posted for busyUntil_ to start the next queued packet.
+  bool wakePending_ = false;
 
-  // In-flight packets on the propagation pipe live in a slot pool so the
-  // delivery event captures [this, slot] (16 bytes — inline in EventFn)
-  // instead of a whole Packet. Slots are reused via a free list: zero
-  // steady-state allocations once the pool reaches its high-water mark.
+  // A started packet parks in a slot pool until its event fires, so the
+  // event captures [this, slot] (16 bytes — inline in EventFn) instead of
+  // a whole Packet. Slots are reused via a free list: zero steady-state
+  // allocations once the pool reaches its high-water mark.
   static constexpr std::uint32_t kNoWireSlot = 0xffffffffu;
   struct WireSlot {
     Packet pkt;
     std::uint64_t epoch = 0;
+    Fate fate = Fate::kVoid;
     std::uint32_t nextFree = kNoWireSlot;
   };
   std::vector<WireSlot> wire_;
   std::uint32_t wireFreeHead_ = kNoWireSlot;
+  /// Slot of the packet being serialized (valid while transmitting()).
+  std::uint32_t txSlot_ = kNoWireSlot;
+  /// That packet's gray-drop draw, made when it started.
+  bool txGrayDrop_ = false;
   /// Arrival time of the latest packet put on the wire; later packets
   /// arrive no earlier (the cable stays FIFO across delay faults).
   SimTime lastArrival_;
+  /// lastArrival_ before the packet being serialized was decided: the
+  /// floor its re-decision starts from.
+  SimTime arrivalFloor_;
 
   // Fault state. wireEpoch_ is bumped by every drop-mode faultDown; each
   // scheduled delivery carries the epoch it departed under and is discarded
@@ -204,8 +244,8 @@ class Link {
   std::uint64_t faultFlushedPackets_ = 0;
   std::uint64_t faultWireDrops_ = 0;
 
-  std::uint64_t txPackets_ = 0;
-  ByteCount txBytes_;
+  std::uint64_t startedPackets_ = 0;
+  ByteCount startedBytes_;
   std::uint64_t enqueuedPackets_ = 0;
   ByteCount enqueuedBytes_;
   std::uint64_t deliveredPackets_ = 0;

@@ -38,10 +38,9 @@
 // entries of a lane, all posted at now() + the same delay, are already in
 // (time, seq) order: a lane is a ring buffer with O(1) push and pop, and
 // step() fires the smallest key among the heap top and the lane heads.
-// Nearly every event a run makes is a link's serialization-done or
-// delivery post, drawn from a handful of repeated delays, so most events
-// never touch the heap. The firing order is the same (time, seq) order
-// either way.
+// Nearly every event a run makes is a link's delivery or wake post,
+// drawn from a handful of repeated delays, so most events never touch
+// the heap. The firing order is the same (time, seq) order either way.
 //
 // Callbacks are sim::EventFn — a small-buffer-optimized move-only
 // callable (util::InlineFunction). Closures capturing up to
@@ -60,7 +59,7 @@
 namespace tlbsim::sim {
 
 /// Inline capture budget for event callbacks. Hot-path closures (link
-/// transmit/delivery, TCP timers, periodic re-arms) capture a pointer or
+/// delivery/wake, TCP timers, periodic re-arms) capture a pointer or
 /// two plus a small index — far below this; the budget leaves headroom
 /// without bloating the per-slot footprint.
 inline constexpr std::size_t kEventInlineBytes = 48;
@@ -150,7 +149,7 @@ class Scheduler {
   }
 
   /// Fire-and-forget variants: no handle, for events that are never
-  /// cancelled (packet serialization/propagation, one-shot arming).
+  /// cancelled (packet deliveries and link wakes, one-shot arming).
   /// post() appends to the lane keyed by `delay`, else claims an empty
   /// lane for it, else falls back to the heap; postAt() always uses the
   /// heap. A negative delay (Release) takes the heap's clamp to now().
@@ -228,8 +227,10 @@ class Scheduler {
 
   static constexpr std::uint32_t kArity = 4;
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
-  /// Four lanes cover a link's serialization times (data segment, ACK)
-  /// and its propagation delay, with one to spare; eight were no faster.
+  /// A link posts four common delays: data and ACK serialization (its
+  /// wakes) and each plus propagation (its deliveries). Four lanes hold
+  /// them; six or eight raised the lane share by under half a point on
+  /// websearch_tlb and lossy_ecmp and were no faster (DESIGN §6d).
   static constexpr std::size_t kLanes = 4;
   static constexpr std::uint32_t kLaneInitialCapacity = 16;
 

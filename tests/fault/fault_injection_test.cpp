@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
 #include "net/switch.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace tlbsim::net {
 namespace {
@@ -202,6 +204,85 @@ TEST(LinkFault, DelayRestoreKeepsTheCableFifo) {
     EXPECT_EQ(sink.arrivals[i].pkt.flow, i) << "arrival " << i;
     EXPECT_EQ(sink.arrivals[i].at, expected[i]) << "arrival " << i;
   }
+}
+
+TEST(LinkFault, DropModeDownLiftedWithinOneSerializationDelivers) {
+  // The packet meets the state in force when its serialization ends (at
+  // 12 us): up again, so it is delivered.
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  link.connect(&sink, 0);
+  link.send(makePacket(1, 1500_B));
+  simr.post(microseconds(3), [&] { link.faultDown(false); });
+  simr.post(microseconds(6), [&] { link.faultUp(); });
+  simr.run();
+  ASSERT_EQ(sink.arrivals.size(), 1u);
+  EXPECT_EQ(sink.arrivals[0].at, microseconds(22));
+  EXPECT_EQ(link.faultWireDrops(), 0u);
+}
+
+TEST(LinkFault, DropFaultMidSerializationDecidesWithTheNewSeed) {
+  // Seeds whose first draw drops (< 0.5) or passes at probability 0.5.
+  std::uint64_t dropSeed = 0;
+  std::uint64_t passSeed = 0;
+  for (std::uint64_t s = 1; dropSeed == 0 || passSeed == 0; ++s) {
+    (Rng(s).uniform() < 0.5 ? dropSeed : passSeed) = s;
+  }
+  for (const auto& [before, mid] : {std::pair{dropSeed, passSeed},
+                                    std::pair{passSeed, dropSeed}}) {
+    sim::Simulator simr;
+    SinkNode sink(simr);
+    Link link(simr, gbps(1), microseconds(10), {16, 0});
+    link.connect(&sink, 0);
+    link.faultSetDropProb(0.5, before);
+    link.send(makePacket(1, 1500_B));
+    simr.post(microseconds(6), [&] { link.faultSetDropProb(0.5, mid); });
+    simr.run();
+    EXPECT_EQ(sink.arrivals.size(), mid == passSeed ? 1u : 0u)
+        << "seed " << before << " then " << mid;
+    EXPECT_EQ(link.faultWireDrops(), mid == passSeed ? 0u : 1u);
+  }
+}
+
+TEST(LinkFault, GrayDropFiresItsHookAtSerializationEnd) {
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  link.connect(&sink, 0);
+  std::vector<SimTime> hookTimes;
+  link.addFaultDropHook([&](const Packet&) { hookTimes.push_back(simr.now()); });
+  link.faultSetDropProb(1.0, 7);
+  link.send(makePacket(1, 1500_B));
+  link.send(makePacket(2, 1500_B));
+  simr.run();
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(hookTimes,
+            (std::vector<SimTime>{microseconds(12), microseconds(24)}));
+}
+
+TEST(LinkFault, PacketKilledWhileSerializingHoldsBackNoLaterPacket) {
+  // Packet 1 would land at 42 us under a 3x delay, but a drop fault kills
+  // it at serialization end (12 us). The cable's FIFO floor stays where it
+  // was, so packet 2, sent at 13 us after the delay is restored, lands at
+  // 13 + 12 + 10 = 35 us rather than being held to 42 us.
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  link.connect(&sink, 0);
+  link.faultSetDelayFactor(3.0);
+  link.send(makePacket(1, 1500_B));
+  simr.post(microseconds(5), [&] { link.faultSetDropProb(1.0, 3); });
+  simr.post(microseconds(13), [&] {
+    link.faultSetDropProb(0.0, 3);
+    link.faultSetDelayFactor(1.0);
+    link.send(makePacket(2, 1500_B));
+  });
+  simr.run();
+  ASSERT_EQ(sink.arrivals.size(), 1u);
+  EXPECT_EQ(sink.arrivals[0].pkt.flow, 2u);
+  EXPECT_EQ(sink.arrivals[0].at, microseconds(35));
+  EXPECT_EQ(link.faultWireDrops(), 1u);
 }
 
 // --- switch-facing behavior ------------------------------------------------

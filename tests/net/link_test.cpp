@@ -181,5 +181,79 @@ TEST(Link, QueueStateVisibleToObservers) {
   EXPECT_EQ(link.queuePackets(), 0);
 }
 
+// --- event shape: one event per hop ---------------------------------------
+
+TEST(Link, PacketsThatFindTheLinkIdleCostOneEventEach) {
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  link.connect(&sink, 0);
+  constexpr int kPackets = 5;
+  std::uint64_t events = 0;
+  for (int i = 0; i < kPackets; ++i) {
+    link.send(makePacket(static_cast<FlowId>(i), 1500_B));
+    events += simr.run();  // drains: the next packet finds the link idle
+  }
+  EXPECT_EQ(events, static_cast<std::uint64_t>(kPackets))
+      << "the delivery alone; no serialization-done event";
+  EXPECT_EQ(sink.arrivals.size(), static_cast<std::size_t>(kPackets));
+}
+
+TEST(Link, BackToBackPacketsCostTheirOutcomesPlusOneWakeEachBehindTheFirst) {
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  link.connect(&sink, 0);
+  constexpr int kPackets = 6;
+  for (int i = 0; i < kPackets; ++i) {
+    link.send(makePacket(static_cast<FlowId>(i), 1500_B));
+  }
+  EXPECT_EQ(simr.run(), static_cast<std::uint64_t>(2 * kPackets - 1));
+  EXPECT_EQ(sink.arrivals.size(), static_cast<std::size_t>(kPackets));
+}
+
+TEST(Link, EnqueueBehindABusyLinkPostsOneWakeOnTheHeap) {
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  link.connect(&sink, 0);
+  const sim::Scheduler& sched = simr.scheduler();
+  link.send(makePacket(1, 1500_B));
+  EXPECT_EQ(sched.pendingEvents(), 1u) << "its delivery";
+  simr.run(microseconds(5));  // mid-serialization, queue empty
+  ASSERT_TRUE(link.transmitting());
+  const std::uint64_t lanePosts = sched.lanePosts();
+  link.send(makePacket(2, 1500_B));
+  EXPECT_EQ(sched.pendingEvents(), 2u) << "one wake for packet 2";
+  EXPECT_EQ(sched.lanePosts(), lanePosts) << "the wake goes to the heap";
+  link.send(makePacket(3, 1500_B));
+  EXPECT_EQ(sched.pendingEvents(), 2u) << "the pending wake serves packet 3";
+  // Three deliveries, the wake at 12 us, and one more at 24 us posted
+  // when packet 2 started with packet 3 behind it.
+  EXPECT_EQ(simr.run(), 5u);
+  ASSERT_EQ(sink.arrivals.size(), 3u);
+  EXPECT_EQ(sink.arrivals[0].at, microseconds(22));
+  EXPECT_EQ(sink.arrivals[1].at, microseconds(34));
+  EXPECT_EQ(sink.arrivals[2].at, microseconds(46));
+}
+
+TEST(Link, TxCountersCountEndedSerializations) {
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  Link link(simr, gbps(1), microseconds(5), {16, 0});
+  link.connect(&sink, 0);
+  link.send(makePacket(1, 1500_B));
+  link.send(makePacket(2, 750_B));
+  EXPECT_EQ(link.txPackets(), 0u);
+  simr.run(microseconds(12));  // packet 1 ends; packet 2 starts
+  EXPECT_TRUE(link.transmitting());
+  EXPECT_EQ(link.txPackets(), 1u);
+  EXPECT_EQ(link.txBytes(), 1500_B);
+  simr.run(microseconds(18));
+  EXPECT_FALSE(link.transmitting());
+  EXPECT_EQ(link.txPackets(), 2u);
+  EXPECT_EQ(link.txBytes(), 2250_B);
+}
+
 }  // namespace
 }  // namespace tlbsim::net
