@@ -7,9 +7,7 @@
 // and transient queueing they add on top of the unavoidable incast queue.
 //
 // This example runs a closed-loop app::Service (repeated queries, QCT
-// distribution) instead of a single hand-built burst; the one-shot
-// open-loop variant is still available as workload::incastWorkload for
-// callers that want a raw flow list.
+// distribution) instead of a single hand-built burst.
 //
 //   $ ./incast [fanIn]
 #include <cstdio>

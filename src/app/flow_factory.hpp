@@ -31,7 +31,6 @@ class FlowFactory {
                                      net::HostId dst, ByteCount size,
                                      SimTime start);
 
-  FlowId nextId() const { return nextId_; }
   std::uint64_t flowsMinted() const { return minted_; }
 
  private:

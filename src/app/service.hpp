@@ -101,7 +101,6 @@ class Service {
   const AppConfig& config() const { return cfg_; }
   int queriesLaunched() const { return launched_; }
   int queriesCompleted() const { return completed_; }
-  int openQueries() const { return launched_ - completed_; }
   /// SLO misses: completed-late queries plus (after finalize) unfinished
   /// ones, when an SLO is configured.
   int sloMisses() const { return sloMisses_; }

@@ -11,7 +11,7 @@ void FlowTable::onFlowEnd(FlowId id) {
 }
 
 FlowEntry& FlowTable::touch(FlowId id, SimTime now) {
-  // A table at cfg.maxTrackedFlows retires its least-recently-seen entry
+  // A table at kMaxTrackedFlows retires its least-recently-seen entry
   // to admit the new flow (same accounting as a lost-FIN purge).
   auto result = flows_.touch(
       id, now, [this](FlowId, FlowEntry& victim) { retire(victim); });

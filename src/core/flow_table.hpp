@@ -6,7 +6,7 @@
 // the running estimate of the mean short-flow size X used by the model.
 //
 // Entries live in a bounded lb::FlowStateTable: idle purge runs in LRU
-// order (oldest first), and if the table ever reaches cfg.maxTrackedFlows
+// order (oldest first), and if the table ever reaches kMaxTrackedFlows
 // live entries the least-recently-seen flow is retired to make room —
 // accounted exactly like a lost-FIN purge, counted by the table's
 // eviction stats, and re-admitted as a fresh short flow if it speaks
@@ -37,6 +37,12 @@ struct FlowEntry {
 
 class FlowTable {
  public:
+  /// Hard cap on switch-resident flow entries (the flow-state table's
+  /// slot-pool capacity). Reaching it retires the least-recently-seen
+  /// flow — accounted like an idle purge, counted by the table's
+  /// eviction stats, never silent.
+  static constexpr std::size_t kMaxTrackedFlows = std::size_t{1} << 20;
+
   explicit FlowTable(const TlbConfig& cfg)
       : cfg_(cfg),
         flows_(stateConfig(cfg)),
@@ -80,7 +86,7 @@ class FlowTable {
   static lb::FlowStateConfig stateConfig(const TlbConfig& cfg) {
     lb::FlowStateConfig sc;
     sc.idleTimeout = cfg.idleTimeout;
-    sc.maxFlows = cfg.maxTrackedFlows;
+    sc.maxFlows = kMaxTrackedFlows;
     return sc;
   }
 

@@ -15,7 +15,6 @@ Tlb::Tlb(const TlbConfig& cfg, int numPaths, std::uint64_t seed)
     : cfg_(cfg),
       table_(cfg),
       calc_(cfg, numPaths),
-      loadEst_(cfg.linkCapacity),
       deadlines_(/*capacity=*/1024, splitmix64(seed ^ 0xdead11e5ULL)),
       effectiveDeadline_(cfg.deadline),
       rng_(seed) {}
@@ -49,7 +48,6 @@ void Tlb::installObs(obs::MetricsRegistry* metrics, obs::EventTrace* trace,
 void Tlb::controlTick() {
   const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
   table_.purgeIdle(now);
-  loadEst_.rollInterval(cfg_.updateInterval);
   if (cfg_.autoDeadline) {
     effectiveDeadline_ =
         deadlines_.percentile(cfg_.deadlinePercentile, cfg_.deadline);
@@ -128,7 +126,6 @@ int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
 
   FlowEntry& entry = table_.touch(pkt.flow, now);
   if (pkt.payload > 0_B) {
-    if (!entry.isLong) loadEst_.onShortPayload(pkt.payload);
     if (table_.recordPayload(entry, pkt.payload)) {
       if (cReclassified_ != nullptr) cReclassified_->inc();
       if (flowProbe_ != nullptr) {

@@ -1,8 +1,9 @@
 // TLB: the paper's contribution, assembled as a switch-resident
 // UplinkSelector (Fig. 6 architecture).
 //
-//   Granularity Calculator = ShortLoadEstimator + GranularityCalculator,
-//     driven by a periodic timer every cfg.updateInterval (500 µs),
+//   Granularity Calculator = GranularityCalculator fed by the flow table's
+//     short/long counts, driven by a periodic timer every
+//     cfg.updateInterval (500 µs),
 //   Forwarding Manager     = selectUplink():
 //     * short flows  -> per-packet shortest queue,
 //     * long flows   -> stay on the current uplink until its queue length
@@ -18,7 +19,6 @@
 #include "core/deadline_tracker.hpp"
 #include "core/flow_table.hpp"
 #include "core/granularity_calculator.hpp"
-#include "core/load_estimator.hpp"
 #include "core/tlb_config.hpp"
 #include "lb/selector_util.hpp"
 #include "net/uplink_selector.hpp"
@@ -50,8 +50,6 @@ class Tlb final : public net::UplinkSelector {
   // --- introspection (tests, Fig. 7 harness, overhead bench) ------------
   const FlowTable& flowTable() const { return table_; }
   const GranularityCalculator& calculator() const { return calc_; }
-  const ShortLoadEstimator& loadEstimator() const { return loadEst_; }
-  const DeadlineTracker& deadlineTracker() const { return deadlines_; }
   /// The D used by the last control tick (config or auto-estimated).
   SimTime effectiveDeadline() const { return effectiveDeadline_; }
   ByteCount qthBytes() const { return calc_.qthBytes(); }
@@ -88,7 +86,6 @@ class Tlb final : public net::UplinkSelector {
   TlbConfig cfg_;
   FlowTable table_;
   GranularityCalculator calc_;
-  ShortLoadEstimator loadEst_;
   DeadlineTracker deadlines_;
   SimTime effectiveDeadline_;
   Rng rng_;

@@ -1,8 +1,6 @@
 // Configuration of the TLB scheme (paper §3–§5 defaults).
 #pragma once
 
-#include <cstddef>
-
 #include "util/units.hpp"
 
 namespace tlbsim::core {
@@ -19,12 +17,6 @@ struct TlbConfig {
   /// connection). The paper uses the same 500 µs as the update interval;
   /// we default to a few intervals to tolerate bursty ACK clocking.
   SimTime idleTimeout = microseconds(1500);
-
-  /// Hard cap on switch-resident flow entries (the flow-state table's
-  /// slot-pool capacity). Reaching it retires the least-recently-seen
-  /// flow — accounted like an idle purge, counted by the table's
-  /// eviction stats, never silent.
-  std::size_t maxTrackedFlows = std::size_t{1} << 20;
 
   /// Long-flow maximum window W_L (64 KB Linux receive buffer default).
   ByteCount longFlowWindow = 64 * kKiB;

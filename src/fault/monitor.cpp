@@ -100,8 +100,8 @@ double FaultMonitor::maxRerouteSec() const {
 double FaultMonitor::goodputDipRatio() const {
   if (firstDisruptiveAt_ < 0_ns || samples_.size() < 2) return 1.0;
   // Per-interval byte deltas on either side of the first disruptive
-  // fault: mean of the last dipWindow intervals before vs the minimum of
-  // the first dipWindow intervals after.
+  // fault: mean of the last kDipWindow intervals before vs the minimum of
+  // the first kDipWindow intervals after.
   std::vector<double> pre;
   double postMin = -1.0;
   int postCount = 0;
@@ -111,14 +111,14 @@ double FaultMonitor::goodputDipRatio() const {
         static_cast<double>((bytes - samples_[i - 1].second).bytes());
     if (t <= firstDisruptiveAt_) {
       pre.push_back(delta);
-    } else if (postCount < cfg_.dipWindow) {
+    } else if (postCount < kDipWindow) {
       postMin = postCount == 0 ? delta : std::min(postMin, delta);
       ++postCount;
     }
   }
   if (pre.empty() || postCount == 0) return 1.0;
   const std::size_t window =
-      std::min(pre.size(), static_cast<std::size_t>(cfg_.dipWindow));
+      std::min(pre.size(), static_cast<std::size_t>(kDipWindow));
   double preSum = 0.0;
   for (std::size_t i = pre.size() - window; i < pre.size(); ++i) {
     preSum += pre[i];

@@ -42,9 +42,9 @@ class FaultMonitor {
   struct Config {
     /// Goodput sampling cadence (matches the obs sampler by default).
     SimTime sampleInterval = microseconds(500);
-    /// Pre/post window width for the dip ratio, in sample intervals.
-    int dipWindow = 10;
   };
+  /// Pre/post window width for the dip ratio, in sample intervals.
+  static constexpr int kDipWindow = 10;
 
   /// Attaches dequeue hooks to every leaf uplink of `topo` and starts the
   /// goodput sampler. `isLong` classifies flow ids (only long flows are

@@ -259,9 +259,7 @@ ExperimentResult Experiment::run() const {
   // then re-verify the conservation laws each control tick.
   std::unique_ptr<check::InvariantAuditor> auditor;
   if (auditEnabled(cfg.audit)) {
-    check::InvariantAuditor::Config acfg;
-    acfg.interval = cfg.auditInterval;
-    auditor = std::make_unique<check::InvariantAuditor>(acfg);
+    auditor = std::make_unique<check::InvariantAuditor>();
     auditor->watchTopology(topo);
     // Admissible q_th range: [0, buffer depth], tightened by the ECN cap,
     // widened by an explicit override (the Fig. 7 harness pins q_th).

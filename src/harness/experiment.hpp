@@ -99,8 +99,6 @@ struct ExperimentConfig {
   /// it either way. A violation aborts with the offending invariant.
   enum class Audit { kAuto, kOn, kOff };
   Audit audit = Audit::kAuto;
-  /// Audit cadence (matches TLB's 500 µs control interval by default).
-  SimTime auditInterval = microseconds(500);
 };
 
 struct ExperimentResult {

@@ -111,11 +111,8 @@ std::unique_ptr<net::UplinkSelector> makeSelector(const SchemeConfig& cfg,
       return std::make_unique<lb::Ecmp>(salt);
     case Scheme::kWcmp:
       return std::make_unique<lb::Wcmp>(salt);
-    case Scheme::kConga: {
-      lb::Conga::Params params;
-      params.flowletTimeout = cfg.flowletTimeout;
-      return std::make_unique<lb::Conga>(seed, params);
-    }
+    case Scheme::kConga:
+      return std::make_unique<lb::Conga>(seed, cfg.flowletTimeout);
     case Scheme::kHermes:
       return std::make_unique<lb::HermesLike>(seed);
     case Scheme::kRoundRobin:
@@ -134,8 +131,7 @@ std::unique_ptr<net::UplinkSelector> makeSelector(const SchemeConfig& cfg,
     case Scheme::kShortestQueue:
       return std::make_unique<lb::ShortestQueue>(seed);
     case Scheme::kFixedGranularity:
-      return std::make_unique<lb::FixedGranularity>(seed, cfg.fixedK,
-                                                    cfg.fixedTarget);
+      return std::make_unique<lb::FixedGranularity>(seed, cfg.fixedK);
     case Scheme::kTlb:
       return std::make_unique<core::Tlb>(cfg.tlb, cfg.numPaths, seed);
   }

@@ -71,8 +71,6 @@ struct SchemeConfig {
   SimTime flowletTimeout = microseconds(150);  ///< LetFlow (paper: 150 µs)
   ByteCount prestoCellBytes = 64 * kKiB;           ///< Presto flowcell
   std::uint64_t fixedK = 64;                   ///< FixedGranularity packets
-  lb::FixedGranularity::Target fixedTarget =
-      lb::FixedGranularity::Target::kRandom;
   core::TlbConfig tlb;  ///< TLB parameters
   int numPaths = 1;     ///< uplink-group width (TLB model input)
 };

@@ -27,16 +27,13 @@ namespace tlbsim::lb {
 
 class Conga final : public net::UplinkSelector {
  public:
-  struct Params {
-    SimTime flowletTimeout = microseconds(500);
-    /// DRE aging period T_dre; the estimator halves every ~T_dre/alpha.
-    SimTime dreInterval = microseconds(160);
-    double dreAlpha = 0.1;
-  };
+  /// DRE aging period T_dre; the estimator halves every ~T_dre/alpha.
+  static constexpr SimTime kDreInterval = microseconds(160);
+  static constexpr double kDreAlpha = 0.1;
 
-  explicit Conga(std::uint64_t seed) : Conga(seed, Params{}) {}
-  Conga(std::uint64_t seed, Params params, FlowStateConfig stateCfg = {})
-      : rng_(seed), params_(params), flows_(stateCfg) {}
+  explicit Conga(std::uint64_t seed,
+                 SimTime flowletTimeout = microseconds(500))
+      : rng_(seed), timeout_(flowletTimeout) {}
 
   int selectUplink(const net::Packet& pkt,
                    const net::UplinkView& uplinks) override {
@@ -44,7 +41,7 @@ class Conga final : public net::UplinkSelector {
     const auto entry = flows_.touch(pkt.flow, now);
     State& st = entry.state;
     const bool newFlowlet = st.port < 0 ||
-                            (now - entry.prevSeen) > params_.flowletTimeout ||
+                            (now - entry.prevSeen) > timeout_ ||
                             !portUsable(uplinks, st.port);
     if (newFlowlet) {
       const int prev = st.port;
@@ -80,14 +77,13 @@ class Conga final : public net::UplinkSelector {
     double bestMetric = 0.0;
     int ties = 0;
     for (const auto& u : uplinks) {
-      const double window =
-          toSeconds(params_.dreInterval) / params_.dreAlpha;
+      const double window = toSeconds(kDreInterval) / kDreAlpha;
       const double cap = (u.rateBps > 0 ? u.rateBps / 8.0 : 1.0) * window;
       const double dreNorm = dreOf(u.port) / cap;
       const double queueNorm =
           u.rateBps > 0
               ? static_cast<double>(u.queueBytes.bytes()) * 8.0 / u.rateBps /
-                    toSeconds(params_.flowletTimeout)
+                    toSeconds(timeout_)
               : 0.0;
       const double metric = std::max(dreNorm, queueNorm) + u.linkDelaySec;
       if (best < 0 || metric < bestMetric) {
@@ -109,7 +105,7 @@ class Conga final : public net::UplinkSelector {
   };
 
   Rng rng_;
-  Params params_;
+  SimTime timeout_;
   sim::Simulator* sim_ = nullptr;
   FlowStateTable<State> flows_;
   std::unordered_map<int, double> dre_;  ///< keyed by port, not FlowId

@@ -2,7 +2,7 @@
 // packets, regardless of flow type. This is the knob behind the paper's
 // motivation study (§2.2): K=1 is packet-level, K→∞ is flow-level, and
 // intermediate K emulates any fixed chunking. Destination queue is chosen
-// at random (congestion-oblivious) or shortest-queue, selectable.
+// at random (congestion-oblivious).
 #pragma once
 
 #include <limits>
@@ -19,16 +19,12 @@ namespace tlbsim::lb {
 
 class FixedGranularity final : public net::UplinkSelector {
  public:
-  enum class Target { kRandom, kShortestQueue };
-
   /// `packetsPerSwitch` = K. Use kFlowLevel for never-switch behaviour.
   static constexpr std::uint64_t kFlowLevel =
       std::numeric_limits<std::uint64_t>::max();
 
-  FixedGranularity(std::uint64_t seed, std::uint64_t packetsPerSwitch,
-                   Target target = Target::kRandom,
-                   FlowStateConfig stateCfg = {})
-      : rng_(seed), k_(packetsPerSwitch), target_(target), flows_(stateCfg) {}
+  FixedGranularity(std::uint64_t seed, std::uint64_t packetsPerSwitch)
+      : rng_(seed), k_(packetsPerSwitch) {}
 
   int selectUplink(const net::Packet& pkt,
                    const net::UplinkView& uplinks) override {
@@ -40,9 +36,7 @@ class FixedGranularity final : public net::UplinkSelector {
         st.port < 0 || !portUsable(uplinks, st.port) || granularityHit;
     if (mustPick) {
       const int prev = st.port;
-      st.port = target_ == Target::kRandom
-                    ? uplinks[rng_.uniformInt(uplinks.size())].port
-                    : uplinks[shortestQueueIndex(uplinks, rng_)].port;
+      st.port = uplinks[rng_.uniformInt(uplinks.size())].port;
       st.sinceSwitch = 0;
       if (flowProbe_ != nullptr && granularityHit && prev >= 0 &&
           prev != st.port) {
@@ -73,7 +67,6 @@ class FixedGranularity final : public net::UplinkSelector {
 
   Rng rng_;
   std::uint64_t k_;
-  Target target_;
   sim::Simulator* sim_ = nullptr;
   FlowStateTable<State> flows_;
 };

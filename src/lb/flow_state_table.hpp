@@ -50,8 +50,6 @@ struct FlowStateConfig {
   std::size_t initialCapacity = 1024;
   /// Entries idle longer than this are dropped by purgeIdle().
   SimTime idleTimeout = seconds(1);
-  /// Per-table hash salt (like per-switch hardware hash seeds).
-  std::uint64_t hashSalt = 0;
 };
 
 /// Non-template part: removal accounting and observability wiring, shared
@@ -258,8 +256,7 @@ class FlowStateTable : public FlowStateTableBase {
   };
 
   std::size_t homeOf(FlowId key) const {
-    return static_cast<std::size_t>(flowHash(key, cfg_.hashSalt)) &
-           (buckets_.size() - 1);
+    return static_cast<std::size_t>(flowHash(key)) & (buckets_.size() - 1);
   }
 
   std::uint32_t lookup(FlowId id) const {

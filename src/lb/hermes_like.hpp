@@ -25,20 +25,16 @@ namespace tlbsim::lb {
 
 class HermesLike final : public net::UplinkSelector {
  public:
-  struct Params {
-    /// Minimum bytes a flow must send between reroutes (original: ~100KB).
-    ByteCount rerouteThreshold = 100 * kKB;
-    /// A path is "good" if its smoothed wait is below this, "gray"
-    /// in between, "bad" above 3x (Hermes' three-way classification).
-    SimTime goodWait = microseconds(100);
-    /// Condition-smoothing gain per control tick.
-    double gain = 0.25;
-    SimTime tick = microseconds(500);
-  };
+  /// Minimum bytes a flow must send between reroutes (original: ~100KB).
+  static constexpr ByteCount kRerouteThreshold = 100 * kKB;
+  /// A path is "good" if its smoothed wait is below this, "gray"
+  /// in between, "bad" above 3x (Hermes' three-way classification).
+  static constexpr SimTime kGoodWait = microseconds(100);
+  /// Condition-smoothing gain per control tick.
+  static constexpr double kGain = 0.25;
+  static constexpr SimTime kTick = microseconds(500);
 
-  explicit HermesLike(std::uint64_t seed) : HermesLike(seed, Params{}) {}
-  HermesLike(std::uint64_t seed, Params params, FlowStateConfig stateCfg = {})
-      : rng_(seed), params_(params), flows_(stateCfg) {}
+  explicit HermesLike(std::uint64_t seed) : rng_(seed) {}
 
   int selectUplink(const net::Packet& pkt,
                    const net::UplinkView& uplinks) override {
@@ -53,7 +49,7 @@ class HermesLike final : public net::UplinkSelector {
     }
     // Cautious rerouting: only consider moving when enough has been sent,
     // the current path is NOT good, and a good path exists.
-    if (st.bytesSinceMove >= params_.rerouteThreshold &&
+    if (st.bytesSinceMove >= kRerouteThreshold &&
         classify(st.port, uplinks) != Condition::kGood) {
       const int candidate = pickGood(uplinks);
       if (candidate != st.port &&
@@ -95,7 +91,7 @@ class HermesLike final : public net::UplinkSelector {
 
   Condition classify(int port, const net::UplinkView& uplinks) const {
     const double w = waitOf(port, uplinks);
-    const double good = toSeconds(params_.goodWait);
+    const double good = toSeconds(kGoodWait);
     if (w <= good) return Condition::kGood;
     if (w <= 3.0 * good) return Condition::kGray;
     return Condition::kBad;
@@ -128,7 +124,6 @@ class HermesLike final : public net::UplinkSelector {
   };
 
   Rng rng_;
-  Params params_;
   net::Switch* switch_ = nullptr;
   sim::Simulator* sim_ = nullptr;
   FlowStateTable<State> flows_;

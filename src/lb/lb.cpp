@@ -30,11 +30,11 @@ void HermesLike::attach(net::Switch& sw, sim::Simulator& simr) {
   switch_ = &sw;
   sim_ = &simr;
   // Periodic condition sensing: EWMA-smooth every uplink's expected wait.
-  simr.every(params_.tick, [this] {
+  simr.every(kTick, [this] {
     for (const auto& view : switch_->uplinkView()) {
       double& c =
           condition_.try_emplace(view.port, drainTime(view)).first->second;
-      c = (1.0 - params_.gain) * c + params_.gain * drainTime(view);
+      c = (1.0 - kGain) * c + kGain * drainTime(view);
     }
   });
   armPurgeSweep(simr, flows_);
@@ -44,9 +44,9 @@ void Conga::attach(net::Switch& sw, sim::Simulator& simr) {
   (void)sw;
   sim_ = &simr;
   // DRE aging: multiply every estimator by (1 - alpha) each interval.
-  simr.every(params_.dreInterval, [this] {
+  simr.every(kDreInterval, [this] {
     for (auto& [port, value] : dre_) {
-      value *= 1.0 - params_.dreAlpha;
+      value *= 1.0 - kDreAlpha;
     }
   });
   armPurgeSweep(simr, flows_);

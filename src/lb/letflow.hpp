@@ -17,9 +17,9 @@ namespace tlbsim::lb {
 
 class LetFlow final : public net::UplinkSelector {
  public:
-  LetFlow(std::uint64_t seed, SimTime flowletTimeout = microseconds(150),
-          FlowStateConfig stateCfg = {})
-      : rng_(seed), timeout_(flowletTimeout), flows_(stateCfg) {}
+  explicit LetFlow(std::uint64_t seed,
+                   SimTime flowletTimeout = microseconds(150))
+      : rng_(seed), timeout_(flowletTimeout) {}
 
   int selectUplink(const net::Packet& pkt,
                    const net::UplinkView& uplinks) override {

@@ -14,9 +14,8 @@ namespace tlbsim::lb {
 
 class Presto final : public net::UplinkSelector {
  public:
-  explicit Presto(std::uint64_t salt, ByteCount flowcellBytes = 64 * kKiB,
-                  FlowStateConfig stateCfg = {})
-      : salt_(salt), cellBytes_(flowcellBytes), flows_(stateCfg) {}
+  explicit Presto(std::uint64_t salt, ByteCount flowcellBytes = 64 * kKiB)
+      : salt_(salt), cellBytes_(flowcellBytes) {}
 
   int selectUplink(const net::Packet& pkt,
                    const net::UplinkView& uplinks) override {

@@ -27,7 +27,6 @@ struct FatTreeConfig {
 
   int numPods() const { return k; }
   int numHosts() const { return k * k * k / 4; }
-  int switchesPerTierPerPod() const { return k / 2; }
   int numCores() const { return (k / 2) * (k / 2); }
   /// A pod-to-pod path crosses 6 links each way.
   SimTime baseRtt() const { return 12 * linkDelay; }

@@ -8,6 +8,12 @@
 
 namespace tlbsim::net {
 
+// Every link holds one queue.
+#if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
+static_assert(sizeof(DropTailQueue) <= 80,
+              "DropTailQueue outgrew its 80 bytes");
+#endif
+
 void Link::installObs(obs::MetricsRegistry& metrics, obs::EventTrace* trace,
                       const std::string& label) {
   obsTx_ = &metrics.counter("port." + label + ".tx_packets");
@@ -122,7 +128,6 @@ void Link::send(const Packet& pkt) {
     return;
   }
   ++enqueuedPackets_;
-  enqueuedBytes_ += pkt.size;
   if (queue_.ecnMarks() != marksBefore) {
     if (obsMarks_ != nullptr) obsMarks_->inc();
     if (trace_ != nullptr) {

@@ -86,10 +86,6 @@ class Link {
   LinkRate effectiveRate() const { return rate_.scaled(rateFactor_); }
   /// Propagation delay after inflation (== propagationDelay() healthy).
   SimTime effectiveDelay() const { return delay_ * delayFactor_; }
-  double faultRateFactor() const { return rateFactor_; }
-  double faultDelayFactor() const { return delayFactor_; }
-  /// Gray-failure drop probability; each packet draws once as it starts.
-  double faultDropProb() const { return dropProb_; }
 
   /// Take the link down. The queue is flushed (flushed packets count as
   /// fault drops, not queue drops). Unless `drainInFlight`, the packet
@@ -132,7 +128,6 @@ class Link {
   /// Packets accepted into the queue since construction (audit support:
   /// enqueued == tx + queued + serializing must hold at all times).
   std::uint64_t enqueuedPackets() const { return enqueuedPackets_; }
-  ByteCount enqueuedBytes() const { return enqueuedBytes_; }
   /// Packets handed to the peer after propagation; tx - delivered is the
   /// number currently in flight on the wire.
   std::uint64_t deliveredPackets() const { return deliveredPackets_; }
@@ -247,7 +242,6 @@ class Link {
   std::uint64_t startedPackets_ = 0;
   ByteCount startedBytes_;
   std::uint64_t enqueuedPackets_ = 0;
-  ByteCount enqueuedBytes_;
   std::uint64_t deliveredPackets_ = 0;
   SimTime busyTime_;
   std::vector<DequeueHook> dequeueHooks_;

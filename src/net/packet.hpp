@@ -58,12 +58,7 @@ struct Packet {
   /// apps expose their budget; switches may collect statistics). 0 = none.
   SimTime deadline;
 
-  bool isControl() const {
-    return type == PacketType::kSyn || type == PacketType::kSynAck ||
-           type == PacketType::kFin || type == PacketType::kFinAck;
-  }
   bool isData() const { return type == PacketType::kData; }
-  bool isAck() const { return type == PacketType::kAck; }
 };
 
 }  // namespace tlbsim::net

@@ -35,18 +35,4 @@ void writeFlowsCsv(const std::string& path, const FlowLedger& ledger) {
   std::fclose(f);
 }
 
-void writeSeriesCsv(const std::string& path, const std::string& name,
-                    const TimeSeries& series) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    TLBSIM_LOG_ERROR("csv: cannot open %s", path.c_str());
-    return;
-  }
-  std::fprintf(f, "time_ns,%s\n", name.c_str());
-  for (const auto& [t, v] : series.points()) {
-    std::fprintf(f, "%lld,%.9g\n", static_cast<long long>(t.ns()), v);
-  }
-  std::fclose(f);
-}
-
 }  // namespace tlbsim::stats

@@ -4,16 +4,11 @@
 #include <string>
 
 #include "stats/flow_ledger.hpp"
-#include "stats/time_series.hpp"
 
 namespace tlbsim::stats {
 
 /// One row per flow: id, src, dst, size, start, deadline, completed, fct,
 /// reordering and retransmission counters.
 void writeFlowsCsv(const std::string& path, const FlowLedger& ledger);
-
-/// One row per sample of a named time series.
-void writeSeriesCsv(const std::string& path, const std::string& name,
-                    const TimeSeries& series);
 
 }  // namespace tlbsim::stats

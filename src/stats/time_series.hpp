@@ -34,17 +34,6 @@ class TimeSeries {
     return m;
   }
 
-  /// Downsample to ~`n` evenly spaced points (for compact table printing).
-  TimeSeries downsample(std::size_t n) const {
-    TimeSeries out;
-    if (points_.empty() || n == 0) return out;
-    const std::size_t stride = points_.size() > n ? points_.size() / n : 1;
-    for (std::size_t i = 0; i < points_.size(); i += stride) {
-      out.points_.push_back(points_[i]);
-    }
-    return out;
-  }
-
  private:
   std::vector<std::pair<SimTime, double>> points_;
 };

@@ -19,9 +19,7 @@ EndpointPool::~EndpointPool() {
 
 SimTime EndpointPool::safeDrainTime(const net::Fabric& topo,
                                     const TcpParams& params) {
-  SimTime drain = 2 * topo.worstCaseOneWay(params.maxSegmentWireSize());
-  if (params.delayedAckEvery > 1) drain += params.delayedAckTimeout;
-  return drain;
+  return 2 * topo.worstCaseOneWay(params.maxSegmentWireSize());
 }
 
 std::uint32_t EndpointPool::retireDrained(ReorderBuffer* spare) {

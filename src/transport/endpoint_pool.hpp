@@ -88,10 +88,9 @@ class EndpointPool {
 
   /// After a sender completes, a packet of its flow can still be in the
   /// network: a late data segment or the FIN needs at most one worst-case
-  /// one-way trip, and the ACK or FIN-ACK it draws another, sent after at
-  /// most the delayed-ACK timeout. Hence twice the topology's worst-case
-  /// one-way time for a full-size segment, plus that timeout when ACKs are
-  /// delayed.
+  /// one-way trip, and the ACK or FIN-ACK it draws, sent at once, another.
+  /// Hence twice the topology's worst-case one-way time for a full-size
+  /// segment.
   static SimTime safeDrainTime(const net::Fabric& topo,
                                const TcpParams& params);
 

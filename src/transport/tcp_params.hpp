@@ -8,32 +8,22 @@
 namespace tlbsim::transport {
 
 struct TcpParams {
-  ByteCount mss = 1460_B;        ///< payload bytes per full segment
-  ByteCount headerBytes = 40_B;  ///< TCP/IP header overhead per packet
+  /// TCP/IP header overhead per packet.
+  static constexpr ByteCount headerBytes = 40_B;
+  /// Paper Eq. (3): slow start sends 2, 4, 8, ... segments.
+  static constexpr int initialCwndSegments = 2;
+  static constexpr int dupAckThreshold = 3;
+  /// DCTCP's alpha EWMA gain.
+  static constexpr double dctcpG = 1.0 / 16.0;
 
-  int initialCwndSegments = 2;  ///< paper Eq. (3): slow start sends 2,4,8,...
+  ByteCount mss = 1460_B;  ///< payload bytes per full segment
   /// Receiver-window cap; the paper's W_L (64 KB default in Linux).
   ByteCount receiverWindow = 64 * kKiB;
 
-  int dupAckThreshold = 3;
-
   SimTime minRto = milliseconds(10);
   SimTime maxRto = milliseconds(200);
-  SimTime initialRtt = microseconds(100);
 
-  // --- DCTCP ----------------------------------------------------------
   bool enableEcn = true;
-  double dctcpG = 1.0 / 16.0;  ///< alpha EWMA gain
-
-  // --- delayed ACKs -----------------------------------------------------
-  /// Coalesce cumulative ACKs: at most one ACK per `delayedAckEvery`
-  /// in-order segments, flushed early by the timeout, by out-of-order
-  /// arrival, or by a change of the CE bit (the DCTCP receiver rule that
-  /// keeps the marking-fraction estimate exact under coalescing).
-  /// 1 = ACK every segment (default; simplest and what the paper's
-  /// dup-ACK metrics assume).
-  int delayedAckEvery = 1;
-  SimTime delayedAckTimeout = microseconds(500);
 
   /// Rate-limit NewReno hole retransmissions to one per SRTT. Genuine
   /// loss recovery is unaffected (real partial acks arrive one per round

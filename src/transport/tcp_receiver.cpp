@@ -6,6 +6,12 @@
 
 namespace tlbsim::transport {
 
+// Every pooled endpoint pair holds one receiver (see tcp_sender.cpp).
+#if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
+static_assert(sizeof(TcpReceiver) <= 192,
+              "TcpReceiver outgrew its 192 bytes");
+#endif
+
 TcpReceiver::TcpReceiver(sim::Simulator& simr, net::Host& localHost,
                          const FlowSpec& flow, const TcpParams& params)
     : TcpReceiver(simr, localHost, flow, params, ReorderBuffer{}) {}
@@ -28,7 +34,7 @@ net::Packet TcpReceiver::makeControl(net::PacketType type) const {
   pkt.type = type;
   pkt.src = flow_.dst;  // receiver -> sender direction
   pkt.dst = flow_.src;
-  pkt.size = params_.headerBytes;
+  pkt.size = TcpParams::headerBytes;
   pkt.sentAt = sim_.now();
   return pkt;
 }
@@ -46,7 +52,6 @@ void TcpReceiver::onPacket(const net::Packet& pkt) {
       break;
     case net::PacketType::kFin: {
       finSeen_ = true;
-      flushPending();  // anything still coalesced goes out first
       host_.send(makeControl(net::PacketType::kFinAck));
       break;
     }
@@ -59,7 +64,6 @@ void TcpReceiver::acceptData(const net::Packet& pkt) {
   ++dataPackets_;
   const std::uint64_t start = pkt.seq;
   const std::uint64_t end = pkt.seq + static_cast<std::uint64_t>(pkt.payload.bytes());
-  bool inOrder = false;
 
   if (start > cumAck_) {
     // Hole before this segment: buffer it.
@@ -75,53 +79,12 @@ void TcpReceiver::acceptData(const net::Packet& pkt) {
     }
     reorder_.insert(start, end);
   } else if (end > cumAck_) {
-    inOrder = true;
     // Drain any buffered ranges now contiguous.
     cumAck_ = reorder_.drain(end);
   }
   // else: fully duplicate segment (spurious retransmit); still ACK it.
 
-  ackPolicy(pkt, inOrder);
-}
-
-void TcpReceiver::ackPolicy(const net::Packet& pkt, bool inOrder) {
-  if (params_.delayedAckEvery <= 1) {
-    sendAck(pkt.sentAt, pkt.ce);
-    return;
-  }
-  // Immediate flush cases: out-of-order/duplicate arrival (dup-ACKs must
-  // reach the sender promptly) and a CE-bit change (DCTCP's rule: never
-  // blur marked and unmarked segments into one ACK).
-  if (!inOrder) {
-    flushPending();
-    sendAck(pkt.sentAt, pkt.ce);
-    return;
-  }
-  if (pendingSegments_ > 0 && pkt.ce != pendingCe_) {
-    flushPending();
-  }
-  pendingCe_ = pkt.ce;
-  pendingEchoTs_ = pkt.sentAt;
-  ++pendingSegments_;
-  if (pendingSegments_ >= params_.delayedAckEvery) {
-    flushPending();
-    return;
-  }
-  if (!ackTimer_.pending()) {
-    // Inside the timer's own callback the handle is already inert, so
-    // flushPending() below cancels nothing and re-arming works.
-    ackTimer_ =
-        sim_.schedule(params_.delayedAckTimeout, [this] { flushPending(); });
-  }
-}
-
-void TcpReceiver::flushPending() {
-  if (pendingSegments_ == 0) return;
-  const SimTime echo = pendingEchoTs_;
-  const bool ece = pendingCe_;
-  pendingSegments_ = 0;
-  ackTimer_.cancel();
-  sendAck(echo, ece);
+  sendAck(pkt.sentAt, pkt.ce);
 }
 
 void TcpReceiver::sendAck(SimTime echoTs, bool ece) {

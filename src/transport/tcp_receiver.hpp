@@ -54,12 +54,7 @@ class TcpReceiver : public net::PacketHandler {
 
  private:
   void acceptData(const net::Packet& pkt);
-  /// Decide whether to coalesce or emit an ACK for this data packet.
-  /// `inOrder` is false for out-of-order/duplicate arrivals, which always
-  /// flush immediately (RFC 5681) so senders see dup-ACKs promptly.
-  void ackPolicy(const net::Packet& pkt, bool inOrder);
   void sendAck(SimTime echoTs, bool ece);
-  void flushPending();
   net::Packet makeControl(net::PacketType type) const;
 
   sim::Simulator& sim_;
@@ -78,12 +73,6 @@ class TcpReceiver : public net::PacketHandler {
   std::uint64_t lastAckNo_ = 0;
   bool sentFirstAck_ = false;
   bool finSeen_ = false;
-
-  // --- delayed-ACK state -------------------------------------------------
-  int pendingSegments_ = 0;      ///< in-order segments not yet acked
-  bool pendingCe_ = false;       ///< CE bit of the pending run
-  SimTime pendingEchoTs_;    ///< timestamp of the newest pending segment
-  sim::EventHandle ackTimer_;  ///< pending delayed-ACK timer
 
   obs::FlowProbe* flowProbe_ = nullptr;  ///< null = disabled
 };

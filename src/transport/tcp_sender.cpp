@@ -14,10 +14,10 @@ namespace {
 constexpr int kMaxSynRetries = 8;
 }
 
-// Every pooled endpoint pair holds one sender; the deadline timer's extra
-// 16 bytes are paid for by the packed flags and counters.
+// Every pooled endpoint pair holds one sender and one receiver, so their
+// sizes bound the per-flow memory of the app workloads.
 #if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
-static_assert(sizeof(TcpSender) <= 456, "TcpSender outgrew its 456 bytes");
+static_assert(sizeof(TcpSender) <= 392, "TcpSender outgrew its 392 bytes");
 #endif
 
 void TcpSender::installObs(obs::MetricsRegistry* metrics,
@@ -42,7 +42,8 @@ TcpSender::TcpSender(sim::Simulator& simr, net::Host& localHost,
       params_(params),
       onComplete_(std::move(onComplete)),
       timer_(simr.scheduler()) {
-  cwnd_ = static_cast<double>(params_.initialCwndSegments * params_.mss.bytes());
+  cwnd_ = static_cast<double>(TcpParams::initialCwndSegments *
+                              params_.mss.bytes());
   ssthresh_ = static_cast<double>(params_.receiverWindow.bytes());
   host_.bind(flow_.id, this);
 }
@@ -60,7 +61,7 @@ void TcpSender::sendSyn() {
   syn.type = net::PacketType::kSyn;
   syn.src = flow_.src;
   syn.dst = flow_.dst;
-  syn.size = params_.headerBytes;
+  syn.size = TcpParams::headerBytes;
   syn.sentAt = sim_.now();
   syn.deadline = flow_.deadline;  // deadline tag for switch statistics
   host_.send(syn);
@@ -174,7 +175,7 @@ void TcpSender::onDupAck() {
     return;
   }
   ++dupAckCount_;
-  if (dupAckCount_ >= params_.dupAckThreshold) {
+  if (dupAckCount_ >= TcpParams::dupAckThreshold) {
     ++fastRetransmits_;
     if (cFastRetransmits_ != nullptr) cFastRetransmits_->inc();
     if (trace_ != nullptr) {
@@ -202,7 +203,7 @@ void TcpSender::updateDctcp(std::uint64_t newlyAcked, bool ece) {
     if (windowAckedBytes_ > 0) {
       const double f = static_cast<double>(windowMarkedBytes_) /
                        static_cast<double>(windowAckedBytes_);
-      alpha_ = (1.0 - params_.dctcpG) * alpha_ + params_.dctcpG * f;
+      alpha_ = (1.0 - TcpParams::dctcpG) * alpha_ + TcpParams::dctcpG * f;
     }
     windowAckedBytes_ = 0;
     windowMarkedBytes_ = 0;
@@ -253,7 +254,7 @@ void TcpSender::sendSegment(std::uint64_t seq, bool isRetransmit) {
   pkt.dst = flow_.dst;
   pkt.seq = seq;
   pkt.payload = payload;
-  pkt.size = payload + params_.headerBytes;
+  pkt.size = payload + TcpParams::headerBytes;
   pkt.ecnCapable = params_.enableEcn;
   pkt.sentAt = sim_.now();
   pkt.retransmit = isRetransmit;
@@ -342,7 +343,7 @@ void TcpSender::complete() {
   fin.type = net::PacketType::kFin;
   fin.src = flow_.src;
   fin.dst = flow_.dst;
-  fin.size = params_.headerBytes;
+  fin.size = TcpParams::headerBytes;
   fin.sentAt = sim_.now();
   host_.send(fin);
   if (onComplete_) onComplete_(*this);

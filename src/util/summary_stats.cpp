@@ -53,18 +53,4 @@ double SampleSet::percentile(double p) const {
   return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
 }
 
-std::vector<std::pair<double, double>> SampleSet::cdf(
-    std::size_t points) const {
-  ensureSorted();
-  std::vector<std::pair<double, double>> out;
-  if (sorted_.empty() || points == 0) return out;
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double q =
-        static_cast<double>(i + 1) / static_cast<double>(points) * 100.0;
-    out.emplace_back(percentile(q), q / 100.0);
-  }
-  return out;
-}
-
 }  // namespace tlbsim

@@ -1,13 +1,12 @@
-// Streaming and batch summary statistics: mean, percentiles, CDF export.
+// Streaming and batch summary statistics: mean and percentiles.
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace tlbsim {
 
-/// Accumulates double-valued samples and answers mean / percentile / CDF
+/// Accumulates double-valued samples and answers mean / percentile
 /// queries. Percentile queries sort lazily (cached until the next insert).
 class SampleSet {
  public:
@@ -24,9 +23,6 @@ class SampleSet {
 
   /// p in [0, 100]. Uses nearest-rank on the sorted samples.
   double percentile(double p) const;
-
-  /// Evenly-spaced CDF points: `points` pairs of (value, cumulative prob).
-  std::vector<std::pair<double, double>> cdf(std::size_t points = 100) const;
 
   const std::vector<double>& samples() const { return samples_; }
 

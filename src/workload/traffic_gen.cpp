@@ -110,35 +110,6 @@ std::vector<transport::FlowSpec> basicMixWorkload(const BasicMixConfig& cfg,
   return flows;
 }
 
-std::vector<transport::FlowSpec> incastWorkload(const IncastConfig& cfg,
-                                                Rng& rng, FlowId firstId) {
-  TLBSIM_ASSERT(cfg.fanIn >= 1 && cfg.numHosts >= 2,
-                "incast needs fanIn >= 1 and >= 2 hosts (got %d, %d)", cfg.fanIn,
-                cfg.numHosts);
-  std::vector<transport::FlowSpec> flows;
-  flows.reserve(static_cast<std::size_t>(cfg.fanIn));
-  FlowId id = firstId;
-  int sender = 0;
-  for (int i = 0; i < cfg.fanIn; ++i) {
-    // Round-robin senders over all hosts except the aggregator.
-    while (sender == cfg.aggregator) sender = (sender + 1) % cfg.numHosts;
-    transport::FlowSpec f;
-    f.id = id++;
-    f.src = static_cast<net::HostId>(sender);
-    f.dst = cfg.aggregator;
-    f.size = cfg.responseBytes;
-    f.start =
-        cfg.start + (cfg.jitter > 0_ns
-                         ? SimTime::fromNs(rng.uniformInt(
-                               std::int64_t{0}, cfg.jitter.ns()))
-                         : 0_ns);
-    f.deadline = cfg.deadline;
-    flows.push_back(f);
-    sender = (sender + 1) % cfg.numHosts;
-  }
-  return flows;
-}
-
 std::optional<std::vector<transport::FlowSpec>> namedWorkload(
     const std::string& name, const net::LeafSpineConfig& topo, double load,
     int flowCount, Rng& rng, std::string* error) {

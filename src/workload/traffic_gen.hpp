@@ -69,23 +69,6 @@ std::vector<transport::FlowSpec> basicMixWorkload(const BasicMixConfig& cfg,
                                                   Rng& rng,
                                                   FlowId firstId = 1);
 
-/// Incast: `fanIn` senders each transfer `responseBytes` to one aggregator
-/// host, (near-)synchronously — the classic partition/aggregate pattern
-/// that stresses the aggregator's downlink buffer. `jitter` spreads the
-/// starts uniformly in [0, jitter] (0 = perfectly synchronized).
-struct IncastConfig {
-  int fanIn = 16;
-  net::HostId aggregator = 0;
-  ByteCount responseBytes = 64 * kKB;
-  SimTime start;
-  SimTime jitter;
-  int numHosts = 32;
-  SimTime deadline;  ///< per-response deadline; 0 = none
-};
-
-std::vector<transport::FlowSpec> incastWorkload(const IncastConfig& cfg,
-                                                Rng& rng, FlowId firstId = 1);
-
 /// The workloads a command line names: "websearch" and "datamining"
 /// (Poisson arrivals at `load` via poissonConfigFor, sizes from the §6.2
 /// CDFs capped at 30 and 35 MB), "basicmix" (the default BasicMixConfig)

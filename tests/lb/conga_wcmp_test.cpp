@@ -77,9 +77,7 @@ TEST(Conga, DreAgesOut) {
 TEST(Conga, GapStartsNewFlowletOnLeastCongested) {
   sim::Simulator simr;
   net::Switch sw(simr, "sw");
-  Conga::Params params;
-  params.flowletTimeout = microseconds(100);
-  Conga conga(4, params);
+  Conga conga(4, microseconds(100));
   conga.attach(sw, simr);
 
   conga.selectUplink(dataPacket(1), makeView({0_B, 0_B, 0_B}));

@@ -297,8 +297,7 @@ TEST(LetFlow, NoGapNoSwitchAcrossManyPackets) {
 // -------------------------------------------------- FixedGranularity --
 
 TEST(FixedGranularity, SwitchesEveryKPackets) {
-  FixedGranularity fg(13, /*K=*/5, FixedGranularity::Target::kShortestQueue);
-  // Distinct queue lengths force deterministic shortest-queue choices.
+  FixedGranularity fg(13, /*K=*/5);
   const auto v = makeView({0_B, 10_B, 20_B, 30_B});
   std::vector<int> ports;
   for (int i = 0; i < 20; ++i) {

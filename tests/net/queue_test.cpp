@@ -82,6 +82,16 @@ TEST(DropTailQueue, EcnIgnoresNonCapablePackets) {
   EXPECT_EQ(q.ecnMarks(), 0u);
 }
 
+// Suite name kept from the removed RED marking mode: a standing queue far
+// above the threshold still never marks a packet that is not ECN-capable.
+TEST(RedQueue, NonEctPacketsNeverMarked) {
+  DropTailQueue q({256, 1});
+  for (int i = 0; i < 100; ++i) q.enqueue(makeData(1, 1500_B, false), 0_ns);
+  EXPECT_EQ(q.packets(), 100);
+  EXPECT_EQ(q.ecnMarks(), 0u);
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(q.dequeue(0_ns).ce);
+}
+
 TEST(DropTailQueue, EcnDisabledByZeroThreshold) {
   DropTailQueue q({10, 0});
   for (int i = 0; i < 10; ++i) q.enqueue(makeData(1, 100_B, true), 0_ns);

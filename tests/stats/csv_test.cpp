@@ -55,20 +55,6 @@ TEST(Csv, EmptyLedgerWritesHeaderOnly) {
   std::remove(path.c_str());
 }
 
-TEST(Csv, SeriesRoundTrip) {
-  TimeSeries ts;
-  ts.add(1000_ns, 0.5);
-  ts.add(2000_ns, 1.25);
-  const std::string path = ::testing::TempDir() + "/series_test.csv";
-  writeSeriesCsv(path, "metric", ts);
-  const auto lines = readLines(path);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0], "time_ns,metric");
-  EXPECT_EQ(lines[1], "1000,0.5");
-  EXPECT_EQ(lines[2], "2000,1.25");
-  std::remove(path.c_str());
-}
-
 TEST(Csv, UnwritablePathDoesNotCrash) {
   FlowLedger ledger;
   writeFlowsCsv("/nonexistent-dir/x.csv", ledger);  // logs and returns

@@ -43,23 +43,5 @@ TEST(TimeSeries, EmptyIsSafe) {
   EXPECT_TRUE(ts.empty());
 }
 
-TEST(TimeSeries, DownsampleKeepsOrder) {
-  TimeSeries ts;
-  for (int i = 0; i < 100; ++i) ts.add(SimTime::fromNs(i), i);
-  const auto ds = ts.downsample(10);
-  EXPECT_LE(ds.size(), 12u);
-  EXPECT_GE(ds.size(), 9u);
-  for (std::size_t i = 1; i < ds.points().size(); ++i) {
-    EXPECT_LT(ds.points()[i - 1].first, ds.points()[i].first);
-  }
-}
-
-TEST(TimeSeries, DownsampleSmallSeriesUnchanged) {
-  TimeSeries ts;
-  ts.add(0_ns, 1.0);
-  ts.add(1_ns, 2.0);
-  EXPECT_EQ(ts.downsample(10).size(), 2u);
-}
-
 }  // namespace
 }  // namespace tlbsim::stats

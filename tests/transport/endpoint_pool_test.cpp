@@ -154,10 +154,6 @@ TEST(EndpointPool, SafeDrainTimeCoversTopologyAndFaultPlan) {
   {
     PoolRig rig(cfg);
     EXPECT_EQ(EndpointPool::safeDrainTime(rig.topo, TcpParams{}), 2 * 4 * hop);
-    TcpParams delayed;
-    delayed.delayedAckEvery = 2;
-    EXPECT_EQ(EndpointPool::safeDrainTime(rig.topo, delayed),
-              2 * 4 * hop + delayed.delayedAckTimeout);
   }
   // A plan that halves one cable's rate and triples another's delay,
   // later in the run: both fabric tiers take their worst link.

@@ -13,7 +13,6 @@ TEST(SampleSet, EmptyIsSafe) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.percentile(50), 0.0);
-  EXPECT_TRUE(s.cdf().empty());
 }
 
 TEST(SampleSet, MeanAndSum) {
@@ -48,19 +47,6 @@ TEST(SampleSet, PercentileInterleavedWithInserts) {
   EXPECT_DOUBLE_EQ(s.percentile(50), 10.0);
   s.add(20.0);  // invalidates cache
   EXPECT_NEAR(s.percentile(50), 15.0, 1e-9);
-}
-
-TEST(SampleSet, CdfIsMonotone) {
-  SampleSet s;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) s.add(rng.uniform());
-  const auto cdf = s.cdf(50);
-  ASSERT_EQ(cdf.size(), 50u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_LE(cdf[i - 1].first, cdf[i].first);
-    EXPECT_LT(cdf[i - 1].second, cdf[i].second);
-  }
-  EXPECT_NEAR(cdf.back().second, 1.0, 1e-9);
 }
 
 TEST(SampleSet, ClearResets) {

@@ -48,6 +48,19 @@ def sweep_cell(jobs: int):
             ["sweep.json", "flows.ndjson"])
 
 
+# Every --list-schemes name, in its order.
+ALL_SCHEMES = ("ecmp,wcmp,rps,drill,presto,letflow,conga,hermes,round-robin,"
+               "flow-level,shortest-queue,fixed-granularity,tlb")
+
+
+def schemes_cell(workload_args: list[str]):
+    return ("tlbsim_cli",
+            ["sweep", "--schemes", ALL_SCHEMES, *workload_args,
+             "--seeds", "1", "--flows", "60", "--audit", "--metrics",
+             "--jobs", "4", "--json", "sweep.json"],
+            ["sweep.json"])
+
+
 # name -> (binary, arguments, outputs digested; "stdout" is the run's)
 CELLS = {
     "ext_fattree": ("ext_fattree", [], ["stdout"]),
@@ -72,6 +85,8 @@ CELLS = {
                       ["stdout"]),
     "sweep_jobs1": sweep_cell(1),
     "sweep_jobs4": sweep_cell(4),
+    "schemes_websearch": schemes_cell(["--loads", "0.6"]),
+    "schemes_basicmix": schemes_cell(["--workload", "basicmix"]),
 }
 
 # Where each binary sits in a build tree.
