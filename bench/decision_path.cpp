@@ -5,7 +5,8 @@
 // lastSeen field per scheme and an iterate-everything idle purge — that
 // design is embedded verbatim below, so the comparison is self-contained
 // and reruns on any machine. The replacement is lb::FlowStateTable: a
-// robin-hood hash over a bounded slot pool with an intrusive-LRU purge.
+// bounded slot pool with an intrusive-LRU purge, whose slots are found
+// through util::FlowIndex.
 //
 // Both sides run the identical 1M-flow churn soak (LetFlow-shaped
 // decision: flowlet-gap check + port assignment + byte accounting, with

@@ -35,20 +35,19 @@ FaultMonitor::FaultMonitor(net::LeafSpineTopology& topo,
 
 void FaultMonitor::onDequeue(int leaf, int spine, const net::Packet& pkt) {
   if (pkt.payload <= 0_B || !isLong_(pkt.flow)) return;
-  if (const auto it = pending_.find(pkt.flow); it != pending_.end()) {
-    const Pending& p = it->second;
-    if (leaf != p.leaf || spine != p.spine) {
-      const double delaySec = toSeconds(sim_.now() - p.faultAt);
+  if (const Pending* p = pending_.find(pkt.flow)) {
+    if (leaf != p->leaf || spine != p->spine) {
+      const double delaySec = toSeconds(sim_.now() - p->faultAt);
       rerouteTimes_.push_back(delaySec);
       if (flowProbe_ != nullptr) {
         flowProbe_->onDecision(pkt.flow, sim_.now(),
                                obs::DecisionKind::kFaultReroute,
                                static_cast<double>(spine), delaySec);
       }
-      pending_.erase(it);
+      pending_.erase(pkt.flow);
     }
   }
-  currentUplink_[pkt.flow] = {leaf, spine};
+  currentUplink_.assign(pkt.flow, {leaf, spine});
 }
 
 void FaultMonitor::onFault(const FaultEvent& ev) {
@@ -56,14 +55,14 @@ void FaultMonitor::onFault(const FaultEvent& ev) {
   const SimTime now = sim_.now();
   if (firstDisruptiveAt_ < 0_ns) firstDisruptiveAt_ = now;
   // Snapshot which long flows currently ride the faulted uplink; order of
-  // iteration only feeds per-flow map inserts and a count, so the result
-  // is independent of the hash order.
-  for (const auto& [flow, link] : currentUplink_) {
-    if (link.first != ev.leaf || link.second != ev.spine) continue;
-    if (pending_.contains(flow)) continue;
-    pending_[flow] = Pending{now, ev.leaf, ev.spine};
+  // iteration only feeds per-flow inserts and a count, so the result is
+  // independent of the hash order.
+  currentUplink_.forEach([&](FlowId flow, const std::pair<int, int>& link) {
+    if (link.first != ev.leaf || link.second != ev.spine) return;
+    if (pending_.find(flow) != nullptr) return;
+    pending_.assign(flow, Pending{now, ev.leaf, ev.spine});
     ++affected_;
-  }
+  });
   // Forgotten flows that last sent here: affected, and never to reroute.
   int& forgotten = forgottenOn_[static_cast<std::size_t>(
       ev.leaf * topo_.numSpines() + ev.spine)];
@@ -72,16 +71,16 @@ void FaultMonitor::onFault(const FaultEvent& ev) {
 }
 
 void FaultMonitor::forgetFlow(FlowId flow) {
-  const auto it = currentUplink_.find(flow);
-  if (it == currentUplink_.end()) return;  // never seen as a long flow
+  const std::pair<int, int>* link = currentUplink_.find(flow);
+  if (link == nullptr) return;  // never seen as a long flow
   // A pending flow is already counted and stays pending for good: no
   // packet of it will leave any uplink again.
-  if (pending_.erase(flow) == 0) {
-    const auto [leaf, spine] = it->second;
+  if (!pending_.erase(flow)) {
+    const auto [leaf, spine] = *link;
     ++forgottenOn_[static_cast<std::size_t>(leaf * topo_.numSpines() +
                                             spine)];
   }
-  currentUplink_.erase(it);
+  currentUplink_.erase(flow);
 }
 
 double FaultMonitor::meanRerouteSec() const {

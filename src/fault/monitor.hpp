@@ -21,13 +21,13 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "fault/plan.hpp"
 #include "net/leaf_spine.hpp"
 #include "sim/simulator.hpp"
+#include "util/flow_index.hpp"
 #include "util/flow_key.hpp"
 #include "util/units.hpp"
 
@@ -81,7 +81,8 @@ class FaultMonitor {
   /// Flows with a recorded last uplink (every flow the monitor holds).
   std::size_t trackedFlows() const { return currentUplink_.size(); }
   bool tracks(FlowId flow) const {
-    return currentUplink_.contains(flow) || pending_.contains(flow);
+    return currentUplink_.find(flow) != nullptr ||
+           pending_.find(flow) != nullptr;
   }
 
   // --- results ----------------------------------------------------------
@@ -118,9 +119,9 @@ class FaultMonitor {
   std::function<ByteCount()> probe_;
 
   /// Last leaf uplink each tracked long flow sent data on.
-  std::unordered_map<FlowId, std::pair<int, int>> currentUplink_;
+  util::FlowIndex<std::pair<int, int>> currentUplink_;
   /// Flows awaiting their first post-fault dequeue on another uplink.
-  std::unordered_map<FlowId, Pending> pending_;
+  util::FlowIndex<Pending> pending_;
   /// Per leaf uplink (leaf * spines + spine): forgotten flows that last
   /// sent there and were not awaiting a reroute. The next disruptive
   /// fault there counts them as affected, then they are spent.

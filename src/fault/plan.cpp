@@ -1,8 +1,10 @@
 #include "fault/plan.hpp"
 
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 #include <utility>
+
+#include "util/parse.hpp"
 
 namespace tlbsim::fault {
 
@@ -28,51 +30,38 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
-/// Full-string strtod: false unless every character parses.
-bool parseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-/// Full-string non-negative integer.
+/// Full-string non-negative int.
 bool parseIndex(const std::string& s, int* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || v < 0) return false;
-  *out = static_cast<int>(v);
+  const auto v = util::parseInt(s);
+  if (!v.has_value() || *v < 0 || !std::in_range<int>(*v)) return false;
+  *out = static_cast<int>(*v);
   return true;
 }
 
 /// "0.1s" | "30ms" | "250us" | "1500ns" -> nanoseconds. Suffix required
 /// so the unit is visible at every call site, matching the units.hpp
 /// convention.
-bool parseTime(const std::string& s, SimTime* out) {
-  double scale = 0.0;
-  std::string num;
-  if (s.size() > 2 && s.compare(s.size() - 2, 2, "ms") == 0) {
-    scale = static_cast<double>(kMillisecond.ns());
-    num = s.substr(0, s.size() - 2);
-  } else if (s.size() > 2 && s.compare(s.size() - 2, 2, "us") == 0) {
-    scale = static_cast<double>(kMicrosecond.ns());
-    num = s.substr(0, s.size() - 2);
-  } else if (s.size() > 2 && s.compare(s.size() - 2, 2, "ns") == 0) {
-    scale = 1.0;
-    num = s.substr(0, s.size() - 2);
-  } else if (s.size() > 1 && s.back() == 's') {
-    scale = static_cast<double>(kSecond.ns());
-    num = s.substr(0, s.size() - 1);
-  } else {
-    return false;
+bool parseTime(const std::string& s, SimTime* out, std::string* error) {
+  const std::string_view text = s;
+  // "s" last: every other suffix ends with it too.
+  constexpr std::pair<std::string_view, SimTime> kUnits[] = {
+      {"ms", kMillisecond}, {"us", kMicrosecond}, {"ns", kNanosecond},
+      {"s", kSecond}};
+  for (const auto& [suffix, unit] : kUnits) {
+    if (!text.ends_with(suffix)) continue;
+    const auto v =
+        util::parseReal(text.substr(0, text.size() - suffix.size()));
+    if (!v.has_value() || *v < 0.0) break;
+    const auto t = util::toSimTime(*v, unit);
+    if (!t.has_value()) {
+      explain(error, "time '" + s + "' overflows the simulated clock");
+      return false;
+    }
+    *out = *t;
+    return true;
   }
-  double v = 0.0;
-  if (!parseDouble(num, &v) || v < 0.0) return false;
-  *out = SimTime::fromNs(v * scale);
-  return true;
+  explain(error, "bad time '" + s + "' (want e.g. 0.1s, 30ms, 250us)");
+  return false;
 }
 
 /// "leaf3-spine7" -> (3, 7).
@@ -99,11 +88,7 @@ bool parseAction(const std::string& tok, int leaf, int spine,
     return false;
   }
   SimTime when;
-  if (!parseTime(tok.substr(at + 1), &when)) {
-    explain(error, "bad time '" + tok.substr(at + 1) +
-                       "' (want e.g. 0.1s, 30ms, 250us)");
-    return false;
-  }
+  if (!parseTime(tok.substr(at + 1), &when, error)) return false;
   const std::string head = tok.substr(0, at);
   FaultEvent ev;
   ev.leaf = leaf;
@@ -115,12 +100,15 @@ bool parseAction(const std::string& tok, int leaf, int spine,
     ev.kind = FaultEvent::Kind::kUp;
   } else {
     const std::size_t eq = head.find('=');
-    double v = 0.0;
-    if (eq == std::string::npos || !parseDouble(head.substr(eq + 1), &v)) {
+    const auto parsed = eq == std::string::npos
+                            ? std::nullopt
+                            : util::parseReal(head.substr(eq + 1));
+    if (!parsed.has_value()) {
       explain(error, "bad action '" + tok +
                          "' (want down, up, rate=F, delay=F, or drop=P)");
       return false;
     }
+    const double v = *parsed;
     const std::string name = head.substr(0, eq);
     if (name == "rate") {
       if (!(v > 0.0) || v > 1.0) {

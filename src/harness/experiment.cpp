@@ -3,7 +3,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 
 #include "app/query_probe.hpp"
 #include "app/service.hpp"
@@ -150,13 +149,17 @@ ExperimentResult Experiment::run() const {
       schemeName(cfg.scheme.scheme), topo.numHosts(), topo.switches().size(),
       cfg.flows.size(), static_cast<unsigned long long>(cfg.seed));
 
-  // Flow classification for stats hooks.
-  std::unordered_set<FlowId> shortFlows;
-  for (const auto& f : cfg.flows) {
-    if (f.size < cfg.shortThreshold) shortFlows.insert(f.id);
-  }
-  stats::QueueDelayMonitor qmon(
-      [&shortFlows](FlowId id) { return shortFlows.contains(id); });
+  // Flow classification for the stats hooks. They see only live flows'
+  // packets (a pair is reused after its flow drained), whose specs are in
+  // the static flows' endpoint pool or the app service's. App RPC flows
+  // stay in the queue monitor's bounded long-flow histograms, so an app
+  // run's memory does not grow with every query.
+  transport::EndpointPool endpoints(simr, topo, cfg.tcp);
+  std::unique_ptr<app::Service> service;
+  stats::QueueDelayMonitor qmon([&endpoints, &cfg](FlowId id) {
+    const transport::TcpSender* snd = endpoints.find(id);
+    return snd != nullptr && snd->flow().size < cfg.shortThreshold;
+  });
   // Observe the access switches' uplink queues (where the first LB
   // decision applies).
   for (net::Switch* sw : access) {
@@ -230,21 +233,19 @@ ExperimentResult Experiment::run() const {
   // recovery. Both must outlive the run loop below.
   std::unique_ptr<fault::FaultMonitor> faultMon;
   std::unique_ptr<fault::FaultInjector> faultInj;
-  // The app service (created further down) mints its RPC flows at run
-  // time, so the static short-flow set cannot classify them.
-  const app::Service* appFlows = nullptr;
   if (!cfg.fault.empty()) {
     fault::FaultMonitor::Config mcfg;
     if (cfg.obsSampleInterval > 0_ns) mcfg.sampleInterval = cfg.obsSampleInterval;
+    // A flow is long unless its spec is short, static and app flows alike.
     faultMon = std::make_unique<fault::FaultMonitor>(
         *leafSpine, simr,
-        [&shortFlows, &appFlows, &cfg](FlowId id) {
-          if (appFlows != nullptr) {
-            if (const auto* spec = appFlows->rpcFlow(id)) {
-              return spec->size >= cfg.shortThreshold;
-            }
-          }
-          return !shortFlows.contains(id);
+        [&endpoints, &service, &cfg](FlowId id) {
+          const transport::TcpSender* snd = endpoints.find(id);
+          const transport::FlowSpec* spec =
+              snd != nullptr       ? &snd->flow()
+              : service != nullptr ? service->rpcFlow(id)
+                                   : nullptr;
+          return spec == nullptr || spec->size >= cfg.shortThreshold;
         },
         mcfg);
     faultInj = std::make_unique<fault::FaultInjector>(cfg.fault, *leafSpine,
@@ -273,14 +274,13 @@ ExperimentResult Experiment::run() const {
     auditor->install(simr);
   }
 
-  // Transport endpoints: a pool builds each flow's pair in the flow's start
-  // event and reuses a finished pair once its flow has drained. There is
-  // one start event per flow, posted here in flow order at the time
+  // The endpoint pool builds each flow's pair in the flow's start event
+  // and reuses a finished pair once its flow has drained. There is one
+  // start event per flow, posted here in flow order at the time
   // TcpSender::start() would post the SYN, so every event keeps its seq.
   // Per-flow results go into the ledger at the flow's index when its pair
   // is reused or at run end; the per-flow totals the samplers read are the
   // pool's pairs plus the retired flows'.
-  transport::EndpointPool endpoints(simr, topo, cfg.tcp);
   for (const auto& f : cfg.flows) {
     stats::FlowResult r;
     r.spec = f;
@@ -367,7 +367,6 @@ ExperimentResult Experiment::run() const {
   // dynamically at simulation time, on top of (or instead of) the static
   // flow list. Flow ids start past every static id so the two workloads
   // can share a run without colliding.
-  std::unique_ptr<app::Service> service;
   if (cfg.app.enabled()) {
     FlowId firstAppFlowId = 1;
     for (const auto& f : cfg.flows) {
@@ -375,7 +374,6 @@ ExperimentResult Experiment::run() const {
     }
     service = std::make_unique<app::Service>(simr, topo, cfg.app, cfg.tcp,
                                              cfg.seed, firstAppFlowId);
-    appFlows = service.get();
     service->setQueryProbe(cfg.queryProbe);
     if (sinks.any()) service->installObs(sinks.metrics, sinks.trace);
     if (auditor != nullptr) {
@@ -394,7 +392,8 @@ ExperimentResult Experiment::run() const {
     service->start();
   }
 
-  const std::size_t numLong = cfg.flows.size() - shortFlows.size();
+  std::size_t numLong = 0;
+  for (const auto& f : cfg.flows) numLong += f.size >= cfg.shortThreshold;
 
   if (faultMon != nullptr) {
     // Goodput = acked bytes summed over the long-flow senders, retired

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "fault/plan.hpp"
-#include "util/config.hpp"
+#include "util/parse.hpp"
 
 namespace tlbsim::harness {
 
@@ -33,17 +33,12 @@ struct Key {
   Sugar sugar = Sugar::kValue;
 };
 
-/// The one-entry KeyValueConfig whose strict accessors parse `value`.
-KeyValueConfig one(const std::string& value) {
-  return KeyValueConfig::fromString("v=" + value);
-}
-
 /// An integer in [lo, hi], handed to `set`.
 Apply integer(std::int64_t lo, std::function<void(Config&, std::int64_t)> set,
               std::int64_t hi = INT_MAX) {
   return [lo, hi, set = std::move(set)](Config& c, const std::string& value,
                                         std::string* why) {
-    const auto v = one(value).getIntStrict("v");
+    const auto v = util::parseInt(value);
     if (!v.has_value() || *v > hi) return false;
     if (*v < lo) {
       *why = "must be >= " + std::to_string(lo);
@@ -54,31 +49,58 @@ Apply integer(std::int64_t lo, std::function<void(Config&, std::int64_t)> set,
   };
 }
 
-/// A real number that must be > 0 (`positive`) or >= 0, handed to `set`.
-Apply number(bool positive, std::function<void(Config&, double)> set) {
-  return [positive, set = std::move(set)](Config& c, const std::string& value,
-                                          std::string* why) {
-    const auto v = one(value).getDoubleStrict("v");
+/// `value` as a finite real that is > 0 (`positive`) or >= 0; nullopt
+/// otherwise, with the range rule it broke in *why.
+std::optional<double> real(const std::string& value, bool positive,
+                           std::string* why) {
+  const auto v = util::parseReal(value);
+  if (v.has_value() && (positive ? !(*v > 0.0) : !(*v >= 0.0))) {
+    *why = positive ? "must be > 0" : "must be >= 0";
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// A real number that must be > 0, handed to `set`.
+Apply positive(std::function<void(Config&, double)> set) {
+  return [set = std::move(set)](Config& c, const std::string& value,
+                                std::string* why) {
+    const auto v = real(value, true, why);
     if (!v.has_value()) return false;
-    if (positive ? !(*v > 0.0) : !(*v >= 0.0)) {
-      *why = positive ? "must be > 0" : "must be >= 0";
-      return false;
-    }
     set(c, *v);
     return true;
   };
 }
-Apply positive(std::function<void(Config&, double)> set) {
-  return number(true, std::move(set));
+
+/// A time in `unit`s that must be > 0 (`positive`) or >= 0 and fit the
+/// clock, handed to `set`.
+Apply duration(SimTime unit, bool positive,
+               std::function<void(Config&, SimTime)> set) {
+  return [unit, positive, set = std::move(set)](
+             Config& c, const std::string& value, std::string* why) {
+    const auto v = real(value, positive, why);
+    if (!v.has_value()) return false;
+    const auto t = util::toSimTime(*v, unit);
+    if (!t.has_value()) {
+      *why = "overflows the simulated clock (int64 nanoseconds)";
+      return false;
+    }
+    set(c, *t);
+    return true;
+  };
 }
-Apply nonNegative(std::function<void(Config&, double)> set) {
-  return number(false, std::move(set));
+Apply positiveTime(SimTime unit, std::function<void(Config&, SimTime)> set) {
+  return duration(unit, true, std::move(set));
+}
+Apply nonNegativeTime(SimTime unit,
+                      std::function<void(Config&, SimTime)> set) {
+  return duration(unit, false, std::move(set));
 }
 
 Apply boolean(std::function<void(Config&, bool)> set) {
   return [set = std::move(set)](Config& c, const std::string& value,
                                 std::string*) {
-    const auto v = one(value).getBoolStrict("v");
+    const auto v = util::parseBool(value);
     if (!v.has_value()) return false;
     set(c, *v);
     return true;
@@ -122,25 +144,23 @@ const std::vector<Key>& keyTable() {
          c.topo.fabricLinkRate = gbps(v);
        })},
       {"topo.rtt-us", "rtt-us", "base RTT, microseconds (sets per-link delay)",
-       positive([](Config& c, double v) {
-         c.topo.linkDelay = microseconds(v / 8.0);
-       })},
+       positiveTime(kMicrosecond,
+                    [](Config& c, SimTime t) { c.topo.linkDelay = t / 8; })},
       {"tcp.hole-guard", "classic-tcp",
        "reordering-tolerant retransmit guard (false = classic NS2-era TCP)",
        boolean([](Config& c, bool v) { c.tcp.holeRetransmitGuard = v; }),
        Sugar::kNegatedSwitch},
       {"tcp.min-rto-us", nullptr,
        "minimum retransmission timeout, microseconds",
-       nonNegative([](Config& c, double v) {
-         c.tcp.minRto = microseconds(v);
-       })},
+       nonNegativeTime(kMicrosecond,
+                       [](Config& c, SimTime t) { c.tcp.minRto = t; })},
       {"tlb.update-interval-us", nullptr, "TLB control-loop interval t",
-       positive([](Config& c, double v) {
-         c.scheme.tlb.updateInterval = microseconds(v);
+       positiveTime(kMicrosecond, [](Config& c, SimTime t) {
+         c.scheme.tlb.updateInterval = t;
        })},
       {"tlb.idle-timeout-us", nullptr, "TLB flow-entry idle purge timeout",
-       nonNegative([](Config& c, double v) {
-         c.scheme.tlb.idleTimeout = microseconds(v);
+       nonNegativeTime(kMicrosecond, [](Config& c, SimTime t) {
+         c.scheme.tlb.idleTimeout = t;
        })},
       {"tlb.short-threshold-bytes", nullptr,
        "bytes before TLB reclassifies a flow as long",
@@ -153,12 +173,12 @@ const std::vector<Key>& keyTable() {
          c.scheme.tlb.sprayStickiness = ByteCount::fromBytes(v);
        })},
       {"tlb.deadline-ms", nullptr, "short-flow deadline D, milliseconds",
-       positive([](Config& c, double v) {
-         c.scheme.tlb.deadline = milliseconds(v);
+       positiveTime(kMillisecond, [](Config& c, SimTime t) {
+         c.scheme.tlb.deadline = t;
        })},
       {"scheme.flowlet-timeout-us", nullptr, "LetFlow/CONGA flowlet gap",
-       nonNegative([](Config& c, double v) {
-         c.scheme.flowletTimeout = microseconds(v);
+       nonNegativeTime(kMicrosecond, [](Config& c, SimTime t) {
+         c.scheme.flowletTimeout = t;
        })},
       {"scheme.presto-cell-bytes", nullptr, "Presto flowcell size",
        integer(1, [](Config& c, std::int64_t v) {
@@ -172,11 +192,11 @@ const std::vector<Key>& keyTable() {
            },
            INT64_MAX)},
       {"max-duration-ms", nullptr, "hard stop, simulated milliseconds",
-       positive([](Config& c, double v) { c.maxDuration = milliseconds(v); })},
+       positiveTime(kMillisecond,
+                    [](Config& c, SimTime t) { c.maxDuration = t; })},
       {"sample-interval-us", nullptr, "time-series sampling period (0 = off)",
-       nonNegative([](Config& c, double v) {
-         c.sampleInterval = microseconds(v);
-       })},
+       nonNegativeTime(kMicrosecond,
+                       [](Config& c, SimTime t) { c.sampleInterval = t; })},
       {"app.queries", nullptr,
        "partition-aggregate queries to run (0 = app off)",
        integer(0, [](Config& c, std::int64_t v) {
@@ -205,9 +225,8 @@ const std::vector<Key>& keyTable() {
        })},
       {"app.think-time-us", nullptr,
        "closed-loop mean think time after completion",
-       nonNegative([](Config& c, double v) {
-         c.app.thinkTime = microseconds(v);
-       })},
+       nonNegativeTime(kMicrosecond,
+                       [](Config& c, SimTime t) { c.app.thinkTime = t; })},
       {"app.request-bytes", nullptr, "request flow size, aggregator to worker",
        integer(0, [](Config& c, std::int64_t v) {
          c.app.requestBytes = ByteCount::fromBytes(v);
@@ -232,16 +251,15 @@ const std::vector<Key>& keyTable() {
          c.app.responseBytes = ByteCount::fromBytes(v);
        })},
       {"app.service-time-us", nullptr, "mean worker service time (0 = instant)",
-       nonNegative([](Config& c, double v) {
-         c.app.serviceTime = microseconds(v);
-       })},
+       nonNegativeTime(kMicrosecond,
+                       [](Config& c, SimTime t) { c.app.serviceTime = t; })},
       {"app.slo-ms", nullptr, "query completion SLO, milliseconds (0 = none)",
-       nonNegative([](Config& c, double v) { c.app.slo = milliseconds(v); })},
+       nonNegativeTime(kMillisecond,
+                       [](Config& c, SimTime t) { c.app.slo = t; })},
       {"app.timeout-ms", nullptr,
        "per-query retry timeout, milliseconds (0 = off)",
-       nonNegative([](Config& c, double v) {
-         c.app.timeout = milliseconds(v);
-       })},
+       nonNegativeTime(kMillisecond,
+                       [](Config& c, SimTime t) { c.app.timeout = t; })},
       {"app.max-retries", nullptr, "retry budget per query",
        integer(0, [](Config& c, std::int64_t v) {
          c.app.maxRetries = static_cast<int>(v);
@@ -387,7 +405,7 @@ bool flagOverrides(const std::string& flag, const std::string& value,
     return true;
   }
   const std::optional<bool> on =
-      value.empty() ? std::optional<bool>(true) : one(value).getBoolStrict("v");
+      value.empty() ? std::optional<bool>(true) : util::parseBool(value);
   if (!on.has_value()) {
     return explain(error, "bad value '" + value + "' for --" + flag);
   }

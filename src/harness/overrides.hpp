@@ -4,10 +4,11 @@
 // variants, `tlbsim_cli --set`, `--config` files and every experiment
 // flag of the CLI all land here. Keys form a small dotted namespace
 // mirroring the config structs (topo.*, tcp.*, tlb.*, scheme.*, app.*,
-// fault.*) with units spelled in the key. Values are parsed with
-// KeyValueConfig's strict accessors and checked against the key's range
-// rule, so a typo or an impossible value is an error, never a silently
-// kept default, and a rejected value leaves the config untouched.
+// fault.*) with units spelled in the key. Values are parsed in full by
+// util/parse.hpp (finite reals, int64 integers, times that fit the clock)
+// and checked against the key's range rule, so a typo or an impossible
+// value is an error, never a silently kept default, and a rejected value
+// leaves the config untouched.
 //
 //   scheme=letflow            tlb.update-interval-us=250
 //   topo.buffer=128           tcp.hole-guard=false

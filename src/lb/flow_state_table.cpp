@@ -8,14 +8,12 @@ void FlowStateTableBase::installObs(obs::MetricsRegistry& metrics,
                                     const std::string& label) {
   const std::string p = "lb." + label + ".";
   gTracked_ = &metrics.gauge(p + "tracked_flows");
-  gProbe_ = &metrics.gauge(p + "probe_distance_max");
   cPurged_ = &metrics.counter(p + "purged_flows");
   cEvicted_ = &metrics.counter(p + "evicted_flows");
   // Snapshot what happened before wiring (installObs may run after the
   // table has already seen setup traffic): removals stay never-silent.
   cPurged_->inc(stats_.purgedIdle);
   cEvicted_->inc(stats_.evictedCapacity);
-  gProbe_->set(static_cast<double>(stats_.maxProbeDistance));
 }
 
 void FlowStateTableBase::publishTracked(std::size_t n) {
@@ -30,13 +28,6 @@ void FlowStateTableBase::notePurged(std::uint64_t n, std::size_t tracked) {
 void FlowStateTableBase::noteEvicted(std::size_t tracked) {
   if (cEvicted_ != nullptr) cEvicted_->inc();
   publishTracked(tracked);
-}
-
-void FlowStateTableBase::noteProbe(std::size_t distance) {
-  if (distance > stats_.maxProbeDistance) {
-    stats_.maxProbeDistance = distance;
-    if (gProbe_ != nullptr) gProbe_->set(static_cast<double>(distance));
-  }
 }
 
 }  // namespace tlbsim::lb

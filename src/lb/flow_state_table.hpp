@@ -7,17 +7,14 @@
 // grows with every flow ever seen does not deploy. FlowStateTable is the
 // one implementation they all share:
 //
-//   * open-addressing robin-hood hash keyed by FlowId over a contiguous
-//     bucket array (16-byte buckets: key, slot index, probe distance) —
-//     lookups are a short linear scan with early termination on probe
-//     distance, no pointer chasing, no per-node heap allocation;
 //   * states live in a stable slot pool threaded onto an intrusive LRU
-//     list (uint32 prev/next links). Robin-hood displacement moves only
-//     the 16-byte bucket records, never the states, so the LRU links stay
-//     valid without fixups;
-//   * the pool grows by doubling until `maxFlows` and never shrinks:
-//     past the high-water mark the packet path performs zero heap
-//     allocations (see tests/lb/flow_state_alloc_test.cpp);
+//     list (uint32 prev/next links), and a util::FlowIndex maps each
+//     flow to its slot number. Slot numbers never move, so the index
+//     needs no fixups and the LRU links stay valid;
+//   * the pool grows by doubling until `maxFlows` and never shrinks, and
+//     each growth reserves the index for the new pool size: past the
+//     high-water mark the packet path performs zero heap allocations
+//     (see tests/lb/flow_state_alloc_test.cpp);
 //   * entries idle longer than `idleTimeout` are dropped by purgeIdle()
 //     (LRU order, oldest first, O(purged)); at `maxFlows` a new flow
 //     evicts the least-recently-seen entry instead of growing. Both kinds
@@ -25,13 +22,14 @@
 //     installObs() wires them) — never silent.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/flow_index.hpp"
 #include "util/flow_key.hpp"
 #include "util/units.hpp"
 
@@ -61,13 +59,12 @@ class FlowStateTableBase {
     std::uint64_t purgedIdle = 0;      ///< dropped by purgeIdle()
     std::uint64_t evictedCapacity = 0; ///< LRU-evicted at maxFlows
     std::size_t peakFlows = 0;         ///< high-water tracked count
-    std::size_t maxProbeDistance = 0;  ///< worst robin-hood displacement
   };
 
   const Stats& stats() const { return stats_; }
 
-  /// Register "lb.<label>.tracked_flows" / ".probe_distance_max" gauges
-  /// and ".purged_flows" / ".evicted_flows" counters, then snapshot the
+  /// Register the "lb.<label>.tracked_flows" gauge and the
+  /// ".purged_flows" / ".evicted_flows" counters, then snapshot the
   /// current values. Decision-path cost when not installed: one
   /// null-pointer branch per removal batch, none per lookup.
   void installObs(obs::MetricsRegistry& metrics, const std::string& label);
@@ -79,7 +76,6 @@ class FlowStateTableBase {
   }
   void notePurged(std::uint64_t n, std::size_t tracked);
   void noteEvicted(std::size_t tracked);
-  void noteProbe(std::size_t distance);
 
   Stats stats_;
 
@@ -87,7 +83,6 @@ class FlowStateTableBase {
   void publishTracked(std::size_t n);
 
   obs::Gauge* gTracked_ = nullptr;
-  obs::Gauge* gProbe_ = nullptr;
   obs::Counter* cPurged_ = nullptr;
   obs::Counter* cEvicted_ = nullptr;
 };
@@ -120,19 +115,17 @@ class FlowStateTable : public FlowStateTableBase {
   /// least-recently-seen entry through `onEvict(FlowId, State&)`.
   template <typename OnEvict>
   TouchResult touch(FlowId id, SimTime now, OnEvict&& onEvict) {
-    if (buckets_.empty()) rehash(cfg_.initialCapacity);
-    const std::uint32_t found = lookup(id);
-    if (found != kNil) {
-      Slot& s = slots_[found];
+    if (const std::uint32_t* found = index_.find(id)) {
+      Slot& s = slots_[*found];
       const SimTime prev = s.lastSeen;
       s.lastSeen = now;
-      moveToMru(found);
+      moveToMru(*found);
       return TouchResult{s.state, false, prev};
     }
     if (size_ == slots_.size()) {
       if (slots_.size() < cfg_.maxFlows) {
-        rehash(slots_.size() * 2 < cfg_.maxFlows ? slots_.size() * 2
-                                                 : cfg_.maxFlows);
+        grow(slots_.empty() ? cfg_.initialCapacity
+                            : std::min(2 * slots_.size(), cfg_.maxFlows));
       } else {
         // Full at the cap: reclaim the least-recently-seen entry.
         const std::uint32_t victim = lruHead_;
@@ -144,7 +137,7 @@ class FlowStateTable : public FlowStateTableBase {
       }
     }
     const std::uint32_t idx = allocSlot(id, now);
-    insertBucket(id, idx);
+    index_.assign(id, idx);
     ++stats_.inserted;
     noteTracked(size_);
     return TouchResult{slots_[idx].state, true, now};
@@ -156,27 +149,28 @@ class FlowStateTable : public FlowStateTableBase {
 
   /// Lookup without refreshing recency; nullptr when absent.
   State* find(FlowId id) {
-    const std::uint32_t idx = lookup(id);
-    return idx != kNil ? &slots_[idx].state : nullptr;
+    const std::uint32_t* idx = index_.find(id);
+    return idx != nullptr ? &slots_[*idx].state : nullptr;
   }
   const State* find(FlowId id) const {
-    const std::uint32_t idx = lookup(id);
-    return idx != kNil ? &slots_[idx].state : nullptr;
+    const std::uint32_t* idx = index_.find(id);
+    return idx != nullptr ? &slots_[*idx].state : nullptr;
   }
 
-  bool contains(FlowId id) const { return lookup(id) != kNil; }
+  bool contains(FlowId id) const { return index_.find(id) != nullptr; }
 
   /// `id`'s lastSeen timestamp, or nullptr when absent.
   const SimTime* lastSeenOf(FlowId id) const {
-    const std::uint32_t idx = lookup(id);
-    return idx != kNil ? &slots_[idx].lastSeen : nullptr;
+    const std::uint32_t* idx = index_.find(id);
+    return idx != nullptr ? &slots_[*idx].lastSeen : nullptr;
   }
 
   /// Remove `id`, handing the dying entry to `onRemove(FlowId, State&)`.
   template <typename OnRemove>
   bool erase(FlowId id, OnRemove&& onRemove) {
-    const std::uint32_t idx = lookup(id);
-    if (idx == kNil) return false;
+    const std::uint32_t* found = index_.find(id);
+    if (found == nullptr) return false;
+    const std::uint32_t idx = *found;
     onRemove(slots_[idx].key, slots_[idx].state);
     removeSlot(idx);
     noteTracked(size_);
@@ -226,26 +220,15 @@ class FlowStateTable : public FlowStateTableBase {
   std::size_t capacity() const { return slots_.size(); }
   const FlowStateConfig& config() const { return cfg_; }
 
-  /// Bytes resident in the table right now (slot pool + bucket array).
-  /// The bound the soak test asserts: capacityBytes(maxFlows) is the
-  /// ceiling no churn pattern can exceed.
+  /// Bytes resident in the table right now (slot pool + index). The
+  /// bound the soak test asserts: once the pool reaches maxFlows, no
+  /// churn pattern moves it.
   std::size_t residentBytes() const {
-    return slots_.capacity() * sizeof(Slot) +
-           buckets_.capacity() * sizeof(Bucket);
+    return slots_.capacity() * sizeof(Slot) + index_.residentBytes();
   }
 
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-  /// Buckets per slot: a fixed 2x gives a <= 0.5 load factor, keeping
-  /// robin-hood probe sequences short (max observed distance is exported
-  /// as the probe_distance gauge).
-  static constexpr std::size_t kBucketsPerSlot = 2;
-
-  struct Bucket {
-    FlowId key = kInvalidFlow;
-    std::uint32_t slot = kNil;  ///< kNil marks an empty bucket
-    std::uint32_t dist = 0;     ///< probe distance from the home bucket
-  };
 
   struct Slot {
     FlowId key = kInvalidFlow;
@@ -254,67 +237,6 @@ class FlowStateTable : public FlowStateTableBase {
     std::uint32_t next = kNil;  ///< LRU link; free-list link while free
     State state{};
   };
-
-  std::size_t homeOf(FlowId key) const {
-    return static_cast<std::size_t>(flowHash(key)) & (buckets_.size() - 1);
-  }
-
-  std::uint32_t lookup(FlowId id) const {
-    if (buckets_.empty()) return kNil;
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t i = homeOf(id);
-    for (std::uint32_t dist = 0;; ++dist, i = (i + 1) & mask) {
-      const Bucket& b = buckets_[i];
-      if (b.slot == kNil || b.dist < dist) return kNil;  // robin-hood stop
-      if (b.key == id) return b.slot;
-    }
-  }
-
-  /// Robin-hood insert of a key that is known to be absent.
-  void insertBucket(FlowId key, std::uint32_t slot) {
-    const std::size_t mask = buckets_.size() - 1;
-    Bucket carry{key, slot, 0};
-    std::size_t i = homeOf(key);
-    while (true) {
-      Bucket& b = buckets_[i];
-      if (b.slot == kNil) {
-        b = carry;
-        noteProbe(carry.dist);
-        return;
-      }
-      if (b.dist < carry.dist) {
-        std::swap(b, carry);  // take from the rich, carry the poor on
-      }
-      noteProbe(carry.dist);
-      ++carry.dist;
-      i = (i + 1) & mask;
-    }
-  }
-
-  /// Backward-shift deletion of `key`'s bucket: close the gap by sliding
-  /// every displaced follower one step toward its home.
-  void eraseBucket(FlowId key) {
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t i = homeOf(key);
-    for (std::uint32_t dist = 0;; ++dist, i = (i + 1) & mask) {
-      Bucket& b = buckets_[i];
-      TLBSIM_DCHECK(b.slot != kNil && b.dist >= dist,
-                    "eraseBucket: key not in the table");
-      if (b.key == key) break;
-    }
-    while (true) {
-      const std::size_t nxt = (i + 1) & mask;
-      Bucket& here = buckets_[i];
-      Bucket& after = buckets_[nxt];
-      if (after.slot == kNil || after.dist == 0) {
-        here = Bucket{};
-        return;
-      }
-      here = after;
-      --here.dist;
-      i = nxt;
-    }
-  }
 
   std::uint32_t allocSlot(FlowId key, SimTime now) {
     TLBSIM_DCHECK(freeHead_ != kNil, "allocSlot without a free slot");
@@ -330,7 +252,7 @@ class FlowStateTable : public FlowStateTableBase {
   }
 
   void removeSlot(std::uint32_t idx) {
-    eraseBucket(slots_[idx].key);
+    index_.erase(slots_[idx].key);
     unlink(idx);
     Slot& s = slots_[idx];
     s.key = kInvalidFlow;
@@ -373,10 +295,10 @@ class FlowStateTable : public FlowStateTableBase {
     s.prev = s.next = kNil;
   }
 
-  /// Grow the slot pool to `newCap` (or build it initially) and rebuild
-  /// the bucket array. Amortized over the doubling schedule; never runs
-  /// again once the pool has reached its high-water capacity.
-  void rehash(std::size_t newCap) {
+  /// Grow the full slot pool to `newCap` (or build it initially), with
+  /// an index sized to match. Amortized over the doubling schedule; never
+  /// runs again once the pool has reached its high-water capacity.
+  void grow(std::size_t newCap) {
     slots_.resize(newCap);
     // Thread the fresh tail slots onto the free list (newest first so
     // low indices are handed out first — deterministic either way).
@@ -384,17 +306,13 @@ class FlowStateTable : public FlowStateTableBase {
       slots_[i].next = freeHead_;
       freeHead_ = static_cast<std::uint32_t>(i);
     }
-    std::size_t nBuckets = 1;
-    while (nBuckets < newCap * kBucketsPerSlot) nBuckets <<= 1;
-    buckets_.assign(nBuckets, Bucket{});
-    for (std::uint32_t i = lruHead_; i != kNil; i = slots_[i].next) {
-      insertBucket(slots_[i].key, i);
-    }
+    index_.reserve(newCap);
   }
 
   FlowStateConfig cfg_;
-  std::vector<Bucket> buckets_;
   std::vector<Slot> slots_;
+  /// Flow -> slot number.
+  util::FlowIndex<std::uint32_t> index_;
   std::uint32_t freeHead_ = kNil;
   std::uint32_t lruHead_ = kNil;
   std::uint32_t lruTail_ = kNil;

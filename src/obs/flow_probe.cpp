@@ -37,29 +37,19 @@ constexpr DecisionKind kAllKinds[] = {
 
 }  // namespace
 
-FlowRecord* FlowProbe::liveRecord(FlowId id) {
-  const auto it = std::lower_bound(
-      index_.begin(), index_.end(), id,
-      [](const std::pair<FlowId, std::size_t>& e, FlowId key) {
-        return e.first < key;
-      });
-  if (it == index_.end() || it->first != id) return nullptr;
-  return &records_[it->second];
+const FlowRecord* FlowProbe::find(FlowId id) const {
+  const std::uint32_t* index = index_.find(id);
+  return index != nullptr ? &records_[*index] : nullptr;
 }
 
-const FlowRecord* FlowProbe::find(FlowId id) const {
-  // const_cast is confined to reusing the one binary search.
-  return const_cast<FlowProbe*>(this)->liveRecord(id);
+FlowRecord* FlowProbe::liveRecord(FlowId id) {
+  // const_cast is confined to reusing the one lookup.
+  return const_cast<FlowRecord*>(find(id));
 }
 
 void FlowProbe::declareFlow(FlowId id, std::int32_t src, std::int32_t dst,
                             ByteCount size, SimTime start, bool isShort) {
-  const auto it = std::lower_bound(
-      index_.begin(), index_.end(), id,
-      [](const std::pair<FlowId, std::size_t>& e, FlowId key) {
-        return e.first < key;
-      });
-  if (it != index_.end() && it->first == id) return;  // already declared
+  if (index_.find(id) != nullptr) return;  // already declared
   if (records_.size() >= cfg_.maxFlows) {
     ++flowsNotTracked_;
     return;
@@ -71,7 +61,7 @@ void FlowProbe::declareFlow(FlowId id, std::int32_t src, std::int32_t dst,
   rec.size = size;
   rec.start = start;
   rec.isShort = isShort;
-  index_.emplace(it, id, records_.size());
+  index_.assign(id, static_cast<std::uint32_t>(records_.size()));
   records_.push_back(std::move(rec));
 }
 
@@ -151,8 +141,12 @@ void FlowProbe::finishFlow(FlowId id, bool completed, SimTime fct,
 
 std::vector<const FlowRecord*> FlowProbe::sortedRecords() const {
   std::vector<const FlowRecord*> out;
-  out.reserve(index_.size());
-  for (const auto& [id, idx] : index_) out.push_back(&records_[idx]);
+  out.reserve(records_.size());
+  for (const FlowRecord& rec : records_) out.push_back(&rec);
+  std::sort(out.begin(), out.end(),
+            [](const FlowRecord* a, const FlowRecord* b) {
+              return a->id < b->id;
+            });
   return out;
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "obs/path_matrix.hpp"
+#include "util/flow_index.hpp"
 #include "util/flow_key.hpp"
 #include "util/units.hpp"
 
@@ -174,10 +175,10 @@ class FlowProbe {
   FlowRecord* liveRecord(FlowId id);
 
   Config cfg_;
+  /// In declaration order; sortedRecords() gives the exports' id order.
   std::vector<FlowRecord> records_;
-  /// id -> index into records_, kept sorted by id for O(log n) lookup
-  /// without unordered-map iteration-order hazards.
-  std::vector<std::pair<FlowId, std::size_t>> index_;
+  /// id -> index into records_.
+  util::FlowIndex<std::uint32_t> index_;
   std::uint64_t flowsNotTracked_ = 0;
   PathMatrix matrix_;
 };

@@ -2,22 +2,17 @@
 
 #include <cstdio>
 
-#include "util/logging.hpp"
-
 namespace tlbsim::stats {
 
-void writeFlowsCsv(const std::string& path, const FlowLedger& ledger) {
+bool writeFlowsCsv(const std::string& path, const FlowLedger& ledger) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    TLBSIM_LOG_ERROR("csv: cannot open %s", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "flow,src,dst,size_bytes,start_ns,deadline_ns,completed,"
-               "fct_ns,dup_acks,acks,ooo_packets,data_packets,"
-               "fast_retransmits,timeouts\n");
+  if (f == nullptr) return false;
+  bool ok = std::fprintf(f,
+                         "flow,src,dst,size_bytes,start_ns,deadline_ns,"
+                         "completed,fct_ns,dup_acks,acks,ooo_packets,"
+                         "data_packets,fast_retransmits,timeouts\n") > 0;
   for (const auto& r : ledger.flows()) {
-    std::fprintf(
+    ok = std::fprintf(
         f,
         "%llu,%d,%d,%lld,%lld,%lld,%d,%lld,%llu,%llu,%llu,%llu,%llu,%llu\n",
         static_cast<unsigned long long>(r.spec.id), r.spec.src, r.spec.dst,
@@ -30,9 +25,9 @@ void writeFlowsCsv(const std::string& path, const FlowLedger& ledger) {
         static_cast<unsigned long long>(r.outOfOrderPackets),
         static_cast<unsigned long long>(r.dataPackets),
         static_cast<unsigned long long>(r.fastRetransmits),
-        static_cast<unsigned long long>(r.timeouts));
+        static_cast<unsigned long long>(r.timeouts)) > 0 && ok;
   }
-  std::fclose(f);
+  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace tlbsim::stats

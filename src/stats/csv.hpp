@@ -8,7 +8,8 @@
 namespace tlbsim::stats {
 
 /// One row per flow: id, src, dst, size, start, deadline, completed, fct,
-/// reordering and retransmission counters.
-void writeFlowsCsv(const std::string& path, const FlowLedger& ledger);
+/// reordering and retransmission counters. False when the file cannot be
+/// opened, written or closed.
+bool writeFlowsCsv(const std::string& path, const FlowLedger& ledger);
 
 }  // namespace tlbsim::stats

@@ -1,8 +1,6 @@
 #include "util/config.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -63,76 +61,11 @@ std::optional<KeyValueConfig> KeyValueConfig::fromFile(
   return fromString(buf.str());
 }
 
-bool KeyValueConfig::has(const std::string& key) const {
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const auto& e) { return e.first == key; });
-}
-
-std::string KeyValueConfig::get(const std::string& key,
-                                const std::string& fallback) const {
+std::string KeyValueConfig::get(const std::string& key) const {
   for (const auto& [k, v] : entries_) {
     if (k == key) return v;
   }
-  return fallback;
-}
-
-double KeyValueConfig::getDouble(const std::string& key,
-                                 double fallback) const {
-  if (!has(key)) return fallback;
-  const std::string v = get(key);
-  char* end = nullptr;
-  const double parsed = std::strtod(v.c_str(), &end);
-  return end != v.c_str() ? parsed : fallback;
-}
-
-std::int64_t KeyValueConfig::getInt(const std::string& key,
-                                    std::int64_t fallback) const {
-  if (!has(key)) return fallback;
-  const std::string v = get(key);
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  return end != v.c_str() ? parsed : fallback;
-}
-
-bool KeyValueConfig::getBool(const std::string& key, bool fallback) const {
-  if (!has(key)) return fallback;
-  const std::string v = get(key);
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return fallback;
-}
-
-std::optional<std::int64_t> KeyValueConfig::getIntStrict(
-    const std::string& key) const {
-  if (!has(key)) return std::nullopt;
-  const std::string v = get(key);
-  if (v.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  if (errno == ERANGE || end != v.c_str() + v.size()) return std::nullopt;
-  return parsed;
-}
-
-std::optional<double> KeyValueConfig::getDoubleStrict(
-    const std::string& key) const {
-  if (!has(key)) return std::nullopt;
-  const std::string v = get(key);
-  if (v.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(v.c_str(), &end);
-  if (errno == ERANGE || end != v.c_str() + v.size()) return std::nullopt;
-  return parsed;
-}
-
-std::optional<bool> KeyValueConfig::getBoolStrict(
-    const std::string& key) const {
-  if (!has(key)) return std::nullopt;
-  const std::string v = get(key);
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return std::nullopt;
+  return "";
 }
 
 std::vector<std::string> KeyValueConfig::keys() const {

@@ -12,6 +12,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tlbsim {
@@ -25,21 +26,9 @@ class KeyValueConfig {
   /// Read and parse a file; nullopt if the file cannot be read.
   static std::optional<KeyValueConfig> fromFile(const std::string& path);
 
-  bool has(const std::string& key) const;
-  std::string get(const std::string& key,
-                  const std::string& fallback = "") const;
-  double getDouble(const std::string& key, double fallback) const;
-  std::int64_t getInt(const std::string& key, std::int64_t fallback) const;
-  bool getBool(const std::string& key, bool fallback) const;
-
-  // Strict accessors: nullopt when the key is missing, the value does not
-  // parse in full ("65x" is rejected, where getInt would silently return
-  // 65), or it overflows the type. Callers that must reject bad input
-  // (the CLI) use these; the lenient accessors above keep their
-  // fallback-on-garbage contract for exploratory sweeps.
-  std::optional<std::int64_t> getIntStrict(const std::string& key) const;
-  std::optional<double> getDoubleStrict(const std::string& key) const;
-  std::optional<bool> getBoolStrict(const std::string& key) const;
+  /// The value of `key`, or "" when it is absent. Values are text: the
+  /// reader parses them with util/parse.hpp.
+  std::string get(const std::string& key) const;
 
   /// All keys in file order (duplicates collapsed to last occurrence).
   std::vector<std::string> keys() const;

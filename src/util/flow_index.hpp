@@ -1,18 +1,20 @@
 // Flat FlowId -> value table: open addressing with linear probing over a
 // power-of-two array kept at most half full, so a lookup is one multiply
-// and a short scan of adjacent slots, with no node per entry. A host's
-// flow demux and the endpoint pool's live-flow index are both one.
+// and a short scan of adjacent slots, with no node per entry. It is the
+// one table in src/ that maps a flow id to a value.
 //
 // erase() shifts the rest of a probe run back instead of leaving
 // tombstones, and the table grows (doubling) only when a new flow is
 // inserted: replacing the value of a flow already present never resizes,
 // and a table whose population churns at a steady size never allocates.
+// reserve() sizes it up front for an owner that knows its bound.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/flow_key.hpp"
 
 namespace tlbsim::util {
@@ -20,17 +22,22 @@ namespace tlbsim::util {
 template <typename V>
 class FlowIndex {
  public:
-  /// The value stored for `flow`, or null.
+  /// The value stored for `flow`, or null (always for kInvalidFlow).
   const V* find(FlowId flow) const {
-    if (table_.empty()) return nullptr;
+    if (table_.empty() || flow == kInvalidFlow) return nullptr;
     const Entry& e = table_[probe(flow)];
     return e.flow == flow ? &e.value : nullptr;
   }
 
   /// Insert `flow`, or replace its value when it is already present.
+  /// kInvalidFlow marks an empty slot, so it is never stored.
   void assign(FlowId flow, V value) {
+    TLBSIM_DCHECK(flow != kInvalidFlow, "kInvalidFlow cannot be a key");
+    if (flow == kInvalidFlow) return;
     // At the load limit only a new flow grows the table.
-    if (2 * (used_ + 1) > table_.size() && find(flow) == nullptr) grow();
+    if (2 * (used_ + 1) > table_.size() && find(flow) == nullptr) {
+      rehash(table_.empty() ? kMinSlots : 2 * table_.size());
+    }
     Entry& e = table_[probe(flow)];
     if (e.flow != flow) {
       e.flow = flow;
@@ -61,10 +68,30 @@ class FlowIndex {
     return true;
   }
 
+  /// Size the table so that `n` flows fit without growing it again.
+  void reserve(std::size_t n) {
+    std::size_t slots = kMinSlots;
+    while (slots < 2 * n) slots <<= 1;
+    if (slots > table_.size()) rehash(slots);
+  }
+
+  /// Visit every entry as fn(FlowId, const V&), in table order: an order
+  /// that depends on the hash, so only for order-free work.
+  template <typename Fn>
+  void forEach(Fn&& fn) const {
+    for (const Entry& e : table_) {
+      if (e.flow != kInvalidFlow) fn(e.flow, e.value);
+    }
+  }
+
   std::size_t size() const { return used_; }
   /// Table size: 0 before the first insert, then a power of two at least
   /// twice size().
   std::size_t slots() const { return table_.size(); }
+  /// Bytes the table holds on the heap.
+  std::size_t residentBytes() const {
+    return table_.capacity() * sizeof(Entry);
+  }
 
   /// Where `flow`'s probe run starts in a table of `slots` (a power of
   /// two, at least 2): Fibonacci hashing, so strided flow ids still
@@ -93,8 +120,9 @@ class FlowIndex {
     return i;
   }
 
-  void grow() {
-    std::vector<Entry> old(table_.empty() ? kMinSlots : 2 * table_.size());
+  /// Move every entry into a fresh table of `slots` slots.
+  void rehash(std::size_t slots) {
+    std::vector<Entry> old(slots);
     old.swap(table_);
     for (const Entry& e : old) {
       if (e.flow != kInvalidFlow) table_[probe(e.flow)] = e;

@@ -85,6 +85,35 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
   }
 }
 
+TEST(FaultPlanParse, RejectsNonFiniteAndOverflowingTimes) {
+  const char* bad[] = {
+      "leaf0-spine1,down@nanms",         // not a number
+      "leaf0-spine1,down@infs",          // infinite
+      "leaf0-spine1,down@-infus",        // infinite, negative
+      "leaf0-spine1,down@1e999s",        // past double
+      "leaf0-spine1,down@1e300s",        // past the int64 ns clock
+      "leaf0-spine1,down@9223372037s",   // just past it
+      "leaf0-spine1,rate=nan@1ms",       // factors must be finite too
+      "leaf0-spine1,delay=inf@1ms",
+      "leaf0-spine1,drop=nan@1ms",
+      "leaf4294967296-spine1,down@1ms",  // index past int
+  };
+  for (const char* spec : bad) {
+    FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(parseLinkFaults(spec, &plan, &error)) << spec;
+    EXPECT_TRUE(plan.events.empty()) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+  std::string error;
+  FaultPlan plan;
+  EXPECT_FALSE(parseLinkFaults("leaf0-spine1,down@1e300s", &plan, &error));
+  EXPECT_NE(error.find("overflows"), std::string::npos) << error;
+  // The clock's last whole second still fits.
+  ASSERT_TRUE(parseLinkFaults("leaf0-spine1,down@9223372036s", &plan));
+  EXPECT_EQ(plan.events.back().at, 9223372036 * kSecond);
+}
+
 TEST(FaultPlanParse, FailureLeavesExistingEventsUntouched) {
   FaultPlan plan;
   ASSERT_TRUE(parseLinkFaults("leaf0-spine0,down@1ms", &plan));

@@ -85,6 +85,66 @@ TEST(Overrides, RejectsGarbageValuesInsteadOfDefaulting) {
   EXPECT_FALSE(applyOverride(cfg, "topo.rate-gbps", "-1", &err));
 }
 
+// A value parses only in full: no blanks, no '+', no hex, no suffix.
+TEST(Overrides, RejectsAnythingButTheWholeNumber) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"topo.buffer", " 64"},       {"topo.buffer", "64 "},
+      {"topo.buffer", "+64"},       {"topo.buffer", "0x40"},
+      {"topo.buffer", ""},          {"topo.rate-gbps", " 10"},
+      {"topo.rate-gbps", "0x1p3"},  {"tlb.deadline-ms", "5ms"},
+      {"tcp.hole-guard", " true"},
+  };
+  ExperimentConfig cfg;
+  const std::string before = fingerprint(cfg);
+  for (const auto& [key, value] : bad) {
+    std::string err;
+    EXPECT_FALSE(applyOverride(cfg, key, value, &err)) << key << "=" << value;
+    EXPECT_NE(err.find(key), std::string::npos) << err;
+  }
+  EXPECT_EQ(fingerprint(cfg), before);
+  EXPECT_TRUE(applyOverride(cfg, "topo.rate-gbps", "1e1"));
+  EXPECT_TRUE(applyOverride(cfg, "tlb.deadline-ms", ".5"));
+  EXPECT_EQ(cfg.scheme.tlb.deadline, microseconds(500));
+}
+
+TEST(Overrides, RejectsRealsThatAreNotFinite) {
+  const char* keys[] = {"topo.rate-gbps", "app.qps", "max-duration-ms",
+                        "topo.rtt-us", "app.timeout-ms"};
+  ExperimentConfig cfg;
+  const std::string before = fingerprint(cfg);
+  for (const char* key : keys) {
+    for (const char* value : {"inf", "-inf", "infinity", "nan", "1e999"}) {
+      std::string err;
+      EXPECT_FALSE(applyOverride(cfg, key, value, &err))
+          << key << "=" << value;
+      EXPECT_NE(err.find(value), std::string::npos) << err;
+    }
+  }
+  EXPECT_EQ(fingerprint(cfg), before);
+}
+
+// A time's integer nanoseconds must fit the clock: 2^63 ns is 292 years.
+TEST(Overrides, RejectsTimesBeyondTheClock) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"max-duration-ms", "1e13"},   {"max-duration-ms", "1e300"},
+      {"topo.rtt-us", "1e16"},       {"tlb.idle-timeout-us", "9.3e15"},
+      {"app.slo-ms", "9.3e12"},      {"sample-interval-us", "1e308"},
+  };
+  ExperimentConfig cfg;
+  const std::string before = fingerprint(cfg);
+  for (const auto& [key, value] : bad) {
+    std::string err;
+    EXPECT_FALSE(applyOverride(cfg, key, value, &err)) << key << "=" << value;
+    EXPECT_NE(err.find("overflows"), std::string::npos) << err;
+  }
+  EXPECT_EQ(fingerprint(cfg), before);
+  // The largest times that fit are still accepted, exactly as before.
+  ASSERT_TRUE(applyOverride(cfg, "max-duration-ms", "9.2e12"));
+  EXPECT_EQ(cfg.maxDuration, milliseconds(9.2e12));
+  ASSERT_TRUE(applyOverride(cfg, "topo.rtt-us", "100.004"));
+  EXPECT_EQ(cfg.topo.linkDelay, microseconds(100.004 / 8.0));
+}
+
 TEST(Overrides, ListAppliesInOrderAndStopsAtFirstFailure) {
   ExperimentConfig cfg;
   std::string err;

@@ -1,5 +1,5 @@
-// FlowStateTable: robin-hood hashing, LRU purge/eviction accounting, and
-// the boundedness guarantees every selector now depends on.
+// FlowStateTable: flow lookup, LRU purge/eviction accounting, and the
+// boundedness guarantees every selector now depends on.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -137,8 +137,8 @@ TEST(FlowStateTable, StatsTrackInsertionsAndPeak) {
   EXPECT_EQ(t.size(), 5u);
 }
 
-// Exhaustive cross-check of the robin-hood table (insert, backward-shift
-// deletion, LRU purge) against a shadow std::unordered_map + timestamps.
+// Exhaustive cross-check of the table (insert, backward-shift deletion in
+// its index, LRU purge) against a shadow std::unordered_map + timestamps.
 TEST(FlowStateTable, FuzzAgainstShadowMap) {
   Table t(smallConfig(256, microseconds(50)));
   struct Shadow {

@@ -39,7 +39,7 @@ TEST(Csv, FlowsRoundTrip) {
   ledger.add(r);
 
   const std::string path = ::testing::TempDir() + "/flows_test.csv";
-  writeFlowsCsv(path, ledger);
+  EXPECT_TRUE(writeFlowsCsv(path, ledger));
   const auto lines = readLines(path);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[0].find("flow,src,dst"), std::string::npos);
@@ -50,14 +50,14 @@ TEST(Csv, FlowsRoundTrip) {
 TEST(Csv, EmptyLedgerWritesHeaderOnly) {
   FlowLedger ledger;
   const std::string path = ::testing::TempDir() + "/flows_empty.csv";
-  writeFlowsCsv(path, ledger);
+  EXPECT_TRUE(writeFlowsCsv(path, ledger));
   EXPECT_EQ(readLines(path).size(), 1u);
   std::remove(path.c_str());
 }
 
 TEST(Csv, UnwritablePathDoesNotCrash) {
   FlowLedger ledger;
-  writeFlowsCsv("/nonexistent-dir/x.csv", ledger);  // logs and returns
+  EXPECT_FALSE(writeFlowsCsv("/nonexistent-dir/x.csv", ledger));
 }
 
 }  // namespace

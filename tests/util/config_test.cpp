@@ -5,8 +5,14 @@
 #include <cstdio>
 #include <fstream>
 
+#include "util/parse.hpp"
+
 namespace tlbsim {
 namespace {
+
+using util::parseBool;
+using util::parseInt;
+using util::parseReal;
 
 TEST(KeyValueConfig, ParsesBasicEntries) {
   const auto cfg = KeyValueConfig::fromString(
@@ -14,8 +20,9 @@ TEST(KeyValueConfig, ParsesBasicEntries) {
       "load=0.6\n"
       "  flows =  300  \n");
   EXPECT_EQ(cfg.get("scheme"), "tlb");
-  EXPECT_DOUBLE_EQ(cfg.getDouble("load", 0), 0.6);
-  EXPECT_EQ(cfg.getInt("flows", 0), 300);
+  EXPECT_EQ(cfg.get("load"), "0.6");
+  EXPECT_EQ(cfg.get("flows"), "300");
+  EXPECT_EQ(cfg.get("missing"), "");
   EXPECT_TRUE(cfg.errors().empty());
 }
 
@@ -26,14 +33,14 @@ TEST(KeyValueConfig, CommentsAndBlanksIgnored) {
       "a = 1   # trailing comment\n"
       "   \t  \n"
       "b = 2\n");
-  EXPECT_EQ(cfg.getInt("a", 0), 1);
-  EXPECT_EQ(cfg.getInt("b", 0), 2);
+  EXPECT_EQ(cfg.get("a"), "1");
+  EXPECT_EQ(cfg.get("b"), "2");
   EXPECT_EQ(cfg.keys().size(), 2u);
 }
 
 TEST(KeyValueConfig, LaterDuplicatesWin) {
   const auto cfg = KeyValueConfig::fromString("x = 1\nx = 2\n");
-  EXPECT_EQ(cfg.getInt("x", 0), 2);
+  EXPECT_EQ(cfg.get("x"), "2");
   EXPECT_EQ(cfg.keys().size(), 1u);
 }
 
@@ -43,42 +50,32 @@ TEST(KeyValueConfig, MalformedLinesReportedNotFatal) {
       "this line has no equals\n"
       "= novalue-key\n"
       "also = fine\n");
-  EXPECT_TRUE(cfg.getBool("good", false));
+  EXPECT_EQ(cfg.get("good"), "yes");
   EXPECT_EQ(cfg.get("also"), "fine");
   EXPECT_EQ(cfg.errors().size(), 2u);
   EXPECT_NE(cfg.errors()[0].find("2:"), std::string::npos);
 }
 
-TEST(KeyValueConfig, TypedAccessorsFallBack) {
-  const auto cfg = KeyValueConfig::fromString("s = hello\n");
-  EXPECT_DOUBLE_EQ(cfg.getDouble("s", 7.5), 7.5);
-  EXPECT_EQ(cfg.getInt("s", 9), 9);
-  EXPECT_FALSE(cfg.getBool("s", false));
-  EXPECT_DOUBLE_EQ(cfg.getDouble("missing", 1.25), 1.25);
-}
-
+// The values a config file hands the CLI parse strictly (util/parse.hpp).
 TEST(KeyValueConfig, BoolSpellings) {
   const auto cfg = KeyValueConfig::fromString(
       "a = true\nb = 1\nc = yes\nd = on\ne = false\nf = 0\ng = no\nh = off\n");
   for (const char* k : {"a", "b", "c", "d"}) {
-    EXPECT_TRUE(cfg.getBool(k, false)) << k;
+    EXPECT_EQ(parseBool(cfg.get(k)), true) << k;
   }
   for (const char* k : {"e", "f", "g", "h"}) {
-    EXPECT_FALSE(cfg.getBool(k, true)) << k;
+    EXPECT_EQ(parseBool(cfg.get(k)), false) << k;
   }
 }
 
 TEST(KeyValueConfig, StrictIntRejectsTrailingGarbage) {
   const auto cfg = KeyValueConfig::fromString(
       "good = 65\nbad = 65x\nworse = x65\nempty =\n");
-  ASSERT_TRUE(cfg.getIntStrict("good").has_value());
-  EXPECT_EQ(*cfg.getIntStrict("good"), 65);
-  EXPECT_FALSE(cfg.getIntStrict("bad").has_value());
-  EXPECT_FALSE(cfg.getIntStrict("worse").has_value());
-  EXPECT_FALSE(cfg.getIntStrict("empty").has_value());
-  EXPECT_FALSE(cfg.getIntStrict("missing").has_value());
-  // The lenient accessor keeps its prefix-parsing contract.
-  EXPECT_EQ(cfg.getInt("bad", 0), 65);
+  EXPECT_EQ(parseInt(cfg.get("good")), 65);
+  EXPECT_FALSE(parseInt(cfg.get("bad")).has_value());
+  EXPECT_FALSE(parseInt(cfg.get("worse")).has_value());
+  EXPECT_FALSE(parseInt(cfg.get("empty")).has_value());
+  EXPECT_FALSE(parseInt(cfg.get("missing")).has_value());
 }
 
 TEST(KeyValueConfig, StrictIntRejectsOverflow) {
@@ -86,29 +83,27 @@ TEST(KeyValueConfig, StrictIntRejectsOverflow) {
       "huge = 99999999999999999999999999\n"
       "neghuge = -99999999999999999999999999\n"
       "fine = -42\n");
-  EXPECT_FALSE(cfg.getIntStrict("huge").has_value());
-  EXPECT_FALSE(cfg.getIntStrict("neghuge").has_value());
-  ASSERT_TRUE(cfg.getIntStrict("fine").has_value());
-  EXPECT_EQ(*cfg.getIntStrict("fine"), -42);
+  EXPECT_FALSE(parseInt(cfg.get("huge")).has_value());
+  EXPECT_FALSE(parseInt(cfg.get("neghuge")).has_value());
+  EXPECT_EQ(parseInt(cfg.get("fine")), -42);
 }
 
 TEST(KeyValueConfig, StrictDoubleRejectsGarbageAndOverflow) {
   const auto cfg = KeyValueConfig::fromString(
       "ok = 0.75\nsci = 1e3\nbad = 0.75oops\nhuge = 1e99999\n");
-  ASSERT_TRUE(cfg.getDoubleStrict("ok").has_value());
-  EXPECT_DOUBLE_EQ(*cfg.getDoubleStrict("ok"), 0.75);
-  EXPECT_DOUBLE_EQ(*cfg.getDoubleStrict("sci"), 1000.0);
-  EXPECT_FALSE(cfg.getDoubleStrict("bad").has_value());
-  EXPECT_FALSE(cfg.getDoubleStrict("huge").has_value());
+  ASSERT_TRUE(parseReal(cfg.get("ok")).has_value());
+  EXPECT_DOUBLE_EQ(*parseReal(cfg.get("ok")), 0.75);
+  EXPECT_DOUBLE_EQ(*parseReal(cfg.get("sci")), 1000.0);
+  EXPECT_FALSE(parseReal(cfg.get("bad")).has_value());
+  EXPECT_FALSE(parseReal(cfg.get("huge")).has_value());
 }
 
 TEST(KeyValueConfig, StrictBoolRejectsUnknownSpellings) {
   const auto cfg = KeyValueConfig::fromString("a = yes\nb = maybe\nc = 2\n");
-  ASSERT_TRUE(cfg.getBoolStrict("a").has_value());
-  EXPECT_TRUE(*cfg.getBoolStrict("a"));
-  EXPECT_FALSE(cfg.getBoolStrict("b").has_value());
-  EXPECT_FALSE(cfg.getBoolStrict("c").has_value());
-  EXPECT_FALSE(cfg.getBoolStrict("missing").has_value());
+  EXPECT_EQ(parseBool(cfg.get("a")), true);
+  EXPECT_FALSE(parseBool(cfg.get("b")).has_value());
+  EXPECT_FALSE(parseBool(cfg.get("c")).has_value());
+  EXPECT_FALSE(parseBool(cfg.get("missing")).has_value());
 }
 
 TEST(KeyValueConfig, FromFileRoundTrip) {
@@ -120,7 +115,7 @@ TEST(KeyValueConfig, FromFileRoundTrip) {
   const auto cfg = KeyValueConfig::fromFile(path);
   ASSERT_TRUE(cfg.has_value());
   EXPECT_EQ(cfg->get("scheme"), "conga");
-  EXPECT_DOUBLE_EQ(cfg->getDouble("load", 0), 0.8);
+  EXPECT_EQ(cfg->get("load"), "0.8");
   std::remove(path.c_str());
 }
 

@@ -61,6 +61,12 @@ def schemes_cell(workload_args: list[str]):
             ["sweep.json"])
 
 
+# One link per fault kind: down/up, a rate cut, delay inflation, gray loss.
+ALL_FAULT_KINDS = ("leaf0-spine1,down@5ms,up@20ms;"
+                   "leaf1-spine2,rate=0.25@3ms,rate=1@30ms;"
+                   "leaf2-spine3,delay=4@2ms;leaf3-spine0,drop=0.02@1ms")
+
+
 # name -> (binary, arguments, outputs digested; "stdout" is the run's)
 CELLS = {
     "ext_fattree": ("ext_fattree", [], ["stdout"]),
@@ -83,6 +89,21 @@ CELLS = {
                       ["--scheme", "letflow", "--flows", "150", "--audit",
                        "--fault", "leaf0-spine1,down@5ms,up@50ms"],
                       ["stdout"]),
+    "faults_all_kinds": ("tlbsim_cli",
+                         ["--scheme", "tlb", "--flows", "120", "--seed", "5",
+                          "--audit", "--fault", ALL_FAULT_KINDS,
+                          "--flows-json", "flows.ndjson"],
+                         ["stdout", "flows.ndjson"]),
+    "app_over_fault": ("tlbsim_cli",
+                       ["--scheme", "tlb", "--flows", "100", "--audit",
+                        "--fault", "leaf1-spine1,down@40ms,up@55ms;"
+                        "leaf1-spine2,rate=0.25@3ms,rate=1@30ms;"
+                        "leaf2-spine3,delay=4@2ms;leaf3-spine0,drop=0.02@1ms",
+                        "--app", "queries=60,fan-out=8,response-dist=websearch,"
+                        "response-bytes=2000000,timeout-ms=5,max-retries=2",
+                        "--queries-json", "queries.ndjson",
+                        "--flows-json", "flows.ndjson"],
+                       ["stdout", "queries.ndjson", "flows.ndjson"]),
     "sweep_jobs1": sweep_cell(1),
     "sweep_jobs4": sweep_cell(4),
     "schemes_websearch": schemes_cell(["--loads", "0.6"]),

@@ -36,6 +36,7 @@
 #include "stats/report.hpp"
 #include "util/config.hpp"
 #include "util/logging.hpp"
+#include "util/parse.hpp"
 #include "workload/traffic_gen.hpp"
 
 using namespace tlbsim;
@@ -80,13 +81,6 @@ const std::vector<std::string> kRunDefaults = {
     "max-duration-ms=120000"};
 const std::vector<std::string> kSweepDefaults = {"max-duration-ms=120000"};
 
-std::optional<std::int64_t> parseInt(const std::string& v) {
-  return KeyValueConfig::fromString("v=" + v).getIntStrict("v");
-}
-std::optional<double> parseDouble(const std::string& v) {
-  return KeyValueConfig::fromString("v=" + v).getDoubleStrict("v");
-}
-
 std::vector<std::string> splitCsv(const std::string& s) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -125,12 +119,13 @@ struct CliOption {
   std::function<bool(Options*, const std::string&)> set;
 };
 
+/// An integer of at least `lo` that fits the field's type.
 template <typename T>
 std::function<bool(Options*, const std::string&)> integer(T Options::*field,
                                                          std::int64_t lo) {
   return [field, lo](Options* o, const std::string& v) {
-    const auto n = parseInt(v);
-    if (!n.has_value() || *n < lo) return false;
+    const auto n = util::parseInt(v);
+    if (!n.has_value() || *n < lo || !std::in_range<T>(*n)) return false;
     o->*field = static_cast<T>(*n);
     return true;
   };
@@ -144,8 +139,7 @@ std::function<bool(Options*, const std::string&)> text(
 }
 std::function<bool(Options*, const std::string&)> flag(bool Options::*field) {
   return [field](Options* o, const std::string& v) {
-    const KeyValueConfig one = KeyValueConfig::fromString("v=" + v);
-    const auto b = v.empty() ? std::optional<bool>(true) : one.getBoolStrict("v");
+    const auto b = v.empty() ? std::optional<bool>(true) : util::parseBool(v);
     if (!b.has_value()) return false;
     o->*field = *b;
     return true;
@@ -168,7 +162,7 @@ const std::vector<CliOption>& cliOptions() {
        text(&Options::queriesJsonPath)},
       {"load", CliOption::kRun, false,
        [](Options* o, const std::string& v) {
-         const auto x = parseDouble(v);
+         const auto x = util::parseReal(v);
          if (!x.has_value() || !validLoad(*x)) return false;
          o->load = *x;
          return true;
@@ -199,7 +193,7 @@ const std::vector<CliOption>& cliOptions() {
        [](Options* o, const std::string& v) {
          o->spec.loads.clear();
          for (const std::string& item : splitCsv(v)) {
-           const auto x = parseDouble(item);
+           const auto x = util::parseReal(item);
            if (!x.has_value() || !validLoad(*x)) return false;
            o->spec.loads.push_back(*x);
          }
@@ -209,7 +203,7 @@ const std::vector<CliOption>& cliOptions() {
        [](Options* o, const std::string& v) {
          o->spec.seeds.clear();
          for (const std::string& item : splitCsv(v)) {
-           const auto n = parseInt(item);
+           const auto n = util::parseInt(item);
            if (!n.has_value() || *n < 0) return false;
            o->spec.seeds.push_back(static_cast<std::uint64_t>(*n));
          }
@@ -217,7 +211,7 @@ const std::vector<CliOption>& cliOptions() {
        }},
       {"sweep-seed", CliOption::kSweep, false,
        [](Options* o, const std::string& v) {
-         const auto n = parseInt(v);
+         const auto n = util::parseInt(v);
          if (!n.has_value() || *n < 0) return false;
          o->spec.sweepSeed = static_cast<std::uint64_t>(*n);
          return true;
@@ -617,7 +611,11 @@ int runMain(const Options& opt) {
       {"workload", opt.workload},
       {"seed", std::to_string(opt.seed)}};
   if (!opt.csvPath.empty()) {
-    stats::writeFlowsCsv(opt.csvPath, res.ledger);
+    if (!stats::writeFlowsCsv(opt.csvPath, res.ledger)) {
+      std::fprintf(stderr, "cannot write per-flow CSV '%s'\n",
+                   opt.csvPath.c_str());
+      return 1;
+    }
     std::printf("per-flow CSV written to %s\n", opt.csvPath.c_str());
   }
   if (!opt.metricsJsonPath.empty()) {

@@ -71,16 +71,18 @@ flowprobe-mutation
     tlbsim_flows analyzer then reports as a real decision.
 
 flowid-map
-    No std::unordered_map / std::map keyed by FlowId in src/lb, src/core
-    or src/net: per-flow state on the packet decision path lives in
-    lb::FlowStateTable (src/lb/flow_state_table.hpp), which is bounded
-    (maxFlows + LRU eviction), idle-purged in O(purged), and allocation-
-    free in steady state; a host's flow demux is its open-addressing
-    table (src/net/host.*). A FlowId-keyed node map reintroduces
-    unbounded growth, a heap allocation per new flow and a pointer chase
-    per packet. Maps keyed by other types (ports, paths) are fine.
+    No std map or set (ordered or unordered) keyed by FlowId anywhere in
+    src/: util::FlowIndex (src/util/flow_index.hpp) is the one table that
+    maps a flow id to a value. Per-flow state on the packet decision path
+    lives in lb::FlowStateTable (src/lb/flow_state_table.hpp), which is
+    bounded (maxFlows + LRU eviction), idle-purged in O(purged), and
+    allocation-free in steady state, and finds its slots through a
+    FlowIndex; a host's flow demux, the endpoint pool, the flow probe and
+    the fault monitor use one directly. A FlowId-keyed node container
+    reintroduces a heap allocation per new flow and a pointer chase per
+    packet. Containers keyed by other types (ports, paths) are fine.
     Genuinely cold FlowId maps carry an explicit allow() stating why
-    boundedness does not matter there.
+    a FlowIndex does not fit there.
 
 app-flowspec-factory
     The app layer mints every RPC flow through app::FlowFactory
@@ -174,12 +176,10 @@ APP_FLOWSPEC_AUTHORITY_FILES = (
     "src/app/flow_factory.cpp",
 )
 
-# A FlowId-keyed standard map: per-flow state outside lb::FlowStateTable.
+# A FlowId-keyed standard map or set: a flow lookup beside util::FlowIndex.
 FLOWID_MAP_RE = re.compile(
-    r"\b(?:std\s*::\s*)?(?:unordered_)?map\s*<\s*"
-    r"(?:tlbsim\s*::\s*)?(?:util\s*::\s*)?FlowId\s*,")
-# The directories holding packet-path per-flow state (the rule's scope).
-FLOWID_MAP_DIRS = (("src", "lb"), ("src", "core"), ("src", "net"))
+    r"\b(?:std\s*::\s*)?(?:unordered_)?(?:multi)?(?:map|set)\s*<\s*"
+    r"(?:tlbsim\s*::\s*)?(?:util\s*::\s*)?FlowId\s*[,>]")
 
 TOPOLOGY_SHAPE_RE = re.compile(r"\b(LeafSpineTopology|FatTreeTopology)\b")
 # The code allowed to know a topology's shape by index.
@@ -373,16 +373,15 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     "(flow_factory.*) so ids stay collision-free"))
 
         # --- flowid-map -----------------------------------------------
-        if rel.parts[:2] in FLOWID_MAP_DIRS:
+        if in_src:
             m = FLOWID_MAP_RE.search(code)
             if m and not allowed(raw, "flowid-map", prev_raw):
                 findings.append(Finding(
                     rel, lineno, "flowid-map",
-                    "FlowId-keyed std map in src/lb / src/core / src/net; "
-                    "per-flow state belongs in lb::FlowStateTable "
-                    "(bounded, idle-purged, zero steady-state allocation) "
-                    "or a flat table like Host's demux, or allow() with a "
-                    "cold-path justification"))
+                    "FlowId-keyed std map or set in src/; look flows up "
+                    "through util::FlowIndex (per-flow switch state: "
+                    "lb::FlowStateTable), or allow() with a cold-path "
+                    "justification"))
 
         # --- std-function-hot-path ------------------------------------
         if rel.parts[:2] in HOT_PATH_DIRS:
@@ -519,7 +518,7 @@ SELF_TEST_CASES = [
      "link.faultPlanFactors(0.5, 1.0);\n"),
     (None, "src/fault/injector.cpp", "up.faultPlanFactors(rate, delay);\n"),
     (None, "src/net/link.cpp", "void Link::faultPlanFactors(double r,\n"),
-    # flowid-map: per-flow state in lb/core lives in FlowStateTable.
+    # flowid-map: every FlowId lookup in src/ goes through FlowIndex.
     ("flowid-map", "src/lb/x.hpp",
      "std::unordered_map<FlowId, State> flows_;\n"),
     ("flowid-map", "src/core/x.hpp",
@@ -530,8 +529,10 @@ SELF_TEST_CASES = [
      "std::unordered_map<util::FlowId, double> ewma_;\n"),
     (None, "src/lb/x.hpp", "std::unordered_map<int, double> dre_;\n"),
     (None, "src/lb/x.hpp", "FlowStateTable<State> flows_;\n"),
-    (None, "src/fault/monitor.hpp",
+    ("flowid-map", "src/fault/monitor.hpp",
      "std::unordered_map<FlowId, Pending> pending_;\n"),
+    ("flowid-map", "src/harness/experiment.cpp",
+     "std::unordered_set<FlowId> shortFlows;\n"),
     ("flowid-map", "src/net/host.hpp",
      "std::unordered_map<FlowId, PacketHandler*> handlers_;\n"),
     ("flowid-map", "src/net/x.cpp",
