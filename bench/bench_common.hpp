@@ -5,14 +5,18 @@
 // single core; pass --full for the paper's scale (documented per bench).
 #pragma once
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "stats/report.hpp"
+#include "util/parse.hpp"
 #include "workload/traffic_gen.hpp"
 
 namespace tlbsim::bench {
@@ -54,23 +58,26 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
     }
     return argv[++*i];
   };
-  const auto parseU64 = [](const char* flag, const char* v) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-      std::fprintf(stderr, "bad value '%s' for %s\n", v, flag);
+  const auto parseCount = [](const char* flag, const char* v,
+                             std::int64_t hi) {
+    const std::optional<std::int64_t> n = util::parseInt(v);
+    if (!n.has_value() || *n < 0 || *n > hi) {
+      std::fprintf(stderr, "bad value '%s' for %s: must be in [0, %lld]\n",
+                   v, flag, static_cast<long long>(hi));
       std::exit(1);
     }
-    return static_cast<std::uint64_t>(n);
+    return *n;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--full") {
       args.full = true;
     } else if (arg == "--jobs") {
-      args.jobs = static_cast<int>(parseU64("--jobs", next(&i, "--jobs")));
+      args.jobs = static_cast<int>(
+          parseCount("--jobs", next(&i, "--jobs"), INT_MAX));
     } else if (arg == "--seed") {
-      args.seed = parseU64("--seed", next(&i, "--seed"));
+      args.seed = static_cast<std::uint64_t>(
+          parseCount("--seed", next(&i, "--seed"), INT64_MAX));
     } else if (arg == "--json") {
       args.jsonPath = next(&i, "--json");
     } else if (arg == "--flows-json") {

@@ -131,9 +131,10 @@ void BM_UplinkViewBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_UplinkViewBuild);
 
-/// TLB decision with the full metrics registry + trace installed, for
-/// comparison against BM_Tlb (observability uninstalled = null-pointer
-/// branches only).
+/// TLB decision with the metrics registry (its q_th series) and a trace
+/// installed, for comparison against BM_Tlb (observability uninstalled =
+/// null-pointer branches only; the decision counts are plain integers
+/// either way).
 void BM_TlbObsOn(benchmark::State& state) {
   core::TlbConfig cfg;
   core::Tlb tlb(cfg, 15, 7);

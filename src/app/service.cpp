@@ -42,13 +42,12 @@ Service::Service(sim::Simulator& simr, net::Fabric& topo,
   TLBSIM_ASSERT(topo_.numHosts() > 1, "app layer needs at least two hosts");
   pool_.setLaunchHook([this](transport::TcpSender& snd,
                              transport::TcpReceiver& rcv, std::uint64_t) {
-    if (metrics_ != nullptr || trace_ != nullptr) {
-      snd.installObs(metrics_, trace_);
-    }
+    if (trace_ != nullptr) snd.installTrace(*trace_);
     if (endpointHook_) endpointHook_(snd, rcv);
   });
   pool_.setRetireHook([this](transport::TcpSender& snd,
                              transport::TcpReceiver& rcv, std::uint64_t) {
+    if (metrics_ != nullptr) snd.addCountersTo(*metrics_);
     if (retireHook_) retireHook_(snd, rcv);
   });
 }

@@ -74,7 +74,9 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   void setQueryProbe(QueryProbe* probe) { probe_ = probe; }
-  /// Per-sender transport counters/trace events (either may be null).
+  /// Per-sender trace events, and each sender's transport counts added to
+  /// `metrics` when its pair is reused (either may be null). The pairs
+  /// still in endpoints() at run end are the caller's to add.
   void installObs(obs::MetricsRegistry* metrics, obs::EventTrace* trace);
   void setEndpointHook(EndpointHook hook) { endpointHook_ = std::move(hook); }
   /// Called for a finished pair just before the endpoint pool reuses its

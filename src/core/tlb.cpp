@@ -29,20 +29,25 @@ void Tlb::attach(net::Switch& sw, sim::Simulator& simr) {
 void Tlb::installObs(obs::MetricsRegistry* metrics, obs::EventTrace* trace,
                      const std::string& label) {
   if (metrics != nullptr) {
-    const std::string p = "tlb." + label + ".";
-    cShortSpray_ = &metrics->counter(p + "short.spray");
-    cShortSticky_ = &metrics->counter(p + "short.sticky_stay");
-    cLongStay_ = &metrics->counter(p + "long.stay");
-    cLongReroute_ = &metrics->counter(p + "long.reroute");
-    cReclassified_ = &metrics->counter(p + "reclassified_long");
-    cTicks_ = &metrics->counter(p + "control_ticks");
     // One point per control tick: capped so a pathologically long run (or
     // a tiny updateInterval) cannot grow the series without bound.
     constexpr std::size_t kQthSeriesMaxPoints = 1u << 18;
-    qthSeries_ = &metrics->series(p + "qth_bytes", kQthSeriesMaxPoints);
+    qthSeries_ =
+        &metrics->series("tlb." + label + ".qth_bytes", kQthSeriesMaxPoints);
   }
   trace_ = trace;
   if (trace_ != nullptr) traceName_ = trace_->intern("tlb." + label);
+}
+
+void Tlb::addCountersTo(obs::MetricsRegistry& metrics,
+                        const std::string& label) const {
+  const std::string p = "tlb." + label + ".";
+  metrics.counter(p + "short.spray").inc(shortSprays_);
+  metrics.counter(p + "short.sticky_stay").inc(shortStickyStays_);
+  metrics.counter(p + "long.stay").inc(longStays_);
+  metrics.counter(p + "long.reroute").inc(longSwitches_);
+  metrics.counter(p + "reclassified_long").inc(reclassified_);
+  metrics.counter(p + "control_ticks").inc(controlTicks_);
 }
 
 void Tlb::controlTick() {
@@ -54,7 +59,7 @@ void Tlb::controlTick() {
   }
   calc_.update(table_.shortCount(), table_.longCount(),
                table_.meanShortFlowSize(), effectiveDeadline_);
-  if (cTicks_ != nullptr) cTicks_->inc();
+  ++controlTicks_;
   if (qthSeries_ != nullptr) {
     qthSeries_->add(now, static_cast<double>(calc_.qthBytes().bytes()));
   }
@@ -127,7 +132,7 @@ int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
   FlowEntry& entry = table_.touch(pkt.flow, now);
   if (pkt.payload > 0_B) {
     if (table_.recordPayload(entry, pkt.payload)) {
-      if (cReclassified_ != nullptr) cReclassified_->inc();
+      ++reclassified_;
       if (flowProbe_ != nullptr) {
         flowProbe_->onDecision(
             pkt.flow, now, obs::DecisionKind::kReclassifyLong,
@@ -150,15 +155,15 @@ int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
       const int best = shortest(uplinks);
       const ByteCount bestBytes = lb::queueBytesOfPort(uplinks, best);
       if (cur >= 0_B && cur <= bestBytes + cfg_.sprayStickiness) {
-        if (cShortSticky_ != nullptr) cShortSticky_->inc();
+        ++shortStickyStays_;
         return entry.port;  // ablation mode: sticky spraying
       }
       entry.port = best;
-      if (cShortSpray_ != nullptr) cShortSpray_->inc();
+      ++shortSprays_;
       return entry.port;
     }
     entry.port = shortest(uplinks);
-    if (cShortSpray_ != nullptr) cShortSpray_->inc();
+    ++shortSprays_;
     return entry.port;
   }
 
@@ -217,7 +222,6 @@ int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
       entry.port = next;
       entry.bytesSinceSwitch = 0_B;
       ++longSwitches_;
-      if (cLongReroute_ != nullptr) cLongReroute_->inc();
       if (flowProbe_ != nullptr) {
         flowProbe_->onDecision(pkt.flow, now, obs::DecisionKind::kLongReroute,
                                static_cast<double>(prev),
@@ -231,7 +235,7 @@ int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
       return entry.port;
     }
   }
-  if (cLongStay_ != nullptr) cLongStay_->inc();
+  ++longStays_;
   return entry.port;
 }
 

@@ -25,7 +25,6 @@
 #include "util/rng.hpp"
 
 namespace tlbsim::obs {
-class Counter;
 class EventTrace;
 class MetricsRegistry;
 class Series;
@@ -58,14 +57,19 @@ class Tlb final : public net::UplinkSelector {
   /// Run one control-loop tick explicitly (normally timer-driven).
   void controlTick();
 
-  /// Wire this instance's decision counters ("tlb.<label>.short.spray",
-  /// ".short.sticky_stay", ".long.stay", ".long.reroute", ".reclassified",
-  /// ".control_ticks"), the q_th time series ("tlb.<label>.qth_bytes",
-  /// one point per control tick) and, when `trace` is non-null, a Perfetto
-  /// counter track graphing q_th and live flow counts. Either sink may be
-  /// null. Costs one null-pointer branch per decision when not installed.
+  /// Record the q_th time series ("tlb.<label>.qth_bytes", one point per
+  /// control tick) and, when `trace` is non-null, a Perfetto counter track
+  /// graphing q_th and live flow counts, plus an instant per long-flow
+  /// reroute. Either sink may be null. Costs one null-pointer branch per
+  /// tick and per reroute when not installed.
   void installObs(obs::MetricsRegistry* metrics, obs::EventTrace* trace,
                   const std::string& label);
+
+  /// Add this instance's decision counts so far to
+  /// "tlb.<label>.short.spray", ".short.sticky_stay", ".long.stay",
+  /// ".long.reroute", ".reclassified_long" and ".control_ticks".
+  void addCountersTo(obs::MetricsRegistry& metrics,
+                     const std::string& label) const;
 
  private:
   int shortest(const net::UplinkView& uplinks) {
@@ -92,15 +96,15 @@ class Tlb final : public net::UplinkSelector {
   sim::Simulator* sim_ = nullptr;
   net::Switch* switch_ = nullptr;
   std::unordered_map<int, double> portEwma_;
-  std::uint64_t longSwitches_ = 0;
+  // Decision counts, by outcome.
+  std::uint64_t shortSprays_ = 0;
+  std::uint64_t shortStickyStays_ = 0;
+  std::uint64_t longStays_ = 0;
+  std::uint64_t longSwitches_ = 0;  ///< long-flow reroutes
+  std::uint64_t reclassified_ = 0;
+  std::uint64_t controlTicks_ = 0;
 
   // Observability sinks (null = disabled; see installObs).
-  obs::Counter* cShortSpray_ = nullptr;
-  obs::Counter* cShortSticky_ = nullptr;
-  obs::Counter* cLongStay_ = nullptr;
-  obs::Counter* cLongReroute_ = nullptr;
-  obs::Counter* cReclassified_ = nullptr;
-  obs::Counter* cTicks_ = nullptr;
   obs::Series* qthSeries_ = nullptr;
   obs::EventTrace* trace_ = nullptr;
   const char* traceName_ = nullptr;

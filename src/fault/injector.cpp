@@ -28,13 +28,13 @@ FaultInjector::FaultInjector(FaultPlan plan, net::LeafSpineTopology& topo,
                              sim::Simulator& simr, std::uint64_t seed)
     : plan_(std::move(plan)), topo_(topo), sim_(simr), seed_(seed) {}
 
-void FaultInjector::installObs(obs::MetricsRegistry* metrics,
-                               obs::EventTrace* trace) {
-  if (metrics != nullptr) {
-    obsApplied_ = &metrics->counter("fault.events_applied");
-  }
-  trace_ = trace;
-  if (trace_ != nullptr) traceTid_ = trace_->newTrack("fault");
+void FaultInjector::installTrace(obs::EventTrace& trace) {
+  trace_ = &trace;
+  traceTid_ = trace.newTrack("fault");
+}
+
+void FaultInjector::addCountersTo(obs::MetricsRegistry& metrics) const {
+  metrics.counter("fault.events_applied").inc(applied_);
 }
 
 void FaultInjector::install() {
@@ -98,7 +98,6 @@ void FaultInjector::apply(const FaultEvent& ev) {
       break;
   }
   ++applied_;
-  if (obsApplied_ != nullptr) obsApplied_->inc();
   if (trace_ != nullptr) {
     trace_->instant("fault", toString(ev.kind), sim_.now(),
                     {{"leaf", static_cast<double>(ev.leaf)},

@@ -21,7 +21,6 @@
 
 namespace tlbsim::obs {
 class MetricsRegistry;
-class Counter;
 class EventTrace;
 }  // namespace tlbsim::obs
 
@@ -42,10 +41,12 @@ class FaultInjector {
   /// outlive the injector.
   void setMonitor(FaultMonitor* monitor) { monitor_ = monitor; }
 
-  /// Wire the injector into the metrics registry ("fault.events_applied")
-  /// and, when `trace` is non-null, emit one instant event per applied
-  /// fault on a dedicated "fault" track.
-  void installObs(obs::MetricsRegistry* metrics, obs::EventTrace* trace);
+  /// Emit one instant event per applied fault on a dedicated "fault"
+  /// track of `trace`.
+  void installTrace(obs::EventTrace& trace);
+
+  /// Add the events applied so far to "fault.events_applied".
+  void addCountersTo(obs::MetricsRegistry& metrics) const;
 
   /// Validate the plan against the topology and schedule every event.
   /// Call at most once, before the run starts.
@@ -65,7 +66,6 @@ class FaultInjector {
   std::uint64_t applied_ = 0;
   bool installed_ = false;
 
-  obs::Counter* obsApplied_ = nullptr;
   obs::EventTrace* trace_ = nullptr;
   int traceTid_ = 0;
 };

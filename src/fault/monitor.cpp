@@ -28,7 +28,15 @@ FaultMonitor::FaultMonitor(net::LeafSpineTopology& topo,
   simr.every(
       cfg_.sampleInterval,
       [this] {
-        if (probe_) samples_.emplace_back(sim_.now(), probe_());
+        // A sample at the fault's own time still counts as before it.
+        if (!probe_ || postFaultSamples_ == kDipWindow) return;
+        const SimTime now = sim_.now();
+        if (firstDisruptiveAt_ >= 0_ns && now > firstDisruptiveAt_) {
+          ++postFaultSamples_;
+        } else if (samples_.size() > kDipWindow) {
+          samples_.erase(samples_.begin());
+        }
+        samples_.emplace_back(now, probe_());
       },
       /*start=*/cfg_.sampleInterval, /*name=*/"fault.monitor_sample");
 }

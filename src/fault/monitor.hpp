@@ -11,7 +11,8 @@
 //   * goodput dip — periodic samples of a caller-provided
 //     acked-long-flow-bytes probe; the dip ratio compares the minimum
 //     per-interval rate just after the first disruptive fault against the
-//     mean rate just before it (1.0 = no dip, 0.0 = full stall).
+//     mean rate just before it (1.0 = no dip, 0.0 = full stall). Only the
+//     2 * kDipWindow + 1 samples the ratio reads are kept.
 //   * affected vs rerouted counts — how much of the long-flow population
 //     the fault touched and how much of it escaped.
 //
@@ -102,6 +103,8 @@ class FaultMonitor {
   /// min(post-fault interval rate) / mean(pre-fault interval rate);
   /// 1.0 when no disruptive fault fired or no probe was installed.
   double goodputDipRatio() const;
+  /// Goodput samples held right now.
+  std::size_t goodputSamples() const { return samples_.size(); }
 
  private:
   struct Pending {
@@ -131,8 +134,10 @@ class FaultMonitor {
   SimTime firstDisruptiveAt_ = -1_ns;
   obs::FlowProbe* flowProbe_ = nullptr;  ///< null = disabled
 
-  /// (time, probe()) samples in time order.
+  /// (time, probe()) samples in time order: the last kDipWindow + 1 at or
+  /// before the first disruptive fault, then the first kDipWindow after.
   std::vector<std::pair<SimTime, ByteCount>> samples_;
+  int postFaultSamples_ = 0;
 };
 
 }  // namespace tlbsim::fault

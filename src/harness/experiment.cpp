@@ -166,30 +166,22 @@ ExperimentResult Experiment::run() const {
     for (int port : sw->uplinkGroup()) qmon.installOn(sw->port(port));
   }
 
-  // Observability wiring: metrics registry, trace tracks, and a periodic
-  // queue-depth sampler. Skipped entirely (no hooks, no branches beyond
-  // the null-pointer guards) when neither sink is configured.
+  // Observability wiring: trace tracks, the q_th series and a periodic
+  // queue-depth sampler; counts are read at run end. Skipped entirely (no
+  // hooks, no branches beyond the null-pointer guards) when neither sink
+  // is configured.
   const obs::Sinks sinks = cfg.sinks;
   std::vector<std::pair<obs::Gauge*, net::Link*>> depthGauges;
   if (sinks.any()) {
-    simr.installObs(sinks.metrics, sinks.trace);
+    if (sinks.trace != nullptr) simr.installTrace(*sinks.trace);
     if (sinks.metrics != nullptr) {
       for (net::Switch* sw : access) {
         for (int port : sw->uplinkGroup()) {
           net::Link& link = sw->port(port);
           const std::string label = net::linkLabel(*sw, link);
-          link.installObs(*sinks.metrics, sinks.trace, label);
+          if (sinks.trace != nullptr) link.installTrace(*sinks.trace, label);
           depthGauges.emplace_back(
               &sinks.metrics->gauge("port." + label + ".queue_pkts"), &link);
-        }
-      }
-      for (const auto& sw : topo.switches()) sw->installObs(*sinks.metrics);
-      // Per-scheme flow-state accounting (tracked/purged/evicted flows,
-      // worst probe distance) for every selector that keeps a table.
-      for (net::Switch* sw : topo.decisionSwitches()) {
-        if (sw->selector() == nullptr) continue;
-        if (lb::FlowStateTableBase* fs = sw->selector()->flowState()) {
-          fs->installObs(*sinks.metrics, sw->name());
         }
       }
     }
@@ -252,7 +244,7 @@ ExperimentResult Experiment::run() const {
                                                       simr, cfg.seed);
     faultInj->setMonitor(faultMon.get());
     if (sinks.flows != nullptr) faultMon->setFlowProbe(sinks.flows);
-    if (sinks.any()) faultInj->installObs(sinks.metrics, sinks.trace);
+    if (sinks.trace != nullptr) faultInj->installTrace(*sinks.trace);
     faultInj->install();
   }
 
@@ -307,6 +299,7 @@ ExperimentResult Experiment::run() const {
                               snd.dataPacketsSent(), snd.fastRetransmits(),
                               snd.timeouts());
     }
+    if (sinks.metrics != nullptr) snd.addCountersTo(*sinks.metrics);
     harvested[i] = true;
   };
   const auto addTotals = [&cfg](Totals& t, const transport::TcpSender& snd,
@@ -337,12 +330,10 @@ ExperimentResult Experiment::run() const {
   };
   endpoints.setLaunchHook([&](transport::TcpSender& snd,
                               transport::TcpReceiver& rcv, std::uint64_t) {
-    if (sinks.any()) {
-      snd.installObs(sinks.metrics, sinks.trace);
-      if (sinks.flows != nullptr) {
-        snd.setFlowProbe(sinks.flows);
-        rcv.setFlowProbe(sinks.flows);
-      }
+    if (sinks.trace != nullptr) snd.installTrace(*sinks.trace);
+    if (sinks.flows != nullptr) {
+      snd.setFlowProbe(sinks.flows);
+      rcv.setFlowProbe(sinks.flows);
     }
     if (auditor != nullptr) auditor->watchFlow(snd, rcv, cfg.tcp.mss);
   });
@@ -438,16 +429,6 @@ ExperimentResult Experiment::run() const {
           t, toSeconds(busyNow - prev.fabricBusy) / dt /
                  static_cast<double>(access.front()->uplinkGroup().size()));
       now.fabricBusy = busyNow;
-
-      if (!tlbs.empty()) {
-        double qth = 0.0;
-        for (const auto* tlb : tlbs) {
-          qth += static_cast<double>(tlb->qthBytes().bytes());
-        }
-        res.tlbQthPackets.add(
-            t, qth / static_cast<double>(tlbs.size()) /
-                   static_cast<double>(cfg.tcp.maxSegmentWireSize().bytes()));
-      }
       prev = now;
     }, /*start=*/cfg.sampleInterval);
   }
@@ -556,11 +537,38 @@ ExperimentResult Experiment::run() const {
     }
   }
 
+  // Every component's counts, read once (the static flows' senders were
+  // read at harvest). The export sorts by name, so no byte moves.
   if (sinks.metrics != nullptr) {
-    sinks.metrics->gauge("sim.executed_events")
+    obs::MetricsRegistry& metrics = *sinks.metrics;
+    simr.addCountersTo(metrics);
+    for (net::Switch* sw : access) {
+      for (int port : sw->uplinkGroup()) {
+        sw->port(port).addCountersTo(metrics,
+                                     net::linkLabel(*sw, sw->port(port)));
+      }
+    }
+    for (const auto& sw : topo.switches()) sw->addCountersTo(metrics);
+    for (net::Switch* sw : topo.decisionSwitches()) {
+      if (sw->selector() == nullptr) continue;
+      if (const lb::FlowStateTableBase* fs = sw->selector()->flowState()) {
+        fs->addCountersTo(metrics, sw->name());
+      }
+    }
+    for (std::size_t i = 0; i < tlbs.size(); ++i) {
+      tlbs[i]->addCountersTo(metrics, topo.decisionSwitches()[i]->name());
+    }
+    if (faultInj != nullptr) faultInj->addCountersTo(metrics);
+    if (service != nullptr) {  // its retired senders were read at reuse
+      service->endpoints().forEach(
+          [&metrics](const transport::TcpSender& snd,
+                     const transport::TcpReceiver&,
+                     std::uint64_t) { snd.addCountersTo(metrics); });
+    }
+    metrics.gauge("sim.executed_events")
         .set(static_cast<double>(simr.scheduler().executedEvents()));
-    sinks.metrics->gauge("sim.end_time_s").set(toSeconds(res.endTime));
-    sinks.metrics->gauge("run.completed_flows")
+    metrics.gauge("sim.end_time_s").set(toSeconds(res.endTime));
+    metrics.gauge("run.completed_flows")
         .set(static_cast<double>(
             res.ledger.completedCount([](const auto&) { return true; })));
   }

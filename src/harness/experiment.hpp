@@ -26,7 +26,6 @@
 #include "obs/sinks.hpp"
 #include "stats/flow_ledger.hpp"
 #include "stats/queue_monitor.hpp"
-#include "stats/time_series.hpp"
 #include "transport/tcp_params.hpp"
 #include "util/summary_stats.hpp"
 #include "util/units.hpp"
@@ -105,12 +104,11 @@ struct ExperimentResult {
   stats::FlowLedger ledger;
 
   // Time series (only populated when sampleInterval > 0).
-  stats::TimeSeries shortDupAckRatio;   ///< Fig. 8(a)
-  stats::TimeSeries shortQueueDelayUs;  ///< Fig. 8(b)
-  stats::TimeSeries longOooRatio;       ///< Fig. 9(a)
-  stats::TimeSeries longThroughputGbps; ///< Fig. 9(b), per-flow mean
-  stats::TimeSeries fabricUtilization;  ///< Fig. 4(a)
-  stats::TimeSeries tlbQthPackets;      ///< TLB threshold trace
+  obs::Series shortDupAckRatio;   ///< Fig. 8(a)
+  obs::Series shortQueueDelayUs;  ///< Fig. 8(b)
+  obs::Series longOooRatio;       ///< Fig. 9(a)
+  obs::Series longThroughputGbps; ///< Fig. 9(b), per-flow mean
+  obs::Series fabricUtilization;  ///< Fig. 4(a)
 
   // Queue-delay distributions at the access switches' uplink queues (the
   // sender leaf's on a leaf-spine). Short-flow samples are exact; long-flow

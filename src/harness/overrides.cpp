@@ -1,5 +1,6 @@
 #include "harness/overrides.hpp"
 
+#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <functional>
@@ -7,6 +8,7 @@
 #include <utility>
 
 #include "fault/plan.hpp"
+#include "obs/json.hpp"
 #include "util/parse.hpp"
 
 namespace tlbsim::harness {
@@ -320,6 +322,52 @@ bool explain(std::string* error, std::string what) {
   return false;
 }
 
+/// Fault factors the clock can hold, on the uniform fabric the override
+/// keys describe. On each faulted cable the plan's lowest rate and highest
+/// delay factor count, as Link::faultPlanFactors accumulates them. The
+/// endpoint drain time they stretch (EndpointPool::safeDrainTime: twice a
+/// one-way trip over two host links and the cable's two directions, each
+/// a Link::worstCaseTransit) must fit the int64-nanosecond clock. It sums
+/// the scaled delay and a full segment's scaled serialization, so those
+/// fit too. Computed in doubles, before any of them reaches an integer.
+bool checkFaultFactors(const ExperimentConfig& cfg, std::string* error) {
+  const net::LeafSpineConfig& topo = cfg.topo;
+  const double bits =
+      8.0 * static_cast<double>(cfg.tcp.maxSegmentWireSize().bytes());
+  const auto transitNs = [&](LinkRate rate, double rateFactor,
+                             double delayFactor) {
+    return (topo.bufferPackets + 1.0) * bits /
+               (rate.bitsPerSecond() * rateFactor) * 1e9 +
+           static_cast<double>(topo.linkDelay.ns()) * delayFactor;
+  };
+  for (const fault::FaultEvent& ev : cfg.fault.events) {
+    double rate = 1.0;
+    double delay = 1.0;
+    for (const fault::FaultEvent& e : cfg.fault.events) {
+      if (e.leaf != ev.leaf || e.spine != ev.spine) continue;
+      if (e.kind == fault::FaultEvent::Kind::kRateFactor) {
+        rate = std::min(rate, e.value);
+      } else if (e.kind == fault::FaultEvent::Kind::kDelayFactor) {
+        delay = std::max(delay, e.value);
+      }
+    }
+    const double drainNs =
+        4.0 * (transitNs(topo.hostLinkRate, 1.0, 1.0) +
+               transitNs(topo.fabricLinkRate, rate, delay));
+    if (!(drainNs < static_cast<double>(SimTime::max().ns()))) {
+      return explain(error, "fault.link leaf" + std::to_string(ev.leaf) +
+                                "-spine" + std::to_string(ev.spine) +
+                                ": rate factor " + obs::jsonNumber(rate) +
+                                " and delay factor " +
+                                obs::jsonNumber(delay) +
+                                " put its delay, serialization or the "
+                                "endpoints' drain time past the simulated "
+                                "clock (int64 nanoseconds)");
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 bool applyOverride(ExperimentConfig& cfg, const std::string& key,
@@ -369,7 +417,7 @@ bool checkConfig(const ExperimentConfig& cfg, std::string* error) {
                                 std::to_string(topo.numSpines) + " fabric");
     }
   }
-  return true;
+  return checkFaultFactors(cfg, error);
 }
 
 FlagArity flagArity(const std::string& flag) {

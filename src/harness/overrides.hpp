@@ -37,7 +37,8 @@ bool applyOverrides(ExperimentConfig& cfg,
                     std::string* error = nullptr);
 
 /// The rules no single key can check: the ECN marking threshold fits in
-/// the buffer, and every fault link lies inside the fabric. Tools run it
+/// the buffer, every fault link lies inside the fabric, and the times its
+/// rate and delay factors scale fit the simulated clock. Tools run it
 /// once on the finished config, before any simulation starts.
 bool checkConfig(const ExperimentConfig& cfg, std::string* error = nullptr);
 

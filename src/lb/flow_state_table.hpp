@@ -18,8 +18,8 @@
 //   * entries idle longer than `idleTimeout` are dropped by purgeIdle()
 //     (LRU order, oldest first, O(purged)); at `maxFlows` a new flow
 //     evicts the least-recently-seen entry instead of growing. Both kinds
-//     of removal are counted (Stats, and obs gauges/counters once
-//     installObs() wires them) — never silent.
+//     of removal are counted in Stats, which addCountersTo() reports at
+//     run end — never silent.
 #pragma once
 
 #include <algorithm>
@@ -34,8 +34,6 @@
 #include "util/units.hpp"
 
 namespace tlbsim::obs {
-class Counter;
-class Gauge;
 class MetricsRegistry;
 }  // namespace tlbsim::obs
 
@@ -50,8 +48,8 @@ struct FlowStateConfig {
   SimTime idleTimeout = seconds(1);
 };
 
-/// Non-template part: removal accounting and observability wiring, shared
-/// by every FlowStateTable<State> instantiation.
+/// Non-template part: the live count, removal accounting and their
+/// read-out, shared by every FlowStateTable<State> instantiation.
 class FlowStateTableBase {
  public:
   struct Stats {
@@ -62,29 +60,17 @@ class FlowStateTableBase {
   };
 
   const Stats& stats() const { return stats_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  /// Register the "lb.<label>.tracked_flows" gauge and the
-  /// ".purged_flows" / ".evicted_flows" counters, then snapshot the
-  /// current values. Decision-path cost when not installed: one
-  /// null-pointer branch per removal batch, none per lookup.
-  void installObs(obs::MetricsRegistry& metrics, const std::string& label);
+  /// Set the "lb.<label>.tracked_flows" gauge to the live count and add
+  /// the removals so far to ".purged_flows" / ".evicted_flows".
+  void addCountersTo(obs::MetricsRegistry& metrics,
+                     const std::string& label) const;
 
  protected:
-  void noteTracked(std::size_t n) {
-    if (n > stats_.peakFlows) stats_.peakFlows = n;
-    publishTracked(n);
-  }
-  void notePurged(std::uint64_t n, std::size_t tracked);
-  void noteEvicted(std::size_t tracked);
-
   Stats stats_;
-
- private:
-  void publishTracked(std::size_t n);
-
-  obs::Gauge* gTracked_ = nullptr;
-  obs::Counter* cPurged_ = nullptr;
-  obs::Counter* cEvicted_ = nullptr;
+  std::size_t size_ = 0;  ///< live entries
 };
 
 template <typename State>
@@ -133,13 +119,12 @@ class FlowStateTable : public FlowStateTableBase {
         onEvict(slots_[victim].key, slots_[victim].state);
         ++stats_.evictedCapacity;
         removeSlot(victim);
-        noteEvicted(size_);
       }
     }
     const std::uint32_t idx = allocSlot(id, now);
     index_.assign(id, idx);
     ++stats_.inserted;
-    noteTracked(size_);
+    stats_.peakFlows = std::max(stats_.peakFlows, size_);
     return TouchResult{slots_[idx].state, true, now};
   }
 
@@ -173,7 +158,6 @@ class FlowStateTable : public FlowStateTableBase {
     const std::uint32_t idx = *found;
     onRemove(slots_[idx].key, slots_[idx].state);
     removeSlot(idx);
-    noteTracked(size_);
     return true;
   }
 
@@ -194,10 +178,7 @@ class FlowStateTable : public FlowStateTableBase {
       removeSlot(victim);
       ++purged;
     }
-    if (purged > 0) {
-      stats_.purgedIdle += purged;
-      notePurged(purged, size_);
-    }
+    stats_.purgedIdle += purged;
     return purged;
   }
 
@@ -214,8 +195,6 @@ class FlowStateTable : public FlowStateTableBase {
     }
   }
 
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
   /// Current slot-pool capacity (monotone, <= cfg.maxFlows).
   std::size_t capacity() const { return slots_.size(); }
   const FlowStateConfig& config() const { return cfg_; }
@@ -316,7 +295,6 @@ class FlowStateTable : public FlowStateTableBase {
   std::uint32_t freeHead_ = kNil;
   std::uint32_t lruHead_ = kNil;
   std::uint32_t lruTail_ = kNil;
-  std::size_t size_ = 0;
 };
 
 }  // namespace tlbsim::lb

@@ -14,21 +14,22 @@ static_assert(sizeof(DropTailQueue) <= 80,
               "DropTailQueue outgrew its 80 bytes");
 #endif
 
-void Link::installObs(obs::MetricsRegistry& metrics, obs::EventTrace* trace,
-                      const std::string& label) {
-  obsTx_ = &metrics.counter("port." + label + ".tx_packets");
-  obsDrops_ = &metrics.counter("port." + label + ".drops");
-  obsMarks_ = &metrics.counter("port." + label + ".ecn_marks");
-  obsFaultDrops_ = &metrics.counter("port." + label + ".fault_drops");
-  trace_ = trace;
-  if (trace_ != nullptr) {
-    traceLabel_ = trace_->intern(label);
-    traceTid_ = trace_->newTrack(traceLabel_);
-  }
+void Link::installTrace(obs::EventTrace& trace, const std::string& label) {
+  trace_ = &trace;
+  traceLabel_ = trace.intern(label);
+  traceTid_ = trace.newTrack(traceLabel_);
+}
+
+void Link::addCountersTo(obs::MetricsRegistry& metrics,
+                         const std::string& label) const {
+  const std::string p = "port." + label + ".";
+  metrics.counter(p + "tx_packets").inc(startedPackets_);
+  metrics.counter(p + "drops").inc(queue_.drops());
+  metrics.counter(p + "ecn_marks").inc(queue_.ecnMarks());
+  metrics.counter(p + "fault_drops").inc(faultDrops());
 }
 
 void Link::noteFaultDrop(const Packet& pkt) {
-  if (obsFaultDrops_ != nullptr) obsFaultDrops_->inc();
   if (trace_ != nullptr) {
     trace_->instant("net", "fault_drop", sim_.now(),
                     {{"flow", static_cast<double>(pkt.flow)},
@@ -116,7 +117,6 @@ void Link::send(const Packet& pkt) {
   }
   const std::uint64_t marksBefore = queue_.ecnMarks();
   if (!queue_.enqueue(pkt, sim_.now())) {  // drop-tail
-    if (obsDrops_ != nullptr) obsDrops_->inc();
     if (trace_ != nullptr) {
       trace_->instant("net", "drop", sim_.now(),
                       {{"flow", static_cast<double>(pkt.flow)},
@@ -129,7 +129,6 @@ void Link::send(const Packet& pkt) {
   }
   ++enqueuedPackets_;
   if (queue_.ecnMarks() != marksBefore) {
-    if (obsMarks_ != nullptr) obsMarks_->inc();
     if (trace_ != nullptr) {
       trace_->instant("net", "ecn_mark", sim_.now(),
                       {{"flow", static_cast<double>(pkt.flow)},
@@ -180,7 +179,6 @@ void Link::startTransmission() {
   busyTime_ += txTime;
   ++startedPackets_;
   startedBytes_ += pkt.size;
-  if (obsTx_ != nullptr) obsTx_->inc();
   for (const auto& hook : dequeueHooks_) hook(pkt, queueDelay);
   if (trace_ != nullptr) {
     // One span per serialization on this link's track; the packet type is

@@ -162,13 +162,16 @@ class Link {
     faultDropHooks_.push_back(std::move(hook));
   }
 
-  /// Wire this link into the metrics registry (per-port tx/drop/mark
-  /// counters named "port.<label>.*") and, when `trace` is non-null, give
-  /// it a trace track where serializations render as spans and drops/marks
-  /// as instant events. Without this call the data path pays one
-  /// null-pointer branch per event class.
-  void installObs(obs::MetricsRegistry& metrics, obs::EventTrace* trace,
-                  const std::string& label);
+  /// Give this link a trace track named `label`, where serializations
+  /// render as spans and drops, marks and fault losses as instant events.
+  /// Without this call the data path pays one null-pointer branch per
+  /// event class.
+  void installTrace(obs::EventTrace& trace, const std::string& label);
+
+  /// Add this link's counts so far to "port.<label>.tx_packets"
+  /// (serializations started), ".drops", ".ecn_marks" and ".fault_drops".
+  void addCountersTo(obs::MetricsRegistry& metrics,
+                     const std::string& label) const;
 
  private:
   /// What a started packet's event does when it fires.
@@ -249,11 +252,7 @@ class Link {
   std::vector<MarkHook> markHooks_;
   std::vector<FaultDropHook> faultDropHooks_;
 
-  // Observability sinks (null = disabled; see installObs).
-  obs::Counter* obsTx_ = nullptr;
-  obs::Counter* obsDrops_ = nullptr;
-  obs::Counter* obsMarks_ = nullptr;
-  obs::Counter* obsFaultDrops_ = nullptr;
+  // Trace sink (null = disabled; see installTrace).
   obs::EventTrace* trace_ = nullptr;
   const char* traceLabel_ = nullptr;
   int traceTid_ = 0;

@@ -17,9 +17,9 @@ void Switch::setRoute(HostId dstHost, int port) {
 
 void Switch::routeViaUplinks(HostId dstHost) { setRoute(dstHost, kViaUplinks); }
 
-void Switch::installObs(obs::MetricsRegistry& metrics) {
-  obsForwarded_ = &metrics.counter("switch." + name_ + ".forwarded");
-  obsUnroutable_ = &metrics.counter("switch." + name_ + ".unroutable");
+void Switch::addCountersTo(obs::MetricsRegistry& metrics) const {
+  metrics.counter("switch." + name_ + ".forwarded").inc(forwarded_);
+  metrics.counter("switch." + name_ + ".unroutable").inc(unroutable_);
 }
 
 void Switch::installFlowProbe(obs::FlowProbe& probe, int leafIndex) {
@@ -77,13 +77,11 @@ void Switch::receive(const Packet& pkt, int inPort) {
   }
   if (out < 0 || out >= numPorts()) {
     ++unroutable_;
-    if (obsUnroutable_ != nullptr) obsUnroutable_->inc();
     TLBSIM_LOG_WARN("%s: no route for host %d (flow %llu)", name_.c_str(),
                     pkt.dst, static_cast<unsigned long long>(pkt.flow));
     return;
   }
   ++forwarded_;
-  if (obsForwarded_ != nullptr) obsForwarded_->inc();
   if (flowProbe_ != nullptr) {
     const int slot = portToUplinkSlot_[static_cast<std::size_t>(out)];
     if (slot >= 0) {

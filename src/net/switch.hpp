@@ -59,10 +59,8 @@ class Switch : public Node {
   std::uint64_t forwardedPackets() const { return forwarded_; }
   std::uint64_t unroutablePackets() const { return unroutable_; }
 
-  /// Wire this switch's forwarding counters into the registry
-  /// ("switch.<name>.forwarded" / ".unroutable"). One null-pointer branch
-  /// per packet when not installed.
-  void installObs(obs::MetricsRegistry& metrics);
+  /// Add the counts so far to "switch.<name>.forwarded" / ".unroutable".
+  void addCountersTo(obs::MetricsRegistry& metrics) const;
 
   /// Wire the per-flow decision probe: every packet this switch forwards
   /// onto an uplink-group port is reported as (leafIndex, slot) where slot
@@ -90,8 +88,6 @@ class Switch : public Node {
   std::unique_ptr<UplinkSelector> selector_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t unroutable_ = 0;
-  obs::Counter* obsForwarded_ = nullptr;
-  obs::Counter* obsUnroutable_ = nullptr;
   obs::FlowProbe* flowProbe_ = nullptr;
   int probeLeafIndex_ = -1;
   std::vector<int> portToUplinkSlot_;  ///< port -> group slot, -1 otherwise

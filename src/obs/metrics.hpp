@@ -2,12 +2,13 @@
 // fixed-bucket histograms and timestamped series, collected in a
 // MetricsRegistry and exportable as one JSON document.
 //
-// Hot-path contract: instrumented components hold raw `Counter*` (etc.)
-// pointers that stay nullptr until an observer installs a registry, so a
-// run without observability pays exactly one well-predicted branch per
-// instrumentation site (`if (counter_) counter_->inc();`) and touches no
-// shared state. Metric objects have stable addresses for the registry's
-// lifetime, so pointers handed out by the lookup calls never dangle.
+// Counting contract: a component counts its own events in plain integers
+// and holds no Counter or Gauge; its const addCountersTo(registry) adds
+// them once, when the run ends (a TCP sender: when its pair is reused).
+// Only timestamped records, Series points and trace events, are pushed
+// during the run, through pointers that stay nullptr until a sink is
+// installed: one well-predicted branch per site without observability.
+// Metric objects have stable addresses for the registry's lifetime.
 #pragma once
 
 #include <cstdint>

@@ -17,9 +17,10 @@ class EventTrace;
 class FlowProbe;
 
 struct Sinks {
-  /// When set, the run wires per-port drop/ECN/tx counters, TLB decision
-  /// counters and the q_th time series, aggregate TCP counters, and a
-  /// periodic queue-depth sampler into this registry.
+  /// When set, the run records the q_th time series and a periodic
+  /// queue-depth sampler into this registry, and adds every component's
+  /// counts (per-port drop/ECN/tx, TLB decisions, TCP totals, ...) to it
+  /// when it ends.
   MetricsRegistry* metrics = nullptr;
 
   /// When set, packet serializations/drops/marks on the leaf uplinks, TLB

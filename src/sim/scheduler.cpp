@@ -205,6 +205,7 @@ void Scheduler::firePeriodic(std::size_t idx) {
   // periodics_ is a deque: `t` and the closure it runs stay put even if
   // the tick registers more timers.
   Periodic& t = periodics_[idx];
+  ++periodicFires_;
   if (tickHook_) tickHook_(t.name, now_);
   t.fn();
   t.nextDue = now_ + t.period;

@@ -199,8 +199,8 @@ class Scheduler {
   void every(SimTime period, EventFn fn, SimTime start = {},
              const char* name = nullptr);
 
-  /// Install the per-tick observability hook (empty to remove). Without a
-  /// hook a periodic fire costs one branch.
+  /// Install the per-tick trace hook (empty to remove). Without a hook a
+  /// periodic fire costs one branch.
   void setPeriodicTickHook(PeriodicTickHook hook) {
     tickHook_ = std::move(hook);
   }
@@ -218,6 +218,8 @@ class Scheduler {
   std::uint64_t executedEvents() const { return executed_; }
   /// Posts that went to a lane rather than the heap, since construction.
   std::uint64_t lanePosts() const { return lanePosts_; }
+  /// Periodic-timer fires, every timer alike, since construction.
+  std::uint64_t periodicFires() const { return periodicFires_; }
 
   static constexpr SimTime kMaxTime = SimTime::max();
 
@@ -361,6 +363,7 @@ class Scheduler {
   std::uint64_t nextSeq_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t lanePosts_ = 0;
+  std::uint64_t periodicFires_ = 0;
 };
 
 inline bool EventHandle::pending() const {

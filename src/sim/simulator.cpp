@@ -5,21 +5,14 @@
 
 namespace tlbsim::sim {
 
-void Simulator::installObs(obs::MetricsRegistry* metrics,
-                           obs::EventTrace* trace) {
-  obsTicks_ = metrics != nullptr ? &metrics->counter("sim.periodic_ticks")
-                                 : nullptr;
-  trace_ = trace;
-  if (obsTicks_ == nullptr && trace_ == nullptr) {
-    scheduler_.setPeriodicTickHook(nullptr);
-    return;
-  }
-  scheduler_.setPeriodicTickHook([this](const char* name, SimTime t) {
-    if (obsTicks_ != nullptr) obsTicks_->inc();
-    if (trace_ != nullptr && name != nullptr) {
-      trace_->instant("sim", name, t);
-    }
+void Simulator::installTrace(obs::EventTrace& trace) {
+  scheduler_.setPeriodicTickHook([&trace](const char* name, SimTime t) {
+    if (name != nullptr) trace.instant("sim", name, t);
   });
+}
+
+void Simulator::addCountersTo(obs::MetricsRegistry& metrics) const {
+  metrics.counter("sim.periodic_ticks").inc(scheduler_.periodicFires());
 }
 
 }  // namespace tlbsim::sim

@@ -1,7 +1,7 @@
-// Simulator facade: owns the scheduler and the run loop, and wires the
-// observability sinks into the scheduler's periodic-tick hook (the timer
-// machinery itself — including the 500 µs control loops — lives in
-// Scheduler::every).
+// Simulator facade: owns the scheduler and the run loop, wires the trace
+// sink into the scheduler's periodic-tick hook and reports the scheduler's
+// periodic-fire count at run end (the timer machinery itself — including
+// the 500 µs control loops — lives in Scheduler::every).
 #pragma once
 
 #include <utility>
@@ -10,7 +10,6 @@
 #include "util/units.hpp"
 
 namespace tlbsim::obs {
-class Counter;
 class EventTrace;
 class MetricsRegistry;
 }  // namespace tlbsim::obs
@@ -52,16 +51,15 @@ class Simulator {
     return scheduler_.run(limit);
   }
 
-  /// Attach metrics/tracing sinks (either may be null). Named periodic
-  /// timers then emit "sim" instant events per tick, and the
-  /// "sim.periodic_ticks" counter counts all timer fires. Without this
-  /// call the simulator's hot path pays one null-pointer branch per tick.
-  void installObs(obs::MetricsRegistry* metrics, obs::EventTrace* trace);
+  /// Named periodic timers then emit a "sim" instant event per tick on
+  /// `trace`. Without this call a tick pays one branch for the hook.
+  void installTrace(obs::EventTrace& trace);
+
+  /// Add every periodic-timer fire so far to "sim.periodic_ticks".
+  void addCountersTo(obs::MetricsRegistry& metrics) const;
 
  private:
   Scheduler scheduler_;
-  obs::Counter* obsTicks_ = nullptr;
-  obs::EventTrace* trace_ = nullptr;
 };
 
 }  // namespace tlbsim::sim

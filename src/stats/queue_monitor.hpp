@@ -17,7 +17,6 @@
 
 #include "net/link.hpp"
 #include "obs/metrics.hpp"
-#include "stats/time_series.hpp"
 #include "util/flow_key.hpp"
 #include "util/summary_stats.hpp"
 #include "util/units.hpp"
@@ -94,7 +93,7 @@ class QueueDelayMonitor {
   const obs::Histogram& longDelayUs() const { return longDelayUs_; }
   const SampleSet& shortQueueLenPkts() const { return shortQueueLenPkts_; }
   const obs::Histogram& longQueueLenPkts() const { return longQueueLenPkts_; }
-  const TimeSeries& shortDelaySeries() const { return shortDelaySeries_; }
+  const obs::Series& shortDelaySeries() const { return shortDelaySeries_; }
 
  private:
   Classifier isShort_;
@@ -102,7 +101,7 @@ class QueueDelayMonitor {
   obs::Histogram longDelayUs_;
   SampleSet shortQueueLenPkts_;
   obs::Histogram longQueueLenPkts_;
-  TimeSeries shortDelaySeries_;
+  obs::Series shortDelaySeries_;
   double intervalShortDelaySum_ = 0.0;
   std::uint64_t intervalShortCount_ = 0;
 };

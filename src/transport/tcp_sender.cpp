@@ -17,20 +17,16 @@ constexpr int kMaxSynRetries = 8;
 // Every pooled endpoint pair holds one sender and one receiver, so their
 // sizes bound the per-flow memory of the app workloads.
 #if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
-static_assert(sizeof(TcpSender) <= 392, "TcpSender outgrew its 392 bytes");
+static_assert(sizeof(TcpSender) <= 376, "TcpSender outgrew its 376 bytes");
 #endif
 
-void TcpSender::installObs(obs::MetricsRegistry* metrics,
-                           obs::EventTrace* trace) {
-  if (metrics != nullptr) {
-    // All senders of a run share these aggregates: the registry returns
-    // the same Counter for the same name.
-    cFastRetransmits_ = &metrics->counter("tcp.fast_retransmits");
-    cTimeouts_ = &metrics->counter("tcp.timeouts");
-    cEcnCuts_ = &metrics->counter("tcp.ecn_cwnd_cuts");
-    cRetransmitted_ = &metrics->counter("tcp.retransmitted_segments");
-  }
-  trace_ = trace;
+void TcpSender::addCountersTo(obs::MetricsRegistry& metrics) const {
+  // All senders of a run add into the same totals: the registry returns
+  // the same Counter for the same name.
+  metrics.counter("tcp.fast_retransmits").inc(fastRetransmits_);
+  metrics.counter("tcp.timeouts").inc(timeouts_);
+  metrics.counter("tcp.ecn_cwnd_cuts").inc(ecnCuts_);
+  metrics.counter("tcp.retransmitted_segments").inc(retransmittedSegments_);
 }
 
 TcpSender::TcpSender(sim::Simulator& simr, net::Host& localHost,
@@ -177,7 +173,6 @@ void TcpSender::onDupAck() {
   ++dupAckCount_;
   if (dupAckCount_ >= TcpParams::dupAckThreshold) {
     ++fastRetransmits_;
-    if (cFastRetransmits_ != nullptr) cFastRetransmits_->inc();
     if (trace_ != nullptr) {
       trace_->instant("tcp", "fast_retransmit", sim_.now(),
                       {{"flow", static_cast<double>(flow_.id)},
@@ -216,7 +211,7 @@ void TcpSender::updateDctcp(std::uint64_t newlyAcked, bool ece) {
                      cwnd_ * (1.0 - alpha_ / 2.0));
     ssthresh_ = cwnd_;
     ecnCutPoint_ = sndNxt_;
-    if (cEcnCuts_ != nullptr) cEcnCuts_->inc();
+    ++ecnCuts_;
     if (trace_ != nullptr) {
       trace_->instant("tcp", "ecn_cwnd_cut", sim_.now(),
                       {{"flow", static_cast<double>(flow_.id)},
@@ -266,7 +261,7 @@ void TcpSender::sendSegment(std::uint64_t seq, bool isRetransmit) {
   }
   ++dataPacketsSent_;
   maxSent_ = std::max(maxSent_, seq + static_cast<std::uint64_t>(payload.bytes()));
-  if (isRetransmit && cRetransmitted_ != nullptr) cRetransmitted_->inc();
+  if (isRetransmit) ++retransmittedSegments_;
   host_.send(pkt);
 }
 
@@ -315,7 +310,6 @@ void TcpSender::onRto() {
   // timer_ is no longer pending here, so trySend() below re-arms it.
   if (completed_ || inFlight() <= 0_B) return;
   ++timeouts_;
-  if (cTimeouts_ != nullptr) cTimeouts_->inc();
   if (trace_ != nullptr) {
     trace_->instant("tcp", "rto", sim_.now(),
                     {{"flow", static_cast<double>(flow_.id)},

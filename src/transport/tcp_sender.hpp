@@ -23,7 +23,6 @@
 #include "transport/tcp_params.hpp"
 
 namespace tlbsim::obs {
-class Counter;
 class EventTrace;
 class FlowProbe;
 class MetricsRegistry;
@@ -72,13 +71,15 @@ class TcpSender : public net::PacketHandler {
   double dctcpAlpha() const { return alpha_; }
   SimTime smoothedRtt() const { return srtt_; }
 
-  /// Wire this sender into the aggregate transport counters
-  /// ("tcp.fast_retransmits", "tcp.timeouts", "tcp.ecn_cwnd_cuts",
-  /// "tcp.retransmitted_segments" — shared across all senders of a run)
-  /// and, when `trace` is non-null, emit per-flow instant events for RTO
-  /// fires, fast retransmits and ECN cwnd cuts. Either sink may be null.
-  /// One null-pointer branch per site when not installed.
-  void installObs(obs::MetricsRegistry* metrics, obs::EventTrace* trace);
+  /// Emit per-flow instant events on `trace` for RTO fires, fast
+  /// retransmits and ECN cwnd cuts. One null-pointer branch per site when
+  /// not installed.
+  void installTrace(obs::EventTrace& trace) { trace_ = &trace; }
+
+  /// Add this sender's counts to "tcp.fast_retransmits", "tcp.timeouts",
+  /// "tcp.ecn_cwnd_cuts" and "tcp.retransmitted_segments", once: when its
+  /// pair is reused, or at run end.
+  void addCountersTo(obs::MetricsRegistry& metrics) const;
 
   /// Wire the per-flow decision probe: every retransmission this sender
   /// puts on the wire (fast retransmit, RTO head, AND go-back-N resends,
@@ -161,14 +162,12 @@ class TcpSender : public net::PacketHandler {
   std::uint64_t dupAcksReceived_ = 0;
   std::uint64_t fastRetransmits_ = 0;
   std::uint64_t timeouts_ = 0;
+  std::uint64_t ecnCuts_ = 0;
+  std::uint64_t retransmittedSegments_ = 0;
   std::uint64_t dataPacketsSent_ = 0;
   std::uint64_t acksReceived_ = 0;
 
-  // Observability sinks (null = disabled; see installObs).
-  obs::Counter* cFastRetransmits_ = nullptr;
-  obs::Counter* cTimeouts_ = nullptr;
-  obs::Counter* cEcnCuts_ = nullptr;
-  obs::Counter* cRetransmitted_ = nullptr;
+  // Observability sinks (null = disabled).
   obs::EventTrace* trace_ = nullptr;
   obs::FlowProbe* flowProbe_ = nullptr;
 };

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -65,15 +66,20 @@ TEST(Experiment, SamplingPopulatesTimeSeries) {
   const auto res = runExperiment(cfg);
   EXPECT_FALSE(res.longThroughputGbps.empty());
   EXPECT_FALSE(res.shortQueueDelayUs.empty());
-  EXPECT_FALSE(res.tlbQthPackets.empty());
   EXPECT_FALSE(res.fabricUtilization.empty());
 }
 
 TEST(Experiment, NonTlbSchemesHaveNoQthTrace) {
+  // The q_th trace is the registry's tlb.<switch>.qth_bytes series, which
+  // only a TLB instance registers.
+  obs::MetricsRegistry metrics;
   auto cfg = smallConfig(Scheme::kEcmp);
   cfg.sampleInterval = microseconds(100);
-  const auto res = runExperiment(cfg);
-  EXPECT_TRUE(res.tlbQthPackets.empty());
+  cfg.sinks.metrics = &metrics;
+  runExperiment(cfg);
+  const std::string json = metrics.toJson();
+  EXPECT_EQ(json.find("qth_bytes"), std::string::npos) << json;
+  EXPECT_NE(metrics.findCounter("switch.leaf0.forwarded"), nullptr);
 }
 
 TEST(Experiment, QueueLenSamplesAreNonNegative) {

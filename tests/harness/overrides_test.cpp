@@ -277,6 +277,27 @@ TEST(Overrides, CheckConfigRejectsCrossFieldContradictions) {
   ASSERT_TRUE(applyOverride(faulty, "fault.link", "leaf2-spine0,down@1ms"));
   EXPECT_FALSE(checkConfig(faulty, &err));
   EXPECT_NE(err.find("leaf2-spine0"), std::string::npos);
+
+  // Fault factors must leave every time they scale inside the clock. The
+  // plan's extreme factor on a link counts, whatever its order. The first
+  // two overflow the scaled delay and a segment's serialization; the third
+  // fits them, but four times it, the drain time, does not.
+  for (const char* spec : {"leaf0-spine1,delay=1e300@1ms",
+                           "leaf0-spine1,rate=1e-300@1ms,rate=1@2ms",
+                           "leaf1-spine3,delay=2e14@1ms"}) {
+    ExperimentConfig scaled;
+    ASSERT_TRUE(applyOverride(scaled, "fault.link", spec)) << spec;
+    EXPECT_FALSE(checkConfig(scaled, &err)) << spec;
+    EXPECT_NE(err.find(std::string(spec, 12) + ": rate factor"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("simulated clock"), std::string::npos) << err;
+  }
+  // Large factors whose times still fit are the run's to keep.
+  ExperimentConfig slow;
+  ASSERT_TRUE(applyOverride(slow, "fault.link",
+                            "leaf0-spine1,delay=1e13@1ms,rate=1e-9@2ms"));
+  EXPECT_TRUE(checkConfig(slow, &err)) << err;
 }
 
 TEST(Overrides, HelpCoversEveryKey) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/time_series.hpp"
-
 namespace tlbsim::stats {
 namespace {
 
@@ -24,23 +22,6 @@ TEST(Table, ShortRowsTolerated) {
   Table t({"a", "b", "c"});
   t.addRow({"only-one"});
   t.print("short rows");
-}
-
-TEST(TimeSeries, MeanAndMax) {
-  TimeSeries ts;
-  ts.add(0_ns, 1.0);
-  ts.add(1_ns, 3.0);
-  ts.add(2_ns, 2.0);
-  EXPECT_DOUBLE_EQ(ts.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(ts.max(), 3.0);
-  EXPECT_EQ(ts.size(), 3u);
-}
-
-TEST(TimeSeries, EmptyIsSafe) {
-  TimeSeries ts;
-  EXPECT_DOUBLE_EQ(ts.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(ts.max(), 0.0);
-  EXPECT_TRUE(ts.empty());
 }
 
 }  // namespace

@@ -104,6 +104,15 @@ CELLS = {
                         "--queries-json", "queries.ndjson",
                         "--flows-json", "flows.ndjson"],
                        ["stdout", "queries.ndjson", "flows.ndjson"]),
+    # Counters summed at run end over a non-TLB scheme's flow tables,
+    # retired app senders and an applied fault plan.
+    "metrics_app_fault": ("tlbsim_cli",
+                          ["--scheme", "conga", "--flows", "100", "--seed",
+                           "5", "--audit", "--fault", ALL_FAULT_KINDS,
+                           "--app", "queries=60,fan-out=8,timeout-ms=5,"
+                           "max-retries=2",
+                           "--metrics-json", "metrics.json"],
+                          ["stdout", "metrics.json"]),
     "sweep_jobs1": sweep_cell(1),
     "sweep_jobs4": sweep_cell(4),
     "schemes_websearch": schemes_cell(["--loads", "0.6"]),

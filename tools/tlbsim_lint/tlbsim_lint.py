@@ -39,9 +39,12 @@ std-function-hot-path
     an explicit allow() stating why they are not hot.
 
 installobs-wiring
-    Every component declaring an `installObs(...)` hook must be wired up
-    by the experiment harness (src/harness/) or the CLI (tools/): a hook
-    nobody calls silently produces empty metrics.
+    Every class in src/ declaring an observability hook, `installObs(...)`,
+    `installTrace(...)` (trace wiring) or `addCountersTo(...)` (its counts,
+    read once at run end), must have that hook called by the experiment
+    harness (src/harness/) or the CLI (tools/), in a file that names the
+    class: a hook nobody calls silently leaves metrics or trace tracks
+    empty.
 
 bench-direct-experiment
     Bench binaries must drive simulations through the sweep engine
@@ -436,38 +439,49 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     f"'{arg}'"))
 
 
-def check_installobs(root: pathlib.Path, findings: list, stats: dict):
+OBS_HOOKS = ("installObs", "installTrace", "addCountersTo")
+WIRING_DIRS = ("src/harness/", "tools/")
+
+
+def hook_sources(root: pathlib.Path) -> dict:
+    """The files the installobs-wiring rule reads: src/ headers, where
+    hooks are declared, and the harness and CLI sources that call them."""
+    paths = list((root / "src").rglob("*.hpp"))
+    for d in WIRING_DIRS:
+        if (root / d).is_dir():
+            paths += [p for p in (root / d).rglob("*")
+                      if p.suffix in CPP_SUFFIXES]
+    return {p.relative_to(root).as_posix(): p.read_text(errors="replace")
+            for p in sorted(set(paths))}
+
+
+def check_hook_wiring(sources: dict, findings: list, stats: dict):
     class_re = re.compile(r"^\s*class\s+(\w+)")
-    declare_re = re.compile(r"\bvoid\s+installObs\s*\(")
-    declaring = {}  # class name -> (rel path, line)
-    for path in sorted((root / "src").rglob("*.hpp")):
-        rel = path.relative_to(root)
-        text = path.read_text(errors="replace")
+    declare_re = re.compile(r"\bvoid\s+(" + "|".join(OBS_HOOKS) +
+                            r")\s*\(")
+    declaring = {}  # (class name, hook) -> (rel path, line)
+    for rel, text in sorted(sources.items()):
+        if not (rel.startswith("src/") and rel.endswith(".hpp")):
+            continue
         current = None
         for lineno, line in enumerate(text.splitlines(), start=1):
             m = class_re.match(line)
             if m:
                 current = m.group(1)
-            if declare_re.search(line) and current:
-                declaring[current] = (rel, lineno)
+            d = declare_re.search(line)
+            if d and current:
+                declaring.setdefault((current, d.group(1)), (rel, lineno))
 
-    wired_text = ""
-    for d in ("src/harness", "tools"):
-        base = root / d
-        if not base.is_dir():
-            continue
-        for path in sorted(base.rglob("*")):
-            if path.suffix in CPP_SUFFIXES:
-                text = path.read_text(errors="replace")
-                if "installObs(" in text:
-                    wired_text += text
-
-    stats["installobs_classes"] = len(declaring)
-    for name, (rel, lineno) in sorted(declaring.items()):
-        if not re.search(rf"\b{re.escape(name)}\b", wired_text):
+    wiring = [text for rel, text in sources.items()
+              if rel.startswith(WIRING_DIRS)]
+    stats["hook_classes"] = len({name for name, _ in declaring})
+    for (name, hook), (rel, lineno) in sorted(declaring.items()):
+        call = re.compile(rf"[.>]\s*{hook}\s*\(")
+        named = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(call.search(t) and named.search(t) for t in wiring):
             findings.append(Finding(
-                rel, lineno, "installobs-wiring",
-                f"{name}::installObs() is never wired up by the harness "
+                pathlib.PurePosixPath(rel), lineno, "installobs-wiring",
+                f"{name}::{hook}() is never called by the harness "
                 "(src/harness/) or the CLI (tools/)"))
 
 
@@ -578,8 +592,42 @@ SELF_TEST_CASES = [
 ]
 
 
+# installobs-wiring reads several files at once: each entry is
+# (rule-or-None, {relative path: text}).
+WIRING_SELF_TEST_CASES = [
+    ("installobs-wiring",
+     {"src/foo/x.hpp": "class Foo {\n  void installTrace(Trace& t);\n};\n",
+      "src/harness/x.cpp": "Foo foo;\n"}),
+    (None,
+     {"src/foo/x.hpp": "class Foo {\n  void installTrace(Trace& t);\n};\n",
+      "src/harness/x.cpp": "Foo foo;\nfoo.installTrace(trace);\n"}),
+    ("installobs-wiring",
+     {"src/foo/x.hpp":
+      "class Bar {\n  void addCountersTo(Registry& m) const;\n};\n",
+      "tools/x.cpp": "Bar* bar = make();\nbar->installObs(&m);\n"}),
+    (None,
+     {"src/foo/x.hpp":
+      "class Bar {\n  void addCountersTo(Registry& m) const;\n};\n",
+      "tools/x.cpp": "Bar* bar = make();\nbar->addCountersTo(m);\n"}),
+    # A call outside the harness and the CLI does not count.
+    ("installobs-wiring",
+     {"src/foo/x.hpp": "class Baz {\n  void installObs(Registry* m);\n};\n",
+      "src/app/x.cpp": "Baz baz;\nbaz.installObs(m);\n"}),
+]
+
+
 def self_test() -> int:
     failures = 0
+    for i, (rule, sources) in enumerate(WIRING_SELF_TEST_CASES):
+        findings: list = []
+        check_hook_wiring(sources, findings, {})
+        fired = sorted({f.rule for f in findings})
+        want = [rule] if rule else []
+        if fired != want:
+            failures += 1
+            print(f"wiring self-test case {i}: expected {want or 'clean'}, "
+                  f"got {fired or 'clean'} for {sorted(sources)}",
+                  file=sys.stderr)
     for i, (rule, rel, snippet) in enumerate(SELF_TEST_CASES):
         findings: list = []
         stats = {"files": 0, "schedule_sites": 0}
@@ -596,7 +644,8 @@ def self_test() -> int:
         print(f"tlbsim-lint --self-test: {failures} case(s) FAILED",
               file=sys.stderr)
         return 1
-    print(f"tlbsim-lint --self-test: {len(SELF_TEST_CASES)} cases ok",
+    print(f"tlbsim-lint --self-test: "
+          f"{len(SELF_TEST_CASES) + len(WIRING_SELF_TEST_CASES)} cases ok",
           file=sys.stderr)
     return 0
 
@@ -626,14 +675,14 @@ def main() -> int:
         stats["files"] += 1
         check_file(path, rel, path.read_text(errors="replace"), findings,
                    stats)
-    check_installobs(root, findings, stats)
+    check_hook_wiring(hook_sources(root), findings, stats)
 
     for f in findings:
         print(f)
     if not args.quiet:
         print(f"tlbsim-lint: {stats['files']} files, "
               f"{stats['schedule_sites']} schedule/every sites audited, "
-              f"{stats['installobs_classes']} installObs hooks, "
+              f"{stats['hook_classes']} obs hook classes, "
               f"{len(findings)} finding(s)", file=sys.stderr)
     return 1 if findings else 0
 
