@@ -34,10 +34,13 @@ using namespace tlbsim;
 
 namespace {
 
+/// 1 Gbps uplinks with short queues. The view carries a rate, as every
+/// view a switch builds does, so TLB's waits are seconds like its q_th.
 net::UplinkView makeView(int n) {
   net::UplinkView v;
   for (int i = 0; i < n; ++i) {
-    v.push_back(net::PortView{i, i % 7, ByteCount::fromBytes(i % 7) * 1500});
+    v.push_back(
+        net::PortView{i, ByteCount::fromBytes(i % 7) * 1500, 1e9, 0.0});
   }
   return v;
 }

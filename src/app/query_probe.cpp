@@ -1,7 +1,6 @@
 #include "app/query_probe.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/json.hpp"
 #include "obs/run_summary.hpp"
@@ -179,11 +178,7 @@ std::string QueryProbe::toNdjson(
 bool QueryProbe::writeNdjsonFile(
     const std::string& path,
     const std::vector<std::pair<std::string, std::string>>& meta) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string body = toNdjson(meta);
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
+  return obs::writeTextFile(path, toNdjson(meta));
 }
 
 }  // namespace tlbsim::app

@@ -7,6 +7,7 @@
 #include "obs/trace.hpp"
 #include "app/query_probe.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace tlbsim::app {
 
@@ -71,19 +72,20 @@ void Service::start() {
   queries_.reserve(static_cast<std::size_t>(cfg_.queries));
   if (cfg_.arrival == Arrival::kPoisson) {
     TLBSIM_ASSERT(cfg_.qps > 0.0, "app.qps must be positive");
-    scheduleArrival(microseconds(rng_.exponential(1e6 / cfg_.qps)));
+    scheduleArrival();
     return;
   }
   const int initial = std::min(std::max(cfg_.concurrency, 1), cfg_.queries);
   for (int i = 0; i < initial; ++i) issueQuery();
 }
 
-void Service::scheduleArrival(SimTime delay) {
-  sim_.post(delay, [this] {
+void Service::scheduleArrival() {
+  const std::optional<SimTime> gap = util::delayFrom(
+      sim_.now(), rng_.exponential(1e6 / cfg_.qps), kMicrosecond);
+  if (!gap.has_value()) return;
+  sim_.post(*gap, [this] {
     issueQuery();
-    if (launched_ < cfg_.queries) {
-      scheduleArrival(microseconds(rng_.exponential(1e6 / cfg_.qps)));
-    }
+    if (launched_ < cfg_.queries) scheduleArrival();
   });
 }
 
@@ -187,11 +189,14 @@ void Service::launchAttempt(std::size_t qi, std::size_t si) {
 
 void Service::onRequestDone(std::size_t qi, std::size_t si) {
   // Request delivered: the worker computes, then replies.
-  const SimTime delay =
+  const std::optional<SimTime> delay =
       cfg_.serviceTime > 0_ns
-          ? microseconds(rng_.exponential(toMicroseconds(cfg_.serviceTime)))
+          ? util::delayFrom(sim_.now(),
+                            rng_.exponential(toMicroseconds(cfg_.serviceTime)),
+                            kMicrosecond)
           : SimTime{};
-  sim_.post(delay, [this, qi, si] { launchResponse(qi, si); });
+  if (!delay.has_value()) return;  // the reply would start past the clock
+  sim_.post(*delay, [this, qi, si] { launchResponse(qi, si); });
 }
 
 void Service::launchResponse(std::size_t qi, std::size_t si) {
@@ -252,11 +257,13 @@ void Service::completeQuery(std::size_t qi) {
   }
   releaseSlots(q);
   if (cfg_.arrival == Arrival::kClosedLoop && launched_ < cfg_.queries) {
-    const SimTime think =
+    const std::optional<SimTime> think =
         cfg_.thinkTime > 0_ns
-            ? microseconds(rng_.exponential(toMicroseconds(cfg_.thinkTime)))
+            ? util::delayFrom(sim_.now(),
+                              rng_.exponential(toMicroseconds(cfg_.thinkTime)),
+                              kMicrosecond)
             : SimTime{};
-    sim_.post(think, [this] { issueQuery(); });
+    if (think.has_value()) sim_.post(*think, [this] { issueQuery(); });
   }
 }
 

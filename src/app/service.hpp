@@ -145,7 +145,9 @@ class Service {
     sim::EventHandle retryTimer;
   };
 
-  void scheduleArrival(SimTime delay);
+  /// Draws the next Poisson arrival and posts it, unless it lies past the
+  /// clock: then no later query arrives.
+  void scheduleArrival();
   void issueQuery();
   void pickWorkers(net::HostId aggregator, std::vector<Slot>& slots);
   /// Launch one request attempt for a slot (fresh flow ids each call).

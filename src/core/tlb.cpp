@@ -20,8 +20,7 @@ Tlb::Tlb(const TlbConfig& cfg, int numPaths, std::uint64_t seed)
       rng_(seed) {}
 
 void Tlb::attach(net::Switch& sw, sim::Simulator& simr) {
-  switch_ = &sw;
-  sim_ = &simr;
+  UplinkSelector::attach(sw, simr);
   simr.every(cfg_.updateInterval, [this] { controlTick(); },
              /*start=*/cfg_.updateInterval, /*name=*/"tlb.control_tick");
 }
@@ -51,8 +50,8 @@ void Tlb::addCountersTo(obs::MetricsRegistry& metrics,
 }
 
 void Tlb::controlTick() {
-  const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
-  table_.purgeIdle(now);
+  const SimTime t = now();
+  table_.purgeIdle(t);
   if (cfg_.autoDeadline) {
     effectiveDeadline_ =
         deadlines_.percentile(cfg_.deadlinePercentile, cfg_.deadline);
@@ -61,63 +60,38 @@ void Tlb::controlTick() {
                table_.meanShortFlowSize(), effectiveDeadline_);
   ++controlTicks_;
   if (qthSeries_ != nullptr) {
-    qthSeries_->add(now, static_cast<double>(calc_.qthBytes().bytes()));
+    qthSeries_->add(t, static_cast<double>(calc_.qthBytes().bytes()));
   }
   if (trace_ != nullptr) {
     trace_->counter(
-        "tlb", traceName_, now,
+        "tlb", traceName_, t,
         {{"qth_bytes", static_cast<double>(calc_.qthBytes().bytes())},
          {"short_flows", static_cast<double>(table_.shortCount())},
          {"long_flows", static_cast<double>(table_.longCount())}});
   }
   if (Logger::enabled(LogLevel::kDebug)) {
     TLBSIM_LOG_DEBUG("tlb tick t=%.3fms q_th=%lld B short=%d long=%d",
-                     toMilliseconds(now),
+                     toMilliseconds(t),
                      static_cast<long long>(calc_.qthBytes().bytes()),
                      table_.shortCount(), table_.longCount());
   }
   // Smooth the uplink waits (the long-flow escape signal) over a few
   // control intervals so the DCTCP sawtooth phase averages out.
-  if (switch_ != nullptr) {
-    constexpr double kGain = 0.25;
-    for (const auto& view : switch_->uplinkView()) {
-      double& ewma =
-          portEwma_.try_emplace(view.port, instantWait(view)).first->second;
-      ewma = (1.0 - kGain) * ewma + kGain * instantWait(view);
-    }
-  }
-}
-
-double Tlb::instantWait(const net::PortView& u) const {
-  const double rate =
-      u.rateBps > 0.0 ? u.rateBps : cfg_.linkCapacity.bitsPerSecond();
-  // Include one packet's serialization and the cable's propagation delay
-  // so an empty degraded link (slow or long) is still recognized as a
-  // worse choice than an empty healthy one.
-  return static_cast<double>((u.queueBytes + cfg_.packetWireSize).bytes()) *
-             8.0 / rate +
-         u.linkDelaySec;
-}
-
-double Tlb::smoothedWait(int port, double fallback) const {
-  if (auto it = portEwma_.find(port); it != portEwma_.end()) {
-    return it->second;
-  }
-  return fallback;
+  if (switch_ != nullptr) waits_.sample(switch_->uplinkView());
 }
 
 int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
-  const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
+  const SimTime t = now();
 
   // Flow accounting from SYN/FIN snooping (paper §5). SYN-ACK/FIN-ACK make
   // the reverse (ACK-only) direction of each flow visible at its own leaf.
   switch (pkt.type) {
     case net::PacketType::kSyn:
       deadlines_.observe(pkt.deadline);  // deadline statistics (paper §5)
-      table_.onFlowStart(pkt.flow, now);
+      table_.onFlowStart(pkt.flow, t);
       break;
     case net::PacketType::kSynAck:
-      table_.onFlowStart(pkt.flow, now);
+      table_.onFlowStart(pkt.flow, t);
       break;
     case net::PacketType::kFin:
     case net::PacketType::kFinAck: {
@@ -129,15 +103,18 @@ int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
       break;
   }
 
-  FlowEntry& entry = table_.touch(pkt.flow, now);
+  FlowEntry& entry = table_.touch(pkt.flow, t);
   if (pkt.payload > 0_B) {
     if (table_.recordPayload(entry, pkt.payload)) {
       ++reclassified_;
       if (flowProbe_ != nullptr) {
+        // The current port's queue, or -1 when the flow has none in view.
+        const net::PortView* cur = lb::findPort(uplinks, entry.port);
         flowProbe_->onDecision(
-            pkt.flow, now, obs::DecisionKind::kReclassifyLong,
+            pkt.flow, t, obs::DecisionKind::kReclassifyLong,
             static_cast<double>(calc_.qthBytes().bytes()),
-            static_cast<double>(lb::queueBytesOfPort(uplinks, entry.port).bytes()));
+            cur != nullptr ? static_cast<double>(cur->queueBytes.bytes())
+                           : -1.0);
       }
     }
     entry.bytesSinceSwitch += pkt.payload;
@@ -151,14 +128,15 @@ int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
     // so stay. This is the "similar queueing delay between the shortest
     // queues" observation of Section 6.1 made explicit.
     if (cfg_.sprayStickiness > 0_B) {
-      const ByteCount cur = lb::queueBytesOfPort(uplinks, entry.port);
-      const int best = shortest(uplinks);
-      const ByteCount bestBytes = lb::queueBytesOfPort(uplinks, best);
-      if (cur >= 0_B && cur <= bestBytes + cfg_.sprayStickiness) {
+      const net::PortView* cur = lb::findPort(uplinks, entry.port);
+      const net::PortView& best =
+          uplinks[lb::shortestQueueIndex(uplinks, rng_)];
+      if (cur != nullptr &&
+          cur->queueBytes <= best.queueBytes + cfg_.sprayStickiness) {
         ++shortStickyStays_;
         return entry.port;  // ablation mode: sticky spraying
       }
-      entry.port = best;
+      entry.port = best.port;
       ++shortSprays_;
       return entry.port;
     }
@@ -172,21 +150,21 @@ int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
   // since its last move (the switching granularity — prevents thrashing
   // while a full queue drains). Waits, not bytes: on a degraded link the
   // same queue length blocks for proportionally longer (Figs. 16/17).
-  if (!lb::portUsable(uplinks, entry.port)) {
+  const net::PortView* cur = lb::findPort(uplinks, entry.port);
+  if (cur == nullptr) {
     // First long packet, or the current uplink left the usable view (it
     // went down, or the group changed): place on shortest queue.
     entry.port = shortest(uplinks);
     entry.bytesSinceSwitch = 0_B;
     return entry.port;
   }
-  const net::PortView* curView = nullptr;
-  for (const auto& u : uplinks) {
-    if (u.port == entry.port) curView = &u;
-  }
   const ByteCount qth = calc_.qthBytes();
   const double qthWait = static_cast<double>(qth.bytes()) * 8.0 /
                          cfg_.linkCapacity.bitsPerSecond();
-  const double curWait = instantWait(*curView);
+  // The wait includes one packet's serialization and the cable's
+  // propagation delay, so an empty degraded link (slow or long) is still
+  // a worse choice than an empty healthy one.
+  const double curWait = lb::drainTime(*cur);
   // Granularity floor: a window-limited flow cannot benefit from moving
   // more than once per window — anything finer only reorders the same
   // in-flight data again before the previous move's effect is visible.
@@ -202,14 +180,14 @@ int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
     //  * the target is drawn uniformly among ALL qualifying ports — if
     //    every eligible flow jumped to the single least-loaded port they
     //    would re-collide there and flap in lockstep forever.
-    const double curSmoothed = smoothedWait(entry.port, curWait);
+    const double curSmoothed = waits_.get(entry.port, curWait);
     const double wireTime = static_cast<double>(cfg_.packetWireSize.bytes()) *
                             8.0 / cfg_.linkCapacity.bitsPerSecond();
     int next = -1;
     int qualifying = 0;
     for (const auto& u : uplinks) {
       if (u.port == entry.port) continue;
-      const double s = smoothedWait(u.port, instantWait(u));
+      const double s = waits_.get(u.port, lb::drainTime(u));
       if (s + wireTime <= curSmoothed / 2.0) {
         ++qualifying;
         if (rng_.uniformInt(static_cast<std::uint64_t>(qualifying)) == 0) {
@@ -223,12 +201,12 @@ int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
       entry.bytesSinceSwitch = 0_B;
       ++longSwitches_;
       if (flowProbe_ != nullptr) {
-        flowProbe_->onDecision(pkt.flow, now, obs::DecisionKind::kLongReroute,
+        flowProbe_->onDecision(pkt.flow, t, obs::DecisionKind::kLongReroute,
                                static_cast<double>(prev),
                                static_cast<double>(next));
       }
       if (trace_ != nullptr) {
-        trace_->instant("tlb", "long_reroute", now,
+        trace_->instant("tlb", "long_reroute", t,
                         {{"flow", static_cast<double>(pkt.flow)},
                          {"to_port", static_cast<double>(next)}});
       }

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "core/deadline_tracker.hpp"
 #include "core/flow_table.hpp"
@@ -76,26 +75,14 @@ class Tlb final : public net::UplinkSelector {
     return uplinks[lb::shortestQueueIndex(uplinks, rng_)].port;
   }
 
-  /// Expected wait (seconds) behind a port's queue right now. Uses the
-  /// port's own drain rate so asymmetric (slow) links are judged by time,
-  /// not bytes; unknown rates fall back to the nominal link capacity.
-  double instantWait(const net::PortView& u) const;
-
-  /// Smoothed expected wait of an uplink port (seconds), sampled by the
-  /// control tick so the long-flow escape decision sees sustained
-  /// congestion rather than the DCTCP sawtooth's instantaneous phase.
-  /// Falls back to `fallback` before the first tick has sampled the port.
-  double smoothedWait(int port, double fallback) const;
-
   TlbConfig cfg_;
   FlowTable table_;
   GranularityCalculator calc_;
   DeadlineTracker deadlines_;
   SimTime effectiveDeadline_;
   Rng rng_;
-  sim::Simulator* sim_ = nullptr;
-  net::Switch* switch_ = nullptr;
-  std::unordered_map<int, double> portEwma_;
+  /// The long-flow escape signal, sampled by the control tick.
+  lb::SmoothedWaits waits_;
   // Decision counts, by outcome.
   std::uint64_t shortSprays_ = 0;
   std::uint64_t shortStickyStays_ = 0;

@@ -11,14 +11,12 @@
 #pragma once
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "lb/flow_state_table.hpp"
 #include "lb/selector_util.hpp"
 #include "net/uplink_selector.hpp"
 #include "obs/flow_probe.hpp"
-#include "sim/simulator.hpp"
 #include "util/flow_key.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -37,23 +35,26 @@ class Conga final : public net::UplinkSelector {
 
   int selectUplink(const net::Packet& pkt,
                    const net::UplinkView& uplinks) override {
-    const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
-    const auto entry = flows_.touch(pkt.flow, now);
+    const SimTime t = now();
+    const auto entry = flows_.touch(pkt.flow, t);
     State& st = entry.state;
     const bool newFlowlet = st.port < 0 ||
-                            (now - entry.prevSeen) > timeout_ ||
-                            !portUsable(uplinks, st.port);
+                            (t - entry.prevSeen) > timeout_ ||
+                            findPort(uplinks, st.port) == nullptr;
     if (newFlowlet) {
       const int prev = st.port;
-      st.port = leastCongested(uplinks);
+      const auto cost = [this](const auto& u) { return congestion(u); };
+      st.port = uplinks[leastCostIndex(uplinks, rng_, cost)].port;
       ++flowlets_;
       if (flowProbe_ != nullptr && prev >= 0 && prev != st.port) {
-        flowProbe_->onDecision(pkt.flow, now, obs::DecisionKind::kNewFlowlet,
+        flowProbe_->onDecision(pkt.flow, t, obs::DecisionKind::kNewFlowlet,
                                static_cast<double>(prev),
                                static_cast<double>(st.port));
       }
     }
-    dre_[st.port] += static_cast<double>(pkt.size.bytes());
+    const auto port = static_cast<std::size_t>(st.port);
+    if (port >= dre_.size()) dre_.resize(port + 1);
+    dre_[port] += static_cast<double>(pkt.size.bytes());
     return st.port;
   }
 
@@ -65,39 +66,23 @@ class Conga final : public net::UplinkSelector {
 
   std::uint64_t flowletsStarted() const { return flowlets_; }
   double dreOf(int port) const {
-    auto it = dre_.find(port);
-    return it != dre_.end() ? it->second : 0.0;
+    const auto i = static_cast<std::size_t>(port);
+    return i < dre_.size() ? dre_[i] : 0.0;
   }
 
  private:
-  int leastCongested(const net::UplinkView& uplinks) {
-    // Normalize DRE against the link rate over the aging window and take
-    // max(dre, queue) as the congestion metric, as CONGA does.
-    int best = -1;
-    double bestMetric = 0.0;
-    int ties = 0;
-    for (const auto& u : uplinks) {
-      const double window = toSeconds(kDreInterval) / kDreAlpha;
-      const double cap = (u.rateBps > 0 ? u.rateBps / 8.0 : 1.0) * window;
-      const double dreNorm = dreOf(u.port) / cap;
-      const double queueNorm =
-          u.rateBps > 0
-              ? static_cast<double>(u.queueBytes.bytes()) * 8.0 / u.rateBps /
-                    toSeconds(timeout_)
-              : 0.0;
-      const double metric = std::max(dreNorm, queueNorm) + u.linkDelaySec;
-      if (best < 0 || metric < bestMetric) {
-        best = u.port;
-        bestMetric = metric;
-        ties = 1;
-      } else if (metric == bestMetric) {
-        ++ties;
-        if (rng_.uniformInt(static_cast<std::uint64_t>(ties)) == 0) {
-          best = u.port;
-        }
-      }
-    }
-    return best;
+  /// Normalize DRE against the link rate over the aging window and take
+  /// max(dre, queue) as the congestion metric, as CONGA does.
+  double congestion(const net::PortView& u) const {
+    const double window = toSeconds(kDreInterval) / kDreAlpha;
+    const double cap = (u.rateBps > 0 ? u.rateBps / 8.0 : 1.0) * window;
+    const double dreNorm = dreOf(u.port) / cap;
+    const double queueNorm =
+        u.rateBps > 0
+            ? static_cast<double>(u.queueBytes.bytes()) * 8.0 / u.rateBps /
+                  toSeconds(timeout_)
+            : 0.0;
+    return std::max(dreNorm, queueNorm) + u.linkDelaySec;
   }
 
   struct State {
@@ -106,9 +91,10 @@ class Conga final : public net::UplinkSelector {
 
   Rng rng_;
   SimTime timeout_;
-  sim::Simulator* sim_ = nullptr;
   FlowStateTable<State> flows_;
-  std::unordered_map<int, double> dre_;  ///< keyed by port, not FlowId
+  /// DRE per port number, grown on first use: unit tests drive a Conga
+  /// that was never attached to a switch.
+  std::vector<double> dre_;
   std::uint64_t flowlets_ = 0;
 };
 

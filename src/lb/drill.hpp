@@ -20,12 +20,9 @@ class Drill final : public net::UplinkSelector {
     int bestPort = -1;
     ByteCount bestBytes;
     // Previously-remembered best, if still in the group.
-    if (memoryPort_ >= 0) {
-      const ByteCount b = queueBytesOfPort(uplinks, memoryPort_);
-      if (b >= 0_B) {
-        bestPort = memoryPort_;
-        bestBytes = b;
-      }
+    if (const net::PortView* m = findPort(uplinks, memoryPort_)) {
+      bestPort = m->port;
+      bestBytes = m->queueBytes;
     }
     for (int i = 0; i < samples_; ++i) {
       const auto& u = uplinks[rng_.uniformInt(uplinks.size())];

@@ -11,7 +11,6 @@
 #include "lb/selector_util.hpp"
 #include "net/uplink_selector.hpp"
 #include "obs/flow_probe.hpp"
-#include "sim/simulator.hpp"
 #include "util/flow_key.hpp"
 #include "util/rng.hpp"
 
@@ -28,19 +27,19 @@ class FixedGranularity final : public net::UplinkSelector {
 
   int selectUplink(const net::Packet& pkt,
                    const net::UplinkView& uplinks) override {
-    const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
-    State& st = flows_.touch(pkt.flow, now).state;
+    const SimTime t = now();
+    State& st = flows_.touch(pkt.flow, t).state;
     const bool granularityHit =
         pkt.payload > 0_B && k_ != kFlowLevel && st.sinceSwitch >= k_;
     const bool mustPick =
-        st.port < 0 || !portUsable(uplinks, st.port) || granularityHit;
+        st.port < 0 || findPort(uplinks, st.port) == nullptr || granularityHit;
     if (mustPick) {
       const int prev = st.port;
       st.port = uplinks[rng_.uniformInt(uplinks.size())].port;
       st.sinceSwitch = 0;
       if (flowProbe_ != nullptr && granularityHit && prev >= 0 &&
           prev != st.port) {
-        flowProbe_->onDecision(pkt.flow, now,
+        flowProbe_->onDecision(pkt.flow, t,
                                obs::DecisionKind::kGranularitySwitch,
                                static_cast<double>(prev),
                                static_cast<double>(st.port));
@@ -56,9 +55,6 @@ class FixedGranularity final : public net::UplinkSelector {
 
   FlowStateTableBase* flowState() override { return &flows_; }
 
-  std::uint64_t granularityPackets() const { return k_; }
-  std::size_t trackedFlows() const { return flows_.size(); }
-
  private:
   struct State {
     int port = -1;
@@ -67,7 +63,6 @@ class FixedGranularity final : public net::UplinkSelector {
 
   Rng rng_;
   std::uint64_t k_;
-  sim::Simulator* sim_ = nullptr;
   FlowStateTable<State> flows_;
 };
 

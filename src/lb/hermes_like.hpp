@@ -10,13 +10,10 @@
 // the same caution structure on local information.
 #pragma once
 
-#include <unordered_map>
-
 #include "lb/flow_state_table.hpp"
 #include "lb/selector_util.hpp"
 #include "net/uplink_selector.hpp"
 #include "obs/flow_probe.hpp"
-#include "sim/simulator.hpp"
 #include "util/flow_key.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -30,39 +27,39 @@ class HermesLike final : public net::UplinkSelector {
   /// A path is "good" if its smoothed wait is below this, "gray"
   /// in between, "bad" above 3x (Hermes' three-way classification).
   static constexpr SimTime kGoodWait = microseconds(100);
-  /// Condition-smoothing gain per control tick.
-  static constexpr double kGain = 0.25;
+  /// Condition-sensing period (the waits are smoothed once per tick).
   static constexpr SimTime kTick = microseconds(500);
 
   explicit HermesLike(std::uint64_t seed) : rng_(seed) {}
 
   int selectUplink(const net::Packet& pkt,
                    const net::UplinkView& uplinks) override {
-    const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
-    State& st = flows_.touch(pkt.flow, now).state;
+    const SimTime t = now();
+    State& st = flows_.touch(pkt.flow, t).state;
     if (pkt.payload > 0_B) st.bytesSinceMove += pkt.payload;
 
-    if (st.port < 0 || !portUsable(uplinks, st.port)) {
-      st.port = pickGood(uplinks);
+    const net::PortView* cur = findPort(uplinks, st.port);
+    if (cur == nullptr) {
+      st.port = pickGood(uplinks).port;
       st.bytesSinceMove = 0_B;
       return st.port;
     }
     // Cautious rerouting: only consider moving when enough has been sent,
     // the current path is NOT good, and a good path exists.
     if (st.bytesSinceMove >= kRerouteThreshold &&
-        classify(st.port, uplinks) != Condition::kGood) {
-      const int candidate = pickGood(uplinks);
-      if (candidate != st.port &&
-          classify(candidate, uplinks) == Condition::kGood) {
+        classify(*cur) != Condition::kGood) {
+      const net::PortView& candidate = pickGood(uplinks);
+      if (candidate.port != st.port &&
+          classify(candidate) == Condition::kGood) {
         const int prev = st.port;
-        st.port = candidate;
+        st.port = candidate.port;
         st.bytesSinceMove = 0_B;
         ++reroutes_;
         if (flowProbe_ != nullptr) {
-          flowProbe_->onDecision(pkt.flow, now,
+          flowProbe_->onDecision(pkt.flow, t,
                                  obs::DecisionKind::kCautiousReroute,
                                  static_cast<double>(prev),
-                                 static_cast<double>(candidate));
+                                 static_cast<double>(candidate.port));
         }
       }
     }
@@ -76,46 +73,27 @@ class HermesLike final : public net::UplinkSelector {
   FlowStateTableBase* flowState() override { return &flows_; }
 
   std::uint64_t reroutes() const { return reroutes_; }
-  std::size_t trackedFlows() const { return flows_.size(); }
 
  private:
   enum class Condition { kGood, kGray, kBad };
 
-  double waitOf(int port, const net::UplinkView& uplinks) const {
-    if (auto it = condition_.find(port); it != condition_.end()) {
-      return it->second;
-    }
-    const double w = drainTimeOfPort(uplinks, port);
-    return w >= 0.0 ? w : 0.0;
+  /// The port's smoothed wait; its current one before the first tick.
+  double waitOf(const net::PortView& u) const {
+    return waits_.get(u.port, drainTime(u));
   }
 
-  Condition classify(int port, const net::UplinkView& uplinks) const {
-    const double w = waitOf(port, uplinks);
+  Condition classify(const net::PortView& u) const {
+    const double w = waitOf(u);
     const double good = toSeconds(kGoodWait);
     if (w <= good) return Condition::kGood;
     if (w <= 3.0 * good) return Condition::kGray;
     return Condition::kBad;
   }
 
-  int pickGood(const net::UplinkView& uplinks) {
-    // Least smoothed wait, ties random.
-    int best = -1;
-    double bestWait = 0.0;
-    int ties = 0;
-    for (const auto& u : uplinks) {
-      const double w = waitOf(u.port, uplinks);
-      if (best < 0 || w < bestWait) {
-        best = u.port;
-        bestWait = w;
-        ties = 1;
-      } else if (w == bestWait) {
-        ++ties;
-        if (rng_.uniformInt(static_cast<std::uint64_t>(ties)) == 0) {
-          best = u.port;
-        }
-      }
-    }
-    return best;
+  /// Least smoothed wait, ties random.
+  const net::PortView& pickGood(const net::UplinkView& uplinks) {
+    const auto cost = [this](const auto& u) { return waitOf(u); };
+    return uplinks[leastCostIndex(uplinks, rng_, cost)];
   }
 
   struct State {
@@ -124,10 +102,8 @@ class HermesLike final : public net::UplinkSelector {
   };
 
   Rng rng_;
-  net::Switch* switch_ = nullptr;
-  sim::Simulator* sim_ = nullptr;
   FlowStateTable<State> flows_;
-  std::unordered_map<int, double> condition_;  ///< smoothed wait per port
+  SmoothedWaits waits_;  ///< the condition signal, per port
   std::uint64_t reroutes_ = 0;
 };
 

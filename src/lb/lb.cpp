@@ -27,40 +27,28 @@ void armPurgeSweep(sim::Simulator& simr, Table& table) {
 }  // namespace
 
 void HermesLike::attach(net::Switch& sw, sim::Simulator& simr) {
-  switch_ = &sw;
-  sim_ = &simr;
+  UplinkSelector::attach(sw, simr);
   // Periodic condition sensing: EWMA-smooth every uplink's expected wait.
-  simr.every(kTick, [this] {
-    for (const auto& view : switch_->uplinkView()) {
-      double& c =
-          condition_.try_emplace(view.port, drainTime(view)).first->second;
-      c = (1.0 - kGain) * c + kGain * drainTime(view);
-    }
-  });
+  simr.every(kTick, [this] { waits_.sample(switch_->uplinkView()); });
   armPurgeSweep(simr, flows_);
 }
 
 void Conga::attach(net::Switch& sw, sim::Simulator& simr) {
-  (void)sw;
-  sim_ = &simr;
+  UplinkSelector::attach(sw, simr);
   // DRE aging: multiply every estimator by (1 - alpha) each interval.
   simr.every(kDreInterval, [this] {
-    for (auto& [port, value] : dre_) {
-      value *= 1.0 - kDreAlpha;
-    }
+    for (double& value : dre_) value *= 1.0 - kDreAlpha;
   });
   armPurgeSweep(simr, flows_);
 }
 
 void LetFlow::attach(net::Switch& sw, sim::Simulator& simr) {
-  (void)sw;
-  sim_ = &simr;
+  UplinkSelector::attach(sw, simr);
   armPurgeSweep(simr, flows_);
 }
 
 void Presto::attach(net::Switch& sw, sim::Simulator& simr) {
-  (void)sw;
-  sim_ = &simr;
+  UplinkSelector::attach(sw, simr);
   // A purged flow restarts at cell 0 of a fresh byte counter — after an
   // idleTimeout of silence the in-flight window is long gone, so the
   // reset cannot reorder anything.
@@ -68,8 +56,7 @@ void Presto::attach(net::Switch& sw, sim::Simulator& simr) {
 }
 
 void FixedGranularity::attach(net::Switch& sw, sim::Simulator& simr) {
-  (void)sw;
-  sim_ = &simr;
+  UplinkSelector::attach(sw, simr);
   armPurgeSweep(simr, flows_);
 }
 

@@ -8,7 +8,6 @@
 #include "lb/selector_util.hpp"
 #include "net/uplink_selector.hpp"
 #include "obs/flow_probe.hpp"
-#include "sim/simulator.hpp"
 #include "util/flow_key.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -23,18 +22,18 @@ class LetFlow final : public net::UplinkSelector {
 
   int selectUplink(const net::Packet& pkt,
                    const net::UplinkView& uplinks) override {
-    const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
-    const auto entry = flows_.touch(pkt.flow, now);
+    const SimTime t = now();
+    const auto entry = flows_.touch(pkt.flow, t);
     State& st = entry.state;
     const bool newFlowlet =
-        st.port < 0 || (now - entry.prevSeen) > timeout_ ||
-        !portUsable(uplinks, st.port);
+        st.port < 0 || (t - entry.prevSeen) > timeout_ ||
+        findPort(uplinks, st.port) == nullptr;
     if (newFlowlet) {
       const int prev = st.port;
       st.port = uplinks[rng_.uniformInt(uplinks.size())].port;
       ++flowlets_;
       if (flowProbe_ != nullptr && prev >= 0 && prev != st.port) {
-        flowProbe_->onDecision(pkt.flow, now, obs::DecisionKind::kNewFlowlet,
+        flowProbe_->onDecision(pkt.flow, t, obs::DecisionKind::kNewFlowlet,
                                static_cast<double>(prev),
                                static_cast<double>(st.port));
       }
@@ -48,9 +47,7 @@ class LetFlow final : public net::UplinkSelector {
 
   FlowStateTableBase* flowState() override { return &flows_; }
 
-  SimTime flowletTimeout() const { return timeout_; }
   std::uint64_t flowletsStarted() const { return flowlets_; }
-  std::size_t trackedFlows() const { return flows_.size(); }
 
  private:
   struct State {
@@ -59,7 +56,6 @@ class LetFlow final : public net::UplinkSelector {
 
   Rng rng_;
   SimTime timeout_;
-  sim::Simulator* sim_ = nullptr;
   FlowStateTable<State> flows_;
   std::uint64_t flowlets_ = 0;
 };

@@ -6,7 +6,6 @@
 
 #include "lb/flow_state_table.hpp"
 #include "net/uplink_selector.hpp"
-#include "sim/simulator.hpp"
 #include "util/flow_key.hpp"
 #include "util/units.hpp"
 
@@ -19,8 +18,7 @@ class Presto final : public net::UplinkSelector {
 
   int selectUplink(const net::Packet& pkt,
                    const net::UplinkView& uplinks) override {
-    const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
-    State& st = flows_.touch(pkt.flow, now).state;
+    State& st = flows_.touch(pkt.flow, now()).state;
     // The cell is the one owning the packet's FIRST payload byte, so a
     // packet spanning a cell boundary still rides the cell it started in
     // (the byte counter advances afterwards). Control/ACK packets ride
@@ -41,9 +39,6 @@ class Presto final : public net::UplinkSelector {
 
   FlowStateTableBase* flowState() override { return &flows_; }
 
-  ByteCount flowcellBytes() const { return cellBytes_; }
-  std::size_t trackedFlows() const { return flows_.size(); }
-
  private:
   struct State {
     ByteCount bytes;
@@ -52,7 +47,6 @@ class Presto final : public net::UplinkSelector {
 
   std::uint64_t salt_;
   ByteCount cellBytes_;
-  sim::Simulator* sim_ = nullptr;
   FlowStateTable<State> flows_;
 };
 

@@ -45,7 +45,7 @@ const UplinkView& Switch::uplinkView() {
     // scheme stops choosing a dead uplink on its next selection. Rate and
     // delay reflect active degradation faults.
     if (!link.up()) continue;
-    view_.push_back(PortView{p, link.queuePackets(), link.queueBytes(),
+    view_.push_back(PortView{p, link.queueBytes(),
                              link.effectiveRate().bitsPerSecond(),
                              toSeconds(link.effectiveDelay())});
   }

@@ -11,12 +11,10 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "sim/simulator.hpp"
 #include "util/units.hpp"
 
 namespace tlbsim {
-namespace sim {
-class Simulator;
-}
 namespace obs {
 class FlowProbe;
 }
@@ -34,7 +32,6 @@ class Switch;
 /// dynamic.
 struct PortView {
   int port = -1;
-  int queuePackets = 0;
   ByteCount queueBytes;
   double rateBps = 0.0;      ///< link speed (weighting by capacity)
   double linkDelaySec = 0.0; ///< one-way propagation of this cable
@@ -54,11 +51,12 @@ class UplinkSelector {
   /// switch's view buffer: read it during the call, do not keep it.
   virtual int selectUplink(const Packet& pkt, const UplinkView& uplinks) = 0;
 
-  /// Called once when installed into a switch. Schemes with control loops
-  /// (e.g. TLB's periodic granularity update) register timers here.
+  /// Called once when installed into a switch; keeps the switch and its
+  /// clock. Schemes with control loops (e.g. TLB's periodic granularity
+  /// update) override it, call this first, then register their timers.
   virtual void attach(Switch& sw, sim::Simulator& simr) {
-    (void)sw;
-    (void)simr;
+    switch_ = &sw;
+    sim_ = &simr;
   }
 
   virtual const char* name() const = 0;
@@ -75,7 +73,15 @@ class UplinkSelector {
   virtual lb::FlowStateTableBase* flowState() { return nullptr; }
 
  protected:
+  /// The switch's clock; time zero before attach (unit tests drive
+  /// selectors without a switch).
+  SimTime now() const { return sim_ != nullptr ? sim_->now() : SimTime{}; }
+
+  Switch* switch_ = nullptr;  ///< set by attach
   obs::FlowProbe* flowProbe_ = nullptr;
+
+ private:
+  sim::Simulator* sim_ = nullptr;
 };
 
 }  // namespace net

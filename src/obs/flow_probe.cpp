@@ -1,7 +1,6 @@
 #include "obs/flow_probe.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/json.hpp"
 #include "obs/run_summary.hpp"
@@ -281,11 +280,7 @@ std::string FlowProbe::toNdjson(
 bool FlowProbe::writeNdjsonFile(
     const std::string& path,
     const std::vector<std::pair<std::string, std::string>>& meta) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string text = toNdjson(meta);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
+  return writeTextFile(path, toNdjson(meta));
 }
 
 }  // namespace tlbsim::obs

@@ -50,6 +50,13 @@ std::string jsonNumber(double v) {
   return buf;
 }
 
+bool writeTextFile(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 namespace {
 
 class Parser {

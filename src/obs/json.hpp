@@ -1,6 +1,7 @@
-// Minimal JSON support for the observability layer: string escaping for
-// the writers, and a small recursive-descent parser used by tests and by
-// tools that round-trip exported metrics/trace files. No external deps.
+// Minimal JSON support for the observability layer: string escaping and
+// the one file writer for the exporters, and a small recursive-descent
+// parser used by tests and by tools that round-trip exported metrics/trace
+// files. No external deps.
 #pragma once
 
 #include <optional>
@@ -17,6 +18,11 @@ std::string jsonEscape(std::string_view s);
 /// Format a double the way the obs writers do: integers without a decimal
 /// point, everything else with enough digits to round-trip.
 std::string jsonNumber(double v);
+
+/// Write `text` to `path`, replacing any file there; false when the file
+/// cannot be opened or fully written. Every JSON and NDJSON export that
+/// is built in memory goes through here.
+bool writeTextFile(const std::string& path, std::string_view text);
 
 /// A parsed JSON document. Object member order is preserved.
 struct JsonValue {

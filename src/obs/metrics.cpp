@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "obs/json.hpp"
 #include "util/check.hpp"
@@ -175,11 +174,7 @@ std::string MetricsRegistry::toJson() const {
 }
 
 bool MetricsRegistry::writeJsonFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = toJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return writeTextFile(path, toJson());
 }
 
 }  // namespace tlbsim::obs

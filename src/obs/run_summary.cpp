@@ -1,7 +1,5 @@
 #include "obs/run_summary.hpp"
 
-#include <cstdio>
-
 #include "obs/json.hpp"
 
 namespace tlbsim::obs {
@@ -58,30 +56,7 @@ std::string RunSummary::toJson() const {
 }
 
 bool RunSummary::writeJsonFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = toJson() + "\n";
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-std::string runsToJson(const std::vector<RunSummary>& runs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += runs[i].toJson();
-  }
-  out += runs.empty() ? "]" : "\n]";
-  return out;
-}
-
-bool writeRunsJsonFile(const std::string& path,
-                       const std::vector<RunSummary>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = runsToJson(runs) + "\n";
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return writeTextFile(path, toJson() + "\n");
 }
 
 }  // namespace tlbsim::obs

@@ -37,10 +37,4 @@ class RunSummary {
   std::vector<std::pair<std::string, double>> values_;
 };
 
-/// Serialize several summaries (e.g. one per scheme of a figure sweep) as
-/// a JSON array.
-std::string runsToJson(const std::vector<RunSummary>& runs);
-bool writeRunsJsonFile(const std::string& path,
-                       const std::vector<RunSummary>& runs);
-
 }  // namespace tlbsim::obs

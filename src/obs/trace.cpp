@@ -99,11 +99,7 @@ std::string EventTrace::toJson() const {
 }
 
 bool EventTrace::writeJsonFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = toJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return writeTextFile(path, toJson());
 }
 
 }  // namespace tlbsim::obs

@@ -40,4 +40,12 @@ std::optional<SimTime> toSimTime(double value, SimTime unit) {
   return SimTime::fromNs(static_cast<std::int64_t>(ns));
 }
 
+std::optional<SimTime> delayFrom(SimTime from, double value, SimTime unit) {
+  const std::optional<SimTime> delay = toSimTime(value, unit);
+  if (!delay.has_value() || *delay > SimTime::max() - from) {
+    return std::nullopt;
+  }
+  return delay;
+}
+
 }  // namespace tlbsim::util

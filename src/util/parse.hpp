@@ -29,4 +29,10 @@ std::optional<bool> parseBool(std::string_view text);
 /// helpers; nullopt when the nanoseconds do not fit the clock's int64.
 std::optional<SimTime> toSimTime(double value, SimTime unit);
 
+/// A delay of `value` `unit`s (>= 0) after the instant `from` (>= 0),
+/// converted as toSimTime converts it; nullopt when the instant it names
+/// lies past the clock. Random draws (arrival gaps, think and service
+/// times) go through here, so a huge draw never wraps into the past.
+std::optional<SimTime> delayFrom(SimTime from, double value, SimTime unit);
+
 }  // namespace tlbsim::util

@@ -1,12 +1,21 @@
 #include "workload/traffic_gen.hpp"
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace tlbsim::workload {
 
 namespace {
 
 int leafOf(int host, int hostsPerLeaf) { return host / hostsPerLeaf; }
+
+/// `t` plus an inter-arrival gap of `gapSec` seconds, or SimTime::max()
+/// once the sum lies past the clock: that flow, and every later one, never
+/// starts and is reported incomplete.
+SimTime afterGap(SimTime t, double gapSec) {
+  const std::optional<SimTime> gap = util::delayFrom(t, gapSec, kSecond);
+  return gap.has_value() ? t + *gap : SimTime::max();
+}
 
 }  // namespace
 
@@ -27,7 +36,7 @@ std::vector<transport::FlowSpec> poissonWorkload(
   flows.reserve(static_cast<std::size_t>(cfg.flowCount));
   SimTime t = cfg.startTime;
   for (int i = 0; i < cfg.flowCount; ++i) {
-    t += seconds(rng.exponential(meanGapSec));
+    t = afterGap(t, rng.exponential(meanGapSec));
     transport::FlowSpec f;
     f.id = firstId + static_cast<FlowId>(i);
     f.src = static_cast<net::HostId>(rng.uniformInt(
@@ -90,8 +99,7 @@ std::vector<transport::FlowSpec> basicMixWorkload(const BasicMixConfig& cfg,
   // leaf-1 receivers.
   SimTime t;
   for (int i = 0; i < cfg.numShort; ++i) {
-    t += seconds(
-        rng.exponential(toSeconds(cfg.shortInterArrival)));
+    t = afterGap(t, rng.exponential(toSeconds(cfg.shortInterArrival)));
     transport::FlowSpec f;
     f.id = id++;
     f.src = static_cast<net::HostId>(

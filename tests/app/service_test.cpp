@@ -95,6 +95,18 @@ TEST(Service, PoissonArrivalsMatchConfiguredQps) {
   EXPECT_NEAR(meanGapSec, 1.0 / 20000.0, 0.2 / 20000.0);
 }
 
+TEST(Service, PoissonArrivalPastTheClockNeverLaunches) {
+  // A mean gap of 10^300 s lies past the clock: no query may wrap into
+  // the past and launch at once.
+  auto cfg = appConfig(5);
+  cfg.app.arrival = Arrival::kPoisson;
+  cfg.app.qps = 1e-300;
+  const auto res = harness::runExperiment(cfg);
+  EXPECT_EQ(res.appQueriesLaunched, 0);
+  EXPECT_EQ(res.appQueriesCompleted, 0);
+  EXPECT_EQ(res.appRpcFlows, 0u);
+}
+
 TEST(Service, DuplicateKnobIssuesOneDuplicatePerShortSlot) {
   auto cfg = appConfig(6);
   cfg.app.duplicateThreshold = 64 * kKB;  // responses (16 KB) qualify

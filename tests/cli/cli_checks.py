@@ -8,6 +8,8 @@
                                      NDJSON that parses
   cli_checks.py same-table CLI A B   --config A and --config B print the
                                      same result table
+  cli_checks.py late-arrivals CLI    flows whose Poisson arrival lies past
+                                     the clock never start: none completes
 
 Each check runs in a fresh temporary directory and exits non-zero, with the
 reason, when it fails.
@@ -60,8 +62,17 @@ def same_table(cli, tmp, first, second):
         sys.exit(f"--config {first}:\n{a}\n--config {second}:\n{b}")
 
 
+def late_arrivals(cli, tmp):
+    out = run([cli, "--load", "1e-12", "--flows", "20", "--audit"], tmp)
+    rows = dict(line.rsplit(None, 1) for line in out.splitlines()
+                if line.startswith(("completed flows", "total flows")))
+    if rows != {"completed flows": "0", "total flows": "20"}:
+        sys.exit(f"expected 0 of 20 flows completed:\n{out}")
+
+
 def main():
-    checks = {"exports": exports, "queries": queries, "same-table": same_table}
+    checks = {"exports": exports, "queries": queries, "same-table": same_table,
+              "late-arrivals": late_arrivals}
     if len(sys.argv) < 3 or sys.argv[1] not in checks:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:

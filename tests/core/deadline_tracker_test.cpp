@@ -64,7 +64,7 @@ TEST(DeadlineTracker, ReservoirStaysBounded) {
 net::UplinkView makeView(int n) {
   net::UplinkView v;
   for (int i = 0; i < n; ++i) {
-    v.push_back(net::PortView{i, 0, 0_B, 1e9, 0.0});
+    v.push_back(net::PortView{i, 0_B, 1e9, 0.0});
   }
   return v;
 }

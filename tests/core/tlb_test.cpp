@@ -11,9 +11,8 @@ namespace {
 net::UplinkView makeView(std::vector<ByteCount> queueBytes) {
   net::UplinkView v;
   for (std::size_t i = 0; i < queueBytes.size(); ++i) {
-    v.push_back(net::PortView{static_cast<int>(i),
-                              static_cast<int>(queueBytes[i] / 1500_B),
-                              queueBytes[i]});
+    v.push_back(
+        net::PortView{static_cast<int>(i), queueBytes[i], 1e9, 0.0});
   }
   return v;
 }
@@ -195,8 +194,8 @@ TEST(Tlb, LongFlowRelocatesWhenPortVanishes) {
   }
   // Present a view whose ports don't include the flow's current one.
   net::UplinkView v;
-  v.push_back(net::PortView{7, 0, 0_B});
-  v.push_back(net::PortView{8, 0, 100_B});
+  v.push_back(net::PortView{7, 0_B});
+  v.push_back(net::PortView{8, 100_B});
   const int p = tlb.selectUplink(packet(1, net::PacketType::kData, 1460_B), v);
   EXPECT_EQ(p, 7);  // shortest of the new group
 }

@@ -15,9 +15,7 @@ net::UplinkView makeView(std::vector<ByteCount> queueBytes,
   net::UplinkView v;
   for (std::size_t i = 0; i < queueBytes.size(); ++i) {
     const double rate = i < ratesBps.size() ? ratesBps[i] : 1e9;
-    v.push_back(net::PortView{static_cast<int>(i),
-                              static_cast<int>(queueBytes[i] / 1500_B),
-                              queueBytes[i], rate, 0.0});
+    v.push_back(net::PortView{static_cast<int>(i), queueBytes[i], rate, 0.0});
   }
   return v;
 }

@@ -13,9 +13,7 @@ namespace {
 net::UplinkView makeView(std::vector<ByteCount> queueBytes) {
   net::UplinkView v;
   for (std::size_t i = 0; i < queueBytes.size(); ++i) {
-    v.push_back(net::PortView{static_cast<int>(i),
-                              static_cast<int>(queueBytes[i] / 1500_B),
-                              queueBytes[i], 1e9, 0.0});
+    v.push_back(net::PortView{static_cast<int>(i), queueBytes[i], 1e9, 0.0});
   }
   return v;
 }

@@ -42,7 +42,6 @@ TEST_P(SelectorFuzz, AlwaysReturnsPortFromGroup) {
       u.port = port;
       port += static_cast<int>(rng.uniformInt(1, 3));
       u.queueBytes = ByteCount::fromBytes(rng.uniformInt(0, 400000));
-      u.queuePackets = static_cast<int>(u.queueBytes / 1500_B);
       u.rateBps = rng.uniform() < 0.2 ? 0.0 : rng.uniform(1e8, 1e10);
       u.linkDelaySec = rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-2);
       view.push_back(u);

@@ -17,9 +17,8 @@ namespace {
 net::UplinkView makeView(std::vector<ByteCount> queueBytes, int firstPort = 0) {
   net::UplinkView v;
   for (std::size_t i = 0; i < queueBytes.size(); ++i) {
-    v.push_back(net::PortView{firstPort + static_cast<int>(i),
-                              static_cast<int>(queueBytes[i] / 1500_B),
-                              queueBytes[i]});
+    v.push_back(
+        net::PortView{firstPort + static_cast<int>(i), queueBytes[i]});
   }
   return v;
 }
@@ -51,10 +50,69 @@ TEST(SelectorUtil, TiesBrokenAcrossAllMinima) {
 
 TEST(SelectorUtil, ContainsAndLookupByPort) {
   const auto v = makeView({10_B, 20_B, 30_B}, /*firstPort=*/5);
-  EXPECT_TRUE(containsPort(v, 6));
-  EXPECT_FALSE(containsPort(v, 2));
-  EXPECT_EQ(queueBytesOfPort(v, 7), 30_B);
-  EXPECT_EQ(queueBytesOfPort(v, 99), -1_B);
+  EXPECT_NE(findPort(v, 6), nullptr);
+  EXPECT_EQ(findPort(v, 2), nullptr);
+  ASSERT_NE(findPort(v, 7), nullptr);
+  EXPECT_EQ(findPort(v, 7)->queueBytes, 30_B);
+  EXPECT_EQ(findPort(v, 99), nullptr);
+  // -1 is every scheme's "no port chosen yet": it is never in a view.
+  EXPECT_EQ(findPort(v, -1), nullptr);
+  EXPECT_EQ(findPort(net::UplinkView{}, 5), nullptr);
+}
+
+TEST(SelectorUtil, LeastCostPicksUniformlyAmongTiesOfAnyCost) {
+  // The cost ignores the queues: even ports cost 1, odd ports 2, and the
+  // even ports hold the longest queues, so a queue-based pick would miss.
+  const auto v = makeView({900_B, 0_B, 800_B, 0_B, 700_B, 0_B});
+  const auto cost = [](const net::PortView& u) {
+    return u.port % 2 == 0 ? 1.0 : 2.0;
+  };
+  Rng rng(3);
+  std::vector<int> picks(v.size(), 0);
+  const int draws = 6000;
+  for (int i = 0; i < draws; ++i) ++picks[leastCostIndex(v, rng, cost)];
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i % 2 == 1) {
+      EXPECT_EQ(picks[i], 0) << "costlier port " << i;
+    } else {
+      EXPECT_NEAR(static_cast<double>(picks[i]) / draws, 1.0 / 3.0, 0.03)
+          << "tied port " << i;
+    }
+  }
+}
+
+TEST(SmoothedWaits, UnsampledPortReadsItsFallback) {
+  SmoothedWaits waits;
+  EXPECT_EQ(waits.get(0, 0.5), 0.5);
+  waits.sample({net::PortView{1, 3000_B, 1e9, 0.0}});
+  EXPECT_EQ(waits.get(0, 0.5), 0.5);
+  EXPECT_EQ(waits.get(7, 0.25), 0.25);
+  EXPECT_EQ(waits.get(-1, 0.125), 0.125);
+}
+
+TEST(SmoothedWaits, FirstSampleIsTheValueThenTheAverageMoves) {
+  SmoothedWaits waits;
+  const net::PortView busy{2, 30000_B, 1e9, 1e-6};
+  waits.sample({busy});
+  EXPECT_DOUBLE_EQ(waits.get(2, -1.0), drainTime(busy));
+  const net::PortView idle{2, 0_B, 1e9, 1e-6};
+  waits.sample({idle});
+  const double expected = (1.0 - SmoothedWaits::kGain) * drainTime(busy) +
+                          SmoothedWaits::kGain * drainTime(idle);
+  EXPECT_DOUBLE_EQ(waits.get(2, -1.0), expected);
+}
+
+TEST(SmoothedWaits, PortFirstSeenLaterReadsFallbackUntilThatTick) {
+  // A port that was down at the first ticks is missing from their views.
+  SmoothedWaits waits;
+  const net::PortView up{0, 1500_B, 1e9, 0.0};
+  const net::PortView late{3, 15000_B, 1e9, 0.0};
+  waits.sample({up});
+  waits.sample({up});
+  EXPECT_EQ(waits.get(3, 0.75), 0.75);
+  waits.sample({up, late});
+  EXPECT_DOUBLE_EQ(waits.get(3, 0.75), drainTime(late));
+  EXPECT_DOUBLE_EQ(waits.get(0, 0.75), drainTime(up));
 }
 
 // ---------------------------------------------------------------- ECMP --
@@ -196,7 +254,7 @@ TEST(Presto, IndependentPerFlowState) {
   for (int i = 0; i < 100; ++i) presto.selectUplink(dataPacket(2), v);
   // Flow 1 has sent < 64 KB: still in its first cell.
   EXPECT_EQ(presto.selectUplink(dataPacket(1), v), a);
-  EXPECT_EQ(presto.trackedFlows(), 2u);
+  EXPECT_EQ(presto.flowState()->size(), 2u);
 }
 
 TEST(Presto, BoundaryCrossingPacketRidesItsFirstByteCell) {

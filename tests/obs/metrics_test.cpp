@@ -269,10 +269,6 @@ TEST(RunSummary, PreservesOrderAndExportsJson) {
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("scheme")->str, "tlb");
   EXPECT_EQ(doc->find("short_afct_ms")->number, 2.0);
-
-  const auto arr = JsonValue::parse(runsToJson({run, run}));
-  ASSERT_TRUE(arr.has_value());
-  EXPECT_EQ(arr->items.size(), 2u);
 }
 
 }  // namespace

@@ -83,9 +83,12 @@ flowid-map
     FlowIndex; a host's flow demux, the endpoint pool, the flow probe and
     the fault monitor use one directly. A FlowId-keyed node container
     reintroduces a heap allocation per new flow and a pointer chase per
-    packet. Containers keyed by other types (ports, paths) are fine.
-    Genuinely cold FlowId maps carry an explicit allow() stating why
-    a FlowIndex does not fit there.
+    packet. In src/lb and src/core, the decision path, no std map or set
+    is allowed whatever its key: per-port state is a vector indexed by
+    port number (lb::SmoothedWaits, CONGA's DRE), because ports are small
+    dense ints. Elsewhere, containers keyed by other types are fine.
+    Genuinely cold uses carry an explicit allow() stating why a FlowIndex
+    or a vector does not fit there.
 
 app-flowspec-factory
     The app layer mints every RPC flow through app::FlowFactory
@@ -183,6 +186,11 @@ APP_FLOWSPEC_AUTHORITY_FILES = (
 FLOWID_MAP_RE = re.compile(
     r"\b(?:std\s*::\s*)?(?:unordered_)?(?:multi)?(?:map|set)\s*<\s*"
     r"(?:tlbsim\s*::\s*)?(?:util\s*::\s*)?FlowId\s*[,>]")
+
+# Any standard map or set, whatever its key: banned on the decision path.
+NODE_CONTAINER_RE = re.compile(
+    r"\b(?:std\s*::\s*)?(?:unordered_)?(?:multi)?(?:map|set)\s*<")
+DECISION_PATH_DIRS = (("src", "lb"), ("src", "core"))
 
 TOPOLOGY_SHAPE_RE = re.compile(r"\b(LeafSpineTopology|FatTreeTopology)\b")
 # The code allowed to know a topology's shape by index.
@@ -376,14 +384,21 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     "(flow_factory.*) so ids stay collision-free"))
 
         # --- flowid-map -----------------------------------------------
-        if in_src:
-            m = FLOWID_MAP_RE.search(code)
-            if m and not allowed(raw, "flowid-map", prev_raw):
+        if in_src and not allowed(raw, "flowid-map", prev_raw):
+            if FLOWID_MAP_RE.search(code):
                 findings.append(Finding(
                     rel, lineno, "flowid-map",
                     "FlowId-keyed std map or set in src/; look flows up "
                     "through util::FlowIndex (per-flow switch state: "
                     "lb::FlowStateTable), or allow() with a cold-path "
+                    "justification"))
+            elif rel.parts[:2] in DECISION_PATH_DIRS and \
+                    NODE_CONTAINER_RE.search(code):
+                findings.append(Finding(
+                    rel, lineno, "flowid-map",
+                    "std map or set on the decision path (src/lb, "
+                    "src/core); keep per-port state in a vector indexed "
+                    "by port number, or allow() with a cold-path "
                     "justification"))
 
         # --- std-function-hot-path ------------------------------------
@@ -541,7 +556,19 @@ SELF_TEST_CASES = [
      "std::map<FlowId, int> ports_;\n"),
     ("flowid-map", "src/core/x.cpp",
      "std::unordered_map<util::FlowId, double> ewma_;\n"),
-    (None, "src/lb/x.hpp", "std::unordered_map<int, double> dre_;\n"),
+    # ... and on the decision path, no std map or set whatever its key.
+    ("flowid-map", "src/lb/conga.hpp",
+     "std::unordered_map<int, double> dre_;\n"),
+    ("flowid-map", "src/core/tlb.hpp",
+     "std::map<int, double> portEwma_;\n"),
+    ("flowid-map", "src/lb/x.cpp", "std::unordered_set<int> seen;\n"),
+    (None, "src/obs/x.hpp", "std::map<std::string, Counter> counters_;\n"),
+    (None, "src/net/x.hpp", "std::unordered_map<int, double> byPort_;\n"),
+    (None, "src/lb/x.hpp", "#include <unordered_map>\n"),
+    (None, "src/lb/x.hpp",
+     "// setup-time lookup. tlbsim-lint: allow(flowid-map)\n"
+     "std::map<int, int> groupOf_;\n"),
+    (None, "src/lb/x.hpp", "std::vector<double> dre_;\n"),
     (None, "src/lb/x.hpp", "FlowStateTable<State> flows_;\n"),
     ("flowid-map", "src/fault/monitor.hpp",
      "std::unordered_map<FlowId, Pending> pending_;\n"),
