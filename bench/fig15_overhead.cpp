@@ -121,11 +121,12 @@ BENCHMARK(BM_TlbControlTick);
 /// reading 15 queue states, with no allocation.
 void BM_UplinkViewBuild(benchmark::State& state) {
   sim::Simulator simr;
+  net::PacketStore store;
   net::Switch sw(simr, "bench");
   std::vector<int> group;
   for (int i = 0; i < 15; ++i) {
     group.push_back(sw.addPort(std::make_unique<net::Link>(
-        simr, gbps(1), microseconds(1), net::QueueConfig{})));
+        simr, store, gbps(1), microseconds(1), net::QueueConfig{})));
   }
   sw.setUplinkGroup(std::move(group));
   for (auto _ : state) {

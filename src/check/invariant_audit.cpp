@@ -55,8 +55,9 @@ void InvariantAuditor::watchTopology(const net::Fabric& fabric) {
   fabric.forEachLink(
       [this](const net::FabricLink& l) { watchLink(*l.link, l.label()); });
   for (const auto& sw : fabric.switches()) watchSwitch(*sw);
+  store_ = &fabric.packetStore();
   // Every link a packet can traverse is now watched, which closes the
-  // end-to-end conservation sum.
+  // end-to-end conservation sum and the store's slot count.
   topologyComplete_ = true;
 }
 
@@ -272,7 +273,9 @@ void InvariantAuditor::auditConservation(SimTime now) {
   std::uint64_t drops = 0;
   std::uint64_t faultDrops = 0;
   std::uint64_t inNetwork = 0;
+  std::uint64_t slotsHeld = 0;
   for (const auto& w : links_) {
+    slotsHeld += w.link->storeSlotsHeld();
     drops += w.link->drops();
     faultDrops += w.link->faultDrops();
     // Enqueued packets that were neither delivered nor lost to a fault
@@ -281,6 +284,12 @@ void InvariantAuditor::auditConservation(SimTime now) {
     // part of this difference.
     inNetwork += w.link->enqueuedPackets() - w.link->deliveredPackets() -
                  w.link->faultFlushedPackets() - w.link->faultWireDrops();
+  }
+  // Every live slot of the store belongs to a link: none leaked, none
+  // freed twice.
+  if (slotsHeld != store_->live()) {
+    report(now, "packet store: %zu live slots but the links hold %llu",
+           store_->live(), static_cast<unsigned long long>(slotsHeld));
   }
   if (dataReceived > dataSent) {
     report(now, "conservation: %llu data packets received but only %llu "

@@ -13,6 +13,10 @@
 //     the difference is covered by queue drops + fault drops + packets
 //     still inside the network (fault losses are accounted separately so
 //     a fault-injection run audits clean; see src/fault),
+//   * packet store accounting: the watched fabric's live store slots
+//     equal the slots its links hold (queued, started and not yet
+//     landed, or superseded copies whose event has not fired), so a slot
+//     is never leaked or freed twice,
 //   * byte accounting, per port: the queue's incremental byte counter
 //     equals a from-scratch sum over the stored packets, and the depth
 //     never exceeds the configured capacity,
@@ -51,6 +55,7 @@ namespace tlbsim::net {
 class Fabric;
 class Host;
 class Link;
+class PacketStore;
 class Switch;
 }  // namespace tlbsim::net
 namespace tlbsim::core {
@@ -103,8 +108,9 @@ class InvariantAuditor {
   /// final packet counts join the retired conservation totals. A no-op for
   /// a sender not watched.
   void unwatchFlow(const transport::TcpSender& sender);
-  /// Every host (for orphan packets), link and switch of a topology in
-  /// one call; links are labelled "<from>-><to>" by node name.
+  /// Every host (for orphan packets), link and switch of a topology, and
+  /// its packet store, in one call; links are labelled "<from>-><to>" by
+  /// node name.
   void watchTopology(const net::Fabric& fabric);
   /// Application-layer open-query accounting: each tick re-checks query
   /// conservation (launched == completed + open) and that every open
@@ -174,6 +180,8 @@ class InvariantAuditor {
   std::uint64_t orphanPackets_ = 0;
 
   sim::Simulator* sim_ = nullptr;
+  /// The watched fabric's store (set with topologyComplete_).
+  const net::PacketStore* store_ = nullptr;
   /// True once watchTopology covered every link a packet can traverse;
   /// gates the end-to-end conservation check (partial link coverage would
   /// mis-attribute packets queued on unwatched links).

@@ -43,11 +43,11 @@ Host& Fabric::addHost(int access, LinkRate rate, SimTime delay,
   hosts_.push_back(std::make_unique<Host>(id, "h" + std::to_string(id)));
   Host& host = *hosts_.back();
 
-  auto up = std::make_unique<Link>(sim_, rate, delay, q);
+  auto up = std::make_unique<Link>(sim_, store_, rate, delay, q);
   up->connect(&sw, /*peerPort=*/-1);
   host.attachUplink(std::move(up));
 
-  auto down = std::make_unique<Link>(sim_, rate, delay, q);
+  auto down = std::make_unique<Link>(sim_, store_, rate, delay, q);
   down->connect(&host, /*peerPort=*/0);
   sw.setRoute(id, sw.addPort(std::move(down)));
 
@@ -59,11 +59,11 @@ Host& Fabric::addHost(int access, LinkRate rate, SimTime delay,
 Fabric::CablePorts Fabric::connect(Switch& lower, Switch& upper,
                                    LinkRate rate, SimTime delay,
                                    QueueConfig q) {
-  auto up = std::make_unique<Link>(sim_, rate, delay, q);
+  auto up = std::make_unique<Link>(sim_, store_, rate, delay, q);
   up->connect(&upper, /*peerPort=*/-1);
   const int upPort = lower.addPort(std::move(up));
 
-  auto down = std::make_unique<Link>(sim_, rate, delay, q);
+  auto down = std::make_unique<Link>(sim_, store_, rate, delay, q);
   down->connect(&lower, /*peerPort=*/-1);
   return CablePorts{upPort, upper.addPort(std::move(down))};
 }

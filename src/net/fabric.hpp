@@ -14,6 +14,9 @@
 // the link itself: forEachLink() derives each link's ends and tiers from
 // the switches' ports and uplink groups, and builds a label only when obs
 // or the auditor asks for one.
+//
+// A Fabric owns one PacketStore, and every link it builds keeps its
+// queued and in-flight packets there.
 #pragma once
 
 #include <functional>
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "net/host.hpp"
+#include "net/packet_store.hpp"
 #include "net/switch.hpp"
 #include "sim/simulator.hpp"
 #include "util/units.hpp"
@@ -105,6 +109,10 @@ class Fabric {
   /// including faults that have not fired yet.
   SimTime worstCaseOneWay(ByteCount maxPacket) const;
 
+  /// The store every link of this fabric keeps its packets in.
+  PacketStore& packetStore() { return store_; }
+  const PacketStore& packetStore() const { return store_; }
+
  protected:
   explicit Fabric(sim::Simulator& simr) : sim_(simr) {}
   ~Fabric() = default;
@@ -141,6 +149,8 @@ class Fabric {
 
  private:
   sim::Simulator& sim_;
+  /// Declared before the nodes, so it outlives every link.
+  PacketStore store_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::vector<int> tierOf_;  ///< per switch

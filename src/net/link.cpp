@@ -10,8 +10,8 @@ namespace tlbsim::net {
 
 // Every link holds one queue.
 #if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
-static_assert(sizeof(DropTailQueue) <= 80,
-              "DropTailQueue outgrew its 80 bytes");
+static_assert(sizeof(DropTailQueue) <= 64,
+              "DropTailQueue outgrew its 64 bytes");
 #endif
 
 void Link::installTrace(obs::EventTrace& trace, const std::string& label) {
@@ -56,9 +56,10 @@ void Link::faultDown(bool drainInFlight) {
   // load estimators) must not see them leave.
   SimTime queueDelay;
   while (!queue_.empty()) {
-    const Packet pkt = queue_.dequeue(sim_.now(), &queueDelay);
+    const Handle slot = queue_.dequeue(sim_.now(), &queueDelay);
     ++faultFlushedPackets_;
-    noteFaultDrop(pkt);
+    noteFaultDrop(store_[slot].pkt);
+    store_.free(slot);
   }
 }
 
@@ -135,12 +136,8 @@ void Link::send(const Packet& pkt) {
                        {"queue_pkts", static_cast<double>(queue_.packets())}},
                       traceTid_);
     }
-    if (!markHooks_.empty()) {
-      // Observers see the packet as stored: with its CE mark.
-      Packet marked = pkt;
-      marked.ce = true;
-      for (const auto& hook : markHooks_) hook(marked);
-    }
+    // Observers see the packet as stored: with its CE mark.
+    for (const auto& hook : markHooks_) hook(queue_.back());
   }
   serve();
 }
@@ -169,11 +166,10 @@ void Link::startTransmission() {
   TLBSIM_DCHECK(!queue_.empty(), "transmission started on an empty queue");
   TLBSIM_DCHECK(!transmitting() && !wakePending_,
                 "transmission started on a busy link");
-  // Dequeue straight into the wire slot the packet's event will read.
-  txSlot_ = wireAlloc();
+  // The packet keeps its store slot; its event will read it there.
   SimTime queueDelay;
-  wire_[txSlot_].pkt = queue_.dequeue(sim_.now(), &queueDelay);
-  const Packet& pkt = wire_[txSlot_].pkt;
+  txSlot_ = queue_.dequeue(sim_.now(), &queueDelay);
+  const Packet& pkt = store_[txSlot_].pkt;
   const SimTime txTime = effectiveRate().transmissionTime(pkt.size);
   busyUntil_ = sim_.now() + txTime;
   busyTime_ += txTime;
@@ -205,22 +201,22 @@ void Link::startTransmission() {
 }
 
 void Link::decide() {
-  WireSlot& w = wire_[txSlot_];
+  PacketStore::Slot& w = store_[txSlot_];
   SimTime at = busyUntil_;
   lastArrival_ = arrivalFloor_;
   if (peer_ == nullptr) {
-    w.fate = Fate::kSink;  // nothing left in flight
+    w.state = PacketStore::State::kSink;  // nothing left in flight
   } else if ((!up_ && !drainInFlight_) || txGrayDrop_) {
     // Finishing serialization after a drop-mode faultDown, or dropped
     // silently by a gray failure.
-    w.fate = Fate::kLose;
+    w.state = PacketStore::State::kLose;
   } else {
     // Propagation is pipelined: the delivery is posted now, while the
     // transmitter moves on. It is valid only for the wire epoch it
     // departed under. A cable is FIFO: once a delay fault is lifted, a
     // packet must not overtake one still on the wire, so it arrives no
     // earlier than the previous delivery.
-    w.fate = Fate::kDeliver;
+    w.state = PacketStore::State::kDeliver;
     w.epoch = wireEpoch_;
     lastArrival_ = std::max(busyUntil_ + effectiveDelay(), arrivalFloor_);
     at = lastArrival_;
@@ -233,48 +229,45 @@ void Link::decide() {
 void Link::redecide() {
   if (!transmitting()) return;
   // The posted event frees the old slot; a copy carries the new outcome.
-  const std::uint32_t slot = wireAlloc();
-  wire_[slot].pkt = wire_[txSlot_].pkt;
-  wire_[txSlot_].fate = Fate::kVoid;
-  txSlot_ = slot;
+  PacketStore::Slot& old = store_[txSlot_];
+  const Handle copy = store_.alloc(old.pkt, old.state);
+  old.state = PacketStore::State::kVoid;
+  ++voidSlots_;
+  txSlot_ = copy;
   decide();
 }
 
-std::uint32_t Link::wireAlloc() {
-  if (wireFreeHead_ != kNoWireSlot) {
-    const std::uint32_t idx = wireFreeHead_;
-    wireFreeHead_ = wire_[idx].nextFree;
-    return idx;
+void Link::land(Handle slot) {
+  // The peer reads the packet in place: chunks never move, so the
+  // reference survives a store that grows under receive(), and the slot
+  // is freed only after receive() returns.
+  const PacketStore::Slot& s = store_[slot];
+  PacketStore::State fate = s.state;
+  if (fate == PacketStore::State::kDeliver && s.epoch != wireEpoch_) {
+    // Killed in flight by a drop-mode faultDown.
+    fate = PacketStore::State::kLose;
   }
-  wire_.emplace_back();
-  return static_cast<std::uint32_t>(wire_.size() - 1);
-}
-
-void Link::land(std::uint32_t wireSlot) {
-  // A copy, not a reference: the slot goes back on the free list before
-  // the peer runs, and the peer may put the next packet on this wire.
-  const Packet pkt = wire_[wireSlot].pkt;
-  Fate fate = wire_[wireSlot].fate;
-  if (fate == Fate::kDeliver && wire_[wireSlot].epoch != wireEpoch_) {
-    fate = Fate::kLose;  // killed in flight by a drop-mode faultDown
-  }
-  wire_[wireSlot].nextFree = wireFreeHead_;
-  wireFreeHead_ = wireSlot;
   switch (fate) {
-    case Fate::kDeliver:
+    case PacketStore::State::kDeliver:
       ++deliveredPackets_;
-      peer_->receive(pkt, peerPort_);
-      return;
-    case Fate::kLose:
+      peer_->receive(s.pkt, peerPort_);
+      break;
+    case PacketStore::State::kLose:
       ++faultWireDrops_;
-      noteFaultDrop(pkt);
-      return;
-    case Fate::kSink:
+      noteFaultDrop(s.pkt);
+      break;
+    case PacketStore::State::kSink:
       ++deliveredPackets_;
-      return;
-    case Fate::kVoid:
-      return;
+      break;
+    case PacketStore::State::kVoid:
+      --voidSlots_;
+      break;
+    case PacketStore::State::kFree:
+    case PacketStore::State::kQueued:
+      TLBSIM_DCHECK(false, "link event fired on a slot that is not started");
+      break;
   }
+  store_.free(slot);
 }
 
 }  // namespace tlbsim::net

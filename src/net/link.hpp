@@ -8,6 +8,12 @@
 // at serialization end plus propagation, or a loss at serialization end)
 // and, only if packets wait behind it, a wake for when the transmitter
 // frees up.
+//
+// A hop also copies the packet once: into the fabric's PacketStore, when
+// send() accepts it. The slot stays put while the packet waits, is
+// serialized and propagates; the posted event reads its fate from the
+// slot, hands the peer a reference to it and frees it once the peer's
+// receive() returns.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +22,7 @@
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/packet_store.hpp"
 #include "net/queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/inline_function.hpp"
@@ -43,9 +50,15 @@ class Link {
   /// fault losses from queue-overflow losses.
   using FaultDropHook = util::InlineFunction<void(const Packet&)>;
 
-  Link(sim::Simulator& simr, LinkRate rate, SimTime propagationDelay,
-       QueueConfig queueCfg)
-      : sim_(simr), rate_(rate), delay_(propagationDelay), queue_(queueCfg) {}
+  /// Queued and in-flight packets live in `store`, which must outlive
+  /// the link's events (net::Fabric owns one for all its links).
+  Link(sim::Simulator& simr, PacketStore& store, LinkRate rate,
+       SimTime propagationDelay, QueueConfig queueCfg)
+      : sim_(simr),
+        store_(store),
+        rate_(rate),
+        delay_(propagationDelay),
+        queue_(store, queueCfg) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -57,7 +70,9 @@ class Link {
     peerPort_ = peerPort;
   }
 
-  /// Enqueue a copy of `pkt` for transmission (drop-tail on overflow).
+  /// Queue a copy of `pkt`, made in the store, for transmission. A packet
+  /// the full queue drops (drop-tail) or a down link rejects takes no
+  /// slot.
   void send(const Packet& pkt);
 
   // --- queue state (what a load balancer sees) -------------------------
@@ -121,7 +136,7 @@ class Link {
     return startedPackets_ - (transmitting() ? 1 : 0);
   }
   ByteCount txBytes() const {
-    return transmitting() ? startedBytes_ - wire_[txSlot_].pkt.size
+    return transmitting() ? startedBytes_ - store_[txSlot_].pkt.size
                           : startedBytes_;
   }
   std::uint64_t drops() const { return queue_.drops(); }
@@ -137,6 +152,14 @@ class Link {
   /// Cumulative time the transmitter has been busy; utilization over a
   /// window is the delta of this divided by the window.
   SimTime busyTime() const { return busyTime_; }
+  /// Store slots this link holds: its queued packets, its started packets
+  /// whose event has not fired (serializing or on the wire), and the
+  /// superseded copies whose event has not fired. Derived from the packet
+  /// counters, so the auditor can check the store against it.
+  std::uint64_t storeSlotsHeld() const {
+    return static_cast<std::uint64_t>(queue_.packets()) + startedPackets_ -
+           deliveredPackets_ - faultWireDrops_ + voidSlots_;
+  }
 
   // --- fault-loss statistics (disjoint from queue drops()) --------------
   /// Packets send() rejected while the link was down (never enqueued).
@@ -174,24 +197,18 @@ class Link {
                      const std::string& label) const;
 
  private:
-  /// What a started packet's event does when it fires.
-  enum class Fate : std::uint8_t {
-    kDeliver,  ///< hand it to the peer, unless its wire epoch is stale
-    kLose,     ///< a fault loss at serialization end (gray drop, down)
-    kSink,     ///< sinkless link: count it delivered at serialization end
-    kVoid,     ///< superseded by a re-decision: only free the slot
-  };
+  using Handle = PacketStore::Handle;
 
   void serve();
   void wake();
   void startTransmission();
   void decide();
   void redecide();
-  void land(std::uint32_t wireSlot);
-  std::uint32_t wireAlloc();
+  void land(Handle slot);
   void noteFaultDrop(const Packet& pkt);
 
   sim::Simulator& sim_;
+  PacketStore& store_;
   LinkRate rate_;
   SimTime delay_;
   DropTailQueue queue_;
@@ -202,21 +219,14 @@ class Link {
   /// A wake is posted for busyUntil_ to start the next queued packet.
   bool wakePending_ = false;
 
-  // A started packet parks in a slot pool until its event fires, so the
-  // event captures [this, slot] (16 bytes — inline in EventFn) instead of
-  // a whole Packet. Slots are reused via a free list: zero steady-state
-  // allocations once the pool reaches its high-water mark.
-  static constexpr std::uint32_t kNoWireSlot = 0xffffffffu;
-  struct WireSlot {
-    Packet pkt;
-    std::uint64_t epoch = 0;
-    Fate fate = Fate::kVoid;
-    std::uint32_t nextFree = kNoWireSlot;
-  };
-  std::vector<WireSlot> wire_;
-  std::uint32_t wireFreeHead_ = kNoWireSlot;
+  // A started packet keeps the store slot it was queued in until its
+  // event fires, so the event captures [this, slot] (16 bytes — inline in
+  // EventFn) instead of a whole Packet, and the slot carries the fate and
+  // wire epoch the event reads.
   /// Slot of the packet being serialized (valid while transmitting()).
-  std::uint32_t txSlot_ = kNoWireSlot;
+  Handle txSlot_ = PacketStore::kNone;
+  /// Superseded copies whose event has not fired.
+  std::uint64_t voidSlots_ = 0;
   /// That packet's gray-drop draw, made when it started.
   bool txGrayDrop_ = false;
   /// Arrival time of the latest packet put on the wire; later packets

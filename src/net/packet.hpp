@@ -1,5 +1,8 @@
-// The on-wire unit. Packets are small value types copied hop by hop, the
-// same way ns-2 passes its packet headers around.
+// The on-wire unit. A packet inside a link lives in a slot of its fabric's
+// PacketStore (net/packet_store.hpp): a hop copies it once, into the next
+// link's store slot, and nodes and hooks read it by const reference, the
+// way ns-2 allocates Packets from one free list and passes them by
+// pointer.
 #pragma once
 
 #include <cstdint>

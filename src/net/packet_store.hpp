@@ -1,0 +1,114 @@
+// One fabric's packet memory. Every packet inside a link — queued, being
+// serialized, or on the wire — sits in a slot of the fabric's store, and
+// queues and wires name it by a 4-byte handle. ns-2 keeps packets the same
+// way: one free list (Packet::alloc / Packet::free) and queues that only
+// link packets together (PacketQueue).
+//
+// Slots live in fixed-size chunks that never move, so a reference to a
+// stored packet stays valid while the store grows: a peer's receive() may
+// forward the packet it was handed onto its next link, whose enqueue may
+// add a chunk. A chunk is added only when every slot is taken, on first
+// use rather than at construction, and chunks are freed whole when the
+// store goes: the store's size follows the most packets the whole fabric
+// held at once, not the sum of every port's worst case.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "net/packet.hpp"
+#include "util/check.hpp"
+#include "util/units.hpp"
+
+namespace tlbsim::net {
+
+class PacketStore {
+ public:
+  using Handle = std::uint32_t;
+  static constexpr Handle kNone = 0xffffffffu;
+  static constexpr std::size_t kChunkSlots = 256;
+
+  /// Where a stored packet is; for a started packet, what the event its
+  /// link posted does when it fires.
+  enum class State : std::uint8_t {
+    kFree,
+    kQueued,   ///< waiting in a DropTailQueue
+    kDeliver,  ///< hand it to the peer, unless its wire epoch is stale
+    kLose,     ///< a fault loss at serialization end (gray drop, down)
+    kSink,     ///< sinkless link: count it delivered at serialization end
+    kVoid,     ///< superseded by a re-decision: only free the slot
+  };
+
+  struct Slot {
+    Packet pkt;
+    SimTime enqueuedAt;       ///< when its queue accepted it
+    std::uint64_t epoch = 0;  ///< the wire epoch it departed under
+    Handle next = kNone;      ///< next in its queue, or on the free list
+    State state = State::kFree;
+  };
+
+  PacketStore() = default;
+  PacketStore(const PacketStore&) = delete;
+  PacketStore& operator=(const PacketStore&) = delete;
+
+  /// Copies `pkt` into a free slot in `state`, adding a chunk when none is
+  /// free, and returns the slot's handle. `pkt` may itself be a stored
+  /// packet.
+  Handle alloc(const Packet& pkt, State state) {
+    TLBSIM_DCHECK(state != State::kFree, "packet slot taken as free");
+    if (freeHead_ == kNone) grow();
+    const Handle h = freeHead_;
+    Slot& slot = (*this)[h];
+    TLBSIM_DCHECK(slot.state == State::kFree, "packet slot %u taken twice",
+                  h);
+    freeHead_ = slot.next;
+    slot.pkt = pkt;
+    slot.next = kNone;
+    slot.state = state;
+    ++live_;
+    return h;
+  }
+
+  /// Returns slot `h` to the free list.
+  void free(Handle h) {
+    Slot& slot = (*this)[h];
+    TLBSIM_DCHECK(slot.state != State::kFree, "packet slot %u freed twice",
+                  h);
+    slot.state = State::kFree;
+    slot.next = freeHead_;
+    freeHead_ = h;
+    --live_;
+  }
+
+  Slot& operator[](Handle h) {
+    TLBSIM_DCHECK((h >> kChunkBits) < chunks_.size(),
+                  "packet slot %u outside the store", h);
+    return chunks_[h >> kChunkBits][h & (kChunkSlots - 1)];
+  }
+  const Slot& operator[](Handle h) const {
+    TLBSIM_DCHECK((h >> kChunkBits) < chunks_.size(),
+                  "packet slot %u outside the store", h);
+    return chunks_[h >> kChunkBits][h & (kChunkSlots - 1)];
+  }
+
+  /// Slots holding a packet.
+  std::size_t live() const { return live_; }
+  /// Slots in the chunks allocated so far: the most slots ever live,
+  /// rounded up to whole chunks (the store never shrinks).
+  std::size_t capacity() const { return chunks_.size() * kChunkSlots; }
+
+ private:
+  static constexpr unsigned kChunkBits = 8;
+  static_assert(std::size_t{1} << kChunkBits == kChunkSlots);
+
+  /// Adds a chunk and threads its slots onto the (empty) free list.
+  void grow();
+
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  Handle freeHead_ = kNone;
+  std::size_t live_ = 0;
+};
+
+}  // namespace tlbsim::net

@@ -4,18 +4,17 @@
 // (and most DCN switch configs) specify buffers. Queue *length* is exposed
 // in both packets and bytes because load balancers compare queue lengths.
 //
-// Packets are stored in a power-of-two ring that doubles on demand up to
-// the buffer size and never shrinks: once a queue has reached its
-// high-water mark, enqueue and dequeue never touch the heap.
+// The queue holds no packets itself. An accepted packet is copied into a
+// slot of the fabric's PacketStore, and the queue links its slots into a
+// FIFO through their next handles, as ns-2's PacketQueue links Packets.
+// Dequeue hands the head's slot to the caller, which frees it or passes it
+// on; a queue destroyed with packets in it returns nothing.
 #pragma once
 
-#include <algorithm>
-#include <bit>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_store.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
 
@@ -30,49 +29,65 @@ struct QueueConfig {
 
 class DropTailQueue {
  public:
-  explicit DropTailQueue(QueueConfig cfg = {}) : cfg_(cfg) {}
+  using Handle = PacketStore::Handle;
 
-  /// Returns false (and counts a drop) when the queue is full.
-  /// On success a copy of the packet is stored with its enqueue timestamp,
-  /// CE-marked when the instantaneous queue is at the threshold.
+  DropTailQueue(PacketStore& store, QueueConfig cfg)
+      : store_(store), cfg_(cfg) {}
+
+  /// Returns false (and counts a drop) when the queue is full, taking no
+  /// slot. On success a copy of the packet is stored with its enqueue
+  /// timestamp, CE-marked when the instantaneous queue is at the threshold.
   bool enqueue(const Packet& pkt, SimTime now) {
-    if (static_cast<int>(count_) >= cfg_.capacityPackets) {
+    if (count_ >= cfg_.capacityPackets) {
       ++drops_;
       droppedBytes_ += pkt.size;
       return false;
     }
     const bool mark = pkt.ecnCapable && cfg_.ecnThresholdPackets > 0 &&
-                      static_cast<int>(count_) >= cfg_.ecnThresholdPackets;
-    if (count_ == ring_.size()) grow();
-    Item& item = ring_[slotOf(count_)];
-    item.pkt = pkt;
-    item.enqueuedAt = now;
+                      count_ >= cfg_.ecnThresholdPackets;
+    const Handle h = store_.alloc(pkt, PacketStore::State::kQueued);
+    PacketStore::Slot& slot = store_[h];
+    slot.enqueuedAt = now;
     if (mark) {
-      item.pkt.ce = true;
+      slot.pkt.ce = true;
       ++ecnMarks_;
     }
+    if (tail_ == PacketStore::kNone) {
+      head_ = h;
+    } else {
+      store_[tail_].next = h;
+    }
+    tail_ = h;
     ++count_;
     bytes_ += pkt.size;
     return true;
   }
 
-  /// Pops the head. Precondition: !empty().
-  /// `queueDelay` receives the time spent waiting in this queue.
-  Packet dequeue(SimTime now, SimTime* queueDelay = nullptr) {
+  /// Unlinks the head and returns its slot, which the caller now owns.
+  /// Precondition: !empty(). `queueDelay` receives the time it spent
+  /// waiting in this queue.
+  Handle dequeue(SimTime now, SimTime* queueDelay = nullptr) {
     TLBSIM_DCHECK(count_ > 0, "dequeue from an empty queue");
-    const Item& item = ring_[head_];
-    head_ = slotOf(1);
+    const Handle h = head_;
+    const PacketStore::Slot& slot = store_[h];
+    head_ = slot.next;
+    if (head_ == PacketStore::kNone) tail_ = PacketStore::kNone;
     --count_;
-    bytes_ -= item.pkt.size;
-    if (queueDelay != nullptr) *queueDelay = now - item.enqueuedAt;
-    return item.pkt;
+    bytes_ -= slot.pkt.size;
+    if (queueDelay != nullptr) *queueDelay = now - slot.enqueuedAt;
+    return h;
+  }
+
+  /// The packet enqueued last, as stored (with its CE mark).
+  /// Precondition: !empty().
+  const Packet& back() const {
+    TLBSIM_DCHECK(count_ > 0, "back() of an empty queue");
+    return store_[tail_].pkt;
   }
 
   bool empty() const { return count_ == 0; }
-  int packets() const { return static_cast<int>(count_); }
+  int packets() const { return count_; }
   ByteCount bytes() const { return bytes_; }
-  /// Packets the ring holds without growing (0 before the first enqueue).
-  std::size_t ringCapacity() const { return ring_.size(); }
 
   std::uint64_t drops() const { return drops_; }
   ByteCount droppedBytes() const { return droppedBytes_; }
@@ -84,42 +99,18 @@ class DropTailQueue {
   /// invariant audit to cross-check the incremental `bytes_` counter.
   ByteCount recomputeBytes() const {
     ByteCount total;
-    for (std::size_t i = 0; i < count_; ++i) total += ring_[slotOf(i)].pkt.size;
+    for (Handle h = head_; h != PacketStore::kNone; h = store_[h].next) {
+      total += store_[h].pkt.size;
+    }
     return total;
   }
 
  private:
-  struct Item {
-    Packet pkt;
-    SimTime enqueuedAt;
-  };
-
-  static constexpr std::size_t kMinRing = 4;
-
-  /// Ring index of the i-th queued item from the head.
-  std::size_t slotOf(std::size_t i) const {
-    return (head_ + i) & (ring_.size() - 1);
-  }
-
-  /// Doubles the ring, unrolling the wrapped contents to start at slot 0.
-  /// Only called on a full ring below capacityPackets, so the ring never
-  /// outgrows the first power of two that holds the whole buffer.
-  void grow() {
-    const std::size_t size =
-        ring_.empty()
-            ? std::min(kMinRing, std::bit_ceil(static_cast<std::size_t>(
-                                     cfg_.capacityPackets)))
-            : 2 * ring_.size();
-    std::vector<Item> bigger(size);
-    for (std::size_t i = 0; i < count_; ++i) bigger[i] = ring_[slotOf(i)];
-    ring_.swap(bigger);
-    head_ = 0;
-  }
-
+  PacketStore& store_;
   QueueConfig cfg_;
-  std::vector<Item> ring_;  ///< power-of-two size; live items wrap from head_
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  Handle head_ = PacketStore::kNone;
+  Handle tail_ = PacketStore::kNone;
+  int count_ = 0;
   ByteCount bytes_;
   std::uint64_t drops_ = 0;
   ByteCount droppedBytes_;

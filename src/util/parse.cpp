@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "util/check.hpp"
+
 namespace tlbsim::util {
 
 std::optional<std::int64_t> parseInt(std::string_view text) {
@@ -41,6 +43,8 @@ std::optional<SimTime> toSimTime(double value, SimTime unit) {
 }
 
 std::optional<SimTime> delayFrom(SimTime from, double value, SimTime unit) {
+  TLBSIM_DCHECK(from >= 0_ns, "delay from the negative instant %lld ns",
+                static_cast<long long>(from.ns()));
   const std::optional<SimTime> delay = toSimTime(value, unit);
   if (!delay.has_value() || *delay > SimTime::max() - from) {
     return std::nullopt;

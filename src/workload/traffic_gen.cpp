@@ -22,8 +22,9 @@ SimTime afterGap(SimTime t, double gapSec) {
 std::vector<transport::FlowSpec> poissonWorkload(
     const PoissonConfig& cfg, const FlowSizeDistribution& dist, Rng& rng,
     FlowId firstId) {
-  TLBSIM_ASSERT(cfg.numHosts >= 2, "poisson workload needs >= 2 hosts (got %d)",
-                cfg.numHosts);
+  TLBSIM_ASSERT(cfg.hostsPerLeaf >= 1 && cfg.numHosts > cfg.hostsPerLeaf,
+                "poisson workload needs 2 leaves (%d hosts, %d per leaf)",
+                cfg.numHosts, cfg.hostsPerLeaf);
   // Aggregate flow arrival rate: load * reference capacity / mean size.
   const double refCapacity =
       cfg.offeredCapacityBps > 0.0
@@ -34,7 +35,7 @@ std::vector<transport::FlowSpec> poissonWorkload(
 
   std::vector<transport::FlowSpec> flows;
   flows.reserve(static_cast<std::size_t>(cfg.flowCount));
-  SimTime t = cfg.startTime;
+  SimTime t;
   for (int i = 0; i < cfg.flowCount; ++i) {
     t = afterGap(t, rng.exponential(meanGapSec));
     transport::FlowSpec f;
@@ -44,10 +45,8 @@ std::vector<transport::FlowSpec> poissonWorkload(
     do {
       f.dst = static_cast<net::HostId>(rng.uniformInt(
           static_cast<std::uint64_t>(cfg.numHosts)));
-    } while (f.dst == f.src ||
-             (cfg.crossLeafOnly &&
-              leafOf(f.dst, cfg.hostsPerLeaf) ==
-                  leafOf(f.src, cfg.hostsPerLeaf)));
+    } while (leafOf(f.dst, cfg.hostsPerLeaf) ==
+             leafOf(f.src, cfg.hostsPerLeaf));
     f.size = dist.sample(rng);
     f.start = t;
     if (f.size < cfg.shortThreshold && cfg.deadlineMax > 0_ns) {

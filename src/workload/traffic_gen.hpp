@@ -16,7 +16,8 @@
 namespace tlbsim::workload {
 
 /// Poisson-arrival workload at a target load (fraction of aggregate edge
-/// capacity). Generation stops after `flowCount` flows.
+/// capacity), from time zero, between hosts under different leaves.
+/// Generation stops after `flowCount` flows.
 struct PoissonConfig {
   double load = 0.5;
   int flowCount = 300;
@@ -28,8 +29,6 @@ struct PoissonConfig {
   /// to the bisection capacity so "load 0.8" stresses the fabric, not the
   /// (unreachable) edge sum.
   double offeredCapacityBps = 0.0;
-  bool crossLeafOnly = true;  ///< only generate fabric-crossing flows
-  SimTime startTime;
   /// Deadlines assigned to flows below `shortThreshold`, uniform in
   /// [deadlineMin, deadlineMax] (paper: [5 ms, 25 ms]); 0/0 disables.
   ByteCount shortThreshold = 100 * kKB;

@@ -64,7 +64,8 @@ TEST(InvariantAuditor, AssertOnViolationRoutesThroughFailureHandler) {
 
 TEST(InvariantAuditor, WatchedLinkStaysConsistentThroughTraffic) {
   sim::Simulator simr;
-  net::Link link(simr, gbps(1), microseconds(10), {16, 0});
+  net::PacketStore store;
+  net::Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   InvariantAuditor auditor(lenient());
   auditor.watchLink(link, "test-link");
 
@@ -146,6 +147,36 @@ InvariantAuditor auditedPoolRun(SimTime drain) {
   EXPECT_GT(rig.pool.reuses(), 0u);
   auditor.auditNow(rig.simr.now());
   return auditor;
+}
+
+TEST(InvariantAuditor, FlagsAStoreSlotNoLinkHolds) {
+  transport::testing::PoolRig rig;
+  InvariantAuditor auditor(lenient());
+  auditor.watchTopology(rig.topo);
+  rig.pool.setLaunchHook([&auditor](transport::TcpSender& snd,
+                                    transport::TcpReceiver& rcv,
+                                    std::uint64_t) {
+    auditor.watchFlow(snd, rcv, transport::TcpParams{}.mss);
+  });
+  using transport::testing::crossLeafFlows;
+  using transport::testing::smallFabric;
+  rig.post(crossLeafFlows(smallFabric(), 8, 20 * kKB, microseconds(5)));
+  rig.simr.run(microseconds(150));  // packets queued and on the wire
+  net::PacketStore& store = rig.topo.packetStore();
+  ASSERT_GT(store.live(), 0u);
+  auditor.auditNow(rig.simr.now());
+  EXPECT_EQ(auditor.violationCount(), 0u);
+
+  const net::PacketStore::Handle stray =
+      store.alloc(net::Packet{}, net::PacketStore::State::kQueued);
+  auditor.auditNow(rig.simr.now());
+  ASSERT_EQ(auditor.violationCount(), 1u);
+  EXPECT_NE(auditor.violations()[0].what.find("packet store"),
+            std::string::npos);
+
+  store.free(stray);
+  auditor.auditNow(rig.simr.now());
+  EXPECT_EQ(auditor.violationCount(), 1u);
 }
 
 TEST(InvariantAuditor, PoolWithTheDerivedDrainTimeHasNoOrphans) {

@@ -43,8 +43,9 @@ Packet makePacket(FlowId flow, ByteCount size) {
 
 TEST(LinkFault, SendWhileDownIsRejectedNotEnqueued) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   link.faultDown(/*drainInFlight=*/false);
   link.send(makePacket(1, 1500_B));
@@ -58,8 +59,9 @@ TEST(LinkFault, SendWhileDownIsRejectedNotEnqueued) {
 
 TEST(LinkFault, DownFlushesQueueWithoutDequeueHooks) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   int dequeues = 0;
   link.addDequeueHook([&](const Packet&, SimTime) { ++dequeues; });
@@ -80,9 +82,10 @@ TEST(LinkFault, DownFlushesQueueWithoutDequeueHooks) {
 
 TEST(LinkFault, DropModeKillsSerializingAndInFlightPackets) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
   // 1500 B @ 1 Gbps = 12 us serialization; 10 us propagation.
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   link.send(makePacket(1, 1500_B));  // tx completes at 12 us, delivery at 22 us
   link.send(makePacket(2, 1500_B));  // tx completes at 24 us, delivery at 34 us
@@ -97,8 +100,9 @@ TEST(LinkFault, DropModeKillsSerializingAndInFlightPackets) {
 
 TEST(LinkFault, DrainModeDeliversInFlightPackets) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   link.send(makePacket(1, 1500_B));
   link.send(makePacket(2, 1500_B));
@@ -112,8 +116,9 @@ TEST(LinkFault, DrainModeDeliversInFlightPackets) {
 
 TEST(LinkFault, UpRestoresServiceAndRestartsQueue) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   link.faultDown(false);
   link.send(makePacket(1, 1500_B));  // rejected
@@ -129,8 +134,9 @@ TEST(LinkFault, UpRestoresServiceAndRestartsQueue) {
 TEST(LinkFault, GrayFailureDropsAreDeterministicAndAccounted) {
   const auto runOnce = [](std::uint64_t seed) {
     sim::Simulator simr;
+    PacketStore store;
     SinkNode sink(simr);
-    Link link(simr, gbps(10), microseconds(1), {512, 0});
+    Link link(simr, store, gbps(10), microseconds(1), {512, 0});
     link.connect(&sink, 0);
     std::size_t faultDropHooks = 0;
     std::size_t dropHooks = 0;
@@ -160,8 +166,9 @@ TEST(LinkFault, GrayFailureDropsAreDeterministicAndAccounted) {
 
 TEST(LinkFault, RateFactorSlowsSerialization) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   link.faultSetRateFactor(0.5);  // 1 Gbps -> 500 Mbps
   link.send(makePacket(1, 1500_B));
@@ -175,8 +182,9 @@ TEST(LinkFault, RateFactorSlowsSerialization) {
 
 TEST(LinkFault, DelayFactorInflatesPropagation) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   link.faultSetDelayFactor(3.0);  // 10 us -> 30 us
   link.send(makePacket(1, 1500_B));
@@ -190,8 +198,9 @@ TEST(LinkFault, DelayRestoreKeepsTheCableFifo) {
   // restore at 20 us would land packet 1 (serialized by 24 us) at 34 us,
   // ahead of packet 0 still on the wire; it is held to 42 us instead.
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   link.faultSetDelayFactor(3.0);
   for (FlowId f = 0; f < 4; ++f) link.send(makePacket(f, 1500_B));
@@ -210,8 +219,9 @@ TEST(LinkFault, DropModeDownLiftedWithinOneSerializationDelivers) {
   // The packet meets the state in force when its serialization ends (at
   // 12 us): up again, so it is delivered.
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   link.send(makePacket(1, 1500_B));
   simr.post(microseconds(3), [&] { link.faultDown(false); });
@@ -232,8 +242,9 @@ TEST(LinkFault, DropFaultMidSerializationDecidesWithTheNewSeed) {
   for (const auto& [before, mid] : {std::pair{dropSeed, passSeed},
                                     std::pair{passSeed, dropSeed}}) {
     sim::Simulator simr;
+    PacketStore store;
     SinkNode sink(simr);
-    Link link(simr, gbps(1), microseconds(10), {16, 0});
+    Link link(simr, store, gbps(1), microseconds(10), {16, 0});
     link.connect(&sink, 0);
     link.faultSetDropProb(0.5, before);
     link.send(makePacket(1, 1500_B));
@@ -247,8 +258,9 @@ TEST(LinkFault, DropFaultMidSerializationDecidesWithTheNewSeed) {
 
 TEST(LinkFault, GrayDropFiresItsHookAtSerializationEnd) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   std::vector<SimTime> hookTimes;
   link.addFaultDropHook([&](const Packet&) { hookTimes.push_back(simr.now()); });
@@ -267,8 +279,9 @@ TEST(LinkFault, PacketKilledWhileSerializingHoldsBackNoLaterPacket) {
   // was, so packet 2, sent at 13 us after the delay is restored, lands at
   // 13 + 12 + 10 = 35 us rather than being held to 42 us.
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   link.faultSetDelayFactor(3.0);
   link.send(makePacket(1, 1500_B));
@@ -289,13 +302,14 @@ TEST(LinkFault, PacketKilledWhileSerializingHoldsBackNoLaterPacket) {
 
 struct SwitchRig {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sinkA, sinkB, sinkC;
   std::unique_ptr<Switch> sw;
 
   SwitchRig() : sinkA(simr), sinkB(simr), sinkC(simr) {
     sw = std::make_unique<Switch>(simr, "rig-switch");
     for (SinkNode* sink : {&sinkA, &sinkB, &sinkC}) {
-      auto link = std::make_unique<Link>(simr, gbps(1), microseconds(1),
+      auto link = std::make_unique<Link>(simr, store, gbps(1), microseconds(1),
                                          QueueConfig{16, 0});
       link->connect(sink, 0);
       sw->addPort(std::move(link));

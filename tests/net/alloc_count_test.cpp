@@ -1,6 +1,6 @@
 // Counts global operator new/delete to prove the packet path's claim: once
-// every queue ring and wire pool has reached its high-water mark, a
-// packet's whole trip — host uplink, the leaf's TLB decision over the
+// the fabric's packet store has reached its high-water mark, a packet's
+// whole trip — host uplink, the leaf's TLB decision over the
 // switch-owned uplink view, the uplink and downlink queues, the spine, the
 // host's flow demux — and TLB's control ticks perform zero heap
 // allocations. The second test runs short TCP flows through an endpoint
@@ -85,8 +85,8 @@ SelectorFactory tlbLeaves(const LeafSpineConfig& cfg) {
 
 TEST(NetAllocCount, SteadyStatePacketPathIsAllocationFree) {
   // Every leaf uplink and (under the rotating incast below) every leaf
-  // downlink fills to its buffer during warm-up: each ring then sits at
-  // its final size.
+  // downlink fills to its buffer during warm-up: the packet store then
+  // sits at its final size.
   const LeafSpineConfig cfg = smallTlbFabric();
   sim::Simulator simr;
   LeafSpineTopology topo(simr, cfg, tlbLeaves(cfg));
@@ -151,16 +151,10 @@ TEST(NetAllocCount, SteadyStatePacketPathIsAllocationFree) {
   };
 
   // Warm-up: two full rotations of the incast target (6.4 ms each). By
-  // then every leaf uplink and downlink ring holds the whole buffer.
+  // then the store has held the fabric's busiest moment.
   simr.run(milliseconds(13));
-  for (int l = 0; l < cfg.numLeaves; ++l) {
-    for (int s = 0; s < cfg.numSpines; ++s) {
-      ASSERT_EQ(topo.leafUplink(l, s).queue().ringCapacity(), 16u);
-    }
-  }
-  for (int h = 0; h < hosts; ++h) {
-    ASSERT_EQ(topo.leafDownlink(h).queue().ringCapacity(), 16u);
-  }
+  const std::size_t storeSlots = topo.packetStore().capacity();
+  ASSERT_GT(storeSlots, 0u);
 
   const auto forwardsBefore = leafForwards();
   const auto deliveredBefore = delivered();
@@ -169,6 +163,7 @@ TEST(NetAllocCount, SteadyStatePacketPathIsAllocationFree) {
   simr.run(milliseconds(43));
   const auto allocations = newCalls() - before;
 
+  EXPECT_EQ(topo.packetStore().capacity(), storeSlots);
   EXPECT_GE(leafForwards() - forwardsBefore, 20'000u);
   // The incast receiver's 1 Gbps downlink is the bottleneck per leaf.
   EXPECT_GE(delivered() - deliveredBefore, 5'000u);
@@ -181,11 +176,10 @@ TEST(NetAllocCount, SteadyStateTcpFlowsThroughThePoolAreAllocationFree) {
   // event as Experiment::run does. The first 1,500 start every 60 us, 80 %
   // of the cross-leaf capacity: queues fill to their buffers and more
   // flows overlap than ever after. The rest start every 120 us. By then
-  // the pool,
-  // the host demux tables, the wire pools and queue rings, TLB's flow
-  // table and the event core are at their high-water marks, and every
-  // receiver storage that saw reordering holds a window's worth of ranges:
-  // a flow's launch into a reused pair, its transfer and its completion
+  // the pool, the host demux tables, the packet store, TLB's flow table
+  // and the event core are at their high-water marks, and every receiver
+  // storage that saw reordering holds a window's worth of ranges: a
+  // flow's launch into a reused pair, its transfer and its completion
   // allocate nothing.
   const LeafSpineConfig cfg = smallTlbFabric();
   transport::testing::PoolRig rig(cfg, transport::TcpParams{}, tlbLeaves(cfg));
@@ -209,6 +203,7 @@ TEST(NetAllocCount, SteadyStateTcpFlowsThroughThePoolAreAllocationFree) {
   rig.post(flows);
 
   rig.simr.run(flows[kDense + 200].start);  // warm-up, then settle
+  const std::size_t storeSlots = rig.topo.packetStore().capacity();
   const auto completedBefore = rig.completed;
   const auto reusesBefore = rig.pool.reuses();
   const auto before = newCalls();
@@ -219,6 +214,7 @@ TEST(NetAllocCount, SteadyStateTcpFlowsThroughThePoolAreAllocationFree) {
   EXPECT_GE(rig.completed - completedBefore, 2'000u);
   EXPECT_LT(rig.pool.pairs(), 300u);
   EXPECT_EQ(rig.orphanPackets(), 0u);
+  EXPECT_EQ(rig.topo.packetStore().capacity(), storeSlots);
   EXPECT_EQ(allocations, 0u);
 }
 

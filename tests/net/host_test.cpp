@@ -80,10 +80,11 @@ TEST(Host, RebindReplacesHandler) {
 
 TEST(Host, SendGoesOutTheUplink) {
   sim::Simulator simr;
+  PacketStore store;
   Host src(0, "src");
   Host dst(1, "dst");
   LoopbackNode loop(dst);
-  auto link = std::make_unique<Link>(simr, gbps(1), microseconds(1),
+  auto link = std::make_unique<Link>(simr, store, gbps(1), microseconds(1),
                                      QueueConfig{16, 0});
   link->connect(&loop, 0);
   src.attachUplink(std::move(link));

@@ -43,7 +43,11 @@ class TwoEventLink {
  public:
   TwoEventLink(sim::Simulator& simr, LinkRate rate, SimTime delay,
                QueueConfig cfg, Outcomes& out)
-      : sim_(simr), rate_(rate), delay_(delay), queue_(cfg), out_(out) {}
+      : sim_(simr),
+        rate_(rate),
+        delay_(delay),
+        queue_(store_, cfg),
+        out_(out) {}
 
   void send(const Packet& pkt) {
     if (!up_) return out_.note(pkt, Fate::kRejected, sim_.now());
@@ -58,7 +62,7 @@ class TwoEventLink {
     drain_ = drain;
     if (!drain) ++epoch_;
     while (!queue_.empty()) {
-      out_.note(queue_.dequeue(sim_.now()), Fate::kFlushed, sim_.now());
+      out_.note(pop(), Fate::kFlushed, sim_.now());
     }
   }
   void up() {
@@ -75,8 +79,15 @@ class TwoEventLink {
   double delayFactor = 1.0;
 
  private:
+  /// The head packet, its slot freed.
+  Packet pop() {
+    const PacketStore::Handle slot = queue_.dequeue(sim_.now());
+    const Packet pkt = store_[slot].pkt;
+    store_.free(slot);
+    return pkt;
+  }
   void start() {
-    tx_ = queue_.dequeue(sim_.now());
+    tx_ = pop();
     transmitting_ = true;
     sim_.post(rate_.scaled(rateFactor).transmissionTime(tx_.size),
               [this] { done(); });
@@ -100,6 +111,7 @@ class TwoEventLink {
   sim::Simulator& sim_;
   LinkRate rate_;
   SimTime delay_;
+  PacketStore store_;
   DropTailQueue queue_;
   Outcomes& out_;
   Packet tx_;
@@ -161,7 +173,8 @@ TEST(LinkDifferential, EveryPacketMeetsTheTwoEventModelsFate) {
     const int capacity = static_cast<int>(rng.uniformInt(2, 40));
     const QueueConfig cfg{capacity, rng.uniform() < 0.5 ? 0 : capacity / 2};
     RecordingSink sink(simr, got);
-    Link link(simr, rate, delay, cfg);
+    PacketStore store;
+    Link link(simr, store, rate, delay, cfg);
     link.connect(&sink, 0);
     TwoEventLink oracle(simr, rate, delay, cfg, want);
     link.addDropHook(

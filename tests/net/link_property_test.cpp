@@ -29,8 +29,9 @@ class LinkConservation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LinkConservation, BytesInEqualsDeliveredPlusDropped) {
   sim::Simulator simr;
+  PacketStore store;
   CountingSink sink;
-  Link link(simr, gbps(1), microseconds(5), QueueConfig{32, 0});
+  Link link(simr, store, gbps(1), microseconds(5), QueueConfig{32, 0});
   link.connect(&sink, 0);
 
   Rng rng(GetParam());
@@ -58,8 +59,9 @@ TEST_P(LinkConservation, BytesInEqualsDeliveredPlusDropped) {
 
 TEST_P(LinkConservation, DeliveryOrderIsFifo) {
   sim::Simulator simr;
+  PacketStore store;
   CountingSink sink;
-  Link link(simr, gbps(10), microseconds(1), QueueConfig{4096, 0});
+  Link link(simr, store, gbps(10), microseconds(1), QueueConfig{4096, 0});
   link.connect(&sink, 0);
 
   Rng rng(GetParam() + 100);
@@ -84,8 +86,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LinkConservation,
 
 TEST(LinkThroughput, SaturatedLinkRunsAtLineRate) {
   sim::Simulator simr;
+  PacketStore store;
   CountingSink sink;
-  Link link(simr, gbps(1), microseconds(1), QueueConfig{100000, 0});
+  Link link(simr, store, gbps(1), microseconds(1), QueueConfig{100000, 0});
   link.connect(&sink, 0);
   const int n = 10000;
   for (int i = 0; i < n; ++i) {

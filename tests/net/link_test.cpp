@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -39,8 +40,9 @@ Packet makePacket(FlowId flow, ByteCount size) {
 
 TEST(Link, SingleTransmissionTiming) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), /*delay=*/microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), /*delay=*/microseconds(10), {16, 0});
   link.connect(&sink, 3);
   link.send(makePacket(1, 1500_B));
   simr.run();
@@ -52,8 +54,9 @@ TEST(Link, SingleTransmissionTiming) {
 
 TEST(Link, BackToBackPipelining) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   link.send(makePacket(1, 1500_B));
   link.send(makePacket(2, 1500_B));
@@ -66,8 +69,9 @@ TEST(Link, BackToBackPipelining) {
 
 TEST(Link, DeliveryPreservesFifoPerLink) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(10), microseconds(1), {64, 0});
+  Link link(simr, store, gbps(10), microseconds(1), {64, 0});
   link.connect(&sink, 0);
   for (FlowId f = 1; f <= 20; ++f) link.send(makePacket(f, 500_B));
   simr.run();
@@ -79,8 +83,10 @@ TEST(Link, DeliveryPreservesFifoPerLink) {
 
 TEST(Link, DropWhenQueueFull) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, kbps(8), microseconds(1), {2, 0});  // 1 B/ms: very slow
+  // 1 B/ms: very slow.
+  Link link(simr, store, kbps(8), microseconds(1), {2, 0});
   link.connect(&sink, 0);
   // First packet starts transmitting immediately (leaves the queue); the
   // next two fill the queue; the fourth drops.
@@ -90,8 +96,9 @@ TEST(Link, DropWhenQueueFull) {
 
 TEST(Link, TxCountersAndBusyTime) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(5), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(5), {16, 0});
   link.connect(&sink, 0);
   link.send(makePacket(1, 1500_B));
   link.send(makePacket(2, 750_B));
@@ -103,8 +110,9 @@ TEST(Link, TxCountersAndBusyTime) {
 
 TEST(Link, DequeueHookReportsQueueDelay) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(1), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(1), {16, 0});
   link.connect(&sink, 0);
   std::vector<SimTime> delays;
   link.addDequeueHook(
@@ -119,9 +127,10 @@ TEST(Link, DequeueHookReportsQueueDelay) {
 
 TEST(Link, DropAndMarkHooksFireOncePerDropOrMark) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
   // Two-packet buffer with marking from one queued packet onward.
-  Link link(simr, gbps(1), microseconds(1), {2, 1});
+  Link link(simr, store, gbps(1), microseconds(1), {2, 1});
   link.connect(&sink, 0);
   std::vector<FlowId> drops;
   std::vector<FlowId> marks;
@@ -146,9 +155,10 @@ TEST(Link, DropAndMarkHooksFireOncePerDropOrMark) {
 
 TEST(Link, SeveralHooksOnOneLinkCoexist) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link a(simr, gbps(1), microseconds(1), {64, 0});
-  Link b(simr, gbps(1), microseconds(1), {64, 0});
+  Link a(simr, store, gbps(1), microseconds(1), {64, 0});
+  Link b(simr, store, gbps(1), microseconds(1), {64, 0});
   a.connect(&sink, 0);
   b.connect(&sink, 0);
   int first = 0;
@@ -168,8 +178,9 @@ TEST(Link, SeveralHooksOnOneLinkCoexist) {
 
 TEST(Link, QueueStateVisibleToObservers) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(1), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(1), {16, 0});
   link.connect(&sink, 0);
   link.send(makePacket(1, 1500_B));
   link.send(makePacket(2, 1000_B));
@@ -185,8 +196,9 @@ TEST(Link, QueueStateVisibleToObservers) {
 
 TEST(Link, PacketsThatFindTheLinkIdleCostOneEventEach) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   constexpr int kPackets = 5;
   std::uint64_t events = 0;
@@ -201,8 +213,9 @@ TEST(Link, PacketsThatFindTheLinkIdleCostOneEventEach) {
 
 TEST(Link, BackToBackPacketsCostTheirOutcomesPlusOneWakeEachBehindTheFirst) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   constexpr int kPackets = 6;
   for (int i = 0; i < kPackets; ++i) {
@@ -214,8 +227,9 @@ TEST(Link, BackToBackPacketsCostTheirOutcomesPlusOneWakeEachBehindTheFirst) {
 
 TEST(Link, EnqueueBehindABusyLinkPostsOneWakeOnTheHeap) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(10), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(10), {16, 0});
   link.connect(&sink, 0);
   const sim::Scheduler& sched = simr.scheduler();
   link.send(makePacket(1, 1500_B));
@@ -239,8 +253,9 @@ TEST(Link, EnqueueBehindABusyLinkPostsOneWakeOnTheHeap) {
 
 TEST(Link, TxCountersCountEndedSerializations) {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sink(simr);
-  Link link(simr, gbps(1), microseconds(5), {16, 0});
+  Link link(simr, store, gbps(1), microseconds(5), {16, 0});
   link.connect(&sink, 0);
   link.send(makePacket(1, 1500_B));
   link.send(makePacket(2, 750_B));
@@ -253,6 +268,80 @@ TEST(Link, TxCountersCountEndedSerializations) {
   EXPECT_FALSE(link.transmitting());
   EXPECT_EQ(link.txPackets(), 2u);
   EXPECT_EQ(link.txBytes(), 2250_B);
+}
+
+TEST(Link, EveryFateReturnsItsSlot) {
+  // One link and one sinkless link share a store. Timed actions drive the
+  // link through every fate a packet can meet; after every event, the
+  // store's live slots must equal the slots the two links say they hold.
+  // 1500 B at 1 Gbps serializes in 12 us; propagation is 10 us.
+  sim::Simulator simr;
+  PacketStore store;
+  SinkNode sink(simr);
+  Link link(simr, store, gbps(1), microseconds(10), {8, 0});
+  link.connect(&sink, 0);
+  Link sinkless(simr, store, gbps(1), microseconds(10), {8, 0});
+  const auto at = [&simr](int us, auto fn) {
+    simr.postAt(microseconds(us), std::move(fn));
+  };
+  const auto burst = [](Link& l, int n) {
+    for (int i = 0; i < n; ++i) l.send(makePacket(1, 1500_B));
+  };
+
+  at(0, [&] { burst(link, 1); });  // a delivery
+  // Ten at once: one serializes, eight queue, one is a queue-full drop.
+  at(100, [&] { burst(link, 10); });
+  at(300, [&] {  // a send while the link is down
+    link.faultDown(/*drainInFlight=*/false);
+    burst(link, 1);
+  });
+  at(301, [&] { link.faultUp(); });
+  // Drop-mode down at 430: the second packet is on the wire, the third
+  // serializing (a void copy and a loss at 436), the fourth flushed.
+  at(400, [&] { burst(link, 4); });
+  at(430, [&] { link.faultDown(/*drainInFlight=*/false); });
+  at(500, [&] { link.faultUp(); });
+  // Drain-mode down at 615 flushes the third packet; the up at 618
+  // re-decides the second, still serializing, which is delivered.
+  at(600, [&] { burst(link, 3); });
+  at(615, [&] { link.faultDown(/*drainInFlight=*/true); });
+  at(618, [&] { link.faultUp(); });
+  // A delay fault mid-serialization re-decides the packet on the link.
+  at(700, [&] { burst(link, 2); });
+  at(705, [&] { link.faultSetDelayFactor(2.0); });
+  at(800, [&] { link.faultSetDelayFactor(1.0); });
+  // Gray drops; then a reseed to probability 0 mid-serialization saves
+  // the packet on the link.
+  at(900, [&] {
+    link.faultSetDropProb(1.0, /*seed=*/7);
+    burst(link, 2);
+  });
+  at(1000, [&] { burst(link, 2); });
+  at(1005, [&] { link.faultSetDropProb(0.0, /*seed=*/9); });
+  at(1100, [&] { burst(sinkless, 3); });
+
+  EXPECT_EQ(store.capacity(), 0u) << "the first chunk waits for a packet";
+  std::uint64_t mostHeld = 0;
+  while (simr.scheduler().step()) {
+    const std::uint64_t held =
+        link.storeSlotsHeld() + sinkless.storeSlotsHeld();
+    ASSERT_EQ(store.live(), held) << "at " << toMicroseconds(simr.now());
+    mostHeld = std::max(mostHeld, held);
+  }
+
+  EXPECT_EQ(link.drops(), 1u);
+  EXPECT_EQ(link.faultRejectedPackets(), 1u);
+  EXPECT_EQ(link.faultFlushedPackets(), 2u);
+  EXPECT_EQ(link.faultWireDrops(), 4u);  // two at the down, two gray
+  EXPECT_EQ(link.deliveredPackets(), 17u);
+  EXPECT_EQ(sink.arrivals.size(), 17u);
+  EXPECT_EQ(sinkless.deliveredPackets(), 3u);
+  EXPECT_EQ(store.live(), 0u);
+  EXPECT_EQ(link.storeSlotsHeld() + sinkless.storeSlotsHeld(), 0u);
+  EXPECT_EQ(mostHeld, 9u);  // one serializing, eight queued
+  const std::size_t chunks =
+      (mostHeld + PacketStore::kChunkSlots - 1) / PacketStore::kChunkSlots;
+  EXPECT_LE(store.capacity(), chunks * PacketStore::kChunkSlots);
 }
 
 }  // namespace

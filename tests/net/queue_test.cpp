@@ -19,19 +19,30 @@ Packet makeData(FlowId flow, ByteCount size, bool ecnCapable = false) {
   return p;
 }
 
+/// Dequeues the head and frees its slot, as a link's event would.
+Packet pop(DropTailQueue& q, PacketStore& store, SimTime now = 0_ns,
+           SimTime* queueDelay = nullptr) {
+  const PacketStore::Handle slot = q.dequeue(now, queueDelay);
+  const Packet pkt = store[slot].pkt;
+  store.free(slot);
+  return pkt;
+}
+
 TEST(DropTailQueue, FifoOrder) {
-  DropTailQueue q({4, 0});
+  PacketStore store;
+  DropTailQueue q(store, {4, 0});
   for (FlowId f = 1; f <= 4; ++f) {
     EXPECT_TRUE(q.enqueue(makeData(f, 100_B), 0_ns));
   }
   for (FlowId f = 1; f <= 4; ++f) {
-    EXPECT_EQ(q.dequeue(0_ns).flow, f);
+    EXPECT_EQ(pop(q, store).flow, f);
   }
   EXPECT_TRUE(q.empty());
 }
 
 TEST(DropTailQueue, DropsWhenFull) {
-  DropTailQueue q({2, 0});
+  PacketStore store;
+  DropTailQueue q(store, {2, 0});
   EXPECT_TRUE(q.enqueue(makeData(1, 100_B), 0_ns));
   EXPECT_TRUE(q.enqueue(makeData(2, 100_B), 0_ns));
   EXPECT_FALSE(q.enqueue(makeData(3, 100_B), 0_ns));
@@ -41,68 +52,76 @@ TEST(DropTailQueue, DropsWhenFull) {
 }
 
 TEST(DropTailQueue, ByteAccounting) {
-  DropTailQueue q({10, 0});
+  PacketStore store;
+  DropTailQueue q(store, {10, 0});
   q.enqueue(makeData(1, 100_B), 0_ns);
   q.enqueue(makeData(2, 250_B), 0_ns);
   EXPECT_EQ(q.bytes(), 350_B);
-  q.dequeue(0_ns);
+  pop(q, store);
   EXPECT_EQ(q.bytes(), 250_B);
-  q.dequeue(0_ns);
+  pop(q, store);
   EXPECT_EQ(q.bytes(), 0_B);
 }
 
 TEST(DropTailQueue, QueueDelayMeasured) {
-  DropTailQueue q({10, 0});
+  PacketStore store;
+  DropTailQueue q(store, {10, 0});
   q.enqueue(makeData(1, 100_B), /*now=*/1000_ns);
   SimTime delay = -1_ns;
-  q.dequeue(/*now=*/2500_ns, &delay);
+  pop(q, store, /*now=*/2500_ns, &delay);
   EXPECT_EQ(delay, 1500_ns);
 }
 
 TEST(DropTailQueue, EcnMarksAboveThreshold) {
-  DropTailQueue q({10, /*ecnThreshold=*/2});
+  PacketStore store;
+  DropTailQueue q(store, {10, /*ecnThreshold=*/2});
   // Occupancy at enqueue time: 0, 1 -> unmarked; 2, 3 -> marked.
   q.enqueue(makeData(1, 100_B, true), 0_ns);
   q.enqueue(makeData(2, 100_B, true), 0_ns);
   q.enqueue(makeData(3, 100_B, true), 0_ns);
   q.enqueue(makeData(4, 100_B, true), 0_ns);
-  EXPECT_FALSE(q.dequeue(0_ns).ce);
-  EXPECT_FALSE(q.dequeue(0_ns).ce);
-  EXPECT_TRUE(q.dequeue(0_ns).ce);
-  EXPECT_TRUE(q.dequeue(0_ns).ce);
+  EXPECT_FALSE(pop(q, store).ce);
+  EXPECT_FALSE(pop(q, store).ce);
+  EXPECT_TRUE(pop(q, store).ce);
+  EXPECT_TRUE(pop(q, store).ce);
   EXPECT_EQ(q.ecnMarks(), 2u);
 }
 
 TEST(DropTailQueue, EcnIgnoresNonCapablePackets) {
-  DropTailQueue q({10, 1});
+  PacketStore store;
+  DropTailQueue q(store, {10, 1});
   q.enqueue(makeData(1, 100_B, false), 0_ns);
   q.enqueue(makeData(2, 100_B, false), 0_ns);
-  EXPECT_FALSE(q.dequeue(0_ns).ce);
-  EXPECT_FALSE(q.dequeue(0_ns).ce);
+  EXPECT_FALSE(pop(q, store).ce);
+  EXPECT_FALSE(pop(q, store).ce);
   EXPECT_EQ(q.ecnMarks(), 0u);
 }
 
 // Suite name kept from the removed RED marking mode: a standing queue far
 // above the threshold still never marks a packet that is not ECN-capable.
 TEST(RedQueue, NonEctPacketsNeverMarked) {
-  DropTailQueue q({256, 1});
+  PacketStore store;
+  DropTailQueue q(store, {256, 1});
   for (int i = 0; i < 100; ++i) q.enqueue(makeData(1, 1500_B, false), 0_ns);
   EXPECT_EQ(q.packets(), 100);
   EXPECT_EQ(q.ecnMarks(), 0u);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(q.dequeue(0_ns).ce);
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(pop(q, store).ce);
 }
 
 TEST(DropTailQueue, EcnDisabledByZeroThreshold) {
-  DropTailQueue q({10, 0});
+  PacketStore store;
+  DropTailQueue q(store, {10, 0});
   for (int i = 0; i < 10; ++i) q.enqueue(makeData(1, 100_B, true), 0_ns);
   EXPECT_EQ(q.ecnMarks(), 0u);
 }
 
-// --- ring storage: the queue keeps its packets in a power-of-two ring
-// that wraps in place and doubles (up to the buffer size) when full.
+// --- store: the queue links slots of a shared PacketStore into a FIFO;
+// the store grows by whole chunks that never move.
 
-TEST(DropTailQueue, RingWrapKeepsFifoOrderAndBytes) {
-  DropTailQueue q({16, 0});
+TEST(DropTailQueue, SteadyTrafficReusesTheSameSlots) {
+  PacketStore store;
+  DropTailQueue q(store, {16, 0});
+  EXPECT_EQ(store.capacity(), 0u);  // the first chunk waits for a packet
   FlowId next = 1;
   FlowId expect = 1;
   const auto sizeOf = [](FlowId f) {
@@ -111,67 +130,83 @@ TEST(DropTailQueue, RingWrapKeepsFifoOrderAndBytes) {
   for (int i = 0; i < 3; ++i, ++next) {
     q.enqueue(makeData(next, sizeOf(next)), SimTime::fromNs(10 * next));
   }
-  // One in, one out: the head walks around the 4-slot ring many times
-  // without the ring ever growing.
+  // One in, one out: the slot the head frees is the one the next packet
+  // takes, so the queue cycles through four slots.
   for (int round = 0; round < 25; ++round, ++next, ++expect) {
     ASSERT_TRUE(
         q.enqueue(makeData(next, sizeOf(next)), SimTime::fromNs(10 * next)));
+    EXPECT_EQ(store.live(), 4u);
     ByteCount want;
     for (FlowId f = expect; f <= next; ++f) want += sizeOf(f);
     EXPECT_EQ(q.bytes(), want);
     EXPECT_EQ(q.recomputeBytes(), want);
     SimTime delay;
     const SimTime now = SimTime::fromNs(10 * next + 5);
-    EXPECT_EQ(q.dequeue(now, &delay).flow, expect);
+    EXPECT_EQ(pop(q, store, now, &delay).flow, expect);
     EXPECT_EQ(delay, now - SimTime::fromNs(10 * expect));
   }
-  EXPECT_EQ(q.ringCapacity(), 4u);
+  EXPECT_EQ(store.capacity(), PacketStore::kChunkSlots);
+  EXPECT_EQ(store.live(), 3u);
   EXPECT_EQ(q.packets(), 3);
   EXPECT_EQ(q.recomputeBytes(), q.bytes());
 }
 
-TEST(DropTailQueue, RingGrowsWhileWrapped) {
-  DropTailQueue q({64, 0});
-  for (FlowId f = 1; f <= 3; ++f) q.enqueue(makeData(f, 100_B), 0_ns);
-  EXPECT_EQ(q.dequeue(0_ns).flow, 1u);
-  EXPECT_EQ(q.dequeue(0_ns).flow, 2u);
-  // The head sits mid-ring; every growth must unroll the wrapped run.
-  for (FlowId f = 4; f <= 22; ++f) {
+TEST(DropTailQueue, QueuesSharingAStoreKeepTheirOrderAcrossChunks) {
+  // Two queues take slots in turn, so their slots interleave in the
+  // store; together they outgrow the first chunk while both hold packets.
+  PacketStore store;
+  DropTailQueue a(store, {400, 0});
+  DropTailQueue b(store, {400, 0});
+  for (FlowId f = 1; f <= 3; ++f) a.enqueue(makeData(f, 100_B), 0_ns);
+  EXPECT_EQ(pop(a, store).flow, 1u);
+  const Packet* early = &a.back();  // flow 3, stored in the first chunk
+  for (FlowId f = 4; f <= 303; ++f) {
+    DropTailQueue& q = f % 2 == 0 ? a : b;
     ASSERT_TRUE(q.enqueue(makeData(f, ByteCount::fromBytes(
                                           static_cast<std::int64_t>(f))),
                           0_ns));
   }
-  EXPECT_EQ(q.ringCapacity(), 32u);
-  EXPECT_EQ(q.packets(), 20);
-  EXPECT_EQ(q.recomputeBytes(), q.bytes());
-  EXPECT_EQ(q.bytes(), 100_B + ByteCount::fromBytes((4 + 22) * 19 / 2));
-  for (FlowId f = 3; f <= 22; ++f) EXPECT_EQ(q.dequeue(0_ns).flow, f);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.bytes(), 0_B);
+  EXPECT_EQ(store.capacity(), 2 * PacketStore::kChunkSlots);
+  EXPECT_EQ(store.live(), 302u);
+  EXPECT_EQ(early->flow, 3u);  // the growth moved no stored packet
+  EXPECT_EQ(a.recomputeBytes(), a.bytes());
+  EXPECT_EQ(b.recomputeBytes(), b.bytes());
+  EXPECT_EQ(pop(a, store).flow, 2u);
+  EXPECT_EQ(pop(a, store).flow, 3u);
+  for (FlowId f = 4; f <= 303; f += 2) EXPECT_EQ(pop(a, store).flow, f);
+  for (FlowId f = 5; f <= 303; f += 2) EXPECT_EQ(pop(b, store).flow, f);
+  EXPECT_TRUE(a.empty() && b.empty());
+  EXPECT_EQ(a.bytes() + b.bytes(), 0_B);
+  EXPECT_EQ(store.live(), 0u);
+  EXPECT_EQ(store.capacity(), 2 * PacketStore::kChunkSlots);
 }
 
-TEST(DropTailQueue, RingStopsAtBufferSizeAndNeverShrinks) {
-  DropTailQueue q({6, 0});
-  for (FlowId f = 1; f <= 6; ++f) {
-    ASSERT_TRUE(q.enqueue(makeData(f, 100_B), 0_ns));
+TEST(DropTailQueue, ADroppedPacketTakesNoSlot) {
+  PacketStore store;
+  {
+    DropTailQueue q(store, {6, 0});
+    for (FlowId f = 1; f <= 6; ++f) {
+      ASSERT_TRUE(q.enqueue(makeData(f, 100_B), 0_ns));
+    }
+    EXPECT_FALSE(q.enqueue(makeData(7, 100_B), 0_ns));
+    EXPECT_EQ(store.live(), 6u);
+    pop(q, store);
+    EXPECT_EQ(store.live(), 5u);
   }
-  EXPECT_FALSE(q.enqueue(makeData(7, 100_B), 0_ns));
-  EXPECT_EQ(q.ringCapacity(), 8u);  // first power of two holding 6
-  while (!q.empty()) q.dequeue(0_ns);
-  EXPECT_EQ(q.ringCapacity(), 8u);
-
-  DropTailQueue tiny({2, 0});
-  tiny.enqueue(makeData(1, 100_B), 0_ns);
-  EXPECT_EQ(tiny.ringCapacity(), 2u);
+  // A queue destroyed with packets in it returns nothing: the slots go
+  // with the store, whatever the order the two are destroyed in.
+  EXPECT_EQ(store.live(), 5u);
+  EXPECT_EQ(store.capacity(), PacketStore::kChunkSlots);
 }
 
 TEST(DropTailQueue, RingMatchesReferenceModel) {
   // Random pushes and pops against a std::deque model: FIFO order, byte
-  // accounting, drops and instantaneous ECN marks all agree through every
-  // wrap and growth step.
+  // accounting, drops, instantaneous ECN marks and the store's live slots
+  // all agree at every step.
   constexpr int kCapacity = 40;
   constexpr int kEcnK = 5;
-  DropTailQueue q({kCapacity, kEcnK});
+  PacketStore store;
+  DropTailQueue q(store, {kCapacity, kEcnK});
   struct Ref {
     FlowId flow;
     ByteCount size;
@@ -184,7 +219,7 @@ TEST(DropTailQueue, RingMatchesReferenceModel) {
   Rng rng(42);
   FlowId next = 1;
   for (int op = 0; op < 20'000; ++op) {
-    // Drift between filling and draining phases so the ring sees every
+    // Drift between filling and draining phases so the queue sees every
     // occupancy from empty to full, many times over.
     const bool fillPhase = (op / 500) % 2 == 0;
     const bool push = rng.uniform() < (fillPhase ? 0.7 : 0.3);
@@ -205,7 +240,7 @@ TEST(DropTailQueue, RingMatchesReferenceModel) {
       }
       ++next;
     } else if (!model.empty()) {
-      const Packet got = q.dequeue(0_ns);
+      const Packet got = pop(q, store);
       ASSERT_EQ(got.flow, model.front().flow);
       EXPECT_EQ(got.size, model.front().size);
       EXPECT_EQ(got.ce, model.front().ce);
@@ -213,6 +248,7 @@ TEST(DropTailQueue, RingMatchesReferenceModel) {
       model.pop_front();
     }
     ASSERT_EQ(q.packets(), static_cast<int>(model.size()));
+    ASSERT_EQ(store.live(), model.size());
     ASSERT_EQ(q.bytes(), modelBytes);
     if (op % 97 == 0) {
       ASSERT_EQ(q.recomputeBytes(), modelBytes);
@@ -221,7 +257,6 @@ TEST(DropTailQueue, RingMatchesReferenceModel) {
   EXPECT_EQ(q.ecnMarks(), modelMarks);
   EXPECT_EQ(q.drops(), modelDrops);
   EXPECT_GT(modelDrops, 0u);
-  EXPECT_EQ(q.ringCapacity(), 64u);
 }
 
 }  // namespace

@@ -39,13 +39,14 @@ class FixedSelector : public UplinkSelector {
 
 struct Rig {
   sim::Simulator simr;
+  PacketStore store;
   SinkNode sinkA, sinkB, sinkC;
   std::unique_ptr<Switch> sw;
 
   Rig() {
     sw = std::make_unique<Switch>(simr, "test-switch");
     for (SinkNode* sink : {&sinkA, &sinkB, &sinkC}) {
-      auto link = std::make_unique<Link>(simr, gbps(1), microseconds(1),
+      auto link = std::make_unique<Link>(simr, store, gbps(1), microseconds(1),
                                          QueueConfig{16, 0});
       link->connect(sink, 0);
       sw->addPort(std::move(link));

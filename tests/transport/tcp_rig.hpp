@@ -54,6 +54,7 @@ class FilterNode : public net::Node {
 /// with the given rate/delay, so base RTT = 4 * delay (+ serialization).
 struct TcpRig {
   sim::Simulator simr;
+  net::PacketStore store;
   net::Host hostA{0, "A"};
   net::Host hostB{1, "B"};
   FilterNode abFilter;  ///< data direction (A -> B)
@@ -62,17 +63,17 @@ struct TcpRig {
 
   explicit TcpRig(LinkRate rate = gbps(1), SimTime delay = microseconds(25),
                   net::QueueConfig qcfg = {256, 0}) {
-    auto aUp = std::make_unique<net::Link>(simr, rate, delay, qcfg);
+    auto aUp = std::make_unique<net::Link>(simr, store, rate, delay, qcfg);
     aUp->connect(&abFilter, 0);
     hostA.attachUplink(std::move(aUp));
-    abOut = std::make_unique<net::Link>(simr, rate, delay, qcfg);
+    abOut = std::make_unique<net::Link>(simr, store, rate, delay, qcfg);
     abOut->connect(&hostB, 0);
     abFilter.setOutput(abOut.get());
 
-    auto bUp = std::make_unique<net::Link>(simr, rate, delay, qcfg);
+    auto bUp = std::make_unique<net::Link>(simr, store, rate, delay, qcfg);
     bUp->connect(&baFilter, 0);
     hostB.attachUplink(std::move(bUp));
-    baOut = std::make_unique<net::Link>(simr, rate, delay, qcfg);
+    baOut = std::make_unique<net::Link>(simr, store, rate, delay, qcfg);
     baOut->connect(&hostA, 0);
     baFilter.setOutput(baOut.get());
   }

@@ -111,6 +111,17 @@ topology-shape
     and a new one needs no port. Indexing a topology by leaf and spine
     outside those places is how a second, unaudited harness grew before.
 
+packet-storage
+    No net::Packet held by value in a container (`std::vector<Packet>`,
+    `std::deque<net::Packet>`, `std::optional<Packet>`, ...) or as a
+    class or struct data member anywhere in src/, except the packet store
+    itself (src/net/packet_store.*). A packet waiting anywhere — in a
+    queue, on a wire — lives in its fabric's net::PacketStore and is named
+    by its 4-byte handle, so a run's packet memory follows the packets in
+    flight. A per-port or per-flow copy is a second store that grows to
+    its own worst case. Locals (the segment a sender fills in before
+    send()) and `const Packet&` parameters are fine.
+
 Suppression: append `// tlbsim-lint: allow(<rule>)` to the offending line,
 or place it as a comment-only line directly above (for lines that would
 overflow the 80-column format limit otherwise).
@@ -196,6 +207,27 @@ TOPOLOGY_SHAPE_RE = re.compile(r"\b(LeafSpineTopology|FatTreeTopology)\b")
 # The code allowed to know a topology's shape by index.
 TOPOLOGY_SHAPE_DIRS = (("src", "net"), ("src", "fault"))
 TOPOLOGY_SHAPE_FILES = ("src/harness/experiment.cpp",)
+
+# A Packet held by value as a container's element (or a smart pointer's
+# pointee).
+PACKET_CONTAINER_RE = re.compile(
+    r"\b(?:vector|deque|list|forward_list|array|optional|pair|tuple|queue"
+    r"|priority_queue|stack|map|multimap|unordered_map|set|unordered_set"
+    r"|unique_ptr|shared_ptr|span)\s*<[^;]*?(?<![\w:])"
+    r"(?:(?:tlbsim\s*::\s*)?net\s*::\s*)?Packet\s*[,>\[]")
+# A declaration `Packet name;` (or `{...}`, `= ...`, `[n]`), tested on one
+# statement of a class or struct body.
+PACKET_MEMBER_RE = re.compile(
+    r"^\s*(?:(?:mutable|static|inline|const|constexpr)\s+)*"
+    r"(?:(?:tlbsim\s*::\s*)?net\s*::\s*)?Packet\s+\w+\s*"
+    r"(?:\[[^\]]*\]\s*)?(?:=.*)?$", re.S)
+# The head of a class, struct or union body (not `enum class`, not a
+# template function whose parameters say `class`).
+CLASS_HEAD_RE = re.compile(
+    r"^\s*(?:template\s*<.*>\s*)?(?:class|struct|union)\b", re.S)
+ACCESS_LABEL_RE = re.compile(r"^\s*(?:(?:public|private|protected)\s*:\s*)+")
+# The one place a packet may be held by value.
+PACKET_STORE_FILES = ("src/net/packet_store.hpp", "src/net/packet_store.cpp")
 
 DIRECT_EXPERIMENT_RE = re.compile(
     r"\b(runExperiment|summarizeExperiment)\s*\("
@@ -302,6 +334,11 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
         rel.parts[:2] in FLOWPROBE_AUTHORITY_DIRS
         or rel.as_posix() in FLOWPROBE_AUTHORITY_FILES)
     lines = text.splitlines()
+    # packet-storage keeps the brace scopes of the file: True for a class,
+    # struct or union body. `stmt` is the code since the last ; { or }.
+    packet_rule = in_src and rel.as_posix() not in PACKET_STORE_FILES
+    scopes: list = []
+    stmt = ""
 
     in_block_comment = False
     for lineno, raw in enumerate(lines, start=1):
@@ -422,6 +459,30 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     f"{m.group(1)} outside src/net, src/fault and "
                     "harness/experiment.cpp; take net::Fabric& so the "
                     "code runs on every topology"))
+
+        # --- packet-storage -------------------------------------------
+        if packet_rule and not code.lstrip().startswith("#"):
+            held = PACKET_CONTAINER_RE.search(code) is not None
+            for ch in code:
+                if ch not in ";{}":
+                    stmt += ch
+                    continue
+                decl = ACCESS_LABEL_RE.sub("", stmt)
+                if ch in ";{" and scopes and scopes[-1] and \
+                        PACKET_MEMBER_RE.match(decl):
+                    held = True
+                if ch == "{":
+                    scopes.append(CLASS_HEAD_RE.match(decl) is not None)
+                elif ch == "}" and scopes:
+                    scopes.pop()
+                stmt = ""
+            stmt += " "
+            if held and not allowed(raw, "packet-storage", prev_raw):
+                findings.append(Finding(
+                    rel, lineno, "packet-storage",
+                    "net::Packet held by value in a container or a data "
+                    "member; a waiting packet lives in the fabric's "
+                    "net::PacketStore, named by its handle"))
 
         # --- bench-direct-experiment ----------------------------------
         if in_bench:
@@ -616,6 +677,35 @@ SELF_TEST_CASES = [
     (None, "src/app/service.cpp",
      "// built on a LeafSpineTopology or a FatTreeTopology\n"),
     (None, "tools/x.cpp", "net::LeafSpineTopology topo(simr, cfg, f);\n"),
+    # packet-storage: a waiting packet lives in the store, by handle.
+    ("packet-storage", "src/transport/x.hpp",
+     "class Sender {\n private:\n  std::vector<Packet> unacked_;\n};\n"),
+    ("packet-storage", "src/net/x.hpp",
+     "struct WireSlot {\n  Packet pkt;\n  std::uint64_t epoch = 0;\n};\n"),
+    ("packet-storage", "src/net/x.hpp",
+     "class Tap : public Node {\n public:\n  void f();\n\n private:\n"
+     "  net::Packet last_{};\n};\n"),
+    ("packet-storage", "src/stats/x.cpp",
+     "std::deque<net::Packet> pending;\n"),
+    ("packet-storage", "src/obs/x.hpp",
+     "struct A { Packet pkt; int port; };\n"),
+    (None, "src/transport/tcp_sender.cpp",
+     "void TcpSender::sendSegment(std::uint64_t seq) {\n"
+     "  net::Packet pkt;\n  pkt.seq = seq;\n  host_.send(pkt);\n}\n"),
+    (None, "src/net/x.hpp",
+     "class Link {\n  void send(const Packet& pkt) {\n    Packet copy = pkt;"
+     "\n  }\n  const Packet* last_;\n};\n"),
+    (None, "src/net/x.hpp",
+     "template <class T>\nvoid relay(T& to) {\n  Packet pkt;\n}\n"),
+    (None, "src/net/x.hpp",
+     "using Hook = util::InlineFunction<void(const Packet&)>;\n"
+     "std::vector<Hook> hooks_;\nstd::vector<PacketType> kinds_;\n"),
+    (None, "src/net/x.hpp",
+     "struct Probe {\n  Packet last;  // tlbsim-lint: allow(packet-storage)\n"
+     "};\n"),
+    (None, "src/net/packet_store.hpp",
+     "struct Slot {\n  Packet pkt;\n};\nstd::vector<Slot> slots_;\n"),
+    (None, "tests/net/x.cpp", "struct Arrival {\n  Packet pkt;\n};\n"),
 ]
 
 
