@@ -7,9 +7,10 @@
 // slowest* and *why the tail queries missed their 10 ms budget*, which is
 // exactly what app::QueryProbe records per query.
 //
-// Demonstrates the full app-layer surface: ExperimentConfig.app, an
-// externally owned QueryProbe, the per-query ledger (slowest-worker
-// attribution, retry timeline), and NDJSON export for offline analysis.
+// Demonstrates the full app-layer surface: ExperimentConfig.app, a
+// QueryProbe passed to the run as its sink, the per-query ledger
+// (slowest-worker attribution, retry timeline), and NDJSON export for
+// offline analysis.
 //
 //   $ ./partition_aggregate
 #include <algorithm>
@@ -49,9 +50,7 @@ int main() {
     cfg.app.timeout = milliseconds(40);
 
     app::QueryProbe probe;
-    cfg.queryProbe = &probe;
-
-    const auto res = harness::runExperiment(cfg);
+    const auto res = harness::runExperiment(cfg, {.queries = &probe});
     t.addRow(harness::schemeName(scheme),
              {res.appQctP50Sec() * 1e3, res.appQctP99Sec() * 1e3,
               res.appSloMissRatio() * 100.0,

@@ -4,7 +4,6 @@
 #include <optional>
 #include <string>
 
-#include "app/query_probe.hpp"
 #include "app/service.hpp"
 #include "check/invariant_audit.hpp"
 #include "core/tlb.hpp"
@@ -52,44 +51,7 @@ bool auditEnabled(ExperimentConfig::Audit mode) {
 
 }  // namespace
 
-Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {}
-Experiment::~Experiment() = default;
-Experiment::Experiment(Experiment&&) noexcept = default;
-Experiment& Experiment::operator=(Experiment&&) noexcept = default;
-
-obs::MetricsRegistry& Experiment::ownMetrics() {
-  if (ownedMetrics_ == nullptr) {
-    ownedMetrics_ = std::make_unique<obs::MetricsRegistry>();
-    cfg_.sinks.metrics = ownedMetrics_.get();
-  }
-  return *ownedMetrics_;
-}
-
-obs::EventTrace& Experiment::ownTrace(std::size_t maxEvents) {
-  if (ownedTrace_ == nullptr) {
-    ownedTrace_ = std::make_unique<obs::EventTrace>(maxEvents);
-    cfg_.sinks.trace = ownedTrace_.get();
-  }
-  return *ownedTrace_;
-}
-
-obs::FlowProbe& Experiment::ownFlows() {
-  if (ownedFlows_ == nullptr) {
-    ownedFlows_ = std::make_unique<obs::FlowProbe>();
-    cfg_.sinks.flows = ownedFlows_.get();
-  }
-  return *ownedFlows_;
-}
-
-app::QueryProbe& Experiment::ownQueries() {
-  if (ownedQueries_ == nullptr) {
-    ownedQueries_ = std::make_unique<app::QueryProbe>();
-    cfg_.queryProbe = ownedQueries_.get();
-  }
-  return *ownedQueries_;
-}
-
-ExperimentResult Experiment::run() const {
+ExperimentResult Experiment::run(const Sinks& sinks) const {
   ExperimentConfig cfg = cfg_;  // local copy: we fill derived fields
   ExperimentResult res;
 
@@ -118,15 +80,13 @@ ExperimentResult Experiment::run() const {
                              cfg.topo.baseRtt(), cfg.topo.bufferPackets,
                              cfg.topo.ecnThresholdPackets};
   cfg.scheme.numPaths = phys.paths;
-  if (cfg.autoFillTlbFromTopology) {
-    cfg.scheme.tlb.rtt = phys.rtt;
-    cfg.scheme.tlb.linkCapacity = phys.rate;
-    cfg.scheme.tlb.bufferPackets = phys.bufferPackets;
-    cfg.scheme.tlb.mss = cfg.tcp.mss;
-    cfg.scheme.tlb.packetWireSize = cfg.tcp.maxSegmentWireSize();
-    cfg.scheme.tlb.longFlowWindow = cfg.tcp.receiverWindow;
-    cfg.scheme.tlb.qthCapPackets = phys.ecnPackets;
-  }
+  cfg.scheme.tlb.rtt = phys.rtt;
+  cfg.scheme.tlb.linkCapacity = phys.rate;
+  cfg.scheme.tlb.bufferPackets = phys.bufferPackets;
+  cfg.scheme.tlb.mss = cfg.tcp.mss;
+  cfg.scheme.tlb.packetWireSize = cfg.tcp.maxSegmentWireSize();
+  cfg.scheme.tlb.longFlowWindow = cfg.tcp.receiverWindow;
+  cfg.scheme.tlb.qthCapPackets = phys.ecnPackets;
 
   // Topology with one selector per decision switch; remember TLB instances
   // for the q_th trace.
@@ -167,57 +127,52 @@ ExperimentResult Experiment::run() const {
   }
 
   // Observability wiring: trace tracks, the q_th series and a periodic
-  // queue-depth sampler; counts are read at run end. Skipped entirely (no
-  // hooks, no branches beyond the null-pointer guards) when neither sink
-  // is configured.
-  const obs::Sinks sinks = cfg.sinks;
+  // queue-depth sampler; counts are read at run end. Each step is skipped
+  // (no hooks, no timer) when its sink is null.
   std::vector<std::pair<obs::Gauge*, net::Link*>> depthGauges;
-  if (sinks.any()) {
-    if (sinks.trace != nullptr) simr.installTrace(*sinks.trace);
-    if (sinks.metrics != nullptr) {
-      for (net::Switch* sw : access) {
-        for (int port : sw->uplinkGroup()) {
-          net::Link& link = sw->port(port);
-          const std::string label = net::linkLabel(*sw, link);
-          if (sinks.trace != nullptr) link.installTrace(*sinks.trace, label);
-          depthGauges.emplace_back(
-              &sinks.metrics->gauge("port." + label + ".queue_pkts"), &link);
-        }
+  if (sinks.trace != nullptr) simr.installTrace(*sinks.trace);
+  if (sinks.metrics != nullptr) {
+    for (net::Switch* sw : access) {
+      for (int port : sw->uplinkGroup()) {
+        net::Link& link = sw->port(port);
+        const std::string label = net::linkLabel(*sw, link);
+        if (sinks.trace != nullptr) link.installTrace(*sinks.trace, label);
+        depthGauges.emplace_back(
+            &sinks.metrics->gauge("port." + label + ".queue_pkts"), &link);
       }
     }
-    // Every decision switch runs the same scheme and the factory ran in
-    // decision-switch order, so tlbs[i] is decisionSwitches()[i]'s.
-    for (std::size_t i = 0; i < tlbs.size(); ++i) {
-      tlbs[i]->installObs(sinks.metrics, sinks.trace,
-                          topo.decisionSwitches()[i]->name());
+  }
+  // Every decision switch runs the same scheme and the factory ran in
+  // decision-switch order, so tlbs[i] is decisionSwitches()[i]'s.
+  for (std::size_t i = 0; i < tlbs.size(); ++i) {
+    tlbs[i]->installObs(sinks.metrics, sinks.trace,
+                        topo.decisionSwitches()[i]->name());
+  }
+  if (sinks.flows != nullptr) {
+    // Every workload flow is declared up front so each probe hook is a
+    // guaranteed record hit; access switches report uplink forwards and
+    // their selectors report decisions. Only the first tier reports: the
+    // probe keeps one path per flow.
+    for (const auto& f : cfg.flows) {
+      sinks.flows->declareFlow(f.id, f.src, f.dst, f.size, f.start,
+                               f.size < cfg.shortThreshold);
     }
-    if (sinks.flows != nullptr) {
-      // Every workload flow is declared up front so each probe hook is a
-      // guaranteed record hit; access switches report uplink forwards and
-      // their selectors report decisions. Only the first tier reports: the
-      // probe keeps one path per flow.
-      for (const auto& f : cfg.flows) {
-        sinks.flows->declareFlow(f.id, f.src, f.dst, f.size, f.start,
-                                 f.size < cfg.shortThreshold);
+    for (std::size_t a = 0; a < access.size(); ++a) {
+      access[a]->installFlowProbe(*sinks.flows, static_cast<int>(a));
+      if (access[a]->selector() != nullptr) {
+        access[a]->selector()->setFlowProbe(sinks.flows);
       }
-      for (std::size_t a = 0; a < access.size(); ++a) {
-        access[a]->installFlowProbe(*sinks.flows, static_cast<int>(a));
-        if (access[a]->selector() != nullptr) {
-          access[a]->selector()->setFlowProbe(sinks.flows);
-        }
-      }
     }
-    if (sinks.metrics != nullptr && cfg.obsSampleInterval > 0_ns &&
-        !depthGauges.empty()) {
-      simr.every(
-          cfg.obsSampleInterval,
-          [&depthGauges] {
-            for (auto& [gauge, link] : depthGauges) {
-              gauge->set(static_cast<double>(link->queuePackets()));
-            }
-          },
-          /*start=*/cfg.obsSampleInterval, /*name=*/"obs.sample");
-    }
+  }
+  if (!depthGauges.empty()) {
+    simr.every(
+        cfg.obsSampleInterval,
+        [&depthGauges] {
+          for (auto& [gauge, link] : depthGauges) {
+            gauge->set(static_cast<double>(link->queuePackets()));
+          }
+        },
+        /*start=*/cfg.obsSampleInterval, /*name=*/"obs.sample");
   }
 
   // Fault injection: a non-empty plan arms the injector (which mutates
@@ -227,7 +182,7 @@ ExperimentResult Experiment::run() const {
   std::unique_ptr<fault::FaultInjector> faultInj;
   if (!cfg.fault.empty()) {
     fault::FaultMonitor::Config mcfg;
-    if (cfg.obsSampleInterval > 0_ns) mcfg.sampleInterval = cfg.obsSampleInterval;
+    mcfg.sampleInterval = cfg.obsSampleInterval;
     // A flow is long unless its spec is short, static and app flows alike.
     faultMon = std::make_unique<fault::FaultMonitor>(
         *leafSpine, simr,
@@ -365,8 +320,8 @@ ExperimentResult Experiment::run() const {
     }
     service = std::make_unique<app::Service>(simr, topo, cfg.app, cfg.tcp,
                                              cfg.seed, firstAppFlowId);
-    service->setQueryProbe(cfg.queryProbe);
-    if (sinks.any()) service->installObs(sinks.metrics, sinks.trace);
+    service->setQueryProbe(sinks.queries);
+    service->installObs(sinks.metrics, sinks.trace);
     if (auditor != nullptr) {
       auditor->watchService(*service);
       service->setEndpointHook(
@@ -575,12 +530,9 @@ ExperimentResult Experiment::run() const {
   return res;
 }
 
-obs::RunSummary Experiment::summarize(const ExperimentResult& res) const {
-  return summarizeExperiment(cfg_, res);
-}
-
-ExperimentResult runExperiment(const ExperimentConfig& cfg) {
-  return Experiment(cfg).run();
+ExperimentResult runExperiment(const ExperimentConfig& cfg,
+                               const Sinks& sinks) {
+  return Experiment(cfg).run(sinks);
 }
 
 obs::RunSummary summarizeExperiment(const ExperimentConfig& cfg,

@@ -4,16 +4,18 @@
 // ExperimentConfig::fatTree is set; either way the run is one net::Fabric
 // under the same obs, audit and app wiring.
 //
-// The Experiment class is the run-owning API: it copies its config at
-// construction, optionally owns private observability sinks, and run()
-// returns a self-contained value-type ExperimentResult that shares no
-// mutable state with the harness — which is what lets the runner execute
-// many Experiments on concurrent threads without any locking.
+// ExperimentConfig says what to simulate; Sinks says where a run records
+// besides its result, and is an argument of the run, never configuration.
+// An Experiment keeps a copy of its config and runs it: run() builds the
+// whole simulation, writes only to the sinks it is given, and returns a
+// self-contained value-type ExperimentResult that shares no mutable state
+// with the harness — which is what lets the runner execute many
+// Experiments on concurrent threads without any locking.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "app/app_config.hpp"
@@ -23,7 +25,6 @@
 #include "net/leaf_spine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_summary.hpp"
-#include "obs/sinks.hpp"
 #include "stats/flow_ledger.hpp"
 #include "stats/queue_monitor.hpp"
 #include "transport/tcp_params.hpp"
@@ -33,6 +34,11 @@
 namespace tlbsim::app {
 class QueryProbe;
 }
+
+namespace tlbsim::obs {
+class EventTrace;
+class FlowProbe;
+}  // namespace tlbsim::obs
 
 namespace tlbsim::harness {
 
@@ -55,22 +61,17 @@ struct ExperimentConfig {
   SimTime sampleInterval;
 
   /// Classification boundary for reporting (matches TLB's table).
-  ByteCount shortThreshold = 100 * kKB;
+  static constexpr ByteCount shortThreshold = transport::kShortFlowSize;
 
   std::uint64_t seed = 1;
 
-  /// When true (default), TLB's physical parameters (RTT, capacity,
-  /// buffer, ECN cap) are derived from the topology config before the run.
-  bool autoFillTlbFromTopology = true;
+  /// TLB's physical parameters (RTT, capacity, buffer, ECN cap) are always
+  /// derived from the topology before the run.
+  static constexpr bool autoFillTlbFromTopology = true;
 
-  /// Observability sinks (both null = fully disabled). The struct is the
-  /// single wiring point; the pointed-to registry/trace must outlive the
-  /// run and are never owned through this config — Experiment owns
-  /// per-run sinks when asked to.
-  obs::Sinks sinks;
-  /// Cadence of the queue-depth snapshot sampler (matches TLB's control
-  /// interval by default).
-  SimTime obsSampleInterval = microseconds(500);
+  /// Cadence of the queue-depth snapshot sampler and the fault monitor's
+  /// goodput samples (TLB's control interval).
+  static constexpr SimTime obsSampleInterval = microseconds(500);
 
   // --- application layer (tlbsim::app) ----------------------------------
   /// Closed-loop partition-aggregate RPC service running on top of the
@@ -79,10 +80,6 @@ struct ExperimentConfig {
   /// their summary JSON byte-identical. Populated from `app.*` overrides
   /// or the CLI's --app flags.
   app::AppConfig app;
-  /// Per-query telemetry sink (null = disabled). Like obs::Sinks, never
-  /// owned through the config; Experiment::ownQueries() gives a run a
-  /// private probe.
-  app::QueryProbe* queryProbe = nullptr;
 
   // --- fault injection (tlbsim::fault) ----------------------------------
   /// Declarative link-fault schedule, applied by a FaultInjector during
@@ -192,54 +189,47 @@ struct ExperimentResult {
   }
 };
 
-/// One configured run. Immutable after construction except for sink
-/// ownership; run() may be called repeatedly and each call is an
+/// Where one run records besides its result. All four are nullable and
+/// null by default: a run without sinks pays one well-predicted branch per
+/// instrumented site. The caller owns the sinks, which must outlive run().
+struct Sinks {
+  /// The q_th time series, a periodic queue-depth sampler, and every
+  /// component's counts (per-port drop/ECN/tx, TLB decisions, TCP totals,
+  /// ...), added when the run ends.
+  obs::MetricsRegistry* metrics = nullptr;
+  /// Packet serializations/drops/marks on the access uplinks, TLB control
+  /// ticks and TCP loss events, as Chrome trace events.
+  obs::EventTrace* trace = nullptr;
+  /// One FlowRecord per static flow (retransmits, OOO attribution, uplink
+  /// shares, decision timeline) plus the (leaf, uplink) path matrix.
+  obs::FlowProbe* flows = nullptr;
+  /// One QueryRecord per app-layer query; unused when the app is off.
+  app::QueryProbe* queries = nullptr;
+};
+
+/// One configured run. run() may be called repeatedly and each call is an
 /// independent, identically-seeded simulation.
 class Experiment {
  public:
-  explicit Experiment(ExperimentConfig cfg);
-  ~Experiment();
-
-  Experiment(Experiment&&) noexcept;
-  Experiment& operator=(Experiment&&) noexcept;
-  Experiment(const Experiment&) = delete;
-  Experiment& operator=(const Experiment&) = delete;
-
-  /// Create a MetricsRegistry (resp. EventTrace) owned by this Experiment
-  /// and wire it into the run's sinks. The sweep runner uses these so
-  /// concurrent runs share nothing; callers that want to aggregate across
-  /// runs keep passing external sinks through the config instead.
-  obs::MetricsRegistry& ownMetrics();
-  obs::EventTrace& ownTrace(std::size_t maxEvents = 500'000);
-  obs::FlowProbe& ownFlows();
-  app::QueryProbe& ownQueries();
+  explicit Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {}
 
   const ExperimentConfig& config() const { return cfg_; }
-  obs::MetricsRegistry* metrics() const { return cfg_.sinks.metrics; }
-  obs::EventTrace* trace() const { return cfg_.sinks.trace; }
-  obs::FlowProbe* flows() const { return cfg_.sinks.flows; }
-  app::QueryProbe* queries() const { return cfg_.queryProbe; }
 
-  /// Build the network, run the flow list, and collect results.
-  ExperimentResult run() const;
-
-  /// Flatten the headline results of a run into a RunSummary (the JSON
-  /// the bench binaries emit). Callers add their own metadata (figure,
-  /// workload, sweep point) on top.
-  obs::RunSummary summarize(const ExperimentResult& res) const;
+  /// Build the network, run the flow list, and collect results, recording
+  /// into `sinks` along the way.
+  ExperimentResult run(const Sinks& sinks = {}) const;
 
  private:
   ExperimentConfig cfg_;
-  std::unique_ptr<obs::MetricsRegistry> ownedMetrics_;
-  std::unique_ptr<obs::EventTrace> ownedTrace_;
-  std::unique_ptr<obs::FlowProbe> ownedFlows_;
-  std::unique_ptr<app::QueryProbe> ownedQueries_;
 };
 
-/// Convenience wrapper: Experiment(cfg).run().
-ExperimentResult runExperiment(const ExperimentConfig& cfg);
+/// Convenience wrapper: Experiment(cfg).run(sinks).
+ExperimentResult runExperiment(const ExperimentConfig& cfg,
+                               const Sinks& sinks = {});
 
-/// Convenience wrapper: Experiment(cfg).summarize(res).
+/// Flatten the headline results of a run into a RunSummary (the JSON the
+/// bench binaries emit). Callers add their own metadata (figure,
+/// workload, sweep point) on top.
 obs::RunSummary summarizeExperiment(const ExperimentConfig& cfg,
                                     const ExperimentResult& res);
 

@@ -38,20 +38,21 @@ const double* RunSummary::value(const std::string& key) const {
   return nullptr;
 }
 
-std::string RunSummary::toJson() const {
+std::string RunSummary::toJson(int indent) const {
+  const std::string pad(static_cast<std::size_t>(indent), ' ');
   std::string out = "{";
   bool first = true;
   for (const auto& [k, v] : meta_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "  \"" + jsonEscape(k) + "\": \"" + jsonEscape(v) + "\"";
+    out += pad + "  \"" + jsonEscape(k) + "\": \"" + jsonEscape(v) + "\"";
   }
   for (const auto& [k, v] : values_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "  \"" + jsonEscape(k) + "\": " + jsonNumber(v);
+    out += pad + "  \"" + jsonEscape(k) + "\": " + jsonNumber(v);
   }
-  out += first ? "}" : "\n}";
+  out += first ? "}" : "\n" + pad + "}";
   return out;
 }
 

@@ -29,7 +29,9 @@ class RunSummary {
     return values_;
   }
 
-  std::string toJson() const;
+  /// One JSON object. Every line after the first starts with `indent`
+  /// spaces, so the object can sit at that depth in a larger document.
+  std::string toJson(int indent = 0) const;
   bool writeJsonFile(const std::string& path) const;
 
  private:

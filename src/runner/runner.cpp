@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -46,28 +47,31 @@ RunOutcome runPoint(const SweepPoint& pt, const SweepScenario& scenario,
     throw std::runtime_error(err);
   }
   cfg.seed = pt.runSeed;
-  // Share-nothing: a sweep run never writes through sinks the caller put
-  // in the base config, since those would be contended across workers.
-  cfg.sinks = obs::Sinks{};
-  cfg.queryProbe = nullptr;
   if (scenario.workload) scenario.workload(cfg, pt);
+  const harness::Experiment exp(std::move(cfg));
 
-  const bool collectFlows = opt.collectFlows || !opt.flowsNdjsonPath.empty();
-  const bool collectQueries =
-      (opt.collectQueries || !opt.queriesNdjsonPath.empty()) &&
-      cfg.app.enabled();
-  harness::Experiment exp(std::move(cfg));
-  if (opt.collectMetrics) exp.ownMetrics();
-  if (collectFlows) exp.ownFlows();
-  if (collectQueries) exp.ownQueries();
+  // Share-nothing: the run's sinks are this worker's locals, each built
+  // only when it is collected.
+  std::optional<obs::MetricsRegistry> metrics;
+  std::optional<obs::FlowProbe> flows;
+  std::optional<app::QueryProbe> queries;
+  harness::Sinks sinks;
+  if (opt.collectMetrics) sinks.metrics = &metrics.emplace();
+  if (opt.collectFlows || !opt.flowsNdjsonPath.empty()) {
+    sinks.flows = &flows.emplace();
+  }
+  if ((opt.collectQueries || !opt.queriesNdjsonPath.empty()) &&
+      exp.config().app.enabled()) {
+    sinks.queries = &queries.emplace();
+  }
 
   RunOutcome out;
   out.point = pt;
   const auto t0 = std::chrono::steady_clock::now();
-  out.result = exp.run();
+  out.result = exp.run(sinks);
   out.wallSeconds = elapsedSeconds(t0);
 
-  out.summary = exp.summarize(out.result);
+  out.summary = harness::summarizeExperiment(exp.config(), out.result);
   out.summary.setMeta("point", pt.label());
   if (!pt.variant.label.empty()) {
     out.summary.setMeta("variant", pt.variant.label);
@@ -75,57 +79,26 @@ RunOutcome runPoint(const SweepPoint& pt, const SweepScenario& scenario,
   out.summary.set("point_index", static_cast<double>(pt.index));
   out.summary.set("base_seed", static_cast<double>(pt.baseSeed));
   if (pt.hasLoad) out.summary.set("load", pt.load);
-  if (opt.collectMetrics && exp.metrics() != nullptr) {
-    for (const auto& [name, value] : exp.metrics()->counterValues()) {
+  if (metrics) {
+    for (const auto& [name, value] : metrics->counterValues()) {
       out.summary.set("metric." + name, static_cast<double>(value));
     }
   }
-  if (collectFlows && exp.flows() != nullptr) {
-    exp.flows()->fold(out.summary);
-    if (!opt.flowsNdjsonPath.empty()) {
-      out.flowsNdjson = exp.flows()->toNdjson(
-          {{"point", pt.label()},
-           {"scheme", harness::schemeCliName(pt.scheme)},
-           {"seed", std::to_string(pt.runSeed)}});
-    }
+  const std::vector<std::pair<std::string, std::string>> meta = {
+      {"point", pt.label()},
+      {"scheme", harness::schemeCliName(pt.scheme)},
+      {"seed", std::to_string(pt.runSeed)}};
+  if (flows) {
+    flows->fold(out.summary);
+    if (!opt.flowsNdjsonPath.empty()) out.flowsNdjson = flows->toNdjson(meta);
   }
-  if (collectQueries && exp.queries() != nullptr) {
-    exp.queries()->fold(out.summary);
+  if (queries) {
+    queries->fold(out.summary);
     if (!opt.queriesNdjsonPath.empty()) {
-      out.queriesNdjson = exp.queries()->toNdjson(
-          {{"point", pt.label()},
-           {"scheme", harness::schemeCliName(pt.scheme)},
-           {"seed", std::to_string(pt.runSeed)}});
+      out.queriesNdjson = queries->toNdjson(meta);
     }
   }
   return out;
-}
-
-void appendIndent(std::string& out, int indent) {
-  out.append(static_cast<std::size_t>(indent), ' ');
-}
-
-/// Serializes one RunSummary object at the given indent (RunSummary's own
-/// toJson only knows top-level indentation).
-void appendSummary(std::string& out, const obs::RunSummary& s, int indent) {
-  out += "{\n";
-  bool first = true;
-  for (const auto& [key, value] : s.metas()) {
-    if (!first) out += ",\n";
-    first = false;
-    appendIndent(out, indent + 2);
-    out += "\"" + obs::jsonEscape(key) + "\": \"" + obs::jsonEscape(value) +
-           "\"";
-  }
-  for (const auto& [key, value] : s.values()) {
-    if (!first) out += ",\n";
-    first = false;
-    appendIndent(out, indent + 2);
-    out += "\"" + obs::jsonEscape(key) + "\": " + obs::jsonNumber(value);
-  }
-  out += "\n";
-  appendIndent(out, indent);
-  out += "}";
 }
 
 void appendStringArray(std::string& out, const std::vector<std::string>& v) {
@@ -260,7 +233,7 @@ std::string SweepReport::toJson() const {
   out += "\n  },\n  \"runs\": [";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
-    appendSummary(out, runs[i].summary, 4);
+    out += runs[i].summary.toJson(4);
   }
   out += runs.empty() ? "],\n" : "\n  ],\n";
   out += "  \"aggregates\": [";

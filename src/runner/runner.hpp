@@ -8,8 +8,8 @@
 //     on the hot path);
 //   * every run builds its own Simulator/topology/transport stack from a
 //     config the worker owns, seeds it with the point's derived runSeed,
-//     and owns its observability sinks (external sinks in the scenario's
-//     base config are deliberately discarded);
+//     and records into sinks that are that worker's locals (a config holds
+//     no sink, so a scenario's base config cannot share one across runs);
 //   * results land in a pre-sized vector slot owned by the point's index,
 //     and aggregation runs after the join, in index order.
 // Consequently the report — including its serialized JSON — is
@@ -49,21 +49,21 @@ struct SweepScenario {
 struct RunnerOptions {
   /// Worker threads; <= 0 means std::thread::hardware_concurrency().
   int jobs = 1;
-  /// Give every run an Experiment-owned MetricsRegistry (the per-run
-  /// counters are then folded into its RunSummary).
+  /// Give every run its own MetricsRegistry (the per-run counters are
+  /// then folded into its RunSummary).
   bool collectMetrics = false;
-  /// Give every run an Experiment-owned FlowProbe; its bounded "flows.*"
-  /// summary (reorder rate, path churn, matrix imbalance, ...) is folded
-  /// into the RunSummary, so the per-flow records themselves never cross
-  /// the aggregation boundary.
+  /// Give every run its own FlowProbe; its bounded "flows.*" summary
+  /// (reorder rate, path churn, matrix imbalance, ...) is folded into the
+  /// RunSummary, so the per-flow records themselves never cross the
+  /// aggregation boundary.
   bool collectFlows = false;
   /// When non-empty, implies collectFlows and additionally writes every
   /// run's per-flow records to this NDJSON file, concatenated in point
   /// index order after the join — byte-identical for any worker count.
   std::string flowsNdjsonPath;
-  /// Give every run an Experiment-owned app::QueryProbe (no-op for runs
-  /// whose config leaves the app layer disabled); its "app.probe_*"
-  /// summary is folded into the RunSummary.
+  /// Give every run its own app::QueryProbe (no-op for runs whose config
+  /// leaves the app layer disabled); its "app.probe_*" summary is folded
+  /// into the RunSummary.
   bool collectQueries = false;
   /// When non-empty, implies collectQueries and additionally writes every
   /// run's per-query records to this NDJSON file, concatenated in point

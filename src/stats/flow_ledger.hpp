@@ -46,7 +46,9 @@ class FlowLedger {
   const std::vector<FlowResult>& flows() const { return flows_; }
 
   /// Standard flow classes (paper: short < 100 KB).
-  static bool isShort(const FlowResult& r) { return r.spec.size < 100 * kKB; }
+  static bool isShort(const FlowResult& r) {
+    return r.spec.size < transport::kShortFlowSize;
+  }
   static bool isLong(const FlowResult& r) { return !isShort(r); }
 
   std::size_t count(const Predicate& pred) const;

@@ -37,6 +37,12 @@ struct TcpParams {
   ByteCount maxSegmentWireSize() const { return mss + headerBytes; }
 };
 
+/// The paper's short/long boundary: a flow below this size is short. The
+/// reports, the harness's flow classes and the workloads' deadlines all
+/// read it; TLB's own threshold (TlbConfig::shortFlowThreshold) is a
+/// setting that starts at the same value.
+inline constexpr ByteCount kShortFlowSize = 100 * kKB;
+
 /// A flow to be transferred: the unit of workload generation.
 struct FlowSpec {
   FlowId id = kInvalidFlow;

@@ -31,7 +31,7 @@ struct PoissonConfig {
   double offeredCapacityBps = 0.0;
   /// Deadlines assigned to flows below `shortThreshold`, uniform in
   /// [deadlineMin, deadlineMax] (paper: [5 ms, 25 ms]); 0/0 disables.
-  ByteCount shortThreshold = 100 * kKB;
+  static constexpr ByteCount shortThreshold = transport::kShortFlowSize;
   SimTime deadlineMin = milliseconds(5);
   SimTime deadlineMax = milliseconds(25);
 };

@@ -62,8 +62,7 @@ TEST(AppFault, QueryRecoversThroughRetryNotTcpRto) {
   const SimTime healAt = milliseconds(25);
   auto cfg = grayFailureConfig(healAt);
   QueryProbe probe;
-  cfg.queryProbe = &probe;
-  const auto res = harness::runExperiment(cfg);
+  const auto res = harness::runExperiment(cfg, {.queries = &probe});
 
   // The query must complete, and complete through an app retry: after the
   // fabric heals at 25 ms, the first retry past the heal (at 30 ms) wins,
@@ -91,8 +90,7 @@ TEST(AppFault, NoQueryHangsPastMaxDuration) {
   cfg.maxDuration = milliseconds(50);
   cfg.app.maxRetries = 2;
   QueryProbe probe;
-  cfg.queryProbe = &probe;
-  const auto res = harness::runExperiment(cfg);
+  const auto res = harness::runExperiment(cfg, {.queries = &probe});
 
   EXPECT_LE(res.endTime, milliseconds(50));
   EXPECT_EQ(res.appQueriesLaunched, 1);

@@ -56,8 +56,7 @@ TEST(Service, ClosedLoopRespectsConcurrencyBound) {
   auto cfg = appConfig(16);
   cfg.app.concurrency = 2;
   QueryProbe probe;
-  cfg.queryProbe = &probe;
-  harness::runExperiment(cfg);
+  harness::runExperiment(cfg, {.queries = &probe});
 
   // Reconstruct in-flight concurrency from the per-query ledger: at any
   // query's start, at most `concurrency` queries (itself included) may be
@@ -78,8 +77,7 @@ TEST(Service, PoissonArrivalsMatchConfiguredQps) {
   cfg.app.arrival = Arrival::kPoisson;
   cfg.app.qps = 20000.0;
   QueryProbe probe;
-  cfg.queryProbe = &probe;
-  const auto res = harness::runExperiment(cfg);
+  const auto res = harness::runExperiment(cfg, {.queries = &probe});
   EXPECT_EQ(res.appQueriesLaunched, 200);
 
   const auto recs = probe.sortedRecords();
@@ -111,8 +109,7 @@ TEST(Service, DuplicateKnobIssuesOneDuplicatePerShortSlot) {
   auto cfg = appConfig(6);
   cfg.app.duplicateThreshold = 64 * kKB;  // responses (16 KB) qualify
   QueryProbe probe;
-  cfg.queryProbe = &probe;
-  const auto res = harness::runExperiment(cfg);
+  const auto res = harness::runExperiment(cfg, {.queries = &probe});
   EXPECT_EQ(res.appQueriesCompleted, 6);
   EXPECT_EQ(res.appDuplicates, 6u * 4u);  // one per slot
   for (const auto* r : probe.sortedRecords()) {
@@ -134,8 +131,7 @@ TEST(Service, WorkersNeverIncludeTheAggregator) {
     auto cfg = appConfig(8);
     cfg.app.placement = placement;
     QueryProbe probe;
-    cfg.queryProbe = &probe;
-    harness::runExperiment(cfg);
+    harness::runExperiment(cfg, {.queries = &probe});
     for (const auto* r : probe.sortedRecords()) {
       ASSERT_GE(r->slowestWorker, 0);
       EXPECT_NE(r->slowestWorker, r->aggregator) << "query " << r->id;
@@ -158,18 +154,12 @@ TEST(Service, FanOutWiderThanFabricRepeatsWorkers) {
 
 TEST(Service, DeterministicLedgerForSameSeed) {
   QueryProbe a, b;
-  auto cfgA = appConfig(10, /*seed=*/21);
-  cfgA.queryProbe = &a;
-  harness::runExperiment(cfgA);
-  auto cfgB = appConfig(10, /*seed=*/21);
-  cfgB.queryProbe = &b;
-  harness::runExperiment(cfgB);
+  harness::runExperiment(appConfig(10, /*seed=*/21), {.queries = &a});
+  harness::runExperiment(appConfig(10, /*seed=*/21), {.queries = &b});
   EXPECT_EQ(a.toNdjson({}), b.toNdjson({}));
 
   QueryProbe c;
-  auto cfgC = appConfig(10, /*seed=*/22);
-  cfgC.queryProbe = &c;
-  harness::runExperiment(cfgC);
+  harness::runExperiment(appConfig(10, /*seed=*/22), {.queries = &c});
   EXPECT_NE(a.toNdjson({}), c.toNdjson({}));  // the seed actually matters
 }
 

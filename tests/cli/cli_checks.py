@@ -10,6 +10,8 @@
                                      same result table
   cli_checks.py late-arrivals CLI    flows whose Poisson arrival lies past
                                      the clock never start: none completes
+  cli_checks.py no-sample CLI        a mean or percentile over no completed
+                                     flow or query prints n/a, not 0
 
 Each check runs in a fresh temporary directory and exits non-zero, with the
 reason, when it fails.
@@ -70,9 +72,34 @@ def late_arrivals(cli, tmp):
         sys.exit(f"expected 0 of 20 flows completed:\n{out}")
 
 
+def no_sample(cli, tmp):
+    flow_rows = ("short AFCT ms", "short p99 ms", "long goodput Mbps")
+    qct_rows = ("app QCT mean ms", "app QCT p99 ms")
+    runs = [
+        # No flow starts, so none completes.
+        (["--load", "1e-12", "--flows", "20"], flow_rows, ()),
+        # Every query completes, but there are no static flows.
+        (["--workload", "none", "--app", "queries=20"], flow_rows, qct_rows),
+        # The hard stop comes before any query can complete.
+        (["--workload", "none", "--app", "queries=20",
+          "--max-duration-ms", "0.01"], flow_rows + qct_rows, ()),
+    ]
+    for args, empty, sampled in runs:
+        out = run([cli, *args, "--audit"], tmp)
+        rows = dict(line.rsplit(None, 1) for line in out.splitlines()
+                    if line.startswith(empty + sampled))
+        for row in empty:
+            if rows.get(row) != "n/a":
+                sys.exit(f"{' '.join(args)}: expected '{row}' n/a:\n{out}")
+        for row in sampled:
+            if rows.get(row, "n/a") == "n/a":
+                sys.exit(f"{' '.join(args)}: expected a '{row}' value:\n"
+                         f"{out}")
+
+
 def main():
     checks = {"exports": exports, "queries": queries, "same-table": same_table,
-              "late-arrivals": late_arrivals}
+              "late-arrivals": late_arrivals, "no-sample": no_sample}
     if len(sys.argv) < 3 or sys.argv[1] not in checks:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:

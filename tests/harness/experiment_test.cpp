@@ -4,9 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 
+#include "obs/flow_probe.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "workload/traffic_gen.hpp"
 
 namespace tlbsim::harness {
@@ -75,8 +76,7 @@ TEST(Experiment, NonTlbSchemesHaveNoQthTrace) {
   obs::MetricsRegistry metrics;
   auto cfg = smallConfig(Scheme::kEcmp);
   cfg.sampleInterval = microseconds(100);
-  cfg.sinks.metrics = &metrics;
-  runExperiment(cfg);
+  runExperiment(cfg, {.metrics = &metrics});
   const std::string json = metrics.toJson();
   EXPECT_EQ(json.find("qth_bytes"), std::string::npos) << json;
   EXPECT_NE(metrics.findCounter("switch.leaf0.forwarded"), nullptr);
@@ -153,17 +153,49 @@ INSTANTIATE_TEST_SUITE_P(Asym, AsymmetrySweep,
                                            Scheme::kPresto, Scheme::kLetFlow,
                                            Scheme::kTlb));
 
-TEST(ExperimentClass, OwnedSinksAreWiredIntoTheRun) {
-  Experiment exp(smallConfig(Scheme::kTlb));
-  auto& metrics = exp.ownMetrics();
-  auto& trace = exp.ownTrace(1000);
-  EXPECT_EQ(exp.metrics(), &metrics);
-  EXPECT_EQ(exp.trace(), &trace);
+TEST(ExperimentClass, EachRunWritesOnlyToItsOwnSinks) {
+  // One const Experiment, run three times: without sinks, then into sink
+  // set A, then into sink set B. The sinks change nothing the run
+  // reports, and each set holds exactly the one run it was given.
+  const Experiment exp(smallConfig(Scheme::kTlb));
+  struct SinkSet {
+    obs::MetricsRegistry metrics;
+    obs::EventTrace trace;
+    obs::FlowProbe flows;
+    Sinks sinks() {
+      return {.metrics = &metrics, .trace = &trace, .flows = &flows};
+    }
+  };
+  SinkSet a;
+  SinkSet b;
+  const ExperimentResult plain = exp.run();
+  const ExperimentResult inA = exp.run(a.sinks());
+  const ExperimentResult inB = exp.run(b.sinks());
 
-  const ExperimentResult res = exp.run();
-  EXPECT_GT(res.ledger.completedCount(stats::FlowLedger::isShort), 0u);
-  EXPECT_FALSE(metrics.counterValues().empty())
-      << "a run with owned metrics must record counters";
+  const std::string summary = summarizeExperiment(exp.config(), plain).toJson();
+  EXPECT_GT(plain.ledger.completedCount(stats::FlowLedger::isShort), 0u);
+  for (const ExperimentResult* res : {&inA, &inB}) {
+    EXPECT_EQ(summarizeExperiment(exp.config(), *res).toJson(), summary);
+    EXPECT_EQ(res->endTime, plain.endTime);
+    ASSERT_EQ(res->ledger.size(), plain.ledger.size());
+    for (std::size_t i = 0; i < plain.ledger.size(); ++i) {
+      EXPECT_EQ(res->ledger.flows()[i].fct, plain.ledger.flows()[i].fct);
+    }
+  }
+
+  // A second run into the same set would double its counts and its
+  // records' packets, so equal sets hold one run each.
+  EXPECT_FALSE(a.metrics.counterValues().empty());
+  EXPECT_EQ(a.metrics.counterValues(), b.metrics.counterValues());
+  EXPECT_EQ(a.metrics.toJson(), b.metrics.toJson());
+  // The metrics sink's depth sampler adds its own timer events.
+  EXPECT_EQ(inA.executedEvents, inB.executedEvents);
+  EXPECT_EQ(a.metrics.findGauge("sim.executed_events")->value(),
+            static_cast<double>(inA.executedEvents));
+  EXPECT_GT(a.trace.size(), 0u);
+  EXPECT_EQ(a.trace.toJson(), b.trace.toJson());
+  EXPECT_EQ(a.flows.flowCount(), exp.config().flows.size());
+  EXPECT_EQ(a.flows.toNdjson({}), b.flows.toNdjson({}));
 }
 
 TEST(ExperimentClass, RunIsRepeatableAndConst) {
@@ -174,24 +206,6 @@ TEST(ExperimentClass, RunIsRepeatableAndConst) {
   EXPECT_EQ(a.executedEvents, b.executedEvents);
   EXPECT_GT(a.executedEvents, 0u);
   EXPECT_DOUBLE_EQ(a.shortAfctSec(), b.shortAfctSec());
-}
-
-TEST(ExperimentClass, MoveTransfersOwnedSinks) {
-  Experiment src(smallConfig(Scheme::kRps));
-  auto& metrics = src.ownMetrics();
-  Experiment dst = std::move(src);
-  EXPECT_EQ(dst.metrics(), &metrics);
-  const ExperimentResult res = dst.run();
-  EXPECT_GT(res.ledger.completedCount(stats::FlowLedger::isShort), 0u);
-}
-
-TEST(ExperimentClass, SummarizeMatchesTheFreeFunction) {
-  const ExperimentConfig cfg = smallConfig(Scheme::kTlb);
-  Experiment exp(cfg);
-  const ExperimentResult res = exp.run();
-  const auto fromClass = exp.summarize(res).toJson();
-  const auto fromFree = summarizeExperiment(cfg, res).toJson();
-  EXPECT_EQ(fromClass, fromFree);
 }
 
 TEST(Experiment, TlbShortFlowsBeatEcmpOnTheBasicMix) {
@@ -279,9 +293,9 @@ TEST(FatTreeExperiment, DeterministicForSameSeed) {
 TEST(FatTreeExperiment, TlbInstancesLiveAtBothTiers) {
   // TLB runs on 8 edge + 8 aggregation switches, each labelled by its
   // switch name.
-  Experiment exp(fatTreeConfig(Scheme::kTlb));
-  auto& metrics = exp.ownMetrics();
-  const auto res = exp.run();
+  obs::MetricsRegistry metrics;
+  const Experiment exp(fatTreeConfig(Scheme::kTlb));
+  const auto res = exp.run({.metrics = &metrics});
   EXPECT_EQ(res.ledger.size(), exp.config().flows.size());
   EXPECT_EQ(res.auditViolations, 0u);
   const auto ticks = [&](const std::string& sw) {

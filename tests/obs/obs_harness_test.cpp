@@ -38,8 +38,7 @@ ExperimentConfig smallTlbConfig(std::uint64_t seed = 7) {
 TEST(ObsHarness, QthSeriesSampledAtControlInterval) {
   obs::MetricsRegistry metrics;
   auto cfg = smallTlbConfig();
-  cfg.sinks.metrics = &metrics;
-  const auto res = runExperiment(cfg);
+  const auto res = runExperiment(cfg, {.metrics = &metrics});
   ASSERT_GT(res.endTime, 0_ns);
 
   // One q_th snapshot per TLB control tick, at the configured cadence
@@ -69,8 +68,7 @@ TEST(ObsHarness, QthSeriesSampledAtControlInterval) {
 TEST(ObsHarness, PerPortAndPerClassCountersPopulated) {
   obs::MetricsRegistry metrics;
   auto cfg = smallTlbConfig();
-  cfg.sinks.metrics = &metrics;
-  const auto res = runExperiment(cfg);
+  const auto res = runExperiment(cfg, {.metrics = &metrics});
 
   // Every leaf uplink registered tx/drop/mark counters.
   std::uint64_t tx = 0, drops = 0, marks = 0;
@@ -121,10 +119,7 @@ TEST(ObsHarness, PerPortAndPerClassCountersPopulated) {
 TEST(ObsHarness, TraceExportsParsableChromeJson) {
   obs::MetricsRegistry metrics;
   obs::EventTrace trace;
-  auto cfg = smallTlbConfig();
-  cfg.sinks.metrics = &metrics;
-  cfg.sinks.trace = &trace;
-  runExperiment(cfg);
+  runExperiment(smallTlbConfig(), {.metrics = &metrics, .trace = &trace});
 
   ASSERT_GT(trace.size(), 0u);
   const auto doc = obs::JsonValue::parse(trace.toJson());
@@ -157,10 +152,8 @@ TEST(ObsHarness, ObsDoesNotChangeSimulationOutcome) {
   const auto plain = runExperiment(smallTlbConfig(3));
   obs::MetricsRegistry metrics;
   obs::EventTrace trace;
-  auto cfg = smallTlbConfig(3);
-  cfg.sinks.metrics = &metrics;
-  cfg.sinks.trace = &trace;
-  const auto observed = runExperiment(cfg);
+  const auto observed = runExperiment(smallTlbConfig(3),
+                                      {.metrics = &metrics, .trace = &trace});
   ASSERT_EQ(plain.ledger.size(), observed.ledger.size());
   for (std::size_t i = 0; i < plain.ledger.size(); ++i) {
     EXPECT_EQ(plain.ledger.flows()[i].fct, observed.ledger.flows()[i].fct);
@@ -174,9 +167,7 @@ TEST(ObsHarness, FlowProbeDoesNotChangeSimulationOutcome) {
   // schedule, only observe it.
   const auto plain = runExperiment(smallTlbConfig(3));
   obs::FlowProbe flows;
-  auto cfg = smallTlbConfig(3);
-  cfg.sinks.flows = &flows;
-  const auto probed = runExperiment(cfg);
+  const auto probed = runExperiment(smallTlbConfig(3), {.flows = &flows});
   ASSERT_EQ(plain.ledger.size(), probed.ledger.size());
   for (std::size_t i = 0; i < plain.ledger.size(); ++i) {
     EXPECT_EQ(plain.ledger.flows()[i].fct, probed.ledger.flows()[i].fct);
@@ -188,9 +179,8 @@ TEST(ObsHarness, FlowProbeDoesNotChangeSimulationOutcome) {
 
 TEST(ObsHarness, FlowProbeRecordsMatchTheLedger) {
   obs::FlowProbe flows;
-  auto cfg = smallTlbConfig(5);
-  cfg.sinks.flows = &flows;
-  const auto res = runExperiment(cfg);
+  const auto cfg = smallTlbConfig(5);
+  const auto res = runExperiment(cfg, {.flows = &flows});
 
   // Every flow declared and finished; completion state mirrors the ledger.
   ASSERT_EQ(flows.flowCount(), cfg.flows.size());

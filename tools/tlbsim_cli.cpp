@@ -553,24 +553,34 @@ int runMain(const Options& opt) {
   obs::EventTrace trace;
   obs::FlowProbe flowProbe;
   app::QueryProbe queries;
-  if (!opt.metricsJsonPath.empty()) cfg.sinks.metrics = &metrics;
-  if (!opt.traceJsonPath.empty()) cfg.sinks.trace = &trace;
-  if (!opt.flowsJsonPath.empty()) cfg.sinks.flows = &flowProbe;
-  if (!opt.queriesJsonPath.empty()) cfg.queryProbe = &queries;
+  harness::Sinks sinks;
+  if (!opt.metricsJsonPath.empty()) sinks.metrics = &metrics;
+  if (!opt.traceJsonPath.empty()) sinks.trace = &trace;
+  if (!opt.flowsJsonPath.empty()) sinks.flows = &flowProbe;
+  if (!opt.queriesJsonPath.empty()) sinks.queries = &queries;
 
-  const auto res = harness::runExperiment(cfg);
+  const auto res = harness::runExperiment(cfg, sinks);
 
   stats::Table t({"metric", "value"});
+  // A mean or percentile over no sample prints n/a, not 0.
+  const auto addSampled = [&t](const std::string& label, bool sampled,
+                               double value, int precision) {
+    t.addRow({label, sampled ? stats::fmt(value, precision) : "n/a"});
+  };
+  const bool shortDone =
+      res.ledger.completedCount(stats::FlowLedger::isShort) > 0;
   t.addRow("completed flows",
            {static_cast<double>(
                res.ledger.completedCount([](const auto&) { return true; }))},
            0);
   t.addRow("total flows", {static_cast<double>(res.ledger.size())}, 0);
   t.addRow("simulated ms", {toMilliseconds(res.endTime)}, 1);
-  t.addRow("short AFCT ms", {res.shortAfctSec() * 1e3}, 3);
-  t.addRow("short p99 ms", {res.shortP99Sec() * 1e3}, 3);
+  addSampled("short AFCT ms", shortDone, res.shortAfctSec() * 1e3, 3);
+  addSampled("short p99 ms", shortDone, res.shortP99Sec() * 1e3, 3);
   t.addRow("deadline miss %", {res.shortMissRatio() * 100.0}, 2);
-  t.addRow("long goodput Mbps", {res.longGoodputGbps() * 1e3}, 1);
+  addSampled("long goodput Mbps",
+             res.ledger.completedCount(stats::FlowLedger::isLong) > 0,
+             res.longGoodputGbps() * 1e3, 1);
   t.addRow("short dup-ACK ratio", {res.shortDupAckRatioTotal()}, 4);
   t.addRow("long ooo ratio", {res.longOooRatioTotal()}, 4);
   t.addRow("fabric drops", {static_cast<double>(res.totalDrops)}, 0);
@@ -590,8 +600,9 @@ int runMain(const Options& opt) {
     t.addRow("app queries", {static_cast<double>(res.appQueriesLaunched)}, 0);
     t.addRow("app completed",
              {static_cast<double>(res.appQueriesCompleted)}, 0);
-    t.addRow("app QCT mean ms", {res.appQctMeanSec() * 1e3}, 3);
-    t.addRow("app QCT p99 ms", {res.appQctP99Sec() * 1e3}, 3);
+    const bool queryDone = !res.appQctSeconds.empty();
+    addSampled("app QCT mean ms", queryDone, res.appQctMeanSec() * 1e3, 3);
+    addSampled("app QCT p99 ms", queryDone, res.appQctP99Sec() * 1e3, 3);
     t.addRow("app SLO miss %", {res.appSloMissRatio() * 100.0}, 2);
     t.addRow("app retries", {static_cast<double>(res.appRetries)}, 0);
     t.addRow("app rpc flows", {static_cast<double>(res.appRpcFlows)}, 0);

@@ -50,9 +50,10 @@ bench-direct-experiment
     Bench binaries must drive simulations through the sweep engine
     (runner::runSweep), not by constructing harness::Experiment or
     calling runExperiment()/summarizeExperiment() directly. The runner
-    owns seed derivation, per-run sinks, and deterministic aggregation;
-    hand-rolled loops silently lose all three. Benches not yet ported
-    carry an explicit allow() marking them as pending migration.
+    derives seeds, gives each run its own sinks, and aggregates
+    deterministically; hand-rolled loops silently lose all three.
+    Benches not yet ported carry an explicit allow() marking them as
+    pending migration.
 
 fault-mutation
     Link fault state may only be mutated by the fault subsystem: calls to
@@ -121,6 +122,14 @@ packet-storage
     flight. A per-port or per-flow copy is a second store that grows to
     its own worst case. Locals (the segment a sender fills in before
     send()) and `const Packet&` parameters are fine.
+
+config-is-data
+    A struct or class named `Config` or `*Config` in src/ declares no
+    raw-pointer data member. A config says what to simulate; what a run
+    writes to (a metrics registry, a trace, a probe) is an argument of the
+    run (harness::Sinks), so a config can be copied, stored and run on any
+    thread without sharing a sink. Pointer locals inside a config's member
+    functions are fine.
 
 Suppression: append `// tlbsim-lint: allow(<rule>)` to the offending line,
 or place it as a comment-only line directly above (for lines that would
@@ -222,12 +231,22 @@ PACKET_MEMBER_RE = re.compile(
     r"(?:(?:tlbsim\s*::\s*)?net\s*::\s*)?Packet\s+\w+\s*"
     r"(?:\[[^\]]*\]\s*)?(?:=.*)?$", re.S)
 # The head of a class, struct or union body (not `enum class`, not a
-# template function whose parameters say `class`).
+# template function whose parameters say `class`); group 1 is its name,
+# empty for an anonymous one.
 CLASS_HEAD_RE = re.compile(
-    r"^\s*(?:template\s*<.*>\s*)?(?:class|struct|union)\b", re.S)
+    r"^\s*(?:template\s*<.*>\s*)?(?:class|struct|union)\b\s*(\w*)", re.S)
 ACCESS_LABEL_RE = re.compile(r"^\s*(?:(?:public|private|protected)\s*:\s*)+")
 # The one place a packet may be held by value.
 PACKET_STORE_FILES = ("src/net/packet_store.hpp", "src/net/packet_store.cpp")
+
+# A configuration type's name, and a raw-pointer data member `T* name`
+# (`= ...`, `[n]`), tested on one statement of its body.
+CONFIG_NAME_RE = re.compile(r"\w*Config")
+POINTER_MEMBER_RE = re.compile(
+    r"^\s*(?:(?:mutable|const|volatile)\s+)*"
+    r"(?!(?:static|using|typedef|friend|return)\b)"
+    r"[\w:]+(?:\s*<[^;]*>)?(?:\s+const)?\s*\*[\s*]*(?:const\s+)?\w+\s*"
+    r"(?:\[[^\]]*\]\s*)?(?:=.*)?$", re.S)
 
 DIRECT_EXPERIMENT_RE = re.compile(
     r"\b(runExperiment|summarizeExperiment)\s*\("
@@ -334,8 +353,9 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
         rel.parts[:2] in FLOWPROBE_AUTHORITY_DIRS
         or rel.as_posix() in FLOWPROBE_AUTHORITY_FILES)
     lines = text.splitlines()
-    # packet-storage keeps the brace scopes of the file: True for a class,
-    # struct or union body. `stmt` is the code since the last ; { or }.
+    # packet-storage and config-is-data keep the brace scopes of the file:
+    # the name of a class, struct or union body ("" if anonymous), None
+    # for any other scope. `stmt` is the code since the last ; { or }.
     packet_rule = in_src and rel.as_posix() not in PACKET_STORE_FILES
     scopes: list = []
     stmt = ""
@@ -460,19 +480,24 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     "harness/experiment.cpp; take net::Fabric& so the "
                     "code runs on every topology"))
 
-        # --- packet-storage -------------------------------------------
-        if packet_rule and not code.lstrip().startswith("#"):
-            held = PACKET_CONTAINER_RE.search(code) is not None
+        # --- packet-storage, config-is-data ---------------------------
+        if in_src and not code.lstrip().startswith("#"):
+            held = packet_rule and PACKET_CONTAINER_RE.search(code) is not None
+            pointer = False
             for ch in code:
                 if ch not in ";{}":
                     stmt += ch
                     continue
                 decl = ACCESS_LABEL_RE.sub("", stmt)
-                if ch in ";{" and scopes and scopes[-1] and \
-                        PACKET_MEMBER_RE.match(decl):
-                    held = True
+                if ch in ";{" and scopes and scopes[-1] is not None:
+                    held = held or (packet_rule and
+                                    PACKET_MEMBER_RE.match(decl) is not None)
+                    pointer = pointer or (
+                        CONFIG_NAME_RE.fullmatch(scopes[-1]) is not None and
+                        POINTER_MEMBER_RE.match(decl) is not None)
                 if ch == "{":
-                    scopes.append(CLASS_HEAD_RE.match(decl) is not None)
+                    head = CLASS_HEAD_RE.match(decl)
+                    scopes.append(head.group(1) if head else None)
                 elif ch == "}" and scopes:
                     scopes.pop()
                 stmt = ""
@@ -483,6 +508,12 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     "net::Packet held by value in a container or a data "
                     "member; a waiting packet lives in the fabric's "
                     "net::PacketStore, named by its handle"))
+            if pointer and not allowed(raw, "config-is-data", prev_raw):
+                findings.append(Finding(
+                    rel, lineno, "config-is-data",
+                    "raw-pointer data member in a config; what a run "
+                    "writes to is an argument of the run "
+                    "(harness::Sinks), not configuration"))
 
         # --- bench-direct-experiment ----------------------------------
         if in_bench:
@@ -491,7 +522,7 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                 findings.append(Finding(
                     rel, lineno, "bench-direct-experiment",
                     "bench drives Experiment directly; use "
-                    "runner::runSweep (owned sinks, derived seeds, "
+                    "runner::runSweep (per-run sinks, derived seeds, "
                     "deterministic aggregation)"))
 
         # --- negative-delay -------------------------------------------
@@ -706,6 +737,25 @@ SELF_TEST_CASES = [
     (None, "src/net/packet_store.hpp",
      "struct Slot {\n  Packet pkt;\n};\nstd::vector<Slot> slots_;\n"),
     (None, "tests/net/x.cpp", "struct Arrival {\n  Packet pkt;\n};\n"),
+    # config-is-data: a config holds no pointer to what a run writes to.
+    ("config-is-data", "src/harness/x.hpp",
+     "struct ExperimentConfig {\n  int seed = 1;\n"
+     "  app::QueryProbe* queries = nullptr;\n};\n"),
+    ("config-is-data", "src/fault/x.hpp",
+     "class Monitor {\n public:\n  struct Config {\n"
+     "    const char *label;\n  };\n};\n"),
+    (None, "src/harness/x.hpp",
+     "struct Sinks {\n  obs::MetricsRegistry* metrics = nullptr;\n};\n"),
+    (None, "src/net/x.hpp",
+     "struct LinkConfig {\n  int n = 0;\n  const int* first() const {\n"
+     "    const int* p = &n;\n    return p;\n  }\n"
+     "  std::vector<Foo*> all;\n  static constexpr const char* kName = "
+     "\"x\";\n};\n"),
+    (None, "src/obs/x.hpp",
+     "struct ProbeConfig {\n"
+     "  Probe* probe;  // tlbsim-lint: allow(config-is-data)\n};\n"),
+    (None, "tests/x.cpp",
+     "struct RigConfig {\n  Probe* probe = nullptr;\n};\n"),
 ]
 
 
