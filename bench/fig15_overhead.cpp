@@ -116,10 +116,13 @@ void BM_TlbControlTick(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbControlTick);
 
-/// The view refresh the switch performs per decision, on a switch with 15
-/// uplinks. The switch reuses its view buffer, so this is the cost of
-/// reading 15 queue states, with no allocation.
-void BM_UplinkViewBuild(benchmark::State& state) {
+/// What the switch's kept uplink view costs the data path: one packet
+/// through an uplink (enqueue, dequeue into serialization, its event) on
+/// a 15-uplink switch whose view keeps the link's entry current, against
+/// the same hop on a switch whose view was never built (no entry to
+/// keep). The difference is what the kept view costs a packet: two entry
+/// updates, where rebuilding the view for a decision reads 15 uplinks.
+void runUplinkHop(benchmark::State& state, bool keptEntry) {
   sim::Simulator simr;
   net::PacketStore store;
   net::Switch sw(simr, "bench");
@@ -129,11 +132,19 @@ void BM_UplinkViewBuild(benchmark::State& state) {
         simr, store, gbps(1), microseconds(1), net::QueueConfig{})));
   }
   sw.setUplinkGroup(std::move(group));
+  if (keptEntry) benchmark::DoNotOptimize(sw.uplinkView().data());
+  net::Link& link = sw.port(0);
+  const net::Packet pkt = dataPacket(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sw.uplinkView().data());
+    link.send(pkt);
+    simr.run();
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_UplinkViewBuild);
+void BM_UplinkHopKeptEntry(benchmark::State& s) { runUplinkHop(s, true); }
+void BM_UplinkHopNoEntry(benchmark::State& s) { runUplinkHop(s, false); }
+BENCHMARK(BM_UplinkHopKeptEntry);
+BENCHMARK(BM_UplinkHopNoEntry);
 
 /// TLB decision with the metrics registry (its q_th series) and a trace
 /// installed, for comparison against BM_Tlb (observability uninstalled =

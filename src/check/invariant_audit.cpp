@@ -167,12 +167,63 @@ void InvariantAuditor::auditLinks(SimTime now) {
 void InvariantAuditor::auditSwitches(SimTime now) {
   for (const net::Switch* sw : switches_) {
     ++checksRun_;
+    bool groupValid = true;
     for (int port : sw->uplinkGroup()) {
       if (port < 0 || port >= sw->numPorts()) {
         report(now, "switch %s: uplink group references invalid port %d",
                sw->name().c_str(), port);
+        groupValid = false;
       }
     }
+    if (groupValid) auditUplinkView(now, *sw);
+  }
+}
+
+void InvariantAuditor::auditUplinkView(SimTime now, const net::Switch& sw) {
+  // Read as kept: a stale view is rebuilt before it is next read, so only
+  // each kept entry's queue bytes must hold then. A current view holds
+  // exactly the up uplinks, in group order, each the entry its link
+  // keeps and equal to one built from scratch.
+  const net::UplinkView& view = sw.keptView();
+  const bool current = !sw.viewStale();
+  std::size_t next = 0;
+  for (int port : sw.uplinkGroup()) {
+    const net::Link& link = sw.port(port);
+    const net::PortView* entry = link.viewEntry();
+    if (current && link.up()) {
+      if (next >= view.size() || view[next].port != port ||
+          entry != &view[next]) {
+        report(now, "uplink view: switch %s: up port %d is not entry %zu",
+               sw.name().c_str(), port, next);
+        return;
+      }
+      ++next;
+    } else if (current && entry != nullptr) {
+      report(now, "uplink view: switch %s: down port %d keeps an entry",
+             sw.name().c_str(), port);
+      return;
+    }
+    if (entry == nullptr) continue;
+    const net::PortView fresh = sw.freshView(port);
+    if (entry->queueBytes != fresh.queueBytes ||
+        (current &&
+         (entry->rateBps != fresh.rateBps ||
+          entry->linkDelaySec != fresh.linkDelaySec ||
+          entry->wait != fresh.wait))) {
+      report(now,
+             "uplink view: switch %s port %d: kept %lld B, %.17g bps, "
+             "%.17g s, wait %.17g; link %lld B, %.17g bps, %.17g s, wait "
+             "%.17g",
+             sw.name().c_str(), port,
+             static_cast<long long>(entry->queueBytes.bytes()),
+             entry->rateBps, entry->linkDelaySec, entry->wait,
+             static_cast<long long>(fresh.queueBytes.bytes()),
+             fresh.rateBps, fresh.linkDelaySec, fresh.wait);
+    }
+  }
+  if (current && next != view.size()) {
+    report(now, "uplink view: switch %s: %zu entries for %zu up uplinks",
+           sw.name().c_str(), view.size(), next);
   }
 }
 

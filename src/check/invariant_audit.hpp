@@ -20,6 +20,11 @@
 //   * byte accounting, per port: the queue's incremental byte counter
 //     equals a from-scratch sum over the stored packets, and the depth
 //     never exceeds the configured capacity,
+//   * the kept uplink views: each decision switch's view, unless marked
+//     for a rebuild, holds exactly its up uplinks in group order, each
+//     entry the one its link keeps, with the bytes, rate, delay and wait
+//     of a view built from scratch; a kept entry's bytes match its queue
+//     even in a view marked for a rebuild,
 //   * event-time monotonicity: simulation time never moves backwards
 //     between ticks,
 //   * TLB model range: q_th stays within [0, buffer/cap] (a threshold the
@@ -159,6 +164,7 @@ class InvariantAuditor {
 
   void auditLinks(SimTime now);
   void auditSwitches(SimTime now);
+  void auditUplinkView(SimTime now, const net::Switch& sw);
   void auditTlbs(SimTime now);
   void auditFlows(SimTime now);
   void auditHosts(SimTime now);

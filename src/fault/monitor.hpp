@@ -41,7 +41,7 @@ namespace tlbsim::fault {
 class FaultMonitor {
  public:
   struct Config {
-    /// Goodput sampling cadence (matches the obs sampler by default).
+    /// Goodput sampling cadence (TLB's control interval by default).
     SimTime sampleInterval = microseconds(500);
   };
   /// Pre/post window width for the dip ratio, in sample intervals.

@@ -52,7 +52,7 @@ bool auditEnabled(ExperimentConfig::Audit mode) {
 }  // namespace
 
 ExperimentResult Experiment::run(const Sinks& sinks) const {
-  ExperimentConfig cfg = cfg_;  // local copy: we fill derived fields
+  const ExperimentConfig& cfg = cfg_;  // read in place: no flow-list copy
   ExperimentResult res;
 
   TLBSIM_ASSERT(!cfg.fatTree || cfg.fault.empty(),
@@ -79,21 +79,22 @@ ExperimentResult Experiment::run(const Sinks& sinks) const {
                   : Physical{cfg.topo.numSpines, cfg.topo.fabricLinkRate,
                              cfg.topo.baseRtt(), cfg.topo.bufferPackets,
                              cfg.topo.ecnThresholdPackets};
-  cfg.scheme.numPaths = phys.paths;
-  cfg.scheme.tlb.rtt = phys.rtt;
-  cfg.scheme.tlb.linkCapacity = phys.rate;
-  cfg.scheme.tlb.bufferPackets = phys.bufferPackets;
-  cfg.scheme.tlb.mss = cfg.tcp.mss;
-  cfg.scheme.tlb.packetWireSize = cfg.tcp.maxSegmentWireSize();
-  cfg.scheme.tlb.longFlowWindow = cfg.tcp.receiverWindow;
-  cfg.scheme.tlb.qthCapPackets = phys.ecnPackets;
+  SchemeConfig scheme = cfg.scheme;  // plus the derived inputs
+  scheme.numPaths = phys.paths;
+  scheme.tlb.rtt = phys.rtt;
+  scheme.tlb.linkCapacity = phys.rate;
+  scheme.tlb.bufferPackets = phys.bufferPackets;
+  scheme.tlb.mss = cfg.tcp.mss;
+  scheme.tlb.packetWireSize = cfg.tcp.maxSegmentWireSize();
+  scheme.tlb.longFlowWindow = cfg.tcp.receiverWindow;
+  scheme.tlb.qthCapPackets = phys.ecnPackets;
 
   // Topology with one selector per decision switch; remember TLB instances
   // for the q_th trace.
   std::vector<core::Tlb*> tlbs;
   const net::SelectorFactory selectors = [&](net::Switch&, int index) {
-    auto sel = makeSelector(cfg.scheme, cfg.seed * 1315423911ULL +
-                                            static_cast<std::uint64_t>(index));
+    auto sel = makeSelector(scheme, cfg.seed * 1315423911ULL +
+                                        static_cast<std::uint64_t>(index));
     if (auto* tlb = dynamic_cast<core::Tlb*>(sel.get())) tlbs.push_back(tlb);
     return sel;
   };
@@ -106,7 +107,7 @@ ExperimentResult Experiment::run(const Sinks& sinks) const {
   const std::vector<net::Switch*>& access = topo.accessSwitches();
   TLBSIM_LOG_INFO(
       "experiment: scheme=%s hosts=%d switches=%zu flows=%zu seed=%llu",
-      schemeName(cfg.scheme.scheme), topo.numHosts(), topo.switches().size(),
+      schemeName(scheme.scheme), topo.numHosts(), topo.switches().size(),
       cfg.flows.size(), static_cast<unsigned long long>(cfg.seed));
 
   // Flow classification for the stats hooks. They see only live flows'
@@ -126,19 +127,15 @@ ExperimentResult Experiment::run(const Sinks& sinks) const {
     for (int port : sw->uplinkGroup()) qmon.installOn(sw->port(port));
   }
 
-  // Observability wiring: trace tracks, the q_th series and a periodic
-  // queue-depth sampler; counts are read at run end. Each step is skipped
-  // (no hooks, no timer) when its sink is null.
-  std::vector<std::pair<obs::Gauge*, net::Link*>> depthGauges;
+  // Observability wiring: trace tracks and the q_th series; counts and
+  // queue depths are read at run end. Each step is skipped (no hooks) when
+  // its sink is null.
   if (sinks.trace != nullptr) simr.installTrace(*sinks.trace);
-  if (sinks.metrics != nullptr) {
+  if (sinks.metrics != nullptr && sinks.trace != nullptr) {
     for (net::Switch* sw : access) {
       for (int port : sw->uplinkGroup()) {
         net::Link& link = sw->port(port);
-        const std::string label = net::linkLabel(*sw, link);
-        if (sinks.trace != nullptr) link.installTrace(*sinks.trace, label);
-        depthGauges.emplace_back(
-            &sinks.metrics->gauge("port." + label + ".queue_pkts"), &link);
+        link.installTrace(*sinks.trace, net::linkLabel(*sw, link));
       }
     }
   }
@@ -163,16 +160,6 @@ ExperimentResult Experiment::run(const Sinks& sinks) const {
         access[a]->selector()->setFlowProbe(sinks.flows);
       }
     }
-  }
-  if (!depthGauges.empty()) {
-    simr.every(
-        cfg.obsSampleInterval,
-        [&depthGauges] {
-          for (auto& [gauge, link] : depthGauges) {
-            gauge->set(static_cast<double>(link->queuePackets()));
-          }
-        },
-        /*start=*/cfg.obsSampleInterval, /*name=*/"obs.sample");
   }
 
   // Fault injection: a non-empty plan arms the injector (which mutates
@@ -211,12 +198,12 @@ ExperimentResult Experiment::run(const Sinks& sinks) const {
     auditor->watchTopology(topo);
     // Admissible q_th range: [0, buffer depth], tightened by the ECN cap,
     // widened by an explicit override (the Fig. 7 harness pins q_th).
-    ByteCount qthCap = cfg.scheme.tlb.bufferBytes();
-    if (cfg.scheme.tlb.qthCapPackets > 0) {
-      qthCap = std::min(qthCap, cfg.scheme.tlb.packetWireSize *
-                                    cfg.scheme.tlb.qthCapPackets);
+    ByteCount qthCap = scheme.tlb.bufferBytes();
+    if (scheme.tlb.qthCapPackets > 0) {
+      qthCap = std::min(qthCap, scheme.tlb.packetWireSize *
+                                    scheme.tlb.qthCapPackets);
     }
-    qthCap = std::max(qthCap, cfg.scheme.tlb.qthOverrideBytes);
+    qthCap = std::max(qthCap, scheme.tlb.qthOverrideBytes);
     for (const auto* tlb : tlbs) auditor->watchTlb(*tlb, qthCap);
     auditor->install(simr);
   }
@@ -436,11 +423,13 @@ ExperimentResult Experiment::run(const Sinks& sinks) const {
     }
   }
 
-  // Queue distributions + aggregate link counters.
-  res.shortQueueLenPkts = qmon.shortQueueLenPkts();
-  res.shortDelayUsAll = qmon.shortDelayUs();
+  // Queue distributions (the short-flow samples moved, not copied: every
+  // other structure of the run is still allocated here) + aggregate link
+  // counters.
+  res.shortQueueLenPkts = qmon.takeShortQueueLenPkts();
+  res.shortDelayUsAll = qmon.takeShortDelayUs();
   res.longQueueLenPkts = qmon.longQueueLenPkts();
-  res.shortQueueDelayUs = qmon.shortDelaySeries();
+  res.shortQueueDelayUs = qmon.takeShortDelaySeries();
 
   for (const auto* tlb : tlbs) res.tlbLongSwitches += tlb->longFlowSwitches();
 
@@ -499,8 +488,11 @@ ExperimentResult Experiment::run(const Sinks& sinks) const {
     simr.addCountersTo(metrics);
     for (net::Switch* sw : access) {
       for (int port : sw->uplinkGroup()) {
-        sw->port(port).addCountersTo(metrics,
-                                     net::linkLabel(*sw, sw->port(port)));
+        const net::Link& link = sw->port(port);
+        const std::string label = net::linkLabel(*sw, link);
+        link.addCountersTo(metrics, label);
+        metrics.gauge("port." + label + ".queue_pkts")
+            .set(static_cast<double>(link.queuePackets()));
       }
     }
     for (const auto& sw : topo.switches()) sw->addCountersTo(metrics);

@@ -69,8 +69,8 @@ struct ExperimentConfig {
   /// derived from the topology before the run.
   static constexpr bool autoFillTlbFromTopology = true;
 
-  /// Cadence of the queue-depth snapshot sampler and the fault monitor's
-  /// goodput samples (TLB's control interval).
+  /// Cadence of the fault monitor's goodput samples (TLB's control
+  /// interval).
   static constexpr SimTime obsSampleInterval = microseconds(500);
 
   // --- application layer (tlbsim::app) ----------------------------------

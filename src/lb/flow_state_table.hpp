@@ -43,7 +43,7 @@ struct FlowStateConfig {
   /// Hard cap on tracked flows; reaching it evicts the LRU entry.
   std::size_t maxFlows = 1u << 20;
   /// First slot-pool allocation; doubles up to maxFlows as flows appear.
-  std::size_t initialCapacity = 1024;
+  std::size_t initialCapacity = 16;
   /// Entries idle longer than this are dropped by purgeIdle().
   SimTime idleTimeout = seconds(1);
 };

@@ -14,21 +14,11 @@
 
 namespace tlbsim::lb {
 
-/// Expected time for a newly-arriving 1500 B packet to clear a port: the
-/// queue's drain time plus the packet's own serialization. "Shortest
-/// queue" decisions compare this rather than raw bytes: under
-/// heterogeneous link rates (asymmetric fabrics) an *empty* slow link is
-/// still a bad choice, and a short queue on a slow link can outlast a
-/// long queue on a fast one. Falls back to byte count when the view
-/// carries no rate information (then the +1500 shifts all ports equally).
-inline double drainTime(const net::PortView& u) {
-  if (u.rateBps > 0.0) {
-    return static_cast<double>((u.queueBytes + 1500_B).bytes()) * 8.0 /
-               u.rateBps +
-           u.linkDelaySec;
-  }
-  return static_cast<double>(u.queueBytes.bytes());
-}
+/// Expected time for a newly-arriving 1500 B packet to clear a port
+/// (net::PortView::wait). The view stores it, updated by the port's link
+/// on every queue change, so a decision compares waits without
+/// recomputing one per port.
+inline double drainTime(const net::PortView& u) { return u.wait; }
 
 /// Index (into `uplinks`) of the port with the least `cost(view)`; ties
 /// are broken uniformly at random so parallel queues don't synchronize.

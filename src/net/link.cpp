@@ -43,6 +43,7 @@ void Link::noteFaultDrop(const Packet& pkt) {
 void Link::faultDown(bool drainInFlight) {
   if (!up_) return;
   up_ = false;
+  staleView();
   drainInFlight_ = drainInFlight;
   // In drop mode, everything already on the wire dies: deliveries carry
   // the epoch they departed under and are discarded on mismatch. The
@@ -61,11 +62,13 @@ void Link::faultDown(bool drainInFlight) {
     noteFaultDrop(store_[slot].pkt);
     store_.free(slot);
   }
+  syncView();
 }
 
 void Link::faultUp() {
   if (up_) return;
   up_ = true;
+  staleView();
   drainInFlight_ = false;
   redecide();  // a down lifted before serialization ends delivers the packet
   if (!queue_.empty()) serve();
@@ -74,11 +77,13 @@ void Link::faultUp() {
 void Link::faultSetRateFactor(double factor) {
   TLBSIM_ASSERT(factor > 0.0, "rate factor must be positive, got %f", factor);
   rateFactor_ = factor;
+  staleView();
 }
 
 void Link::faultSetDelayFactor(double factor) {
   TLBSIM_ASSERT(factor > 0.0, "delay factor must be positive, got %f", factor);
   delayFactor_ = factor;
+  staleView();
   redecide();  // the packet being serialized propagates at the new delay
 }
 
@@ -129,6 +134,7 @@ void Link::send(const Packet& pkt) {
     return;
   }
   ++enqueuedPackets_;
+  syncView();
   if (queue_.ecnMarks() != marksBefore) {
     if (trace_ != nullptr) {
       trace_->instant("net", "ecn_mark", sim_.now(),
@@ -169,6 +175,7 @@ void Link::startTransmission() {
   // The packet keeps its store slot; its event will read it there.
   SimTime queueDelay;
   txSlot_ = queue_.dequeue(sim_.now(), &queueDelay);
+  syncView();
   const Packet& pkt = store_[txSlot_].pkt;
   const SimTime txTime = effectiveRate().transmissionTime(pkt.size);
   busyUntil_ = sim_.now() + txTime;

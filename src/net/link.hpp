@@ -24,6 +24,7 @@
 #include "net/packet.hpp"
 #include "net/packet_store.hpp"
 #include "net/queue.hpp"
+#include "net/uplink_selector.hpp"
 #include "sim/simulator.hpp"
 #include "util/inline_function.hpp"
 #include "util/rng.hpp"
@@ -79,6 +80,20 @@ class Link {
   int queuePackets() const { return queue_.packets(); }
   ByteCount queueBytes() const { return queue_.bytes(); }
   const DropTailQueue& queue() const { return queue_; }
+
+  // --- the switch's kept view of this link (see Switch::uplinkView) -----
+  /// Called by the switch whose uplink group holds this link. `entry` is
+  /// the link's entry in the switch's view, or null while the link is out
+  /// of it (down, or not an uplink); the link keeps its queue bytes and
+  /// wait current on every enqueue, dequeue and fault flush. `stale` is
+  /// the switch's rebuild mark, raised by a fault that changes whether the
+  /// link is up, or its rate or delay.
+  void bindView(PortView* entry, bool* stale) {
+    viewEntry_ = entry;
+    viewStale_ = stale;
+  }
+  /// The kept entry, or null (the auditor compares it with the queue).
+  const PortView* viewEntry() const { return viewEntry_; }
 
   // --- configuration ----------------------------------------------------
   LinkRate rate() const { return rate_; }
@@ -206,6 +221,14 @@ class Link {
   void redecide();
   void land(Handle slot);
   void noteFaultDrop(const Packet& pkt);
+  /// Bring the kept view entry to the queue's depth.
+  void syncView() {
+    if (viewEntry_ != nullptr) viewEntry_->setQueueBytes(queue_.bytes());
+  }
+  /// Mark the owning switch's view for a rebuild.
+  void staleView() {
+    if (viewStale_ != nullptr) *viewStale_ = true;
+  }
 
   sim::Simulator& sim_;
   PacketStore& store_;
@@ -261,6 +284,10 @@ class Link {
   std::vector<DropHook> dropHooks_;
   std::vector<MarkHook> markHooks_;
   std::vector<FaultDropHook> faultDropHooks_;
+
+  /// The owning switch's view entry and rebuild mark (see bindView).
+  PortView* viewEntry_ = nullptr;
+  bool* viewStale_ = nullptr;
 
   // Trace sink (null = disabled; see installTrace).
   obs::EventTrace* trace_ = nullptr;

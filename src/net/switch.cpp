@@ -37,19 +37,35 @@ void Switch::setSelector(std::unique_ptr<UplinkSelector> selector) {
   if (selector_) selector_->attach(*this, sim_);
 }
 
-const UplinkView& Switch::uplinkView() {
+void Switch::setUplinkGroup(std::vector<int> ports) {
+  // Ports leaving the group stop keeping entries of the view.
+  for (int p : uplinks_) port(p).bindView(nullptr, nullptr);
+  uplinks_ = std::move(ports);
+  viewStale_ = true;
+}
+
+PortView Switch::freshView(int p) const {
+  // Rate and delay reflect active degradation faults.
+  const Link& link = port(p);
+  return PortView{p, link.queueBytes(),
+                  link.effectiveRate().bitsPerSecond(),
+                  toSeconds(link.effectiveDelay())};
+}
+
+void Switch::rebuildView() {
+  // Downed ports are masked out: selectors never see them, so every
+  // scheme stops choosing a dead uplink on its next selection.
   view_.clear();
   for (int p : uplinks_) {
-    const Link& link = *ports_[static_cast<std::size_t>(p)];
-    // Downed ports are masked out: selectors never see them, so every
-    // scheme stops choosing a dead uplink on its next selection. Rate and
-    // delay reflect active degradation faults.
-    if (!link.up()) continue;
-    view_.push_back(PortView{p, link.queueBytes(),
-                             link.effectiveRate().bitsPerSecond(),
-                             toSeconds(link.effectiveDelay())});
+    if (port(p).up()) view_.push_back(freshView(p));
   }
-  return view_;
+  // The entries are in place; point each up link at its own.
+  std::size_t next = 0;
+  for (int p : uplinks_) {
+    Link& link = port(p);
+    link.bindView(link.up() ? &view_[next++] : nullptr, &viewStale_);
+  }
+  viewStale_ = false;
 }
 
 void Switch::receive(const Packet& pkt, int inPort) {

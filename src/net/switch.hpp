@@ -19,6 +19,10 @@ class Switch : public Node {
   Switch(sim::Simulator& simr, std::string name)
       : sim_(simr), name_(std::move(name)) {}
 
+  // The uplinks point into the switch (its view entries and stale mark).
+  Switch(const Switch&) = delete;
+  Switch& operator=(const Switch&) = delete;
+
   /// Take ownership of an outgoing link; returns its port index.
   int addPort(std::unique_ptr<Link> link) {
     ports_.push_back(std::move(link));
@@ -32,7 +36,7 @@ class Switch : public Node {
   void routeViaUplinks(HostId dstHost);
 
   /// Declare which ports form the equal-cost uplink group.
-  void setUplinkGroup(std::vector<int> ports) { uplinks_ = std::move(ports); }
+  void setUplinkGroup(std::vector<int> ports);
   const std::vector<int>& uplinkGroup() const { return uplinks_; }
 
   /// Install the load-balancing scheme (calls selector->attach()).
@@ -49,12 +53,26 @@ class Switch : public Node {
 
   sim::Simulator& simulator() { return sim_; }
 
-  /// Refresh the switch-owned queue views of the current uplink group
-  /// (downed ports masked out) and return them. The buffer is reused, so
-  /// this makes no allocation once warm; the reference stays valid until
-  /// this switch's next uplinkView() call. receive() hands this buffer to
-  /// selectUplink, so a selector must not call it from inside a decision.
-  const UplinkView& uplinkView();
+  /// The kept view of the uplink group: one entry per up port, in group
+  /// order (downed ports masked out). Each entry's link keeps its queue
+  /// bytes and wait current as packets enter and leave, so a decision
+  /// reads stored state. A fault that changes which ports are up, or a
+  /// port's rate or delay, marks the view stale, and the next call
+  /// rebuilds it (in place: no allocation once warm). receive() hands
+  /// this view to selectUplink; it changes as queues do, so read it
+  /// during a call and do not keep it.
+  const UplinkView& uplinkView() {
+    if (viewStale_) rebuildView();
+    return view_;
+  }
+
+  /// The view as kept, without the rebuild a stale mark asks for (the
+  /// auditor compares it with the links).
+  const UplinkView& keptView() const { return view_; }
+  bool viewStale() const { return viewStale_; }
+
+  /// The entry a view built from scratch holds for uplink port `p`.
+  PortView freshView(int p) const;
 
   std::uint64_t forwardedPackets() const { return forwarded_; }
   std::uint64_t unroutablePackets() const { return unroutable_; }
@@ -73,6 +91,9 @@ class Switch : public Node {
   static constexpr int kNoRoute = -1;
   static constexpr int kViaUplinks = -2;
 
+  /// Re-derive the view from the links and point each at its entry.
+  void rebuildView();
+
   int routeFor(HostId dst) const {
     if (dst < 0 || static_cast<std::size_t>(dst) >= routes_.size())
       return kNoRoute;
@@ -84,7 +105,10 @@ class Switch : public Node {
   std::vector<std::unique_ptr<Link>> ports_;
   std::vector<int> routes_;  // dst host -> port | kViaUplinks | kNoRoute
   std::vector<int> uplinks_;
-  UplinkView view_;  ///< refreshed in place by uplinkView()
+  UplinkView view_;  ///< kept current by the uplinks' links
+  /// Set by a fault on an uplink (and a new group): rebuild view_ before
+  /// it is next read.
+  bool viewStale_ = true;
   std::unique_ptr<UplinkSelector> selector_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t unroutable_ = 0;

@@ -26,20 +26,50 @@ namespace net {
 
 class Switch;
 
-/// Snapshot of one uplink's queue, as visible to switch-local logic.
-/// Rate and propagation delay are static properties of the switch's own
-/// cables (known from configuration/LLDP in real gear); queue state is
-/// dynamic.
+/// One uplink's queue and expected wait, as visible to switch-local logic.
+/// Rate and propagation delay are properties of the switch's own cables
+/// (known from configuration/LLDP in real gear) that only a fault
+/// changes; the queue depth, and the wait it implies, change with every
+/// packet. A switch's entries are kept by their links (Switch::uplinkView);
+/// a view built by hand computes its wait when constructed.
 struct PortView {
+  PortView() = default;
+  PortView(int port, ByteCount queueBytes, double rateBps = 0.0,
+           double linkDelaySec = 0.0)
+      : port(port), rateBps(rateBps), linkDelaySec(linkDelaySec) {
+    setQueueBytes(queueBytes);
+  }
+
+  /// Record a new queue depth and recompute the wait from it.
+  void setQueueBytes(ByteCount bytes) {
+    queueBytes = bytes;
+    wait = rateBps > 0.0
+               ? static_cast<double>((bytes + 1500_B).bytes()) * 8.0 /
+                         rateBps +
+                     linkDelaySec
+               : static_cast<double>(bytes.bytes());
+  }
+
   int port = -1;
   ByteCount queueBytes;
   double rateBps = 0.0;      ///< link speed (weighting by capacity)
   double linkDelaySec = 0.0; ///< one-way propagation of this cable
+  /// Expected time for a newly-arriving 1500 B packet to clear the port:
+  /// the queue's drain time plus the packet's own serialization, plus the
+  /// cable's propagation delay. "Shortest queue" decisions compare this
+  /// rather than raw bytes: under heterogeneous link rates (asymmetric
+  /// fabrics) an *empty* slow link is still a bad choice, and a short
+  /// queue on a slow link can outlast a long queue on a fast one. Falls
+  /// back to the byte count when the view carries no rate (then the
+  /// +1500 would shift all ports equally). Seconds, or bytes without a
+  /// rate.
+  double wait = 0.0;
 };
 
-/// The candidate uplinks for a routing decision. The switch refreshes one
-/// buffer it owns before every decision (Switch::uplinkView), so schemes
-/// always see current queue state without a per-packet allocation.
+/// The candidate uplinks for a routing decision: the up ports of the
+/// uplink group, in group order. A switch keeps one such view current as
+/// its queues change (Switch::uplinkView), so a decision reads stored
+/// state instead of rebuilding it.
 using UplinkView = std::vector<PortView>;
 
 class UplinkSelector {

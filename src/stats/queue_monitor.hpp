@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
@@ -94,6 +95,12 @@ class QueueDelayMonitor {
   const SampleSet& shortQueueLenPkts() const { return shortQueueLenPkts_; }
   const obs::Histogram& longQueueLenPkts() const { return longQueueLenPkts_; }
   const obs::Series& shortDelaySeries() const { return shortDelaySeries_; }
+
+  /// The short-flow samples and series, moved out into a run's result
+  /// once the run is over; the monitor is not read after.
+  SampleSet takeShortDelayUs() { return std::move(shortDelayUs_); }
+  SampleSet takeShortQueueLenPkts() { return std::move(shortQueueLenPkts_); }
+  obs::Series takeShortDelaySeries() { return std::move(shortDelaySeries_); }
 
  private:
   Classifier isShort_;

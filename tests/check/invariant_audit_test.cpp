@@ -7,6 +7,7 @@
 #include "../transport/pool_rig.hpp"
 #include "harness/experiment.hpp"
 #include "net/link.hpp"
+#include "net/switch.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
 #include "workload/traffic_gen.hpp"
@@ -175,6 +176,35 @@ TEST(InvariantAuditor, FlagsAStoreSlotNoLinkHolds) {
             std::string::npos);
 
   store.free(stray);
+  auditor.auditNow(rig.simr.now());
+  EXPECT_EQ(auditor.violationCount(), 1u);
+}
+
+TEST(InvariantAuditor, FlagsAStaleUplinkView) {
+  transport::testing::PoolRig rig;
+  InvariantAuditor auditor(lenient());
+  auditor.watchTopology(rig.topo);
+  using transport::testing::crossLeafFlows;
+  using transport::testing::smallFabric;
+  rig.post(crossLeafFlows(smallFabric(), 8, 20 * kKB, microseconds(5)));
+  rig.simr.run(microseconds(150));  // the leaves have made decisions
+  net::Switch& leaf = rig.topo.leaf(0);
+  const net::Link& uplink = leaf.port(leaf.uplinkGroup()[0]);
+  ASSERT_FALSE(leaf.viewStale());
+  ASSERT_NE(uplink.viewEntry(), nullptr);
+  auditor.auditNow(rig.simr.now());
+  EXPECT_EQ(auditor.violationCount(), 0u);
+
+  // Plant a stale entry: one packet more than the queue holds.
+  auto* entry = const_cast<net::PortView*>(uplink.viewEntry());
+  const net::PortView kept = *entry;
+  entry->setQueueBytes(kept.queueBytes + 1500_B);
+  auditor.auditNow(rig.simr.now());
+  ASSERT_EQ(auditor.violationCount(), 1u);
+  EXPECT_NE(auditor.violations()[0].what.find("uplink view"),
+            std::string::npos);
+
+  *entry = kept;
   auditor.auditNow(rig.simr.now());
   EXPECT_EQ(auditor.violationCount(), 1u);
 }

@@ -188,7 +188,8 @@ TEST(ExperimentClass, EachRunWritesOnlyToItsOwnSinks) {
   EXPECT_FALSE(a.metrics.counterValues().empty());
   EXPECT_EQ(a.metrics.counterValues(), b.metrics.counterValues());
   EXPECT_EQ(a.metrics.toJson(), b.metrics.toJson());
-  // The metrics sink's depth sampler adds its own timer events.
+  // A sink records the run; it posts no event of its own.
+  EXPECT_EQ(inA.executedEvents, plain.executedEvents);
   EXPECT_EQ(inA.executedEvents, inB.executedEvents);
   EXPECT_EQ(a.metrics.findGauge("sim.executed_events")->value(),
             static_cast<double>(inA.executedEvents));

@@ -202,6 +202,34 @@ TEST(FlowStateTable, FuzzAgainstShadowMap) {
   }
 }
 
+// The default pool starts at 16 slots and doubles only when the live set
+// outgrows it. Each growth reserves the index for the new pool, so the
+// table's resident bytes change at a growth and at no insert in between.
+TEST(FlowStateTable, DefaultPoolStartsAt16AndDoublesWithTheLiveSet) {
+  Table t;
+  EXPECT_EQ(t.config().initialCapacity, 16u);
+  EXPECT_EQ(t.capacity(), 0u);  // nothing allocated before the first flow
+  EXPECT_EQ(t.residentBytes(), 0u);
+  std::size_t bytesSinceGrowth = 0;
+  std::size_t growths = 0;
+  for (FlowId id = 1; id <= 1000; ++id) {
+    const std::size_t before = t.capacity();
+    t.touch(id, 0_ns);
+    std::size_t expected = 16;
+    while (expected < t.size()) expected *= 2;
+    ASSERT_EQ(t.capacity(), expected) << "after " << id << " flows";
+    if (t.capacity() != before) {
+      ++growths;
+      EXPECT_GT(t.residentBytes(), bytesSinceGrowth) << "after " << id;
+      bytesSinceGrowth = t.residentBytes();
+    } else {
+      ASSERT_EQ(t.residentBytes(), bytesSinceGrowth) << "after " << id;
+    }
+  }
+  EXPECT_EQ(t.capacity(), 1024u);
+  EXPECT_EQ(growths, 7u);  // 16, 32, 64, 128, 256, 512, 1024
+}
+
 // The tentpole boundedness claim: a million-flow churn cannot grow the
 // table past maxFlows slots, resident bytes stay flat once the pool hits
 // its high-water mark, and every removal is accounted (nothing silent).

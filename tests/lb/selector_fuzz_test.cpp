@@ -38,13 +38,14 @@ TEST_P(SelectorFuzz, AlwaysReturnsPortFromGroup) {
     net::UplinkView view;
     int port = static_cast<int>(rng.uniformInt(0, 3));
     for (int i = 0; i < n; ++i) {
-      net::PortView u;
-      u.port = port;
+      const int p = port;
       port += static_cast<int>(rng.uniformInt(1, 3));
-      u.queueBytes = ByteCount::fromBytes(rng.uniformInt(0, 400000));
-      u.rateBps = rng.uniform() < 0.2 ? 0.0 : rng.uniform(1e8, 1e10);
-      u.linkDelaySec = rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-2);
-      view.push_back(u);
+      const ByteCount bytes = ByteCount::fromBytes(rng.uniformInt(0, 400000));
+      const double rate = rng.uniform() < 0.2 ? 0.0 : rng.uniform(1e8, 1e10);
+      const double delay =
+          rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-2);
+      // Constructed whole, so the view carries the wait of its fields.
+      view.push_back(net::PortView{p, bytes, rate, delay});
     }
 
     net::Packet pkt;
