@@ -125,7 +125,7 @@ BENCHMARK(BM_TlbControlTick);
 void runUplinkHop(benchmark::State& state, bool keptEntry) {
   sim::Simulator simr;
   net::PacketStore store;
-  net::Switch sw(simr, "bench");
+  net::Switch sw(simr, store, "bench");
   std::vector<int> group;
   for (int i = 0; i < 15; ++i) {
     group.push_back(sw.addPort(std::make_unique<net::Link>(

@@ -9,11 +9,13 @@
 #include "net/fabric.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
+#include "net/packet_store.hpp"
 #include "net/switch.hpp"
 #include "sim/simulator.hpp"
 #include "transport/tcp_receiver.hpp"
 #include "transport/tcp_sender.hpp"
 #include "util/check.hpp"
+#include "util/flow_index.hpp"
 
 namespace tlbsim::check {
 
@@ -244,12 +246,35 @@ void InvariantAuditor::auditTlbs(SimTime now) {
 }
 
 void InvariantAuditor::auditFlows(SimTime now) {
+  // Each watched flow's packets in the store, superseded copies aside.
+  using State = net::PacketStore::State;
+  util::FlowIndex<std::int64_t> stored;
+  for (const auto& w : flows_) stored.assign(w.sender->flow().id, 0);
+  for (std::uint32_t h = 0; store_ != nullptr && h < store_->capacity(); ++h) {
+    const net::PacketStore::Slot& slot = (*store_)[h];
+    const std::int64_t* n = stored.find(slot.pkt.flow);
+    if (n != nullptr && slot.state != State::kFree &&
+        slot.state != State::kVoid) {
+      stored.assign(slot.pkt.flow, *n + 1);
+    }
+  }
   for (const auto& w : flows_) {
     ++checksRun_;
     const transport::TcpSender& snd = *w.sender;
     const transport::TcpReceiver& rcv = *w.receiver;
     const auto flowId = static_cast<unsigned long long>(snd.flow().id);
     const ByteCount size = snd.flow().size;
+
+    const std::int64_t counted =
+        std::int64_t{snd.packetsInNetwork()} + rcv.packetsInNetwork();
+    const std::int64_t held = *stored.find(snd.flow().id);
+    if (store_ != nullptr && counted != held) {
+      report(now,
+             "flow %llu: in-network count: the endpoints count %lld "
+             "packets, the store holds %lld",
+             flowId, static_cast<long long>(counted),
+             static_cast<long long>(held));
+    }
 
     if (snd.bytesAcked() > snd.bytesSent()) {
       report(now, "flow %llu: snd_una %lld beyond snd_nxt %lld", flowId,

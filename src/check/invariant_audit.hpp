@@ -32,10 +32,13 @@
 //   * TCP sequence sanity per flow: snd_una <= snd_nxt <= flow size,
 //     snd_una <= receiver's cumulative ack <= flow size, cwnd within
 //     [1 MSS, +inf) and finite, completion implies full acknowledgment,
+//     and the in-network count: the sender's and the receiver's counts of
+//     packets in the network (transport::Endpoint) sum to the live store
+//     slots holding the flow's packets, superseded copies aside,
 //   * no orphan packets: no packet arrived at a host for a flow with no
-//     bound endpoint. Endpoints are reused once their flow has drained
-//     (transport::EndpointPool), so an orphan means a packet outlived the
-//     drain bound and a result may have changed.
+//     bound endpoint. Endpoints are reused once their flow's in-network
+//     count reaches zero (transport::EndpointPool), so an orphan means a
+//     packet escaped the count and a result may have changed.
 //
 // A flow is audited while its endpoints are live; when the pool reuses
 // them the flow is unwatched and its packet counts move into retired

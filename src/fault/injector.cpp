@@ -48,17 +48,6 @@ void FaultInjector::install() {
                   "fault event spine %d outside [0, %d)", ev.spine,
                   topo_.numSpines());
   }
-  // Declare every rate and delay factor up front, so the bound on how
-  // long a packet can stay in the network (which decides when a finished
-  // flow's endpoints may be reused) already covers faults still to come.
-  for (const auto& ev : plan_.events) {
-    const double rate =
-        ev.kind == FaultEvent::Kind::kRateFactor ? ev.value : 1.0;
-    const double delay =
-        ev.kind == FaultEvent::Kind::kDelayFactor ? ev.value : 1.0;
-    topo_.leafUplink(ev.leaf, ev.spine).faultPlanFactors(rate, delay);
-    topo_.spineDownlink(ev.spine, ev.leaf).faultPlanFactors(rate, delay);
-  }
   // Scheduled in declaration order, so same-time events keep it (the
   // scheduler breaks timestamp ties by scheduling order).
   for (const auto& ev : plan_.events) {

@@ -324,15 +324,15 @@ bool explain(std::string* error, std::string what) {
 
 /// Link rates, delays and fault factors the clock can hold, on the
 /// uniform fabric the override keys describe. On each faulted cable the
-/// plan's lowest rate and highest delay factor count, as
-/// Link::faultPlanFactors accumulates them; every other cable has factors
-/// of 1. The endpoint drain time they stretch (EndpointPool::safeDrainTime:
-/// twice a one-way trip over two host links and the cable's two
-/// directions, each a Link::worstCaseTransit) must fit the int64-nanosecond
-/// clock. It sums the scaled delay and a full segment's scaled
-/// serialization, so those fit too. Computed in doubles, before any of
-/// them reaches an integer.
-bool checkDrainFitsClock(const ExperimentConfig& cfg, std::string* error) {
+/// plan's lowest rate and highest delay factor count; every other cable
+/// has factors of 1. A full-buffer round trip over a cross-leaf path
+/// (four host-link and four fabric-link hops, every queue full of
+/// segments, each fabric hop at those factors) must fit the
+/// int64-nanosecond clock. It sums the scaled delay and a full segment's
+/// scaled serialization, so those fit too. Computed in doubles, before
+/// any of them reaches an integer.
+bool checkRoundTripFitsClock(const ExperimentConfig& cfg,
+                             std::string* error) {
   const net::LeafSpineConfig& topo = cfg.topo;
   const double bits =
       8.0 * static_cast<double>(cfg.tcp.maxSegmentWireSize().bytes());
@@ -342,16 +342,16 @@ bool checkDrainFitsClock(const ExperimentConfig& cfg, std::string* error) {
                (rate.bitsPerSecond() * rateFactor) * 1e9 +
            static_cast<double>(topo.linkDelay.ns()) * delayFactor;
   };
-  const auto drainFits = [&](double rateFactor, double delayFactor) {
-    const double drainNs =
+  const auto roundTripFits = [&](double rateFactor, double delayFactor) {
+    const double roundTripNs =
         4.0 * (transitNs(topo.hostLinkRate, 1.0, 1.0) +
                transitNs(topo.fabricLinkRate, rateFactor, delayFactor));
-    return drainNs < static_cast<double>(SimTime::max().ns());
+    return roundTripNs < static_cast<double>(SimTime::max().ns());
   };
-  if (!drainFits(1.0, 1.0)) {
+  if (!roundTripFits(1.0, 1.0)) {
     return explain(error,
                    "topo.rate-gbps and topo.rtt-us put a link's delay, "
-                   "serialization or the endpoints' drain time past the "
+                   "serialization or a full-buffer round trip past the "
                    "simulated clock (int64 nanoseconds)");
   }
   for (const fault::FaultEvent& ev : cfg.fault.events) {
@@ -365,14 +365,14 @@ bool checkDrainFitsClock(const ExperimentConfig& cfg, std::string* error) {
         delay = std::max(delay, e.value);
       }
     }
-    if (!drainFits(rate, delay)) {
+    if (!roundTripFits(rate, delay)) {
       return explain(error, "fault.link leaf" + std::to_string(ev.leaf) +
                                 "-spine" + std::to_string(ev.spine) +
                                 ": rate factor " + obs::jsonNumber(rate) +
                                 " and delay factor " +
                                 obs::jsonNumber(delay) +
-                                " put its delay, serialization or the "
-                                "endpoints' drain time past the simulated "
+                                " put its delay, serialization or a "
+                                "full-buffer round trip past the simulated "
                                 "clock (int64 nanoseconds)");
     }
   }
@@ -428,7 +428,7 @@ bool checkConfig(const ExperimentConfig& cfg, std::string* error) {
                                 std::to_string(topo.numSpines) + " fabric");
     }
   }
-  return checkDrainFitsClock(cfg, error);
+  return checkRoundTripFitsClock(cfg, error);
 }
 
 FlagArity flagArity(const std::string& flag) {

@@ -10,6 +10,13 @@ std::string linkLabel(const Node& from, const Link& link) {
   return from.name() + "->" + link.peer()->name();
 }
 
+void Fabric::reportLoss(const Packet& pkt) {
+  if (pkt.src < 0 || pkt.src >= numHosts()) return;
+  if (PacketHandler* handler = host(pkt.src).handlerFor(pkt.flow)) {
+    handler->onLoss(pkt);
+  }
+}
+
 void Fabric::reserve(int hosts, int switches) {
   hosts_.reserve(static_cast<std::size_t>(hosts));
   accessOf_.reserve(static_cast<std::size_t>(hosts));
@@ -20,14 +27,13 @@ void Fabric::reserve(int hosts, int switches) {
 Switch& Fabric::addSwitch(std::string name, int tier) {
   TLBSIM_ASSERT(tier >= 1, "switch %s at tier %d; tier 0 is the hosts",
                 name.c_str(), tier);
-  switches_.push_back(std::make_unique<Switch>(sim_, std::move(name)));
+  switches_.push_back(std::make_unique<Switch>(sim_, store_, std::move(name)));
   tierOf_.push_back(tier);
   Switch& sw = *switches_.back();
   if (tier == 1) {
     access_.push_back(&sw);
     hostsUnder_.push_back(HostRange{0, 0});
   }
-  maxTier_ = std::max(maxTier_, tier);
   return sw;
 }
 
@@ -104,21 +110,6 @@ void Fabric::forEachFabricLink(
   forEachLink([&fn](const FabricLink& l) {
     if (l.fromTier > 0 && l.toTier > 0) fn(*l.link);
   });
-}
-
-SimTime Fabric::worstCaseOneWay(ByteCount maxPacket) const {
-  // Class of a link: the tier boundary it crosses, times two, plus one
-  // when it points down.
-  std::vector<SimTime> worst(static_cast<std::size_t>(2 * maxTier_));
-  forEachLink([&](const FabricLink& l) {
-    const int boundary = std::min(l.fromTier, l.toTier);
-    const auto cls =
-        static_cast<std::size_t>(2 * boundary + (l.fromTier > l.toTier));
-    worst[cls] = std::max(worst[cls], l.link->worstCaseTransit(maxPacket));
-  });
-  SimTime sum;
-  for (const SimTime w : worst) sum += w;
-  return sum;
 }
 
 }  // namespace tlbsim::net

@@ -99,22 +99,18 @@ class Fabric {
   // tlbsim-lint: allow(std-function-hot-path)
   void forEachFabricLink(const std::function<void(Link&)>& fn) const;
 
-  /// Upper bound on the one-way time of a packet of at most `maxPacket`
-  /// bytes between any two hosts. Links fall into classes by the tiers
-  /// they join and the direction (host->access, access->host, and each
-  /// tier boundary up and down); a path crosses each class at most once,
-  /// so the bound is the sum over classes of the worst
-  /// Link::worstCaseTransit() in the class. It covers every factor an
-  /// installed fault plan declared on the links (Link::faultPlanFactors),
-  /// including faults that have not fired yet.
-  SimTime worstCaseOneWay(ByteCount maxPacket) const;
-
   /// The store every link of this fabric keeps its packets in.
   PacketStore& packetStore() { return store_; }
   const PacketStore& packetStore() const { return store_; }
 
+  /// Hand a lost packet to the handler its flow has at the packet's
+  /// source host: the endpoint that sent it. The store calls this for
+  /// every loss in the fabric.
+  void reportLoss(const Packet& pkt);
+
  protected:
-  explicit Fabric(sim::Simulator& simr) : sim_(simr) {}
+  explicit Fabric(sim::Simulator& simr)
+      : sim_(simr), store_([this](const Packet& pkt) { reportLoss(pkt); }) {}
   ~Fabric() = default;
 
   /// Size the per-host and per-switch bookkeeping up front.
@@ -158,7 +154,6 @@ class Fabric {
   std::vector<Switch*> decision_;
   std::vector<int> accessOf_;          ///< per host
   std::vector<HostRange> hostsUnder_;  ///< per access switch
-  int maxTier_ = 1;
 };
 
 }  // namespace tlbsim::net

@@ -19,6 +19,10 @@ class PacketHandler {
  public:
   virtual ~PacketHandler() = default;
   virtual void onPacket(const Packet& pkt) = 0;
+  /// The fabric lost `pkt`, which this handler sent (Fabric::reportLoss).
+  /// A handler that does not count its packets, such as a decorator,
+  /// ignores it.
+  virtual void onLoss(const Packet& pkt) { (void)pkt; }
 };
 
 class Host : public Node {
@@ -52,8 +56,9 @@ class Host : public Node {
   }
 
   /// Hands the packet to its flow's handler. A packet of an unbound flow
-  /// is dropped and counted: once endpoints are reused after their flow
-  /// drains, a nonzero count means a packet outlived the drain bound.
+  /// is dropped and counted: the endpoint pool reuses a pair only when
+  /// none of its packets is in the network, so a nonzero count means a
+  /// miscounted packet.
   void receive(const Packet& pkt, int inPort) override {
     (void)inPort;
     if (PacketHandler* handler = handlerFor(pkt.flow)) {

@@ -38,6 +38,7 @@ void Link::noteFaultDrop(const Packet& pkt) {
                     traceTid_);
   }
   for (const auto& hook : faultDropHooks_) hook(pkt);
+  store_.lost(pkt);
 }
 
 void Link::faultDown(bool drainInFlight) {
@@ -87,22 +88,6 @@ void Link::faultSetDelayFactor(double factor) {
   redecide();  // the packet being serialized propagates at the new delay
 }
 
-void Link::faultPlanFactors(double rateFactor, double delayFactor) {
-  TLBSIM_ASSERT(rateFactor > 0.0 && delayFactor > 0.0,
-                "planned factors must be positive, got %f / %f", rateFactor,
-                delayFactor);
-  planRateFactor_ = std::min(planRateFactor_, rateFactor);
-  planDelayFactor_ = std::max(planDelayFactor_, delayFactor);
-}
-
-SimTime Link::worstCaseTransit(ByteCount maxPacket) const {
-  const SimTime perPacket =
-      rate_.scaled(std::min(planRateFactor_, rateFactor_))
-          .transmissionTime(maxPacket);
-  return (queue_.config().capacityPackets + 1) * perPacket +
-         delay_ * std::max(planDelayFactor_, delayFactor_);
-}
-
 void Link::faultSetDropProb(double prob, std::uint64_t seed) {
   TLBSIM_ASSERT(prob >= 0.0 && prob <= 1.0,
                 "drop probability must be in [0, 1], got %f", prob);
@@ -131,6 +116,7 @@ void Link::send(const Packet& pkt) {
                       traceTid_);
     }
     for (const auto& hook : dropHooks_) hook(pkt);
+    store_.lost(pkt);
     return;
   }
   ++enqueuedPackets_;

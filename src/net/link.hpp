@@ -132,19 +132,6 @@ class Link {
   /// `prob`, decided by a link-local RNG reseeded with `seed` (so drop
   /// sequences are deterministic per link and independent of other links).
   void faultSetDropProb(double prob, std::uint64_t seed);
-  /// Declare a rate and a delay factor a fault plan will apply to this
-  /// link later in the run (1 = none), so worstCaseTransit() covers them
-  /// before they fire. Factors accumulate: the lowest rate and the highest
-  /// delay factor declared count.
-  void faultPlanFactors(double rateFactor, double delayFactor);
-
-  /// Upper bound on the time a packet of at most `maxPacket` bytes spends
-  /// on this link, from send() to delivery: a full buffer plus the packet
-  /// in serialization ahead of it, all at the lowest rate factor declared
-  /// or applied, then the propagation delay at the highest delay factor.
-  /// A link-down fault lengthens no packet's stay: it flushes the queue.
-  SimTime worstCaseTransit(ByteCount maxPacket) const;
-
   // --- statistics ---------------------------------------------------------
   /// Packets (bytes) whose serialization has ended.
   std::uint64_t txPackets() const {
@@ -266,8 +253,6 @@ class Link {
   double rateFactor_ = 1.0;
   double delayFactor_ = 1.0;
   double dropProb_ = 0.0;
-  double planRateFactor_ = 1.0;   ///< lowest rate factor a plan declared
-  double planDelayFactor_ = 1.0;  ///< highest delay factor a plan declared
   bool drainInFlight_ = false;
   std::uint64_t wireEpoch_ = 0;
   Rng faultRng_{0};

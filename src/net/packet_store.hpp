@@ -16,10 +16,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "util/check.hpp"
+#include "util/inline_function.hpp"
 #include "util/units.hpp"
 
 namespace tlbsim::net {
@@ -49,9 +51,19 @@ class PacketStore {
     State state = State::kFree;
   };
 
-  PacketStore() = default;
+  using LossHandler = util::InlineFunction<void(const Packet&)>;
+
+  explicit PacketStore(LossHandler onLoss = {})
+      : onLoss_(std::move(onLoss)) {}
   PacketStore(const PacketStore&) = delete;
   PacketStore& operator=(const PacketStore&) = delete;
+
+  /// Report `pkt` lost: dropped by a full queue, rejected or flushed by a
+  /// down link, killed on the wire or gray-dropped by a fault, or left
+  /// without a route at a switch.
+  void lost(const Packet& pkt) const {
+    if (onLoss_) onLoss_(pkt);
+  }
 
   /// Copies `pkt` into a free slot in `state`, adding a chunk when none is
   /// free, and returns the slot's handle. `pkt` may itself be a stored
@@ -109,6 +121,7 @@ class PacketStore {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   Handle freeHead_ = kNone;
   std::size_t live_ = 0;
+  LossHandler onLoss_;
 };
 
 }  // namespace tlbsim::net

@@ -95,6 +95,7 @@ void Switch::receive(const Packet& pkt, int inPort) {
     ++unroutable_;
     TLBSIM_LOG_WARN("%s: no route for host %d (flow %llu)", name_.c_str(),
                     pkt.dst, static_cast<unsigned long long>(pkt.flow));
+    store_.lost(pkt);
     return;
   }
   ++forwarded_;

@@ -9,6 +9,7 @@
 
 #include "net/link.hpp"
 #include "net/node.hpp"
+#include "net/packet_store.hpp"
 #include "net/uplink_selector.hpp"
 #include "sim/simulator.hpp"
 
@@ -16,8 +17,10 @@ namespace tlbsim::net {
 
 class Switch : public Node {
  public:
-  Switch(sim::Simulator& simr, std::string name)
-      : sim_(simr), name_(std::move(name)) {}
+  /// A packet with no route is reported lost to `store`, the store its
+  /// ports' links keep their packets in.
+  Switch(sim::Simulator& simr, PacketStore& store, std::string name)
+      : sim_(simr), store_(store), name_(std::move(name)) {}
 
   // The uplinks point into the switch (its view entries and stale mark).
   Switch(const Switch&) = delete;
@@ -101,6 +104,7 @@ class Switch : public Node {
   }
 
   sim::Simulator& sim_;
+  PacketStore& store_;
   std::string name_;
   std::vector<std::unique_ptr<Link>> ports_;
   std::vector<int> routes_;  // dst host -> port | kViaUplinks | kNoRoute

@@ -17,21 +17,23 @@ EndpointPool::~EndpointPool() {
   }
 }
 
-SimTime EndpointPool::safeDrainTime(const net::Fabric& topo,
-                                    const TcpParams& params) {
-  return 2 * topo.worstCaseOneWay(params.maxSegmentWireSize());
-}
-
 std::uint32_t EndpointPool::retireDrained(ReorderBuffer* spare) {
-  if (finishedHead_ == kNone ||
-      slots_[finishedHead_].reusableAt >= sim_.now()) {
-    return kNone;
+  if (keepPairs_) return kNone;
+  std::uint32_t index = kNone;
+  for (int checks = kChecks; checks > 0 && finishedHead_ != kNone;
+       --checks) {
+    const std::uint32_t head = finishedHead_;
+    finishedHead_ = slots_[head].nextFinished;
+    if (finishedHead_ == kNone) finishedTail_ = kNone;
+    if (slots_[head].drained()) {
+      index = head;
+      break;
+    }
+    pushFinished(head);  // still draining: to the back
   }
-  const std::uint32_t index = finishedHead_;
-  Slot& s = slots_[index];
-  finishedHead_ = s.nextFinished;
-  if (finishedHead_ == kNone) finishedTail_ = kNone;
+  if (index == kNone) return kNone;
 
+  Slot& s = slots_[index];
   TcpSender& snd = s.sender();
   TcpReceiver& rcv = s.receiver();
   if (retireHook_) retireHook_(snd, rcv, s.tag);
@@ -52,7 +54,6 @@ void EndpointPool::launch(const FlowSpec& spec, std::uint64_t tag,
                 "flow %llu launched at %lld ns, outside its start event",
                 static_cast<unsigned long long>(spec.id),
                 static_cast<long long>(sim_.now().ns()));
-  if (drain_ < 0_ns) drain_ = safeDrainTime(topo_, params_);
   ReorderBuffer spare;
   std::uint32_t index = retireDrained(&spare);
   if (index == kNone) {
@@ -68,23 +69,23 @@ void EndpointPool::launch(const FlowSpec& spec, std::uint64_t tag,
   TcpSender* snd = std::construct_at(
       reinterpret_cast<TcpSender*>(s.senderBytes), sim_,
       topo_.host(static_cast<int>(spec.src)), spec, params_,
-      [this, index](TcpSender&) { onFinished(index); });
+      [this, index](TcpSender&) {
+        pushFinished(index);
+        slots_[index].onComplete();
+      });
   index_.assign(spec.id, index);
   if (launchHook_) launchHook_(*snd, *rcv, tag);
   snd->startNow();
 }
 
-void EndpointPool::onFinished(std::uint32_t index) {
-  Slot& s = slots_[index];
-  s.reusableAt = sim_.now() + drain_;
-  s.nextFinished = kNone;
+void EndpointPool::pushFinished(std::uint32_t index) {
+  slots_[index].nextFinished = kNone;
   if (finishedTail_ == kNone) {
     finishedHead_ = index;
   } else {
     slots_[finishedTail_].nextFinished = index;
   }
   finishedTail_ = index;
-  s.onComplete();
 }
 
 }  // namespace tlbsim::transport

@@ -2,14 +2,20 @@
 // when each flow starts and reused once it has drained, so a run holds
 // endpoints for the flows in flight rather than for every flow it made.
 //
-// launch() runs inside the event that starts a flow. It takes the oldest
-// finished pair whose drain deadline has passed (or adds a pair), builds
-// the flow's receiver and sender in that storage, and sends the SYN. A
-// pair finishes when its sender completes; its drain deadline is the
-// completion time plus drainTime(), by which no packet of the flow can
-// still be in the network (safeDrainTime). Completion times never
-// decrease, so finished pairs wait in FIFO order and the oldest is always
-// at the head.
+// launch() runs inside the event that starts a flow. It takes a finished
+// pair that has drained (or adds a pair), builds the flow's receiver and
+// sender in that storage, and sends the SYN. A pair finishes when its
+// sender completes, and has drained when its endpoints' counts of packets
+// in the network sum to zero (transport::Endpoint). It then has no timer
+// pending (complete() cancels the sender's; the receiver has none), and
+// an endpoint sends only in answer to a packet or a timer, so nothing of
+// the flow can happen again.
+//
+// Finished pairs wait in a FIFO in the order they finished, so the head
+// has nearly always drained. A launch checks at most kChecks pairs from
+// the head and moves each still draining to the tail: a pair that never
+// drains (a loss its endpoint never heard of) costs one check each time
+// it comes round, not a walk on every launch.
 //
 // Reuse is lazy: it posts no event and takes no sequence number, so a run
 // fires exactly the events, in exactly the order, it would fire with every
@@ -54,13 +60,11 @@ class EndpointPool {
   void setLaunchHook(PairHook hook) { launchHook_ = std::move(hook); }
   void setRetireHook(PairHook hook) { retireHook_ = std::move(hook); }
 
-  /// Override the drain time (a test plants a too-short one). By default
-  /// it is safeDrainTime() of the topology, taken at the first launch, by
-  /// which time the run's fault plan is installed.
-  void setDrainTime(SimTime drain) { drain_ = drain; }
+  /// Keep every pair to the end of the run (a test's no-reuse baseline).
+  void keepPairs() { keepPairs_ = true; }
 
   /// Start `spec` now, from inside its start event (spec.start == now):
-  /// retire the oldest drained pair into it, or add a pair; build the
+  /// retire a drained pair into it, or add a pair; build the
   /// receiver, then the sender; run the launch hook; send the SYN.
   /// Retiring runs the retire hook, unbinds the old flow at both hosts
   /// (whatever handler is bound there) and destroys the old endpoints.
@@ -83,26 +87,17 @@ class EndpointPool {
   std::size_t pairs() const { return slots_.size(); }
   /// Launches that reused a drained pair.
   std::uint64_t reuses() const { return reuses_; }
-  /// Time a finished pair waits before reuse (negative until derived).
-  SimTime drainTime() const { return drain_; }
-
-  /// After a sender completes, a packet of its flow can still be in the
-  /// network: a late data segment or the FIN needs at most one worst-case
-  /// one-way trip, and the ACK or FIN-ACK it draws, sent at once, another.
-  /// Hence twice the topology's worst-case one-way time for a full-size
-  /// segment.
-  static SimTime safeDrainTime(const net::Fabric& topo,
-                               const TcpParams& params);
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
+  /// Finished pairs a launch checks before it adds a pair.
+  static constexpr int kChecks = 8;
 
   struct Slot {
     alignas(TcpSender) std::byte senderBytes[sizeof(TcpSender)];
     alignas(TcpReceiver) std::byte receiverBytes[sizeof(TcpReceiver)];
     Completion onComplete;
     std::uint64_t tag = 0;
-    SimTime reusableAt;  ///< drain deadline, once the sender completed
     std::uint32_t nextFinished = kNone;
 
     TcpSender& sender() {
@@ -118,17 +113,23 @@ class EndpointPool {
       return *std::launder(
           reinterpret_cast<const TcpReceiver*>(receiverBytes));
     }
+    /// None of the flow's packets is in the network.
+    bool drained() const {
+      return sender().packetsInNetwork() + receiver().packetsInNetwork() ==
+             0;
+    }
   };
 
-  /// Take the oldest drained pair off the finished FIFO and retire its
-  /// flow; returns its index, or kNone when no pair has drained yet.
+  /// Take a drained pair off the finished FIFO and retire its flow;
+  /// returns its index, or kNone when none of the pairs checked drained.
   std::uint32_t retireDrained(ReorderBuffer* spare);
-  void onFinished(std::uint32_t index);
+  /// Append a finished pair to the FIFO.
+  void pushFinished(std::uint32_t index);
 
   sim::Simulator& sim_;
   net::Fabric& topo_;
   TcpParams params_;
-  SimTime drain_ = -1_ns;
+  bool keepPairs_ = false;
   /// Every pair ever built; a deque, so slot addresses never move.
   std::deque<Slot> slots_;
   /// Live and draining flows -> slot index.

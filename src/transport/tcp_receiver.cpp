@@ -13,38 +13,19 @@ static_assert(sizeof(TcpReceiver) <= 192,
 #endif
 
 TcpReceiver::TcpReceiver(sim::Simulator& simr, net::Host& localHost,
-                         const FlowSpec& flow, const TcpParams& params)
-    : TcpReceiver(simr, localHost, flow, params, ReorderBuffer{}) {}
-
-TcpReceiver::TcpReceiver(sim::Simulator& simr, net::Host& localHost,
                          const FlowSpec& flow, const TcpParams& params,
                          ReorderBuffer spare)
-    : sim_(simr),
-      host_(localHost),
-      flow_(flow),
-      params_(params),
-      reorder_(std::move(spare)) {
+    : Endpoint(simr, localHost, flow, params), reorder_(std::move(spare)) {
   reorder_.clear();
-  host_.bind(flow_.id, this);
-}
-
-net::Packet TcpReceiver::makeControl(net::PacketType type) const {
-  net::Packet pkt;
-  pkt.flow = flow_.id;
-  pkt.type = type;
-  pkt.src = flow_.dst;  // receiver -> sender direction
-  pkt.dst = flow_.src;
-  pkt.size = TcpParams::headerBytes;
-  pkt.sentAt = sim_.now();
-  return pkt;
 }
 
 void TcpReceiver::onPacket(const net::Packet& pkt) {
+  countArrival();
   switch (pkt.type) {
     case net::PacketType::kSyn: {
-      net::Packet synAck = makeControl(net::PacketType::kSynAck);
+      net::Packet synAck = control(net::PacketType::kSynAck);
       synAck.echoTs = pkt.sentAt;
-      host_.send(synAck);
+      send(synAck);
       break;
     }
     case net::PacketType::kData:
@@ -52,7 +33,7 @@ void TcpReceiver::onPacket(const net::Packet& pkt) {
       break;
     case net::PacketType::kFin: {
       finSeen_ = true;
-      host_.send(makeControl(net::PacketType::kFinAck));
+      send(control(net::PacketType::kFinAck));
       break;
     }
     default:
@@ -88,7 +69,7 @@ void TcpReceiver::acceptData(const net::Packet& pkt) {
 }
 
 void TcpReceiver::sendAck(SimTime echoTs, bool ece) {
-  net::Packet ack = makeControl(net::PacketType::kAck);
+  net::Packet ack = control(net::PacketType::kAck);
   ack.ack = cumAck_;
   ack.ece = ece;  // per-packet CE echo (DCTCP style)
   ack.echoTs = echoTs;
@@ -96,7 +77,7 @@ void TcpReceiver::sendAck(SimTime echoTs, bool ece) {
   if (sentFirstAck_ && ack.ack == lastAckNo_) ++dupAcks_;
   sentFirstAck_ = true;
   lastAckNo_ = ack.ack;
-  host_.send(ack);
+  send(ack);
 }
 
 }  // namespace tlbsim::transport

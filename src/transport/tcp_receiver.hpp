@@ -11,24 +11,19 @@
 #include "net/host.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "transport/endpoint.hpp"
 #include "transport/reorder_buffer.hpp"
 #include "transport/tcp_params.hpp"
 
-namespace tlbsim::obs {
-class FlowProbe;
-}
-
 namespace tlbsim::transport {
 
-class TcpReceiver : public net::PacketHandler {
+class TcpReceiver : public Endpoint {
  public:
+  /// `spare`'s storage (emptied) becomes the reorder buffer: a receiver
+  /// built in a reused endpoint's place takes its predecessor's buffer
+  /// over (see releaseReorderBuffer) and allocates nothing.
   TcpReceiver(sim::Simulator& simr, net::Host& localHost, const FlowSpec& flow,
-              const TcpParams& params);
-  /// Same, with `spare`'s storage (emptied) as the reorder buffer: a
-  /// receiver built in a reused endpoint's place takes its predecessor's
-  /// buffer over (see releaseReorderBuffer) and allocates nothing.
-  TcpReceiver(sim::Simulator& simr, net::Host& localHost, const FlowSpec& flow,
-              const TcpParams& params, ReorderBuffer spare);
+              const TcpParams& params, ReorderBuffer spare = {});
 
   /// Hand the reorder buffer's storage to a successor.
   ReorderBuffer releaseReorderBuffer() { return std::move(reorder_); }
@@ -45,22 +40,13 @@ class TcpReceiver : public net::PacketHandler {
   std::uint64_t cumulativeAck() const { return cumAck_; }
   bool finReceived() const { return finSeen_; }
 
-  const FlowSpec& flow() const { return flow_; }
-
-  /// Wire the per-flow decision probe: each out-of-order data arrival is
-  /// reported for path-change vs. loss attribution. One null-pointer
-  /// branch per data segment when not installed.
-  void setFlowProbe(obs::FlowProbe* probe) { flowProbe_ = probe; }
-
  private:
   void acceptData(const net::Packet& pkt);
   void sendAck(SimTime echoTs, bool ece);
-  net::Packet makeControl(net::PacketType type) const;
 
-  sim::Simulator& sim_;
-  net::Host& host_;
-  FlowSpec flow_;
-  TcpParams params_;
+  // First, so they share the Endpoint base's last 8 bytes with its count.
+  bool sentFirstAck_ = false;
+  bool finSeen_ = false;
 
   std::uint64_t cumAck_ = 0;  ///< next byte expected
   /// Out-of-order byte ranges beyond cumAck_.
@@ -71,10 +57,6 @@ class TcpReceiver : public net::PacketHandler {
   std::uint64_t dupAcks_ = 0;
   std::uint64_t acksSent_ = 0;
   std::uint64_t lastAckNo_ = 0;
-  bool sentFirstAck_ = false;
-  bool finSeen_ = false;
-
-  obs::FlowProbe* flowProbe_ = nullptr;  ///< null = disabled
 };
 
 }  // namespace tlbsim::transport

@@ -32,16 +32,12 @@ void TcpSender::addCountersTo(obs::MetricsRegistry& metrics) const {
 TcpSender::TcpSender(sim::Simulator& simr, net::Host& localHost,
                      const FlowSpec& flow, const TcpParams& params,
                      CompletionCallback onComplete)
-    : sim_(simr),
-      host_(localHost),
-      flow_(flow),
-      params_(params),
+    : Endpoint(simr, localHost, flow, params),
       onComplete_(std::move(onComplete)),
       timer_(simr.scheduler()) {
   cwnd_ = static_cast<double>(TcpParams::initialCwndSegments *
                               params_.mss.bytes());
   ssthresh_ = static_cast<double>(params_.receiverWindow.bytes());
-  host_.bind(flow_.id, this);
 }
 
 void TcpSender::start() {
@@ -52,17 +48,11 @@ void TcpSender::start() {
 
 void TcpSender::sendSyn() {
   if (established_ || completed_) return;
-  net::Packet syn;
-  syn.flow = flow_.id;
-  syn.type = net::PacketType::kSyn;
-  syn.src = flow_.src;
-  syn.dst = flow_.dst;
-  syn.size = TcpParams::headerBytes;
-  syn.sentAt = sim_.now();
+  net::Packet syn = control(net::PacketType::kSyn);
   syn.deadline = flow_.deadline;  // deadline tag for switch statistics
-  host_.send(syn);
+  send(syn);
   // SYN loss protection: retry with exponential backoff until established.
-  const SimTime synRto = params_.minRto * (1 << std::min(synRetries_, 6));
+  const SimTime synRto = params_.minRto * (1 << std::min<int>(synRetries_, 6));
   ++synRetries_;
   if (synRetries_ <= kMaxSynRetries) armTimer(synRto);
 }
@@ -81,6 +71,7 @@ void TcpSender::establish(const net::Packet& synAck) {
 }
 
 void TcpSender::onPacket(const net::Packet& pkt) {
+  countArrival();
   if (completed_) return;
   switch (pkt.type) {
     case net::PacketType::kSynAck:
@@ -242,16 +233,11 @@ void TcpSender::sendSegment(std::uint64_t seq, bool isRetransmit) {
   const ByteCount payload = ByteCount::fromBytes(static_cast<std::int64_t>(
       std::min<std::uint64_t>(static_cast<std::uint64_t>(params_.mss.bytes()),
                               size - seq)));
-  net::Packet pkt;
-  pkt.flow = flow_.id;
-  pkt.type = net::PacketType::kData;
-  pkt.src = flow_.src;
-  pkt.dst = flow_.dst;
+  net::Packet pkt = control(net::PacketType::kData);
   pkt.seq = seq;
   pkt.payload = payload;
-  pkt.size = payload + TcpParams::headerBytes;
+  pkt.size += payload;
   pkt.ecnCapable = params_.enableEcn;
-  pkt.sentAt = sim_.now();
   pkt.retransmit = isRetransmit;
   // Wire-accurate resend detection, evaluated before the high-water mark
   // moves: go-back-N resends after an RTO rewind re-cover already-sent
@@ -262,7 +248,7 @@ void TcpSender::sendSegment(std::uint64_t seq, bool isRetransmit) {
   ++dataPacketsSent_;
   maxSent_ = std::max(maxSent_, seq + static_cast<std::uint64_t>(payload.bytes()));
   if (isRetransmit) ++retransmittedSegments_;
-  host_.send(pkt);
+  send(pkt);
 }
 
 void TcpSender::retransmitHead() { sendSegment(sndUna_, /*isRetransmit=*/true); }
@@ -322,7 +308,7 @@ void TcpSender::onRto() {
   sndNxt_ = sndUna_;
   inRecovery_ = false;
   dupAckCount_ = 0;
-  rtoBackoff_ = std::min(rtoBackoff_ * 2, 64);
+  rtoBackoff_ = static_cast<std::int16_t>(std::min(rtoBackoff_ * 2, 64));
   trySend();
 }
 
@@ -332,14 +318,7 @@ void TcpSender::complete() {
   timer_.cancel();
   // FIN lets switches retire the flow from their tables (paper §5). It is
   // fire-and-forget: a lost FIN is covered by the switches' idle purge.
-  net::Packet fin;
-  fin.flow = flow_.id;
-  fin.type = net::PacketType::kFin;
-  fin.src = flow_.src;
-  fin.dst = flow_.dst;
-  fin.size = TcpParams::headerBytes;
-  fin.sentAt = sim_.now();
-  host_.send(fin);
+  send(control(net::PacketType::kFin));
   if (onComplete_) onComplete_(*this);
 }
 

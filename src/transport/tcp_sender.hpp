@@ -20,17 +20,17 @@
 #include "net/packet.hpp"
 #include "sim/deadline_timer.hpp"
 #include "sim/simulator.hpp"
+#include "transport/endpoint.hpp"
 #include "transport/tcp_params.hpp"
 
 namespace tlbsim::obs {
 class EventTrace;
-class FlowProbe;
 class MetricsRegistry;
 }  // namespace tlbsim::obs
 
 namespace tlbsim::transport {
 
-class TcpSender : public net::PacketHandler {
+class TcpSender : public Endpoint {
  public:
   /// Invoked exactly once, when the last payload byte is cumulatively
   /// acked — once per flow, and the harness's closure captures well
@@ -50,7 +50,6 @@ class TcpSender : public net::PacketHandler {
   void onPacket(const net::Packet& pkt) override;
 
   // --- progress / result accessors --------------------------------------
-  const FlowSpec& flow() const { return flow_; }
   bool completed() const { return completed_; }
   /// Flow completion time (valid once completed()).
   SimTime fct() const { return completionTime_ - flow_.start; }
@@ -81,12 +80,6 @@ class TcpSender : public net::PacketHandler {
   /// pair is reused, or at run end.
   void addCountersTo(obs::MetricsRegistry& metrics) const;
 
-  /// Wire the per-flow decision probe: every retransmission this sender
-  /// puts on the wire (fast retransmit, RTO head, AND go-back-N resends,
-  /// which carry retransmit=false on the packet) is reported. One
-  /// null-pointer branch per segment when not installed.
-  void setFlowProbe(obs::FlowProbe* probe) { flowProbe_ = probe; }
-
  private:
   void sendSyn();
   void establish(const net::Packet& synAck);
@@ -109,21 +102,17 @@ class TcpSender : public net::PacketHandler {
   }
   double windowLimit() const;
 
-  sim::Simulator& sim_;
-  net::Host& host_;
-  FlowSpec flow_;
-  TcpParams params_;
-  CompletionCallback onComplete_;
-
-  // Flags and small counters, packed into 16 bytes (an incast run keeps
-  // hundreds of senders live or draining at once).
+  // Flags and small counters, first: they share the Endpoint base's last
+  // 8 bytes with its count (every pooled pair pays for each byte here).
   bool established_ = false;
   bool completed_ = false;
   bool inRecovery_ = false;    ///< NewReno fast recovery
   bool haveRttSample_ = false;
   int dupAckCount_ = 0;
-  int rtoBackoff_ = 1;
-  int synRetries_ = 0;
+  std::int16_t rtoBackoff_ = 1;  ///< 1 .. 64
+  std::int16_t synRetries_ = 0;  ///< 0 .. kMaxSynRetries + 1
+
+  CompletionCallback onComplete_;
 
   // --- connection state --------------------------------------------------
   SimTime completionTime_;
@@ -167,9 +156,7 @@ class TcpSender : public net::PacketHandler {
   std::uint64_t dataPacketsSent_ = 0;
   std::uint64_t acksReceived_ = 0;
 
-  // Observability sinks (null = disabled).
-  obs::EventTrace* trace_ = nullptr;
-  obs::FlowProbe* flowProbe_ = nullptr;
+  obs::EventTrace* trace_ = nullptr;  ///< null = disabled
 };
 
 }  // namespace tlbsim::transport

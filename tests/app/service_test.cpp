@@ -196,8 +196,8 @@ struct AssembledRun {
   std::uint64_t orphans = 0;
 };
 
-/// `drain` overrides the pool's drain time when non-negative.
-AssembledRun runAssembled(const ExperimentConfig& cfg, SimTime drain) {
+/// With `keepPairs`, the pool reuses no pair.
+AssembledRun runAssembled(const ExperimentConfig& cfg, bool keepPairs) {
   sim::Simulator simr;
   net::LeafSpineTopology topo(simr, cfg.topo, [](net::Switch&, int leaf) {
     return std::make_unique<lb::Ecmp>(static_cast<std::uint64_t>(leaf) + 1);
@@ -205,7 +205,7 @@ AssembledRun runAssembled(const ExperimentConfig& cfg, SimTime drain) {
   Service service(simr, topo, cfg.app, cfg.tcp, cfg.seed, /*firstFlowId=*/1);
   QueryProbe probe;
   service.setQueryProbe(&probe);
-  if (drain >= 0_ns) service.endpoints().setDrainTime(drain);
+  if (keepPairs) service.endpoints().keepPairs();
   service.start();
   auto& sched = simr.scheduler();
   while (!service.done() && !sched.empty()) {
@@ -238,8 +238,8 @@ TEST(Service, ReusedEndpointsLeaveTheQueryLedgerByteIdentical) {
   cfg.app.maxRetries = 2;
   cfg.app.serviceTime = microseconds(200);
 
-  const AssembledRun pooled = runAssembled(cfg, -1_ns);
-  const AssembledRun kept = runAssembled(cfg, seconds(1000));  // no reuse
+  const AssembledRun pooled = runAssembled(cfg, false);
+  const AssembledRun kept = runAssembled(cfg, true);
 
   EXPECT_GT(pooled.flowsMinted, pooled.flowsAtFinish);  // late launches
   EXPECT_GT(pooled.reuses, 0u);

@@ -71,7 +71,8 @@ net::UplinkView makeView(int n) {
 
 TEST(TlbAutoDeadline, EffectiveDeadlineTracksSynTags) {
   sim::Simulator simr;
-  net::Switch sw(simr, "leaf");
+  net::PacketStore store;
+  net::Switch sw(simr, store, "leaf");
   TlbConfig cfg;
   cfg.autoDeadline = true;
   cfg.deadlinePercentile = 25.0;

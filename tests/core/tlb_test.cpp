@@ -135,7 +135,8 @@ TEST(Tlb, MissedSynStillTracked) {
 
 TEST(Tlb, ControlTickUpdatesThresholdFromLiveCounts) {
   sim::Simulator simr;
-  net::Switch sw(simr, "leaf");
+  net::PacketStore store;
+  net::Switch sw(simr, store, "leaf");
   Tlb tlb(config(), 15, 1);
   tlb.attach(sw, simr);
 
@@ -161,7 +162,8 @@ TEST(Tlb, ControlTickUpdatesThresholdFromLiveCounts) {
 
 TEST(Tlb, AttachedTimerPurgesIdleFlows) {
   sim::Simulator simr;
-  net::Switch sw(simr, "leaf");
+  net::PacketStore store;
+  net::Switch sw(simr, store, "leaf");
   auto cfg = config();
   cfg.updateInterval = microseconds(500);
   cfg.idleTimeout = microseconds(1000);

@@ -307,7 +307,7 @@ struct SwitchRig {
   std::unique_ptr<Switch> sw;
 
   SwitchRig() : sinkA(simr), sinkB(simr), sinkC(simr) {
-    sw = std::make_unique<Switch>(simr, "rig-switch");
+    sw = std::make_unique<Switch>(simr, store, "rig-switch");
     for (SinkNode* sink : {&sinkA, &sinkB, &sinkC}) {
       auto link = std::make_unique<Link>(simr, store, gbps(1), microseconds(1),
                                          QueueConfig{16, 0});

@@ -324,9 +324,9 @@ TEST(FatTreeExperiment, HardStopRespected) {
 TEST(FatTreeExperiment, AuditedAppRunLeavesNoOrphans) {
   // Partition-aggregate queries spread over every edge switch, with
   // duplicate requests: many short RPC flows reuse drained endpoints, so
-  // a drain bound shorter than the six-hop path would orphan packets. The
-  // audit counts an orphan as a violation, so zero violations means zero
-  // orphans.
+  // a pair reused while a packet of its flow was still on a six-hop path
+  // would orphan it. The audit counts an orphan as a violation, so zero
+  // violations means zero orphans.
   ExperimentConfig cfg;
   cfg.fatTree.emplace().k = 4;
   cfg.scheme.scheme = Scheme::kTlb;

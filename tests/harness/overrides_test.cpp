@@ -281,7 +281,7 @@ TEST(Overrides, CheckConfigRejectsCrossFieldContradictions) {
   // Fault factors must leave every time they scale inside the clock. The
   // plan's extreme factor on a link counts, whatever its order. The first
   // two overflow the scaled delay and a segment's serialization; the third
-  // fits them, but four times it, the drain time, does not.
+  // fits them, but not a full-buffer round trip over four such hops.
   for (const char* spec : {"leaf0-spine1,delay=1e300@1ms",
                            "leaf0-spine1,rate=1e-300@1ms,rate=1@2ms",
                            "leaf1-spine3,delay=2e14@1ms"}) {

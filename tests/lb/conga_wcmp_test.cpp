@@ -43,7 +43,8 @@ TEST(Conga, FlowletSticksWithoutGap) {
 
 TEST(Conga, NewFlowletAvoidsLoadedUplink) {
   sim::Simulator simr;
-  net::Switch sw(simr, "sw");
+  net::PacketStore store;
+  net::Switch sw(simr, store, "sw");
   Conga conga(2);
   conga.attach(sw, simr);
 
@@ -62,7 +63,8 @@ TEST(Conga, NewFlowletAvoidsLoadedUplink) {
 
 TEST(Conga, DreAgesOut) {
   sim::Simulator simr;
-  net::Switch sw(simr, "sw");
+  net::PacketStore store;
+  net::Switch sw(simr, store, "sw");
   Conga conga(3);
   conga.attach(sw, simr);
   const auto v = makeView({0_B, 0_B});
@@ -74,7 +76,8 @@ TEST(Conga, DreAgesOut) {
 
 TEST(Conga, GapStartsNewFlowletOnLeastCongested) {
   sim::Simulator simr;
-  net::Switch sw(simr, "sw");
+  net::PacketStore store;
+  net::Switch sw(simr, store, "sw");
   Conga conga(4, microseconds(100));
   conga.attach(sw, simr);
 

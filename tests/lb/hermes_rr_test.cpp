@@ -72,7 +72,8 @@ TEST(HermesLike, FlowSticksBelowRerouteThreshold) {
 
 TEST(HermesLike, ReroutesWhenEligibleAndCurrentPathBad) {
   sim::Simulator simr;
-  net::Switch sw(simr, "sw");
+  net::PacketStore store;
+  net::Switch sw(simr, store, "sw");
   HermesLike h(2);
   h.attach(sw, simr);
   const auto clean = makeView({0_B, 0_B, 0_B});

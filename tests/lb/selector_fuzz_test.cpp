@@ -27,7 +27,8 @@ TEST_P(SelectorFuzz, AlwaysReturnsPortFromGroup) {
   ASSERT_NE(sel, nullptr);
 
   sim::Simulator simr;
-  net::Switch sw(simr, "fuzz");
+  net::PacketStore store;
+  net::Switch sw(simr, store, "fuzz");
   sel->attach(sw, simr);
 
   Rng rng(seed * 7919 + 13);

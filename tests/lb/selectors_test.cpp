@@ -319,7 +319,8 @@ TEST(LetFlow, SticksWithinTimeout) {
 
 TEST(LetFlow, GapStartsNewFlowlet) {
   sim::Simulator simr;
-  net::Switch sw(simr, "sw");
+  net::PacketStore store;
+  net::Switch sw(simr, store, "sw");
   LetFlow lf(11, microseconds(150));
   lf.attach(sw, simr);
   const auto v = makeView({0_B, 0_B, 0_B, 0_B});
@@ -334,7 +335,8 @@ TEST(LetFlow, GapStartsNewFlowlet) {
 
 TEST(LetFlow, NoGapNoSwitchAcrossManyPackets) {
   sim::Simulator simr;
-  net::Switch sw(simr, "sw");
+  net::PacketStore store;
+  net::Switch sw(simr, store, "sw");
   LetFlow lf(12, microseconds(150));
   lf.attach(sw, simr);
   const auto v = makeView({0_B, 0_B, 0_B, 0_B});

@@ -16,8 +16,6 @@
 namespace tlbsim::net {
 namespace {
 
-constexpr ByteCount kPacket = 1500_B;
-
 LeafSpineConfig smallLeafSpine() {
   LeafSpineConfig cfg;
   cfg.numLeaves = 2;
@@ -53,38 +51,6 @@ std::string labelOf(const Fabric& fabric, const Link& link) {
     if (l.link == &link) label = l.label();
   });
   return label;
-}
-
-TEST(Fabric, WorstCaseOneWayOnAFatTreeIsSixHops) {
-  sim::Simulator simr;
-  FatTreeTopology topo(simr, k4(), nullptr);
-  // Every link is alike, and a pod-to-pod path crosses six of them.
-  const SimTime hop = topo.host(0).uplink().worstCaseTransit(kPacket);
-  EXPECT_EQ(topo.worstCaseOneWay(kPacket), 6 * hop);
-}
-
-TEST(Fabric, WorstCaseOneWayOnALeafSpineSumsItsFourHopClasses) {
-  sim::Simulator simr;
-  auto cfg = smallLeafSpine();
-  cfg.overrides.push_back({.leaf = 0, .spine = 1, .rateFactor = 0.25,
-                           .delayFactor = 3.0});
-  LeafSpineTopology topo(simr, cfg, nullptr);
-  SimTime access, up, down, deliver;
-  for (int h = 0; h < topo.numHosts(); ++h) {
-    access = std::max(access, topo.host(h).uplink().worstCaseTransit(kPacket));
-    deliver = std::max(deliver, topo.leafDownlink(static_cast<HostId>(h))
-                                    .worstCaseTransit(kPacket));
-  }
-  for (int l = 0; l < topo.numLeaves(); ++l) {
-    for (int s = 0; s < topo.numSpines(); ++s) {
-      up = std::max(up, topo.leafUplink(l, s).worstCaseTransit(kPacket));
-      down = std::max(down, topo.spineDownlink(s, l).worstCaseTransit(kPacket));
-    }
-  }
-  // The slowed cable sets both fabric terms.
-  EXPECT_EQ(up, topo.leafUplink(0, 1).worstCaseTransit(kPacket));
-  EXPECT_GT(up, access);
-  EXPECT_EQ(topo.worstCaseOneWay(kPacket), access + up + down + deliver);
 }
 
 TEST(Fabric, EveryLinkJoinsAdjacentTiers) {

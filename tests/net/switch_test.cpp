@@ -44,7 +44,7 @@ struct Rig {
   std::unique_ptr<Switch> sw;
 
   Rig() {
-    sw = std::make_unique<Switch>(simr, "test-switch");
+    sw = std::make_unique<Switch>(simr, store, "test-switch");
     for (SinkNode* sink : {&sinkA, &sinkB, &sinkC}) {
       auto link = std::make_unique<Link>(simr, store, gbps(1), microseconds(1),
                                          QueueConfig{16, 0});

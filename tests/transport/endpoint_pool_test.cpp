@@ -1,7 +1,6 @@
 // EndpointPool: a finished pair is reused only once its flow has drained,
-// in the storage it had; reuse changes no result and no event; and the
-// derived drain time covers the topology's and the fault plan's worst
-// case.
+// in the storage it had, losses included; and reuse changes no result and
+// no event.
 #include "transport/endpoint_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +8,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -22,25 +22,36 @@ using testing::crossLeafFlows;
 using testing::PoolRig;
 using testing::smallFabric;
 
+/// Live store slots holding a packet of `flow`, superseded copies aside.
+std::size_t storedPacketsOf(const net::PacketStore& store, FlowId flow) {
+  using State = net::PacketStore::State;
+  std::size_t n = 0;
+  for (std::uint32_t h = 0; h < store.capacity(); ++h) {
+    n += store[h].pkt.flow == flow && store[h].state != State::kFree &&
+         store[h].state != State::kVoid;
+  }
+  return n;
+}
+
 TEST(EndpointPool, ReusesAPairOnlyAfterItsFlowDrained) {
   PoolRig rig;
-  // 10 KB flows, one every 500 us: each completes in ~0.2 ms, then waits
-  // out a ~1.7 ms drain, so a handful of pairs serve all 40 flows.
+  // 10 KB flows, one every 500 us: each completes in about 0.5 ms and
+  // drains one FIN round trip later, so two pairs serve all 40 flows.
   rig.post(crossLeafFlows(smallFabric(), 40, 10 * kKB, microseconds(500)));
 
-  struct Retired {
-    SimTime at;
-    SimTime completedAt;
-    FlowId id;
-  };
-  std::vector<Retired> retired;
+  std::vector<FlowId> retired;
   rig.pool.setRetireHook([&](TcpSender& snd, TcpReceiver& rcv,
                              std::uint64_t tag) {
     EXPECT_TRUE(snd.completed());
     EXPECT_EQ(rcv.cumulativeAck(),
               static_cast<std::uint64_t>(snd.flow().size.bytes()));
     EXPECT_EQ(snd.flow().id, rig.flows[tag].id);
-    retired.push_back({rig.simr.now(), snd.completionTime(), snd.flow().id});
+    EXPECT_TRUE(rcv.finReceived());
+    EXPECT_EQ(snd.packetsInNetwork() + rcv.packetsInNetwork(), 0);
+    // Nothing of the flow is left in the network.
+    EXPECT_EQ(storedPacketsOf(rig.topo.packetStore(), snd.flow().id), 0u)
+        << "flow " << snd.flow().id;
+    retired.push_back(snd.flow().id);
   });
   std::vector<const TcpSender*> built;
   rig.pool.setLaunchHook([&](TcpSender& snd, TcpReceiver&, std::uint64_t) {
@@ -48,15 +59,10 @@ TEST(EndpointPool, ReusesAPairOnlyAfterItsFlowDrained) {
   });
 
   ASSERT_TRUE(rig.runUntilDone(seconds(1)));
-  const SimTime drain = rig.pool.drainTime();
-  EXPECT_EQ(drain, EndpointPool::safeDrainTime(rig.topo, TcpParams{}));
-  EXPECT_LE(rig.pool.pairs(), 6u);
+  EXPECT_EQ(rig.pool.pairs(), 2u);
   EXPECT_EQ(rig.pool.reuses() + rig.pool.pairs(), 40u);
   ASSERT_EQ(retired.size(), rig.pool.reuses());
-  for (const Retired& r : retired) {
-    EXPECT_GT(r.at, r.completedAt + drain) << "flow " << r.id;
-    EXPECT_EQ(rig.pool.find(r.id), nullptr);
-  }
+  for (const FlowId id : retired) EXPECT_EQ(rig.pool.find(id), nullptr);
   EXPECT_EQ(rig.orphanPackets(), 0u);
 
   // Reuse builds in the old storage: launch i+pairs lands where an
@@ -73,6 +79,86 @@ TEST(EndpointPool, ReusesAPairOnlyAfterItsFlowDrained) {
     ++held;
   });
   EXPECT_EQ(held, pairs);
+}
+
+TEST(EndpointPool, ReusesPairsThatLostPackets) {
+  // 8-packet buffers and every kind of loss the fabric reports: full
+  // queues, a down that flushes its queue and lets the wire drain, a
+  // drop-mode down that also kills what is on the wire, a gray drop, and
+  // packets a spine sends into its downed downlink. Each loss reaches the
+  // endpoint that sent the packet, so a pair that lost packets still
+  // drains and is reused.
+  auto cfg = smallFabric();
+  cfg.bufferPackets = 8;
+  PoolRig rig(cfg);
+  fault::FaultPlan drainPlan;
+  drainPlan.drainOnDown = true;
+  ASSERT_TRUE(fault::parseLinkFaults("leaf0-spine0,down@3ms,up@4ms",
+                                     &drainPlan));
+  fault::FaultPlan dropPlan;
+  ASSERT_TRUE(fault::parseLinkFaults(
+      "leaf1-spine1,down@6ms,up@7ms;leaf0-spine1,drop=0.05@1ms,drop=0@9ms",
+      &dropPlan));
+  fault::FaultInjector drainFaults(drainPlan, rig.topo, rig.simr, 1);
+  fault::FaultInjector dropFaults(dropPlan, rig.topo, rig.simr, 2);
+  drainFaults.install();
+  dropFaults.install();
+
+  std::set<FlowId> lost;
+  rig.topo.forEachLink([&lost](const net::FabricLink& l) {
+    l.link->addDropHook([&lost](const net::Packet& p) { lost.insert(p.flow); });
+    l.link->addFaultDropHook(
+        [&lost](const net::Packet& p) { lost.insert(p.flow); });
+  });
+  std::set<FlowId> retired;
+  rig.pool.setRetireHook([&](TcpSender& snd, TcpReceiver& rcv,
+                             std::uint64_t) {
+    EXPECT_EQ(snd.packetsInNetwork() + rcv.packetsInNetwork(), 0);
+    EXPECT_EQ(storedPacketsOf(rig.topo.packetStore(), snd.flow().id), 0u)
+        << "flow " << snd.flow().id;
+    retired.insert(snd.flow().id);
+  });
+
+  // 160 overlapping 30 KB flows through the faults, then, once they are
+  // done, small flows one at a time: enough launches to take every pair.
+  constexpr int kLossy = 160;
+  constexpr int kTrailing = kLossy;
+  auto flows = crossLeafFlows(cfg, kLossy + kTrailing, 30 * kKB,
+                              microseconds(100));
+  for (int i = kLossy; i < kLossy + kTrailing; ++i) {
+    flows[static_cast<std::size_t>(i)].size = 1 * kKB;
+    flows[static_cast<std::size_t>(i)].start =
+        milliseconds(60) + (i - kLossy) * microseconds(500);
+  }
+  rig.post(flows);
+  ASSERT_TRUE(rig.runUntilDone(seconds(1)));
+  EXPECT_LT(rig.pool.pairs(), static_cast<std::size_t>(kLossy));
+  EXPECT_EQ(rig.orphanPackets(), 0u);
+
+  // Every kind of loss happened.
+  const auto& up0 = rig.topo.leafUplink(0, 0);
+  const auto& down0 = rig.topo.spineDownlink(0, 0);
+  const auto& gray = rig.topo.leafUplink(0, 1);
+  std::uint64_t overflows = 0;
+  std::uint64_t rejected = 0;
+  rig.topo.forEachLink([&](const net::FabricLink& l) {
+    overflows += l.link->drops();
+    rejected += l.link->faultRejectedPackets();
+  });
+  EXPECT_GT(overflows, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(up0.faultFlushedPackets() + down0.faultFlushedPackets(), 0u);
+  EXPECT_EQ(up0.faultWireDrops() + down0.faultWireDrops(), 0u);
+  EXPECT_GT(rig.topo.leafUplink(1, 1).faultWireDrops() +
+                rig.topo.spineDownlink(1, 1).faultWireDrops(),
+            0u);
+  EXPECT_GT(gray.faultWireDrops(), 0u);
+
+  // Every flow that lost a packet was reused.
+  ASSERT_FALSE(lost.empty());
+  for (const FlowId id : lost) {
+    EXPECT_EQ(retired.count(id), 1u) << "flow " << id;
+  }
 }
 
 /// Per-flow outcome, as the harness records it.
@@ -144,30 +230,6 @@ TEST(EndpointPool, ResultsMatchEndpointsKeptForTheWholeRun) {
     EXPECT_EQ(viaPool[i], outcomeOf(*senders[i], *receivers[i]))
         << "flow " << i;
   }
-}
-
-TEST(EndpointPool, SafeDrainTimeCoversTopologyAndFaultPlan) {
-  const auto cfg = smallFabric();
-  // One hop: 16 queued packets plus the one serializing, 1500 B each at
-  // 1 Gbps (12 us apiece), then 12.5 us of propagation.
-  const SimTime hop = 17 * microseconds(12) + cfg.linkDelay;
-  {
-    PoolRig rig(cfg);
-    EXPECT_EQ(EndpointPool::safeDrainTime(rig.topo, TcpParams{}), 2 * 4 * hop);
-  }
-  // A plan that halves one cable's rate and triples another's delay,
-  // later in the run: both fabric tiers take their worst link.
-  PoolRig rig(cfg);
-  fault::FaultPlan plan;
-  ASSERT_TRUE(fault::parseLinkFaults(
-      "leaf0-spine1,rate=0.5@5ms,rate=1@6ms;leaf1-spine0,delay=3@7ms", &plan));
-  fault::FaultInjector injector(plan, rig.topo, rig.simr, 1);
-  injector.install();
-  const SimTime slow = 17 * microseconds(24) + cfg.linkDelay;
-  const SimTime far = 17 * microseconds(12) + 3 * cfg.linkDelay;
-  const SimTime fabricHop = std::max(slow, far);
-  EXPECT_EQ(EndpointPool::safeDrainTime(rig.topo, TcpParams{}),
-            2 * (2 * hop + 2 * fabricHop));
 }
 
 }  // namespace

@@ -58,8 +58,7 @@ bench-direct-experiment
 fault-mutation
     Link fault state may only be mutated by the fault subsystem: calls to
     faultDown()/faultUp()/faultSetRateFactor()/faultSetDelayFactor()/
-    faultSetDropProb()/faultPlanFactors() outside src/fault/ (and the Link
-    definition itself)
+    faultSetDropProb() outside src/fault/ (and the Link definition itself)
     bypass the FaultInjector, so the mutation is invisible to the
     FaultMonitor's recovery metrics, the fault trace track, and the
     declarative (seed-deterministic) FaultPlan. Route faults through an
@@ -123,6 +122,14 @@ packet-storage
     its own worst case. Locals (the segment a sender fills in before
     send()) and `const Packet&` parameters are fine.
 
+endpoint-send
+    In src/transport, `host_.send(` appears only in transport::Endpoint's
+    send() (src/transport/endpoint.hpp), the one send that counts the
+    packet into the endpoint's packets in the network. The endpoint pool
+    reuses a pair when its two counts sum to zero, so a packet sent past
+    the count would let a pair be reused while that packet is still in
+    the network, and its arrival would find no endpoint (an orphan).
+
 config-is-data
     A struct or class named `Config` or `*Config` in src/ declares no
     raw-pointer data member. A config says what to simulate; what a run
@@ -171,8 +178,12 @@ STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 HOT_PATH_DIRS = (("src", "sim"), ("src", "net"), ("src", "transport"))
 
 FAULT_MUTATION_RE = re.compile(
-    r"\bfault(Down|Up|SetRateFactor|SetDelayFactor|SetDropProb"
-    r"|PlanFactors)\s*\(")
+    r"\bfault(Down|Up|SetRateFactor|SetDelayFactor|SetDropProb)\s*\(")
+
+# A TCP endpoint handing a packet to its host, and the one place allowed
+# to (transport::Endpoint::send, which counts it).
+ENDPOINT_SEND_RE = re.compile(r"\bhost_\s*\.\s*send\s*\(")
+ENDPOINT_SEND_FILE = "src/transport/endpoint.hpp"
 
 FLOWPROBE_MUTATION_RE = re.compile(
     r"\b(declareFlow|finishFlow|onUplinkForward|onRetransmit"
@@ -419,6 +430,17 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     "schedule it through a FaultPlan so the injector, "
                     "monitor, and trace stay consistent"))
 
+        # --- endpoint-send --------------------------------------------
+        if rel.parts[:2] == ("src", "transport") and \
+                rel.as_posix() != ENDPOINT_SEND_FILE:
+            if ENDPOINT_SEND_RE.search(code) and \
+                    not allowed(raw, "endpoint-send", prev_raw):
+                findings.append(Finding(
+                    rel, lineno, "endpoint-send",
+                    "direct host_.send() in src/transport; send through "
+                    "transport::Endpoint::send() so the packet counts "
+                    "toward its flow's packets in the network"))
+
         # --- flowprobe-mutation ---------------------------------------
         if not is_flowprobe_authority:
             m = FLOWPROBE_MUTATION_RE.search(code)
@@ -636,9 +658,21 @@ SELF_TEST_CASES = [
     # fault-mutation: link fault state changes only through src/fault.
     ("fault-mutation", "src/harness/x.cpp", "link.faultDown(false);\n"),
     ("fault-mutation", "src/app/x.cpp",
-     "link.faultPlanFactors(0.5, 1.0);\n"),
-    (None, "src/fault/injector.cpp", "up.faultPlanFactors(rate, delay);\n"),
-    (None, "src/net/link.cpp", "void Link::faultPlanFactors(double r,\n"),
+     "link.faultSetRateFactor(0.5);\n"),
+    (None, "src/fault/injector.cpp", "up.faultSetRateFactor(ev.value);\n"),
+    (None, "src/net/link.cpp", "void Link::faultSetRateFactor(double f) {\n"),
+    # endpoint-send: a TCP endpoint sends only through Endpoint::send().
+    ("endpoint-send", "src/transport/tcp_sender.cpp", "  host_.send(syn);\n"),
+    ("endpoint-send", "src/transport/tcp_receiver.cpp",
+     "host_ . send(makeControl(net::PacketType::kAck));\n"),
+    (None, "src/transport/endpoint.hpp",
+     "  void send(const net::Packet& pkt) {\n    ++inNetwork_;\n"
+     "    host_.send(pkt);\n  }\n"),
+    (None, "src/transport/tcp_sender.cpp",
+     "  host_.send(pkt);  // tlbsim-lint: allow(endpoint-send)\n"),
+    (None, "tests/transport/x.cpp", "host_.send(pkt);\n"),
+    (None, "src/transport/tcp_sender.cpp", "  send(fin);\n"),
+    (None, "src/net/x.cpp", "host_.send(pkt);\n"),
     # flowid-map: every FlowId lookup in src/ goes through FlowIndex.
     ("flowid-map", "src/lb/x.hpp",
      "std::unordered_map<FlowId, State> flows_;\n"),
@@ -722,7 +756,7 @@ SELF_TEST_CASES = [
      "struct A { Packet pkt; int port; };\n"),
     (None, "src/transport/tcp_sender.cpp",
      "void TcpSender::sendSegment(std::uint64_t seq) {\n"
-     "  net::Packet pkt;\n  pkt.seq = seq;\n  host_.send(pkt);\n}\n"),
+     "  net::Packet pkt;\n  pkt.seq = seq;\n  send(pkt);\n}\n"),
     (None, "src/net/x.hpp",
      "class Link {\n  void send(const Packet& pkt) {\n    Packet copy = pkt;"
      "\n  }\n  const Packet* last_;\n};\n"),
