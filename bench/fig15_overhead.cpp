@@ -20,8 +20,10 @@
 #include "bench_common.hpp"
 #include "core/tlb.hpp"
 #include "harness/scheme.hpp"
+#include "lb/ecmp.hpp"
 #include "lb/letflow.hpp"
 #include "lb/presto.hpp"
+#include "net/leaf_spine.hpp"
 #include "net/switch.hpp"
 #include "obs/flow_probe.hpp"
 #include "obs/metrics.hpp"
@@ -145,6 +147,34 @@ void BM_UplinkHopKeptEntry(benchmark::State& s) { runUplinkHop(s, true); }
 void BM_UplinkHopNoEntry(benchmark::State& s) { runUplinkHop(s, false); }
 BENCHMARK(BM_UplinkHopKeptEntry);
 BENCHMARK(BM_UplinkHopNoEntry);
+
+/// One packet from host 0's NIC to host 1 across a 2x2 leaf-spine: four
+/// hops (host uplink, leaf uplink, spine downlink, leaf downlink), each a
+/// queue, a serialization and its event, with an ECMP decision at the leaf
+/// and two forwards across a switch, which BM_UplinkHop* never makes.
+/// `per_hop` is the time per hop.
+void BM_FabricHop(benchmark::State& state) {
+  sim::Simulator simr;
+  net::LeafSpineConfig cfg;
+  cfg.numLeaves = 2;
+  cfg.numSpines = 2;
+  cfg.hostsPerLeaf = 1;
+  net::LeafSpineTopology topo(simr, cfg, [](net::Switch&, int leaf) {
+    return std::make_unique<lb::Ecmp>(static_cast<std::uint64_t>(leaf));
+  });
+  net::Host& src = topo.host(0);
+  net::Packet pkt = dataPacket(1);
+  pkt.src = 0;
+  pkt.dst = 1;
+  for (auto _ : state) {
+    src.send(pkt);
+    benchmark::DoNotOptimize(simr.run());
+  }
+  using benchmark::Counter;
+  state.counters["per_hop"] =
+      Counter(4, Counter::kIsIterationInvariantRate | Counter::kInvert);
+}
+BENCHMARK(BM_FabricHop);
 
 /// TLB decision with the metrics registry (its q_th series) and a trace
 /// installed, for comparison against BM_Tlb (observability uninstalled =

@@ -4,9 +4,11 @@
 // deadlines and uses a configured percentile (25th by default, §6.3) as
 // the model's D.
 //
-// A bounded reservoir keeps memory constant on a switch: once full, new
-// samples replace random old ones, so the estimate tracks the current
-// traffic mix rather than all history.
+// A reservoir of at most `capacity` samples bounds a switch's memory:
+// once full, new samples replace random old ones, so the estimate tracks
+// the current traffic mix rather than all history. Until it fills it
+// holds only the samples seen, so a switch whose flows carry no deadline
+// holds nothing.
 #pragma once
 
 #include <vector>
@@ -20,9 +22,7 @@ class DeadlineTracker {
  public:
   explicit DeadlineTracker(std::size_t capacity = 1024,
                            std::uint64_t seed = 1)
-      : capacity_(capacity), rng_(seed) {
-    samples_.reserve(capacity);
-  }
+      : capacity_(capacity), rng_(seed) {}
 
   /// Record one observed flow deadline (relative FCT budget).
   void observe(SimTime deadline) {
@@ -40,7 +40,9 @@ class DeadlineTracker {
   }
 
   /// The p-th percentile of observed deadlines (p in [0, 100]), or
-  /// `fallback` when no deadline has been seen yet.
+  /// `fallback` when no deadline has been seen yet. Selects the rank in a
+  /// kept copy of the reservoir, so a call allocates only when the
+  /// reservoir has grown since the last.
   SimTime percentile(double p, SimTime fallback) const;
 
   std::size_t sampleCount() const { return samples_.size(); }
@@ -50,6 +52,8 @@ class DeadlineTracker {
   std::size_t capacity_;
   Rng rng_;
   std::vector<SimTime> samples_;
+  /// percentile()'s work buffer: the reservoir, partly reordered.
+  mutable std::vector<SimTime> ranked_;
   std::uint64_t observed_ = 0;
 };
 

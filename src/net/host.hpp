@@ -55,17 +55,21 @@ class Host : public Node {
     return handler != nullptr ? *handler : nullptr;
   }
 
-  /// Hands the packet to its flow's handler. A packet of an unbound flow
+  /// Hands the packet, read in place, to its flow's handler, then frees
+  /// its slot: the packet's trip ends here. A packet of an unbound flow
   /// is dropped and counted: the endpoint pool reuses a pair only when
   /// none of its packets is in the network, so a nonzero count means a
   /// miscounted packet.
-  void receive(const Packet& pkt, int inPort) override {
+  void receive(PacketStore& store, PacketStore::Handle slot,
+               int inPort) override {
     (void)inPort;
+    const Packet& pkt = store[slot].pkt;
     if (PacketHandler* handler = handlerFor(pkt.flow)) {
       handler->onPacket(pkt);
     } else {
       ++orphanPackets_;
     }
+    store.free(slot);
   }
 
   /// Packets that arrived for a flow with no bound handler.

@@ -100,14 +100,16 @@ void Link::faultSetDropProb(double prob, std::uint64_t seed) {
   }
 }
 
-void Link::send(const Packet& pkt) {
+void Link::send(Handle slot) {
+  const Packet& pkt = store_[slot].pkt;
   if (!up_) {  // dead port: the packet vanishes, accounted as a fault loss
     ++faultRejectedPackets_;
     noteFaultDrop(pkt);
+    store_.free(slot);
     return;
   }
   const std::uint64_t marksBefore = queue_.ecnMarks();
-  if (!queue_.enqueue(pkt, sim_.now())) {  // drop-tail
+  if (!queue_.enqueue(slot, sim_.now())) {  // drop-tail
     if (trace_ != nullptr) {
       trace_->instant("net", "drop", sim_.now(),
                       {{"flow", static_cast<double>(pkt.flow)},
@@ -117,6 +119,7 @@ void Link::send(const Packet& pkt) {
     }
     for (const auto& hook : dropHooks_) hook(pkt);
     store_.lost(pkt);
+    store_.free(slot);
     return;
   }
   ++enqueuedPackets_;
@@ -128,8 +131,7 @@ void Link::send(const Packet& pkt) {
                        {"queue_pkts", static_cast<double>(queue_.packets())}},
                       traceTid_);
     }
-    // Observers see the packet as stored: with its CE mark.
-    for (const auto& hook : markHooks_) hook(queue_.back());
+    for (const auto& hook : markHooks_) hook(pkt);  // with its CE mark
   }
   serve();
 }
@@ -231,10 +233,7 @@ void Link::redecide() {
 }
 
 void Link::land(Handle slot) {
-  // The peer reads the packet in place: chunks never move, so the
-  // reference survives a store that grows under receive(), and the slot
-  // is freed only after receive() returns.
-  const PacketStore::Slot& s = store_[slot];
+  PacketStore::Slot& s = store_[slot];
   PacketStore::State fate = s.state;
   if (fate == PacketStore::State::kDeliver && s.epoch != wireEpoch_) {
     // Killed in flight by a drop-mode faultDown.
@@ -242,9 +241,11 @@ void Link::land(Handle slot) {
   }
   switch (fate) {
     case PacketStore::State::kDeliver:
+      // The slot goes with the packet: the peer forwards or frees it.
       ++deliveredPackets_;
-      peer_->receive(s.pkt, peerPort_);
-      break;
+      s.state = PacketStore::State::kHeld;
+      peer_->receive(store_, slot, peerPort_);
+      return;
     case PacketStore::State::kLose:
       ++faultWireDrops_;
       noteFaultDrop(s.pkt);
@@ -256,6 +257,7 @@ void Link::land(Handle slot) {
       --voidSlots_;
       break;
     case PacketStore::State::kFree:
+    case PacketStore::State::kHeld:
     case PacketStore::State::kQueued:
       TLBSIM_DCHECK(false, "link event fired on a slot that is not started");
       break;

@@ -9,11 +9,13 @@
 // and, only if packets wait behind it, a wake for when the transmitter
 // frees up.
 //
-// A hop also copies the packet once: into the fabric's PacketStore, when
-// send() accepts it. The slot stays put while the packet waits, is
-// serialized and propagates; the posted event reads its fate from the
-// slot, hands the peer a reference to it and frees it once the peer's
-// receive() returns.
+// A packet is copied once on its whole trip: into a slot of the fabric's
+// PacketStore, when its host's NIC link takes it (send(const Packet&)).
+// The slot stays put while the packet waits, is serialized and
+// propagates; the posted event reads the packet's fate from the slot and
+// hands the slot itself to the peer. A switch passes it to its next
+// link's send(Handle), and a host frees it once its endpoint has read the
+// packet, as ns-2 passes one Packet from hop to hop.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,8 @@ namespace tlbsim::net {
 
 class Link {
  public:
+  using Handle = PacketStore::Handle;
+
   // Hooks fire on the per-packet data path, so they use the same
   // small-buffer callable as the event core (no std::function, no heap
   // for pointer-sized captures, single indirect call to invoke).
@@ -71,10 +75,14 @@ class Link {
     peerPort_ = peerPort;
   }
 
-  /// Queue a copy of `pkt`, made in the store, for transmission. A packet
-  /// the full queue drops (drop-tail) or a down link rejects takes no
-  /// slot.
-  void send(const Packet& pkt);
+  /// The NIC entry point: copy `pkt`, which no link holds yet, into a
+  /// store slot and send that.
+  void send(const Packet& pkt) { send(store_.alloc(pkt)); }
+  /// Queue the packet held in store slot `slot` for transmission. The link
+  /// owns the slot from here: a full queue (drop-tail) or a down link
+  /// reports the packet lost and frees it, so the caller must not read the
+  /// packet after this call.
+  void send(Handle slot);
 
   // --- queue state (what a load balancer sees) -------------------------
   int queuePackets() const { return queue_.packets(); }
@@ -199,8 +207,6 @@ class Link {
                      const std::string& label) const;
 
  private:
-  using Handle = PacketStore::Handle;
-
   void serve();
   void wake();
   void startTransmission();

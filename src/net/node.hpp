@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "net/packet.hpp"
+#include "net/packet_store.hpp"
 
 namespace tlbsim::net {
 
@@ -11,9 +11,12 @@ class Node {
  public:
   virtual ~Node() = default;
 
-  /// Deliver `pkt`, which arrived on the node's port `inPort`. The
-  /// reference is only valid for the duration of the call.
-  virtual void receive(const Packet& pkt, int inPort) = 0;
+  /// Deliver the packet in `store`'s slot `slot`, which arrived on the
+  /// node's port `inPort`. The node owns the slot from here: it hands it
+  /// to its next link (Link::send(Handle)) or frees it, and reads the
+  /// packet only before it hands the slot on.
+  virtual void receive(PacketStore& store, PacketStore::Handle slot,
+                       int inPort) = 0;
 
   virtual std::string name() const = 0;
 };

@@ -1,7 +1,8 @@
-// The on-wire unit. A packet inside a link lives in a slot of its fabric's
-// PacketStore (net/packet_store.hpp): a hop copies it once, into the next
-// link's store slot, and nodes and hooks read it by const reference, the
-// way ns-2 allocates Packets from one free list and passes them by
+// The on-wire unit. A packet in the network lives in one slot of its
+// fabric's PacketStore (net/packet_store.hpp) from its host's NIC to its
+// delivery or loss: links and nodes pass the slot's handle from hop to
+// hop, and endpoints and hooks read the packet by const reference, the
+// way ns-2 allocates a Packet once from one free list and passes it by
 // pointer.
 #pragma once
 

@@ -1,12 +1,15 @@
-// One fabric's packet memory. Every packet inside a link — queued, being
-// serialized, or on the wire — sits in a slot of the fabric's store, and
-// queues and wires name it by a 4-byte handle. ns-2 keeps packets the same
-// way: one free list (Packet::alloc / Packet::free) and queues that only
-// link packets together (PacketQueue).
+// One fabric's packet memory. Every packet in the network — queued, being
+// serialized, on the wire, or in a node's hands between two links — sits
+// in a slot of the fabric's store, and queues, wires and nodes name it by
+// a 4-byte handle. A packet takes its slot when its host's NIC accepts it
+// (Link::send) and keeps that one slot until it is delivered to a host or
+// lost. ns-2 keeps packets the same way: one free list (Packet::alloc /
+// Packet::free), queues that only link packets together (PacketQueue),
+// and one Packet object passed from hop to hop.
 //
 // Slots live in fixed-size chunks that never move, so a reference to a
-// stored packet stays valid while the store grows: a peer's receive() may
-// forward the packet it was handed onto its next link, whose enqueue may
+// stored packet stays valid while the store grows: a host reads the
+// packet it was handed while its endpoint sends replies, whose slots may
 // add a chunk. A chunk is added only when every slot is taken, on first
 // use rather than at construction, and chunks are freed whole when the
 // store goes: the store's size follows the most packets the whole fabric
@@ -36,6 +39,7 @@ class PacketStore {
   /// link posted does when it fires.
   enum class State : std::uint8_t {
     kFree,
+    kHeld,     ///< in a node's or a sender's hands, in no link
     kQueued,   ///< waiting in a DropTailQueue
     kDeliver,  ///< hand it to the peer, unless its wire epoch is stale
     kLose,     ///< a fault loss at serialization end (gray drop, down)
@@ -66,9 +70,11 @@ class PacketStore {
   }
 
   /// Copies `pkt` into a free slot in `state`, adding a chunk when none is
-  /// free, and returns the slot's handle. `pkt` may itself be a stored
-  /// packet.
-  Handle alloc(const Packet& pkt, State state) {
+  /// free, and returns the slot's handle. A packet is copied in once, at
+  /// its host's NIC; the one other copy is a fault's re-decision of the
+  /// packet being serialized (Link::redecide), whose `pkt` is itself
+  /// stored.
+  Handle alloc(const Packet& pkt, State state = State::kHeld) {
     TLBSIM_DCHECK(state != State::kFree, "packet slot taken as free");
     if (freeHead_ == kNone) grow();
     const Handle h = freeHead_;
@@ -77,7 +83,6 @@ class PacketStore {
                   h);
     freeHead_ = slot.next;
     slot.pkt = pkt;
-    slot.next = kNone;
     slot.state = state;
     ++live_;
     return h;

@@ -4,11 +4,11 @@
 // (and most DCN switch configs) specify buffers. Queue *length* is exposed
 // in both packets and bytes because load balancers compare queue lengths.
 //
-// The queue holds no packets itself. An accepted packet is copied into a
-// slot of the fabric's PacketStore, and the queue links its slots into a
-// FIFO through their next handles, as ns-2's PacketQueue links Packets.
-// Dequeue hands the head's slot to the caller, which frees it or passes it
-// on; a queue destroyed with packets in it returns nothing.
+// The queue holds no packets itself. A packet arrives already in a slot
+// of the fabric's PacketStore, and the queue links the slots it accepts
+// into a FIFO through their next handles, as ns-2's PacketQueue links
+// Packets. Dequeue hands the head's slot to the caller, which frees it or
+// passes it on; a queue destroyed with packets in it returns nothing.
 #pragma once
 
 #include <cstdint>
@@ -34,24 +34,27 @@ class DropTailQueue {
   DropTailQueue(PacketStore& store, QueueConfig cfg)
       : store_(store), cfg_(cfg) {}
 
-  /// Returns false (and counts a drop) when the queue is full, taking no
-  /// slot. On success a copy of the packet is stored with its enqueue
-  /// timestamp, CE-marked when the instantaneous queue is at the threshold.
-  bool enqueue(const Packet& pkt, SimTime now) {
+  /// Links held slot `h` at the tail with its enqueue timestamp, CE-marking
+  /// the packet when the instantaneous queue is at the threshold. Returns
+  /// false (and counts a drop) when the queue is full; the slot then stays
+  /// the caller's.
+  bool enqueue(Handle h, SimTime now) {
+    PacketStore::Slot& slot = store_[h];
+    TLBSIM_DCHECK(slot.state == PacketStore::State::kHeld,
+                  "packet slot %u queued while not held", h);
     if (count_ >= cfg_.capacityPackets) {
       ++drops_;
-      droppedBytes_ += pkt.size;
+      droppedBytes_ += slot.pkt.size;
       return false;
     }
-    const bool mark = pkt.ecnCapable && cfg_.ecnThresholdPackets > 0 &&
-                      count_ >= cfg_.ecnThresholdPackets;
-    const Handle h = store_.alloc(pkt, PacketStore::State::kQueued);
-    PacketStore::Slot& slot = store_[h];
-    slot.enqueuedAt = now;
-    if (mark) {
+    if (slot.pkt.ecnCapable && cfg_.ecnThresholdPackets > 0 &&
+        count_ >= cfg_.ecnThresholdPackets) {
       slot.pkt.ce = true;
       ++ecnMarks_;
     }
+    slot.state = PacketStore::State::kQueued;
+    slot.enqueuedAt = now;
+    slot.next = PacketStore::kNone;
     if (tail_ == PacketStore::kNone) {
       head_ = h;
     } else {
@@ -59,7 +62,7 @@ class DropTailQueue {
     }
     tail_ = h;
     ++count_;
-    bytes_ += pkt.size;
+    bytes_ += slot.pkt.size;
     return true;
   }
 
@@ -76,13 +79,6 @@ class DropTailQueue {
     bytes_ -= slot.pkt.size;
     if (queueDelay != nullptr) *queueDelay = now - slot.enqueuedAt;
     return h;
-  }
-
-  /// The packet enqueued last, as stored (with its CE mark).
-  /// Precondition: !empty().
-  const Packet& back() const {
-    TLBSIM_DCHECK(count_ > 0, "back() of an empty queue");
-    return store_[tail_].pkt;
   }
 
   bool empty() const { return count_ == 0; }

@@ -68,8 +68,12 @@ void Switch::rebuildView() {
   viewStale_ = false;
 }
 
-void Switch::receive(const Packet& pkt, int inPort) {
+void Switch::receive(PacketStore& store, PacketStore::Handle slot,
+                     int inPort) {
   (void)inPort;
+  TLBSIM_DCHECK(&store == &store_, "%s: packet from another store",
+                name_.c_str());
+  const Packet& pkt = store_[slot].pkt;
   int out = routeFor(pkt.dst);
   if (out == kViaUplinks) {
     TLBSIM_ASSERT(!uplinks_.empty(),
@@ -96,6 +100,7 @@ void Switch::receive(const Packet& pkt, int inPort) {
     TLBSIM_LOG_WARN("%s: no route for host %d (flow %llu)", name_.c_str(),
                     pkt.dst, static_cast<unsigned long long>(pkt.flow));
     store_.lost(pkt);
+    store_.free(slot);
     return;
   }
   ++forwarded_;
@@ -106,7 +111,8 @@ void Switch::receive(const Packet& pkt, int inPort) {
                                   pkt.payload, sim_.now());
     }
   }
-  ports_[static_cast<std::size_t>(out)]->send(pkt);
+  // The slot moves on with the packet; the link may drop and free it.
+  ports_[static_cast<std::size_t>(out)]->send(slot);
 }
 
 }  // namespace tlbsim::net

@@ -17,8 +17,9 @@ namespace tlbsim::net {
 
 class Switch : public Node {
  public:
-  /// A packet with no route is reported lost to `store`, the store its
-  /// ports' links keep their packets in.
+  /// `store` is the store its ports' links keep their packets in: the
+  /// switch forwards a packet's slot from one link to the next, and
+  /// reports a packet with no route lost to it.
   Switch(sim::Simulator& simr, PacketStore& store, std::string name)
       : sim_(simr), store_(store), name_(std::move(name)) {}
 
@@ -46,7 +47,8 @@ class Switch : public Node {
   void setSelector(std::unique_ptr<UplinkSelector> selector);
   UplinkSelector* selector() const { return selector_.get(); }
 
-  void receive(const Packet& pkt, int inPort) override;
+  void receive(PacketStore& store, PacketStore::Handle slot,
+               int inPort) override;
 
   std::string name() const override { return name_; }
 

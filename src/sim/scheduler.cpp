@@ -6,16 +6,6 @@
 
 namespace tlbsim::sim {
 
-std::uint32_t Scheduler::allocSlot() {
-  if (freeHead_ != kNoPos) {
-    const std::uint32_t idx = freeHead_;
-    freeHead_ = slots_[idx].heapPos;
-    return idx;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
 void Scheduler::freeSlot(std::uint32_t idx) {
   Slot& s = slots_[idx];
   s.fn = nullptr;  // destroy the closure now, not at slot reuse
@@ -24,13 +14,11 @@ void Scheduler::freeSlot(std::uint32_t idx) {
   freeHead_ = idx;
 }
 
-std::uint32_t Scheduler::insert(SimTime when, std::uint64_t seq, EventFn fn) {
+void Scheduler::pushHeap(SimTime when, std::uint64_t seq,
+                         std::uint32_t slot) {
   if (when < now_) when = now_;  // Release clamp; Debug DCHECKed upstream
-  const std::uint32_t idx = allocSlot();
-  slots_[idx].fn = std::move(fn);
-  heap_.push_back(Entry{when, seq, idx});
+  heap_.push_back(Entry{when, seq, slot});
   siftUp(heap_.size() - 1);
-  return idx;
 }
 
 std::size_t Scheduler::minChild(std::size_t first, std::size_t n) const {

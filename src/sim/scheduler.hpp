@@ -46,10 +46,15 @@
 // callable (util::InlineFunction). Closures capturing up to
 // kEventInlineBytes stay inline; every closure the per-packet path
 // creates is pinned under that budget by tests/sim/alloc_count_test.
+// schedule() and post() and their variants take the callable by
+// forwarding reference and build it in the lane ring entry or heap slot
+// it will fire from (InlineFunction::emplace), so a closure is not moved
+// on its way in; step() moves it out once before calling it.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -131,9 +136,11 @@ class Scheduler {
   /// Schedule `fn` to run `delay` ns from now, returning a cancellable
   /// handle. A negative delay is always a unit bug upstream (time never
   /// flows backwards in the simulation), so Debug builds reject it.
-  [[nodiscard]] EventHandle schedule(SimTime delay, EventFn fn) {
+  /// `fn` is any callable an EventFn can hold, or an EventFn (moved in).
+  template <typename F>
+  [[nodiscard]] EventHandle schedule(SimTime delay, F&& fn) {
     checkDelay(delay);
-    return scheduleAt(now_ + delay, std::move(fn));
+    return scheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedule `fn` at absolute time `when`. A `when` in the past is a
@@ -142,9 +149,10 @@ class Scheduler {
   /// now() so the event still fires and time stays monotone. Callers with
   /// a legitimately might-be-past timestamp must clamp explicitly
   /// (std::max(when, now())) — that states the intent and passes Debug.
-  [[nodiscard]] EventHandle scheduleAt(SimTime when, EventFn fn) {
+  template <typename F>
+  [[nodiscard]] EventHandle scheduleAt(SimTime when, F&& fn) {
     checkPast(when);
-    const std::uint32_t slot = insert(when, nextSeq_++, std::move(fn));
+    const std::uint32_t slot = insert(when, nextSeq_++, std::forward<F>(fn));
     return EventHandle(this, slot, slots_[slot].gen);
   }
 
@@ -153,19 +161,21 @@ class Scheduler {
   /// post() appends to the lane keyed by `delay`, else claims an empty
   /// lane for it, else falls back to the heap; postAt() always uses the
   /// heap. A negative delay (Release) takes the heap's clamp to now().
-  void post(SimTime delay, EventFn fn) {
+  template <typename F>
+  void post(SimTime delay, F&& fn) {
     checkDelay(delay);
     if (delay >= 0_ns) {
       if (Lane* lane = laneFor(delay)) {
-        pushLane(*lane, std::move(fn));
+        pushLane(*lane, std::forward<F>(fn));
         return;
       }
     }
-    postAt(now_ + delay, std::move(fn));
+    postAt(now_ + delay, std::forward<F>(fn));
   }
-  void postAt(SimTime when, EventFn fn) {
+  template <typename F>
+  void postAt(SimTime when, F&& fn) {
     checkPast(when);
-    insert(when, nextSeq_++, std::move(fn));
+    insert(when, nextSeq_++, std::forward<F>(fn));
   }
 
   /// Take the sequence number the next schedule()/post() would have
@@ -178,12 +188,13 @@ class Scheduler {
   /// at reservation time for `when` would have: the key must still lie
   /// ahead of the event now firing, which holds whenever `when` is after
   /// now(), or equal to it with a seq reserved after the current event's.
+  template <typename F>
   [[nodiscard]] EventHandle scheduleReserved(SimTime when, std::uint64_t seq,
-                                             EventFn fn) {
+                                             F&& fn) {
     checkPast(when);
     TLBSIM_DCHECK(seq < nextSeq_, "seq %llu was never reserved",
                   static_cast<unsigned long long>(seq));
-    const std::uint32_t slot = insert(when, seq, std::move(fn));
+    const std::uint32_t slot = insert(when, seq, std::forward<F>(fn));
     return EventHandle(this, slot, slots_[slot].gen);
   }
 
@@ -310,22 +321,43 @@ class Scheduler {
     if (free != nullptr) free->delay = delay;
     return free;
   }
-  void pushLane(Lane& lane, EventFn&& fn) {
+  /// Appends `fn` to `lane`, built in its ring entry once the ring has
+  /// grown.
+  template <typename F>
+  void pushLane(Lane& lane, F&& fn) {
     if (lane.size == lane.ring.size()) growLane(lane);
     const std::size_t mask = lane.ring.size() - 1;
     LaneEntry& e = lane.ring[(lane.head + lane.size) & mask];
     e.time = now_ + lane.delay;
     e.seq = nextSeq_++;
-    e.fn = std::move(fn);
+    e.fn.emplace(std::forward<F>(fn));
     ++lane.size;
     ++laneEvents_;
     ++lanePosts_;
   }
   void growLane(Lane& lane);
 
-  std::uint32_t allocSlot();
+  std::uint32_t allocSlot() {
+    if (freeHead_ != kNoPos) {
+      const std::uint32_t idx = freeHead_;
+      freeHead_ = slots_[idx].heapPos;
+      return idx;
+    }
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
   void freeSlot(std::uint32_t idx);
-  std::uint32_t insert(SimTime when, std::uint64_t seq, EventFn fn);
+  /// Puts `fn` in the heap under (when, seq), built in its slot once the
+  /// slot vector has grown, and returns the slot.
+  template <typename F>
+  std::uint32_t insert(SimTime when, std::uint64_t seq, F&& fn) {
+    const std::uint32_t slot = allocSlot();
+    slots_[slot].fn.emplace(std::forward<F>(fn));
+    pushHeap(when, seq, slot);
+    return slot;
+  }
+  /// Adds the heap entry of a filled slot.
+  void pushHeap(SimTime when, std::uint64_t seq, std::uint32_t slot);
   void place(std::size_t pos, const Entry& e) {
     heap_[pos] = e;
     slots_[e.slot].heapPos = static_cast<std::uint32_t>(pos);

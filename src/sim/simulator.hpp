@@ -23,19 +23,25 @@ class Simulator {
 
   SimTime now() const { return scheduler_.now(); }
 
-  [[nodiscard]] EventHandle schedule(SimTime delay, EventFn fn) {
-    return scheduler_.schedule(delay, std::move(fn));
+  // The callable is forwarded to the scheduler, which builds it where the
+  // event waits (see Scheduler::post).
+  template <typename F>
+  [[nodiscard]] EventHandle schedule(SimTime delay, F&& fn) {
+    return scheduler_.schedule(delay, std::forward<F>(fn));
   }
-  [[nodiscard]] EventHandle scheduleAt(SimTime when, EventFn fn) {
-    return scheduler_.scheduleAt(when, std::move(fn));
+  template <typename F>
+  [[nodiscard]] EventHandle scheduleAt(SimTime when, F&& fn) {
+    return scheduler_.scheduleAt(when, std::forward<F>(fn));
   }
 
   /// Fire-and-forget: no handle, for events never cancelled.
-  void post(SimTime delay, EventFn fn) {
-    scheduler_.post(delay, std::move(fn));
+  template <typename F>
+  void post(SimTime delay, F&& fn) {
+    scheduler_.post(delay, std::forward<F>(fn));
   }
-  void postAt(SimTime when, EventFn fn) {
-    scheduler_.postAt(when, std::move(fn));
+  template <typename F>
+  void postAt(SimTime when, F&& fn) {
+    scheduler_.postAt(when, std::forward<F>(fn));
   }
 
   /// Register `fn` to fire every `period` starting at `start`; see

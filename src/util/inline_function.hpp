@@ -12,8 +12,10 @@
 //
 // An inline closure that is also trivially copyable (a lambda capturing
 // pointers and integers) has no manager at all: moving it copies the
-// buffer and destroying it does nothing, so the scheduler's hand-offs
-// cost a few stores instead of an indirect call each.
+// buffer and destroying it does nothing, so a move costs a few stores
+// instead of an indirect call. emplace() builds a closure straight into
+// an InlineFunction that already sits where it will be called from (the
+// scheduler's event slots), so it is not moved there at all.
 //
 // Differences from std::function, all deliberate:
 //   * move-only (closures holding move-only state are fine; accidental
@@ -44,34 +46,22 @@ class InlineFunction<R(Args...), InlineSize> {
   static_assert(InlineSize >= sizeof(void*),
                 "inline buffer must hold at least the heap-fallback pointer");
 
+  /// What the constructor and emplace() wrap: a callable invocable as
+  /// R(Args...) that is not itself an InlineFunction.
+  template <typename F>
+  static constexpr bool kAccepts =
+      !std::is_same_v<std::decay_t<F>, InlineFunction> &&
+      std::is_invocable_r_v<R, std::decay_t<F>&, Args...>;
+
  public:
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   /// Wrap any callable invocable as R(Args...). Closures up to InlineSize
   /// bytes live in the inline buffer; bigger ones get one heap cell.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  template <typename F, typename = std::enable_if_t<kAccepts<F>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (relocatesByCopy<Fn>()) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      // Moves copy the whole buffer; define the bytes past the closure.
-      if constexpr (sizeof(Fn) < InlineSize) {
-        std::memset(storage_ + sizeof(Fn), 0, InlineSize - sizeof(Fn));
-      }
-      invoke_ = &inlineInvoke<Fn>;
-    } else if constexpr (fitsInline<Fn>()) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      invoke_ = &inlineInvoke<Fn>;
-      manage_ = &inlineManage<Fn>;
-    } else {
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      invoke_ = &heapInvoke<Fn>;
-      manage_ = &heapManage<Fn>;
-    }
+    construct(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { moveFrom(other); }
@@ -87,6 +77,21 @@ class InlineFunction<R(Args...), InlineSize> {
   InlineFunction& operator=(std::nullptr_t) {
     reset();
     return *this;
+  }
+
+  /// Replace the stored callable with `f`, built directly in this object's
+  /// buffer: a container slot that will hold the callable constructs it
+  /// there, with no temporary InlineFunction to move from. An
+  /// InlineFunction argument is moved in once.
+  template <typename F>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(kAccepts<F>, "callable not invocable as R(Args...)");
+      reset();
+      construct(std::forward<F>(f));
+    }
   }
 
   InlineFunction(const InlineFunction&) = delete;
@@ -130,6 +135,28 @@ class InlineFunction<R(Args...), InlineSize> {
   /// storage just hand over the pointer). Null for empty functions and
   /// for relocatesByCopy() closures.
   using Manage = void (*)(void* self, void* dst);
+
+  /// Builds `f` into the (empty) buffer.
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (relocatesByCopy<Fn>()) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      // Moves copy the whole buffer; define the bytes past the closure.
+      if constexpr (sizeof(Fn) < InlineSize) {
+        std::memset(storage_ + sizeof(Fn), 0, InlineSize - sizeof(Fn));
+      }
+      invoke_ = &inlineInvoke<Fn>;
+    } else if constexpr (fitsInline<Fn>()) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      invoke_ = &inlineInvoke<Fn>;
+      manage_ = &inlineManage<Fn>;
+    } else {
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
+      invoke_ = &heapInvoke<Fn>;
+      manage_ = &heapManage<Fn>;
+    }
+  }
 
   template <typename Fn>
   static R inlineInvoke(void* s, Args&&... args) {

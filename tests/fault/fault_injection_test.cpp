@@ -18,8 +18,9 @@ namespace {
 class SinkNode : public Node {
  public:
   explicit SinkNode(sim::Simulator& simr) : sim_(simr) {}
-  void receive(const Packet& pkt, int) override {
-    arrivals.push_back({pkt, sim_.now()});
+  void receive(PacketStore& store, PacketStore::Handle slot, int) override {
+    arrivals.push_back({store[slot].pkt, sim_.now()});
+    store.free(slot);
   }
   std::string name() const override { return "sink"; }
 
@@ -353,15 +354,17 @@ TEST(SwitchFault, UplinkViewReflectsDegradation) {
 TEST(SwitchFault, AllUplinksDownStillAccountsEveryPacket) {
   SwitchRig rig;
   for (int p = 0; p < 3; ++p) rig.sw->port(p).faultDown(false);
-  rig.sw->receive(rig.packetFor(9), 0);
+  rig.sw->receive(rig.store, rig.store.alloc(rig.packetFor(9)), 0);
   rig.simr.run();
   // The packet is forwarded into a dead link and dies there as a fault
-  // drop — never silently vanishing, never counted unroutable.
+  // drop — never silently vanishing, never counted unroutable — and the
+  // link frees its slot.
   EXPECT_EQ(rig.sw->forwardedPackets(), 1u);
   EXPECT_EQ(rig.sw->unroutablePackets(), 0u);
   std::uint64_t faultDrops = 0;
   for (int p = 0; p < 3; ++p) faultDrops += rig.sw->port(p).faultDrops();
   EXPECT_EQ(faultDrops, 1u);
+  EXPECT_EQ(rig.store.live(), 0u);
 }
 
 }  // namespace

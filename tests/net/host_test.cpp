@@ -18,7 +18,9 @@ class RecordingHandler : public PacketHandler {
 class LoopbackNode : public Node {
  public:
   explicit LoopbackNode(Host& target) : target_(target) {}
-  void receive(const Packet& pkt, int) override { target_.receive(pkt, 0); }
+  void receive(PacketStore& store, PacketStore::Handle slot, int) override {
+    target_.receive(store, slot, 0);
+  }
   std::string name() const override { return "loopback"; }
 
  private:
@@ -32,48 +34,60 @@ Packet packetFor(FlowId flow) {
   return p;
 }
 
+/// Hands `host` a packet of `flow` in a slot of `store`, as its access
+/// link delivers one; the host frees the slot.
+void deliver(Host& host, PacketStore& store, FlowId flow) {
+  host.receive(store, store.alloc(packetFor(flow)), 0);
+}
+
 TEST(Host, DemultiplexesByFlow) {
+  PacketStore store;
   Host host(0, "h0");
   RecordingHandler a, b;
   host.bind(1, &a);
   host.bind(2, &b);
-  host.receive(packetFor(1), 0);
-  host.receive(packetFor(2), 0);
-  host.receive(packetFor(1), 0);
+  deliver(host, store, 1);
+  deliver(host, store, 2);
+  deliver(host, store, 1);
   EXPECT_EQ(a.received.size(), 2u);
   EXPECT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(store.live(), 0u);  // each slot freed once read
 }
 
 TEST(Host, UnboundFlowsAreDroppedSilently) {
+  PacketStore store;
   Host host(0, "h0");
-  host.receive(packetFor(99), 0);  // must not crash
+  deliver(host, store, 99);  // must not crash
   RecordingHandler a;
   host.bind(1, &a);
   host.unbind(1);
-  host.receive(packetFor(1), 0);
+  deliver(host, store, 1);
   EXPECT_TRUE(a.received.empty());
 }
 
 TEST(Host, CountsPacketsOfUnboundFlowsAsOrphans) {
+  PacketStore store;
   Host host(0, "h0");
   EXPECT_EQ(host.orphanPackets(), 0u);
-  host.receive(packetFor(99), 0);  // empty table
+  deliver(host, store, 99);  // empty table
   RecordingHandler a;
   host.bind(1, &a);
-  host.receive(packetFor(1), 0);  // bound: delivered, not counted
-  host.receive(packetFor(2), 0);
+  deliver(host, store, 1);  // bound: delivered, not counted
+  deliver(host, store, 2);
   host.unbind(1);
-  host.receive(packetFor(1), 0);
+  deliver(host, store, 1);
   EXPECT_EQ(a.received.size(), 1u);
   EXPECT_EQ(host.orphanPackets(), 3u);
+  EXPECT_EQ(store.live(), 0u);  // orphans are freed too
 }
 
 TEST(Host, RebindReplacesHandler) {
+  PacketStore store;
   Host host(0, "h0");
   RecordingHandler a, b;
   host.bind(1, &a);
   host.bind(1, &b);
-  host.receive(packetFor(1), 0);
+  deliver(host, store, 1);
   EXPECT_TRUE(a.received.empty());
   EXPECT_EQ(b.received.size(), 1u);
 }
@@ -112,6 +126,7 @@ std::vector<FlowId> collidingFlows(std::size_t slots, std::size_t n,
 }
 
 TEST(Host, CollidingHomeSlotsAllResolve) {
+  PacketStore store;
   Host host(0, "h0");
   RecordingHandler sizing;
   RecordingHandler h[3];
@@ -122,7 +137,7 @@ TEST(Host, CollidingHomeSlotsAllResolve) {
   ASSERT_EQ(host.demuxSlots(), 8u);  // still one table: one probe run
   for (std::size_t i = 0; i < flows.size(); ++i) {
     EXPECT_EQ(host.handlerFor(flows[i]), &h[i]);
-    host.receive(packetFor(flows[i]), 0);
+    deliver(host, store, flows[i]);
     EXPECT_EQ(h[i].received.size(), 1u);
   }
   EXPECT_TRUE(sizing.received.empty());
@@ -132,6 +147,7 @@ TEST(Host, CollidingHomeSlotsAllResolve) {
 }
 
 TEST(Host, UnbindFromTheMiddleOfAProbeRun) {
+  PacketStore store;
   Host host(0, "h0");
   RecordingHandler a, b, c;
   host.bind(1000, &a);
@@ -149,8 +165,8 @@ TEST(Host, UnbindFromTheMiddleOfAProbeRun) {
   EXPECT_EQ(host.handlerFor(1000), &a);
   host.unbind(flows[1]);
   EXPECT_EQ(host.boundFlows(), 3u);
-  host.receive(packetFor(flows[1]), 0);
-  host.receive(packetFor(flows[2]), 0);
+  deliver(host, store, flows[1]);
+  deliver(host, store, flows[2]);
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(c.received.size(), 1u);
 }
@@ -177,6 +193,7 @@ TEST(Host, UnbindKeepsEveryOtherFlowReachable) {
 }
 
 TEST(Host, RebindAfterGrowthReplacesHandler) {
+  PacketStore store;
   Host host(0, "h0");
   RecordingHandler first, second, other;
   host.bind(7, &first);
@@ -187,7 +204,7 @@ TEST(Host, RebindAfterGrowthReplacesHandler) {
   EXPECT_EQ(host.handlerFor(7), &first);
   host.bind(7, &second);
   EXPECT_EQ(host.boundFlows(), 101u);
-  host.receive(packetFor(7), 0);
+  deliver(host, store, 7);
   EXPECT_TRUE(first.received.empty());
   EXPECT_EQ(second.received.size(), 1u);
 }

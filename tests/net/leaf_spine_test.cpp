@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <vector>
+
 #include "lb/ecmp.hpp"
 #include "sim/simulator.hpp"
 
@@ -73,6 +77,54 @@ TEST(LeafSpine, CrossLeafDelivery) {
   // Path: host->leaf->spine->leaf->host = 4 links of 10 us propagation
   // plus 4 serializations of 12 us (1500B @ 1 Gbps) = 88 us.
   EXPECT_EQ(simr.now(), microseconds(88));
+}
+
+TEST(LeafSpine, APacketKeepsOneStoreSlotFromNicToHost) {
+  // host 0 -> leaf0 -> spine -> leaf1 -> host 1, a 20-packet burst
+  // spread along the path: each link's dequeue hook sees a packet in the
+  // slot it took at host 0's NIC, and the store holds exactly the slots
+  // the links account for, in the middle of a hop too.
+  sim::Simulator simr;
+  LeafSpineConfig cfg = smallConfig();
+  cfg.numSpines = 2;
+  cfg.hostsPerLeaf = 1;
+  LeafSpineTopology topo(simr, cfg, ecmpFactory());
+  const PacketStore& store = topo.packetStore();
+  std::vector<const Link*> links;
+  topo.forEachLink([&](const FabricLink& l) { links.push_back(l.link); });
+  std::map<std::uint64_t, std::vector<const Packet*>> slotsOf;  // by seq
+  int unaccounted = 0;
+  topo.forEachLink([&](const FabricLink& l) {
+    l.link->addDequeueHook([&](const Packet& pkt, SimTime) {
+      slotsOf[pkt.seq].push_back(&pkt);
+      std::uint64_t held = 0;
+      for (const Link* link : links) held += link->storeSlotsHeld();
+      if (store.live() != held) ++unaccounted;
+    });
+  });
+  CaptureHandler capture;
+  topo.host(1).bind(13, &capture);
+  for (std::uint64_t seq = 0; seq < 20; ++seq) {
+    Packet p;
+    p.flow = 13;
+    p.src = 0;
+    p.dst = 1;
+    p.size = 1500_B;
+    p.seq = seq;
+    topo.host(0).send(p);
+  }
+  simr.run();
+
+  ASSERT_EQ(capture.packets.size(), 20u);
+  EXPECT_EQ(unaccounted, 0);
+  ASSERT_EQ(slotsOf.size(), 20u);
+  for (const auto& [seq, slots] : slotsOf) {
+    ASSERT_EQ(slots.size(), 4u) << "packet " << seq;
+    for (const Packet* at : slots) {
+      EXPECT_EQ(at, slots.front()) << "packet " << seq << " changed slot";
+    }
+  }
+  EXPECT_EQ(store.live(), 0u);
 }
 
 TEST(LeafSpine, SameLeafDeliveryAvoidsFabric) {

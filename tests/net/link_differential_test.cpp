@@ -51,7 +51,9 @@ class TwoEventLink {
 
   void send(const Packet& pkt) {
     if (!up_) return out_.note(pkt, Fate::kRejected, sim_.now());
-    if (!queue_.enqueue(pkt, sim_.now())) {
+    const PacketStore::Handle slot = store_.alloc(pkt);
+    if (!queue_.enqueue(slot, sim_.now())) {
+      store_.free(slot);
       return out_.note(pkt, Fate::kQueueDrop, sim_.now());
     }
     if (!transmitting_) start();
@@ -128,8 +130,9 @@ class TwoEventLink {
 class RecordingSink : public Node {
  public:
   RecordingSink(sim::Simulator& simr, Outcomes& out) : sim_(simr), out_(out) {}
-  void receive(const Packet& pkt, int) override {
-    out_.note(pkt, Fate::kDelivered, sim_.now());
+  void receive(PacketStore& store, PacketStore::Handle slot, int) override {
+    out_.note(store[slot].pkt, Fate::kDelivered, sim_.now());
+    store.free(slot);
   }
   std::string name() const override { return "sink"; }
 

@@ -13,10 +13,12 @@ namespace {
 
 class CountingSink : public Node {
  public:
-  void receive(const Packet& pkt, int) override {
+  void receive(PacketStore& store, PacketStore::Handle slot, int) override {
+    const Packet& pkt = store[slot].pkt;
     bytes += pkt.size;
     ++packets;
     seqs.push_back(pkt.seq);
+    store.free(slot);
   }
   std::string name() const override { return "sink"; }
 

@@ -14,8 +14,10 @@ namespace {
 class SinkNode : public Node {
  public:
   explicit SinkNode(sim::Simulator& simr) : sim_(simr) {}
-  void receive(const Packet& pkt, int inPort) override {
-    arrivals.push_back({pkt, sim_.now(), inPort});
+  void receive(PacketStore& store, PacketStore::Handle slot,
+               int inPort) override {
+    arrivals.push_back({store[slot].pkt, sim_.now(), inPort});
+    store.free(slot);
   }
   std::string name() const override { return "sink"; }
 

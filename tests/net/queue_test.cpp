@@ -19,6 +19,16 @@ Packet makeData(FlowId flow, ByteCount size, bool ecnCapable = false) {
   return p;
 }
 
+/// Offers `pkt` to `q` in a fresh slot, as a link's send() does: a packet
+/// the full queue drops gives its slot back.
+bool offer(DropTailQueue& q, PacketStore& store, const Packet& pkt,
+           SimTime now) {
+  const PacketStore::Handle slot = store.alloc(pkt);
+  if (q.enqueue(slot, now)) return true;
+  store.free(slot);
+  return false;
+}
+
 /// Dequeues the head and frees its slot, as a link's event would.
 Packet pop(DropTailQueue& q, PacketStore& store, SimTime now = 0_ns,
            SimTime* queueDelay = nullptr) {
@@ -32,7 +42,7 @@ TEST(DropTailQueue, FifoOrder) {
   PacketStore store;
   DropTailQueue q(store, {4, 0});
   for (FlowId f = 1; f <= 4; ++f) {
-    EXPECT_TRUE(q.enqueue(makeData(f, 100_B), 0_ns));
+    EXPECT_TRUE(offer(q, store, makeData(f, 100_B), 0_ns));
   }
   for (FlowId f = 1; f <= 4; ++f) {
     EXPECT_EQ(pop(q, store).flow, f);
@@ -43,9 +53,9 @@ TEST(DropTailQueue, FifoOrder) {
 TEST(DropTailQueue, DropsWhenFull) {
   PacketStore store;
   DropTailQueue q(store, {2, 0});
-  EXPECT_TRUE(q.enqueue(makeData(1, 100_B), 0_ns));
-  EXPECT_TRUE(q.enqueue(makeData(2, 100_B), 0_ns));
-  EXPECT_FALSE(q.enqueue(makeData(3, 100_B), 0_ns));
+  EXPECT_TRUE(offer(q, store, makeData(1, 100_B), 0_ns));
+  EXPECT_TRUE(offer(q, store, makeData(2, 100_B), 0_ns));
+  EXPECT_FALSE(offer(q, store, makeData(3, 100_B), 0_ns));
   EXPECT_EQ(q.drops(), 1u);
   EXPECT_EQ(q.droppedBytes(), 100_B);
   EXPECT_EQ(q.packets(), 2);
@@ -54,8 +64,8 @@ TEST(DropTailQueue, DropsWhenFull) {
 TEST(DropTailQueue, ByteAccounting) {
   PacketStore store;
   DropTailQueue q(store, {10, 0});
-  q.enqueue(makeData(1, 100_B), 0_ns);
-  q.enqueue(makeData(2, 250_B), 0_ns);
+  offer(q, store, makeData(1, 100_B), 0_ns);
+  offer(q, store, makeData(2, 250_B), 0_ns);
   EXPECT_EQ(q.bytes(), 350_B);
   pop(q, store);
   EXPECT_EQ(q.bytes(), 250_B);
@@ -66,7 +76,7 @@ TEST(DropTailQueue, ByteAccounting) {
 TEST(DropTailQueue, QueueDelayMeasured) {
   PacketStore store;
   DropTailQueue q(store, {10, 0});
-  q.enqueue(makeData(1, 100_B), /*now=*/1000_ns);
+  offer(q, store, makeData(1, 100_B), /*now=*/1000_ns);
   SimTime delay = -1_ns;
   pop(q, store, /*now=*/2500_ns, &delay);
   EXPECT_EQ(delay, 1500_ns);
@@ -76,10 +86,10 @@ TEST(DropTailQueue, EcnMarksAboveThreshold) {
   PacketStore store;
   DropTailQueue q(store, {10, /*ecnThreshold=*/2});
   // Occupancy at enqueue time: 0, 1 -> unmarked; 2, 3 -> marked.
-  q.enqueue(makeData(1, 100_B, true), 0_ns);
-  q.enqueue(makeData(2, 100_B, true), 0_ns);
-  q.enqueue(makeData(3, 100_B, true), 0_ns);
-  q.enqueue(makeData(4, 100_B, true), 0_ns);
+  offer(q, store, makeData(1, 100_B, true), 0_ns);
+  offer(q, store, makeData(2, 100_B, true), 0_ns);
+  offer(q, store, makeData(3, 100_B, true), 0_ns);
+  offer(q, store, makeData(4, 100_B, true), 0_ns);
   EXPECT_FALSE(pop(q, store).ce);
   EXPECT_FALSE(pop(q, store).ce);
   EXPECT_TRUE(pop(q, store).ce);
@@ -90,8 +100,8 @@ TEST(DropTailQueue, EcnMarksAboveThreshold) {
 TEST(DropTailQueue, EcnIgnoresNonCapablePackets) {
   PacketStore store;
   DropTailQueue q(store, {10, 1});
-  q.enqueue(makeData(1, 100_B, false), 0_ns);
-  q.enqueue(makeData(2, 100_B, false), 0_ns);
+  offer(q, store, makeData(1, 100_B, false), 0_ns);
+  offer(q, store, makeData(2, 100_B, false), 0_ns);
   EXPECT_FALSE(pop(q, store).ce);
   EXPECT_FALSE(pop(q, store).ce);
   EXPECT_EQ(q.ecnMarks(), 0u);
@@ -102,7 +112,9 @@ TEST(DropTailQueue, EcnIgnoresNonCapablePackets) {
 TEST(RedQueue, NonEctPacketsNeverMarked) {
   PacketStore store;
   DropTailQueue q(store, {256, 1});
-  for (int i = 0; i < 100; ++i) q.enqueue(makeData(1, 1500_B, false), 0_ns);
+  for (int i = 0; i < 100; ++i) {
+    offer(q, store, makeData(1, 1500_B, false), 0_ns);
+  }
   EXPECT_EQ(q.packets(), 100);
   EXPECT_EQ(q.ecnMarks(), 0u);
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(pop(q, store).ce);
@@ -111,7 +123,7 @@ TEST(RedQueue, NonEctPacketsNeverMarked) {
 TEST(DropTailQueue, EcnDisabledByZeroThreshold) {
   PacketStore store;
   DropTailQueue q(store, {10, 0});
-  for (int i = 0; i < 10; ++i) q.enqueue(makeData(1, 100_B, true), 0_ns);
+  for (int i = 0; i < 10; ++i) offer(q, store, makeData(1, 100_B, true), 0_ns);
   EXPECT_EQ(q.ecnMarks(), 0u);
 }
 
@@ -128,13 +140,13 @@ TEST(DropTailQueue, SteadyTrafficReusesTheSameSlots) {
     return ByteCount::fromBytes(100 + 10 * static_cast<std::int64_t>(f));
   };
   for (int i = 0; i < 3; ++i, ++next) {
-    q.enqueue(makeData(next, sizeOf(next)), SimTime::fromNs(10 * next));
+    offer(q, store, makeData(next, sizeOf(next)), SimTime::fromNs(10 * next));
   }
   // One in, one out: the slot the head frees is the one the next packet
   // takes, so the queue cycles through four slots.
   for (int round = 0; round < 25; ++round, ++next, ++expect) {
-    ASSERT_TRUE(
-        q.enqueue(makeData(next, sizeOf(next)), SimTime::fromNs(10 * next)));
+    ASSERT_TRUE(offer(q, store, makeData(next, sizeOf(next)),
+                      SimTime::fromNs(10 * next)));
     EXPECT_EQ(store.live(), 4u);
     ByteCount want;
     for (FlowId f = expect; f <= next; ++f) want += sizeOf(f);
@@ -157,14 +169,15 @@ TEST(DropTailQueue, QueuesSharingAStoreKeepTheirOrderAcrossChunks) {
   PacketStore store;
   DropTailQueue a(store, {400, 0});
   DropTailQueue b(store, {400, 0});
-  for (FlowId f = 1; f <= 3; ++f) a.enqueue(makeData(f, 100_B), 0_ns);
+  for (FlowId f = 1; f <= 2; ++f) offer(a, store, makeData(f, 100_B), 0_ns);
+  const PacketStore::Handle third = store.alloc(makeData(3, 100_B));
+  ASSERT_TRUE(a.enqueue(third, 0_ns));
   EXPECT_EQ(pop(a, store).flow, 1u);
-  const Packet* early = &a.back();  // flow 3, stored in the first chunk
+  const Packet* early = &store[third].pkt;  // in the first chunk
   for (FlowId f = 4; f <= 303; ++f) {
     DropTailQueue& q = f % 2 == 0 ? a : b;
-    ASSERT_TRUE(q.enqueue(makeData(f, ByteCount::fromBytes(
-                                          static_cast<std::int64_t>(f))),
-                          0_ns));
+    const auto size = ByteCount::fromBytes(static_cast<std::int64_t>(f));
+    ASSERT_TRUE(offer(q, store, makeData(f, size), 0_ns));
   }
   EXPECT_EQ(store.capacity(), 2 * PacketStore::kChunkSlots);
   EXPECT_EQ(store.live(), 302u);
@@ -186,9 +199,13 @@ TEST(DropTailQueue, ADroppedPacketTakesNoSlot) {
   {
     DropTailQueue q(store, {6, 0});
     for (FlowId f = 1; f <= 6; ++f) {
-      ASSERT_TRUE(q.enqueue(makeData(f, 100_B), 0_ns));
+      ASSERT_TRUE(offer(q, store, makeData(f, 100_B), 0_ns));
     }
-    EXPECT_FALSE(q.enqueue(makeData(7, 100_B), 0_ns));
+    // The full queue refuses the slot: it stays the caller's to free.
+    const PacketStore::Handle seventh = store.alloc(makeData(7, 100_B));
+    EXPECT_FALSE(q.enqueue(seventh, 0_ns));
+    EXPECT_EQ(store[seventh].state, PacketStore::State::kHeld);
+    store.free(seventh);
     EXPECT_EQ(store.live(), 6u);
     pop(q, store);
     EXPECT_EQ(store.live(), 5u);
@@ -227,7 +244,7 @@ TEST(DropTailQueue, RingMatchesReferenceModel) {
       const auto size = ByteCount::fromBytes(
           64 + static_cast<std::int64_t>(rng.uniformInt(1400)));
       const bool ect = rng.uniform() < 0.5;
-      const bool accepted = q.enqueue(makeData(next, size, ect), 0_ns);
+      const bool accepted = offer(q, store, makeData(next, size, ect), 0_ns);
       if (static_cast<int>(model.size()) >= kCapacity) {
         EXPECT_FALSE(accepted);
         ++modelDrops;

@@ -12,7 +12,10 @@ namespace {
 
 class SinkNode : public Node {
  public:
-  void receive(const Packet& pkt, int) override { packets.push_back(pkt); }
+  void receive(PacketStore& store, PacketStore::Handle slot, int) override {
+    packets.push_back(store[slot].pkt);
+    store.free(slot);
+  }
   std::string name() const override { return "sink"; }
   std::vector<Packet> packets;
 };
@@ -60,12 +63,18 @@ struct Rig {
     p.size = 100_B;
     return p;
   }
+
+  /// Hands the switch a packet for `dst` in a slot of its store, as a link
+  /// delivers one.
+  void deliver(HostId dst) {
+    sw->receive(store, store.alloc(packetFor(dst)), 0);
+  }
 };
 
 TEST(Switch, DirectRouteDelivers) {
   Rig rig;
   rig.sw->setRoute(5, 1);
-  rig.sw->receive(rig.packetFor(5), 0);
+  rig.deliver(5);
   rig.simr.run();
   EXPECT_EQ(rig.sinkB.packets.size(), 1u);
   EXPECT_TRUE(rig.sinkA.packets.empty());
@@ -74,10 +83,11 @@ TEST(Switch, DirectRouteDelivers) {
 
 TEST(Switch, UnroutableIsCountedNotCrashed) {
   Rig rig;
-  rig.sw->receive(rig.packetFor(99), 0);
+  rig.deliver(99);
   rig.simr.run();
   EXPECT_EQ(rig.sw->unroutablePackets(), 1u);
   EXPECT_EQ(rig.sw->forwardedPackets(), 0u);
+  EXPECT_EQ(rig.store.live(), 0u);  // the switch freed what it dropped
 }
 
 TEST(Switch, UplinkGroupConsultsSelector) {
@@ -87,7 +97,7 @@ TEST(Switch, UplinkGroupConsultsSelector) {
   auto selector = std::make_unique<FixedSelector>(2);
   auto* sel = selector.get();
   rig.sw->setSelector(std::move(selector));
-  rig.sw->receive(rig.packetFor(9), 0);
+  rig.deliver(9);
   rig.simr.run();
   EXPECT_EQ(sel->calls, 1);
   EXPECT_EQ(rig.sinkC.packets.size(), 1u);
@@ -103,7 +113,7 @@ TEST(Switch, SingleUplinkSkipsSelector) {
   auto selector = std::make_unique<FixedSelector>(0);
   auto* sel = selector.get();
   rig.sw->setSelector(std::move(selector));
-  rig.sw->receive(rig.packetFor(9), 0);
+  rig.deliver(9);
   rig.simr.run();
   EXPECT_EQ(sel->calls, 0);  // no decision needed
   EXPECT_EQ(rig.sinkC.packets.size(), 1u);
@@ -126,7 +136,7 @@ TEST(Switch, RouteCanBeOverwritten) {
   Rig rig;
   rig.sw->setRoute(5, 0);
   rig.sw->setRoute(5, 2);
-  rig.sw->receive(rig.packetFor(5), 0);
+  rig.deliver(5);
   rig.simr.run();
   EXPECT_TRUE(rig.sinkA.packets.empty());
   EXPECT_EQ(rig.sinkC.packets.size(), 1u);

@@ -395,6 +395,91 @@ TEST(SchedulerLanes, DestructionReleasesPendingLaneClosuresOnce) {
   EXPECT_TRUE(watch.expired());
 }
 
+// --- in-place events: a posted closure is built where it waits ---------
+
+/// How often a Counted closure was moved: by the time its post returned,
+/// and by the time it ran.
+struct MoveCounts {
+  int atPost = -1;
+  int atFire = -1;
+  int moves = 0;
+};
+
+/// A closure whose move constructor counts. It is not trivially copyable,
+/// so EventFn keeps it behind a manager that moves it with that
+/// constructor: every hand-off shows.
+struct Counted {
+  explicit Counted(MoveCounts* counts) : c(counts) {}
+  Counted(Counted&& other) noexcept : c(other.c) { ++c->moves; }
+  Counted(const Counted&) = delete;
+  Counted& operator=(const Counted&) = delete;
+  Counted& operator=(Counted&&) = delete;
+  void operator()() const { c->atFire = c->moves; }
+  MoveCounts* c;
+};
+static_assert(EventFn::fitsInline<Counted>() &&
+              !EventFn::relocatesByCopy<Counted>());
+
+/// Posts a Counted closure through every entry point of `q` (a Scheduler
+/// or a Simulator), on a lane and on the heap, and runs them all.
+template <typename Queue>
+std::vector<MoveCounts> postEveryWay(Queue& q) {
+  // Warm the heap's slot vector first: a vector that grows relocates the
+  // closures it holds, which is not a hand-off.
+  for (int i = 0; i < 8; ++i) q.postAt(SimTime::fromNs(i), [] {});
+  q.run();
+  std::vector<MoveCounts> c(5);
+  const auto post = [&](MoveCounts& m, auto how) {
+    how(Counted(&m));
+    m.atPost = m.moves;
+  };
+  post(c[0], [&](Counted&& f) { q.post(10_ns, std::move(f)); });  // lane
+  post(c[1], [&](Counted&& f) { q.postAt(20_ns, std::move(f)); });
+  EventHandle h2;
+  post(c[2], [&](Counted&& f) { h2 = q.schedule(30_ns, std::move(f)); });
+  // Three more delays claim the other lanes; a fifth finds none free and
+  // takes the heap.
+  for (int d = 1; d <= 3; ++d) q.post(SimTime::fromNs(d), [] {});
+  post(c[3], [&](Counted&& f) { q.post(40_ns, std::move(f)); });
+  EventHandle h4;
+  post(c[4], [&](Counted&& f) { h4 = q.scheduleAt(50_ns, std::move(f)); });
+  q.run();
+  return c;
+}
+
+TEST(SchedulerInPlace, PostedClosureIsMovedOnceIntoItsSlot) {
+  Scheduler s;
+  const std::vector<MoveCounts> counts = postEveryWay(s);
+  EXPECT_EQ(s.lanePosts(), 4u);  // the 10 ns post and the three fillers
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i].atPost, 1) << "entry point " << i;
+    EXPECT_GE(counts[i].atFire, 1) << "entry point " << i;
+    EXPECT_LE(counts[i].atFire, 2) << "entry point " << i;  // step()'s
+  }
+}
+
+TEST(SchedulerInPlace, SimulatorForwardsWithoutAMove) {
+  Simulator sim;
+  const std::vector<MoveCounts> counts = postEveryWay(sim);
+  EXPECT_EQ(sim.scheduler().lanePosts(), 4u);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i].atPost, 1) << "entry point " << i;
+    EXPECT_GE(counts[i].atFire, 1) << "entry point " << i;
+    EXPECT_LE(counts[i].atFire, 2) << "entry point " << i;
+  }
+}
+
+TEST(SchedulerInPlace, AnEventFnIsMovedInOnce) {
+  Simulator sim;
+  MoveCounts c;
+  EventFn fn{Counted(&c)};
+  ASSERT_EQ(c.moves, 1);  // into fn
+  sim.post(10_ns, std::move(fn));
+  EXPECT_EQ(c.moves, 2);  // fn into its lane entry
+  sim.run();
+  EXPECT_LE(c.atFire, 3);
+}
+
 TEST(Simulator, PeriodicTimerFiresRepeatedly) {
   Simulator sim;
   int ticks = 0;

@@ -22,9 +22,11 @@ class ArrivalTap : public net::Node {
  public:
   explicit ArrivalTap(net::Host& host) : host_(host) {}
 
-  void receive(const net::Packet& pkt, int inPort) override {
+  void receive(net::PacketStore& store, net::PacketStore::Handle slot,
+               int inPort) override {
+    const net::Packet& pkt = store[slot].pkt;
     if (pkt.isData()) ce.push_back(pkt.ce);
-    host_.receive(pkt, inPort);
+    host_.receive(store, slot, inPort);
   }
   std::string name() const override { return "tap"; }
 

@@ -26,8 +26,10 @@ class FilterNode : public net::Node {
   void setOutput(net::Link* out) { out_ = out; }
   void setHook(Hook hook) { hook_ = std::move(hook); }
 
-  void receive(const net::Packet& in, int) override {
-    net::Packet pkt = in;  // the hook may mutate its copy
+  void receive(net::PacketStore& store, net::PacketStore::Handle slot,
+               int) override {
+    net::Packet pkt = store[slot].pkt;  // the hook may mutate its copy
+    store.free(slot);
     int copies = 1;
     if (hook_) copies = hook_(pkt);
     if (copies <= 0) {

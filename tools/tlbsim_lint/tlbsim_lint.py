@@ -138,6 +138,16 @@ config-is-data
     thread without sharing a sink. Pointer locals inside a config's member
     functions are fine.
 
+event-in-place
+    No function in src/ takes a `sim::EventFn` parameter by value, except
+    the periodic-timer registration `every()`, which runs once per timer.
+    The scheduler builds each event's callable in the lane entry or heap
+    slot it fires from (Scheduler::post and friends take it by forwarding
+    reference); a wrapper taking an EventFn by value moves every closure
+    that passes through it once more, the per-hop copy this rule keeps
+    out. Take `template <typename F> ... F&& fn` and std::forward it.
+    Genuinely cold uses carry an explicit allow() stating why.
+
 Suppression: append `// tlbsim-lint: allow(<rule>)` to the offending line,
 or place it as a comment-only line directly above (for lines that would
 overflow the 80-column format limit otherwise).
@@ -258,6 +268,15 @@ POINTER_MEMBER_RE = re.compile(
     r"(?!(?:static|using|typedef|friend|return)\b)"
     r"[\w:]+(?:\s*<[^;]*>)?(?:\s+const)?\s*\*[\s*]*(?:const\s+)?\w+\s*"
     r"(?:\[[^\]]*\]\s*)?(?:=.*)?$", re.S)
+
+# A sim::EventFn parameter taken by value: after `(` or `,`, or at the
+# start of a continuation line of a parameter list.
+EVENT_NS = r"(?:(?:tlbsim\s*::\s*)?sim\s*::\s*)?"
+EVENT_BY_VALUE_RE = re.compile(
+    r"[(,]\s*(?:const\s+)?" + EVENT_NS + r"EventFn\s+\w+\s*[,)=]"
+    r"|^\s*(?:const\s+)?" + EVENT_NS + r"EventFn\s+\w+\s*[,)]")
+# The one function allowed to take one: a periodic timer's registration.
+EVERY_DECL_RE = re.compile(r"\bevery\s*\(")
 
 DIRECT_EXPERIMENT_RE = re.compile(
     r"\b(runExperiment|summarizeExperiment)\s*\("
@@ -480,6 +499,19 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     "by port number, or allow() with a cold-path "
                     "justification"))
 
+        # --- event-in-place -------------------------------------------
+        if in_src:
+            m = EVENT_BY_VALUE_RE.search(code)
+            if m and not EVERY_DECL_RE.search(code[:m.start()]) and \
+                    not allowed(raw, "event-in-place", prev_raw):
+                findings.append(Finding(
+                    rel, lineno, "event-in-place",
+                    "sim::EventFn parameter taken by value; take the "
+                    "callable as a forwarding reference (template "
+                    "<typename F> ... F&& fn) so the scheduler builds it "
+                    "in its slot, or allow() with a cold-path "
+                    "justification"))
+
         # --- std-function-hot-path ------------------------------------
         if rel.parts[:2] in HOT_PATH_DIRS:
             m = STD_FUNCTION_RE.search(code)
@@ -641,6 +673,30 @@ SELF_TEST_CASES = [
     ("negative-delay", "src/foo/x.cpp", "sim.post(-txTime, fn);\n"),
     ("negative-delay", "src/foo/x.cpp", "sim.postAt(-when, fn);\n"),
     (None, "src/foo/x.cpp", "sim.post(txTime, fn);\n"),
+    # event-in-place: a callable reaches its event slot without a by-value
+    # EventFn hop on the way.
+    ("event-in-place", "src/net/x.hpp",
+     "void later(SimTime delay, sim::EventFn fn);\n"),
+    ("event-in-place", "src/app/x.cpp",
+     "void Service::defer(EventFn fn) {\n"),
+    ("event-in-place", "src/sim/x.hpp",
+     "void postAt(SimTime when,\n            const EventFn fn) {\n"),
+    ("event-in-place", "src/sim/x.hpp",
+     "void schedule(SimTime when, EventFn fn = nullptr);\n"),
+    (None, "src/sim/x.hpp",
+     "template <typename F>\nvoid post(SimTime delay, F&& fn) {\n"
+     "  scheduler_.post(delay, std::forward<F>(fn));\n}\n"),
+    (None, "src/sim/scheduler.hpp",
+     "void every(SimTime period, EventFn fn, SimTime start = {},\n"),
+    (None, "src/sim/scheduler.cpp",
+     "void Scheduler::every(SimTime period, EventFn fn, SimTime start,\n"),
+    (None, "src/app/x.cpp",
+     "// registered once at set-up. tlbsim-lint: allow(event-in-place)\n"
+     "void onIdle(EventFn fn);\n"),
+    (None, "src/sim/x.hpp", "void pushLane(Lane& lane, EventFn&& fn);\n"),
+    (None, "src/sim/x.cpp", "  EventFn fn;\n  EventFn next = std::move(fn);\n"),
+    (None, "src/sim/x.hpp", "using EventFn = util::InlineFunction<void()>;\n"),
+    (None, "tests/sim/x.cpp", "void post(SimTime delay, EventFn fn);\n"),
     # std-function-hot-path bans std::function on the event/packet paths.
     ("std-function-hot-path", "src/sim/x.hpp",
      "using Callback = std::function<void()>;\n"),
